@@ -469,42 +469,6 @@ pub fn buffer_merge(a: Vec<Message>, b: Vec<Message>) -> Vec<Message> {
     out
 }
 
-/// Exported allocator state: high-water mark plus `(len, offsets)` free
-/// lists.
-pub(crate) type AllocState = (u64, Vec<(u64, Vec<u64>)>);
-
-/// Encode pager allocator state into a superblock writer (shared by both
-/// tree variants' `persist` implementations).
-pub(crate) fn encode_alloc_state(w: &mut Writer, pager: &dam_cache::Pager) {
-    let (high_water, free) = pager.export_alloc();
-    w.put_u64(high_water);
-    w.put_u32(free.len() as u32);
-    for (len, offs) in &free {
-        w.put_u64(*len);
-        w.put_u32(offs.len() as u32);
-        for &o in offs {
-            w.put_u64(o);
-        }
-    }
-}
-
-/// Decode allocator state written by [`encode_alloc_state`].
-pub(crate) fn decode_alloc_state(r: &mut Reader<'_>) -> Result<AllocState, CodecError> {
-    let high_water = r.get_u64()?;
-    let nfree = r.get_u32()? as usize;
-    let mut free = Vec::with_capacity(nfree);
-    for _ in 0..nfree {
-        let len = r.get_u64()?;
-        let k = r.get_u32()? as usize;
-        let mut offs = Vec::with_capacity(k);
-        for _ in 0..k {
-            offs.push(r.get_u64()?);
-        }
-        free.push((len, offs));
-    }
-    Ok((high_water, free))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,25 +696,5 @@ mod tests {
         assert_eq!(node.route(b"a"), 0);
         assert_eq!(node.route(b"h"), 1);
         assert_eq!(node.route(b"z"), 1);
-    }
-
-    #[test]
-    fn alloc_state_roundtrip() {
-        use dam_storage::{RamDisk, SharedDevice, SimDuration};
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(10))));
-        let mut pager = dam_cache::Pager::new(dev, 1 << 16, 128);
-        let a = pager.alloc(100).unwrap();
-        let _b = pager.alloc(200).unwrap();
-        pager.free(a, 100);
-        let mut w = Writer::new();
-        encode_alloc_state(&mut w, &pager);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let (hw, free) = decode_alloc_state(&mut r).unwrap();
-        assert_eq!(
-            (hw, &free),
-            (pager.export_alloc().0, &pager.export_alloc().1)
-        );
-        assert_eq!(free, vec![(100u64, vec![a])]);
     }
 }

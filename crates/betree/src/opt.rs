@@ -23,21 +23,23 @@
 //! rebuilds (same asymptotics, different constants on the rebalance term),
 //! and deletions leave sparse leaves rather than triggering merges.
 
-use crate::node::{
-    apply_msgs_to_entries, buffer_insert, buffer_merge, decode_alloc_state, encode_alloc_state,
-};
-use dam_cache::{Page, Pager, PagerError};
-
-const OPT_SUPERBLOCK_MAGIC: u32 = 0x4441_4D4F; // "DAMO"
-const OPT_SUPERBLOCK_VERSION: u8 = 1;
+use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge};
+use dam_cache::{Page, Pager, Superblock, SuperblockIo};
 use dam_kv::codec::{
     frame_into_slot, frame_payload, unframe, CodecError, PairsView, Reader, StrsView, Writer,
     FRAME_OVERHEAD,
 };
 use dam_kv::msg::{replay, LastWriteWins, MergeOperator, Message, MsgsView, Operation};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
-use dam_obs::Obs;
+use dam_obs::{Obs, PagedDict};
 use dam_storage::SharedDevice;
+
+const SUPERBLOCK: Superblock = Superblock {
+    magic: 0x4441_4D4F, // "DAMO"
+    version: 1,
+    label: "optimized Be-tree superblock",
+    io: SuperblockIo::Slot,
+};
 
 const TAG_EMPTY: u8 = 0;
 const TAG_SUBLEAF: u8 = 1;
@@ -268,10 +270,6 @@ fn in_range(key: &[u8], start: &[u8], end: &[u8]) -> bool {
     key >= start && key < end
 }
 
-fn map_pager(e: PagerError) -> KvError {
-    KvError::Storage(e.to_string())
-}
-
 /// View segment `j` of node `addr`, read by [`OptBeTree::read_seg_page`].
 fn parse_seg(addr: u64, j: usize, page: &Page) -> Result<SegView<'_>, KvError> {
     match SegView::parse(page) {
@@ -301,7 +299,6 @@ pub struct OptBeTree {
     height: u32,
     count: u64,
     next_seq: u64,
-    last_cost: OpCost,
     obs: Option<Obs>,
 }
 
@@ -323,7 +320,7 @@ impl OptBeTree {
         let cap = cfg.cap();
         let node_bytes = cfg.node_bytes();
         let mut pager = Pager::new(device, cfg.cache_bytes, cfg.superblock_bytes());
-        let addr = pager.alloc(node_bytes as u64).map_err(map_pager)?;
+        let addr = pager.alloc(node_bytes as u64)?;
         let mut tree = OptBeTree {
             pager,
             fanout: cfg.fanout,
@@ -340,7 +337,6 @@ impl OptBeTree {
             height: 1,
             count: 0,
             next_seq: 1,
-            last_cost: OpCost::default(),
             obs: None,
         };
         tree.write_whole(addr, &[Seg::Subleaf(Vec::new())])?;
@@ -374,7 +370,7 @@ impl OptBeTree {
 
     /// Write all dirty nodes.
     pub fn flush(&mut self) -> Result<(), KvError> {
-        self.pager.flush().map_err(map_pager)
+        self.pager.flush().map_err(KvError::from)
     }
 
     /// Checkpoint: flush dirty nodes, then durably write a superblock (the
@@ -383,61 +379,36 @@ impl OptBeTree {
     /// the tree.
     pub fn persist(&mut self) -> Result<(), KvError> {
         self.flush()?;
-        let reserved = (self.seg_bytes as u64 + 1024).max(4096);
-        let mut w = Writer::with_capacity(reserved as usize);
-        w.put_u32(OPT_SUPERBLOCK_MAGIC);
-        w.put_u8(OPT_SUPERBLOCK_VERSION);
-        w.put_u32(self.fanout as u32);
-        w.put_u64(self.seg_bytes as u64);
-        w.put_u32(self.height);
-        w.put_u64(self.count);
-        w.put_u64(self.next_seq);
-        // Root descriptor (reuses the segment encoding).
-        Seg::Desc(self.root.clone()).encode_into(&mut w);
-        encode_alloc_state(&mut w, &self.pager);
-        let payload = w.into_bytes();
-        if (payload.len() + FRAME_OVERHEAD) as u64 > reserved {
-            return Err(KvError::Config("superblock overflow".into()));
-        }
-        let image = frame_into_slot(&payload, reserved as usize);
-        self.pager.write_through(0, image).map_err(map_pager)
+        SUPERBLOCK.write(&mut self.pager, |w| {
+            w.put_u32(self.fanout as u32);
+            w.put_u64(self.seg_bytes as u64);
+            w.put_u32(self.height);
+            w.put_u64(self.count);
+            w.put_u64(self.next_seq);
+            // The root descriptor reuses the segment encoding.
+            Seg::Desc(self.root.clone()).encode_into(w);
+        })
     }
 
     /// Reopen a tree previously [`OptBeTree::persist`]ed on `device`. The
     /// config's fanout and segment size must match.
     pub fn open(device: SharedDevice, cfg: OptConfig) -> Result<Self, KvError> {
-        let reserved = cfg.superblock_bytes();
-        let mut pager = Pager::new(device, cfg.cache_bytes, reserved);
-        let image = pager.read(0, reserved as usize).map_err(map_pager)?;
-        let corrupt = |what: String| KvError::Corrupt(format!("superblock: {what}"));
-        let dec = |e: CodecError| corrupt(e.to_string());
-        let payload = unframe(&image).map_err(dec)?;
-        let mut r = Reader::new(payload);
-        if r.get_u32().map_err(dec)? != OPT_SUPERBLOCK_MAGIC {
-            return Err(corrupt(
-                "bad magic (no optimized Be-tree on this device?)".into(),
-            ));
-        }
-        if r.get_u8().map_err(dec)? != OPT_SUPERBLOCK_VERSION {
-            return Err(corrupt("unsupported version".into()));
-        }
-        let fanout = r.get_u32().map_err(dec)? as usize;
-        let seg_bytes = r.get_u64().map_err(dec)? as usize;
-        if fanout != cfg.fanout || seg_bytes != cfg.seg_bytes {
-            return Err(KvError::Config(format!(
-                "shape mismatch: device has F={fanout}/seg={seg_bytes}, config says F={}/seg={}",
-                cfg.fanout, cfg.seg_bytes
-            )));
-        }
-        let height = r.get_u32().map_err(dec)?;
-        let count = r.get_u64().map_err(dec)?;
-        let next_seq = r.get_u64().map_err(dec)?;
-        let root = match Seg::decode_from(&mut r).map_err(dec)? {
-            Some(Seg::Desc(d)) => d,
-            _ => return Err(corrupt("missing root descriptor".into())),
-        };
-        let (high_water, free) = decode_alloc_state(&mut r).map_err(dec)?;
-        pager.restore_alloc(high_water, free, reserved);
+        let mut pager = Pager::new(device, cfg.cache_bytes, cfg.superblock_bytes());
+        let (height, count, next_seq, root) = SUPERBLOCK.read(&mut pager, |r| {
+            let fanout = r.get_u32()? as usize;
+            let seg_bytes = r.get_u64()? as usize;
+            if fanout != cfg.fanout || seg_bytes != cfg.seg_bytes {
+                return Err(KvError::Config(format!(
+                    "shape mismatch: device has F={fanout}/seg={seg_bytes}, config says F={}/seg={}",
+                    cfg.fanout, cfg.seg_bytes
+                )));
+            }
+            let fields = (r.get_u32()?, r.get_u64()?, r.get_u64()?);
+            match Seg::decode_from(r)? {
+                Some(Seg::Desc(root)) => Ok((fields.0, fields.1, fields.2, root)),
+                _ => Err(KvError::Corrupt("missing root descriptor".into())),
+            }
+        })?;
         Ok(OptBeTree {
             pager,
             fanout: cfg.fanout,
@@ -449,7 +420,6 @@ impl OptBeTree {
             height,
             count,
             next_seq,
-            last_cost: OpCost::default(),
             obs: None,
         })
     }
@@ -463,7 +433,7 @@ impl OptBeTree {
 
     /// Flush and empty the cache.
     pub fn drop_cache(&mut self) -> Result<(), KvError> {
-        self.pager.drop_cache().map_err(map_pager)
+        self.pager.drop_cache().map_err(KvError::from)
     }
 
     // ------------------------------------------------------------------
@@ -494,7 +464,7 @@ impl OptBeTree {
             image.extend_from_slice(&frame_into_slot(&w.into_bytes(), self.seg_bytes));
         }
         image.resize(self.node_bytes, 0);
-        self.pager.write(addr, image).map_err(map_pager)
+        self.pager.write(addr, image).map_err(KvError::from)
     }
 
     /// Read a whole node of `used` segments. Each segment's frame is
@@ -502,7 +472,13 @@ impl OptBeTree {
     /// the device is not marked verified here, because the check covers
     /// only the `used` segments, not every slot of the image.
     fn read_whole(&mut self, addr: u64, used: usize) -> Result<Vec<Seg>, KvError> {
-        let image = self.pager.read(addr, self.node_bytes).map_err(map_pager)?;
+        if used > self.cap {
+            return Err(KvError::Corrupt(format!(
+                "node {addr}: {used} segments exceed capacity {}",
+                self.cap
+            )));
+        }
+        let image = self.pager.read(addr, self.node_bytes)?;
         let mut segs = Vec::with_capacity(used);
         for j in 0..used {
             let slice = &image[j * self.seg_bytes..(j + 1) * self.seg_bytes];
@@ -526,10 +502,9 @@ impl OptBeTree {
     /// checksum checked once: when the bytes come off the device, not on
     /// every cache hit.
     fn read_seg_page(&mut self, addr: u64, j: usize) -> Result<Page, KvError> {
-        let page = self
-            .pager
-            .read_within(addr, self.node_bytes, j * self.seg_bytes, self.seg_bytes)
-            .map_err(map_pager)?;
+        let page =
+            self.pager
+                .read_within(addr, self.node_bytes, j * self.seg_bytes, self.seg_bytes)?;
         self.pager
             .check_once(&page, |b| unframe(b).map(drop))
             .map_err(|e| KvError::Corrupt(format!("node {addr} seg {j}: {e}")))?;
@@ -789,8 +764,12 @@ impl OptBeTree {
 
     /// Persist an internal node's segments, splitting the node when it
     /// exceeds capacity. Updates `desc.boundaries`; pushes new siblings
-    /// onto `out`. Same write ordering and commit discipline as
-    /// [`Self::persist_leaf`].
+    /// onto `out`. Same write ordering as [`Self::persist_leaf`], but a
+    /// split here always follows a child's committed split (only adopted
+    /// siblings grow `segs`), so there is no clean abort left: a device
+    /// fault on a sibling write is reported only after the split is
+    /// committed, like the standard tree's `split_internal`. The images
+    /// land in cache either way.
     fn persist_internal(
         &mut self,
         desc: &mut ChildDesc,
@@ -816,11 +795,22 @@ impl OptBeTree {
         for _ in 1..ranges.len() {
             addrs.push(self.alloc_node()?);
         }
+        let mut deferred = None;
         for (gi, &(s, e)) in ranges.iter().enumerate().skip(1) {
-            self.write_whole(addrs[gi], &segs[s..e])?;
+            if let Err(e) = self.write_whole(addrs[gi], &segs[s..e]) {
+                deferred.get_or_insert(e);
+            }
         }
-        // Commit point.
+        // Commit point. Messages still buffered here (a failed cascade's
+        // undelivered groups) follow their keys into the new parts.
         let boundaries = std::mem::take(&mut desc.boundaries);
+        let mut msgs = std::mem::take(&mut desc.msgs);
+        let mut part_msgs: Vec<Vec<Message>> = ranges[1..]
+            .iter()
+            .rev()
+            .map(|&(s, _)| msgs.split_off(msgs.partition_point(|m| m.key < boundaries[s - 1])))
+            .collect();
+        desc.msgs = msgs;
         for (gi, &(s, e)) in ranges.iter().enumerate().skip(1) {
             out.push((
                 boundaries[s - 1].clone(),
@@ -828,18 +818,21 @@ impl OptBeTree {
                     addr: addrs[gi],
                     is_leaf: false,
                     boundaries: boundaries[s..e - 1].to_vec(),
-                    msgs: Vec::new(),
+                    msgs: part_msgs.pop().expect("one buffer per part"),
                 },
             ));
         }
         let (s0, e0) = ranges[0];
         desc.boundaries = boundaries[s0..e0 - 1].to_vec();
         *committed = true;
-        self.write_whole(desc.addr, &segs[s0..e0])
+        let own = self.write_whole(desc.addr, &segs[s0..e0]);
+        deferred.map_or(own, Err)
     }
 
     fn alloc_node(&mut self) -> Result<u64, KvError> {
-        self.pager.alloc(self.node_bytes as u64).map_err(map_pager)
+        self.pager
+            .alloc(self.node_bytes as u64)
+            .map_err(KvError::from)
     }
 
     /// Grow the root when it splits.
@@ -926,10 +919,7 @@ impl OptBeTree {
     /// Upsert: merge `delta` into the key's value via the configured
     /// [`MergeOperator`].
     pub fn upsert(&mut self, key: &[u8], delta: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.enqueue(key, Operation::Upsert(delta.to_vec()))?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.enqueue(key, Operation::Upsert(delta.to_vec())))
     }
 
     fn get_inner(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
@@ -1342,113 +1332,83 @@ impl OptBeTree {
         }
         Ok(total)
     }
+}
 
-    /// Reset per-op cost accounting and snapshot the pager counters. Called
-    /// at the start of every `Dictionary` operation so a failed op reports
-    /// zero cost instead of the previous op's stale numbers.
-    fn begin_op(&mut self) -> dam_cache::CostSnapshot {
-        self.last_cost = OpCost::default();
-        self.pager.snapshot()
-    }
-
-    fn finish_op(&mut self, snap: &dam_cache::CostSnapshot) {
-        let d = self.pager.cost_since(snap);
-        self.last_cost = OpCost {
-            ios: d.ios,
-            bytes_read: d.bytes_read,
-            bytes_written: d.bytes_written,
-            io_time_ns: d.io_time_ns,
-        };
-        if let Some(o) = &self.obs {
-            o.record_pager(&self.pager.counters());
-        }
+impl PagedDict for OptBeTree {
+    fn pager_and_obs(&mut self) -> (&mut Pager, Option<&Obs>) {
+        (&mut self.pager, self.obs.as_ref())
     }
 }
 
 impl Dictionary for OptBeTree {
     fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.enqueue(key, Operation::Put(value.to_vec()))?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.enqueue(key, Operation::Put(value.to_vec())))
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.enqueue(key, Operation::Delete)?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.enqueue(key, Operation::Delete))
     }
 
     fn apply_batch(&mut self, batch: &[BatchOp]) -> Result<(), KvError> {
         // Batched writes all enter through the root message buffer under
         // one cost window (see `BeTree::apply_batch`); with Theorem-9 fat
         // nodes the buffer is larger still, so the amortization is deeper.
-        let snap = self.begin_op();
-        for op in batch {
-            match op {
-                BatchOp::Put { key, value } => self.enqueue(key, Operation::Put(value.clone()))?,
-                BatchOp::Del { key } => self.enqueue(key, Operation::Delete)?,
-            }
-        }
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| {
+            batch.iter().try_for_each(|op| match op {
+                BatchOp::Put { key, value } => t.enqueue(key, Operation::Put(value.clone())),
+                BatchOp::Del { key } => t.enqueue(key, Operation::Delete),
+            })
+        })
     }
 
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        let snap = self.begin_op();
-        let r = self.get_inner(key);
-        self.finish_op(&snap);
-        r
+        self.in_op(|t| t.get_inner(key))
     }
 
     fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
-        let snap = self.begin_op();
-        let mut out = Vec::new();
-        if start < end {
-            let root = self.root.clone();
-            let own = root
-                .msgs
-                .iter()
-                .filter(|m| in_range(&m.key, start, end))
-                .cloned()
-                .collect();
-            let boundaries = root.boundaries.iter().map(Vec::as_slice);
-            self.range_rec(
-                root.addr,
-                root.is_leaf,
-                boundaries,
-                own,
-                start,
-                end,
-                Vec::new(),
-                &mut out,
-            )?;
-        }
-        self.finish_op(&snap);
-        Ok(out)
+        self.in_op(|t| {
+            let mut out = Vec::new();
+            if start < end {
+                let root = t.root.clone();
+                let own = root
+                    .msgs
+                    .iter()
+                    .filter(|m| in_range(&m.key, start, end))
+                    .cloned()
+                    .collect();
+                let boundaries = root.boundaries.iter().map(Vec::as_slice);
+                t.range_rec(
+                    root.addr,
+                    root.is_leaf,
+                    boundaries,
+                    own,
+                    start,
+                    end,
+                    Vec::new(),
+                    &mut out,
+                )?;
+            }
+            Ok(out)
+        })
     }
 
     fn last_op_cost(&self) -> OpCost {
-        self.last_cost
+        self.pager.last_op_cost()
     }
 
     fn sync(&mut self) -> Result<(), KvError> {
-        let snap = self.begin_op();
         // Durability contract: a successful sync leaves a superblock from
         // which `open` recovers this exact state (including root-buffered
         // messages, which ride in the superblock's root descriptor).
-        self.persist()?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(Self::persist)
     }
 
     /// Exact live-key count; drains all pending messages first.
     fn len(&mut self) -> Result<u64, KvError> {
-        let snap = self.begin_op();
-        self.drain_all()?;
-        self.finish_op(&snap);
-        Ok(self.count)
+        self.in_op(|t| {
+            t.drain_all()?;
+            Ok(t.count)
+        })
     }
 }
 
@@ -1469,6 +1429,37 @@ mod tests {
             key_from_u64(i).to_vec(),
             format!("value-{i:08}").into_bytes(),
         )
+    }
+
+    #[test]
+    fn internal_split_after_a_child_split_survives_a_write_fault() {
+        // Regression: an internal node split forced by a child's committed
+        // split returned on the first failed sibling write, leaving the
+        // parent descriptor naming more segments than a node holds (the
+        // next flush through it panicked slicing the node), and a split
+        // left the node's undelivered messages in its left part, away from
+        // their keys. Every insert here lets two IOs through and is then
+        // redriven on a healthy device; the final state must match.
+        let (inj, switch) = FaultInjector::new(RamDisk::new(1 << 26, SimDuration(100)));
+        let dev = SharedDevice::new(Box::new(inj));
+        let mut t = OptBeTree::create(dev, OptConfig::new(4, 1024, 1 << 16)).unwrap();
+        let mut shadow = std::collections::BTreeMap::new();
+        let mut failed = 0;
+        for i in 0..300u64 {
+            let k = key_from_u64(i * 7_919 % 100_003).to_vec();
+            let v = vec![(i % 251) as u8; 50];
+            switch.set(FaultMode::AfterIos(1));
+            if t.insert(&k, &v).is_err() {
+                failed += 1;
+                switch.set(FaultMode::None);
+                t.insert(&k, &v).unwrap();
+            }
+            shadow.insert(k, v);
+        }
+        switch.set(FaultMode::None);
+        assert!(failed > 0, "no insert failed");
+        let want: Vec<(Vec<u8>, Vec<u8>)> = shadow.into_iter().collect();
+        assert_eq!(t.range(&[], &[0xFF; 17]).unwrap(), want);
     }
 
     #[test]

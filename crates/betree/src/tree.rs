@@ -1,20 +1,24 @@
 //! The standard Bε-tree: whole-node IOs, per-child buffers, flush-on-overflow.
 
 use crate::node::{
-    buffer_insert, buffer_merge, decode_alloc_state, encode_alloc_state, BeNode, BeNodeView,
-    BufferEdit, NodeId, LEAF_ENTRY_OVERHEAD, NODE_HEADER_BYTES,
+    buffer_insert, buffer_merge, BeNode, BeNodeView, BufferEdit, NodeId, LEAF_ENTRY_OVERHEAD,
+    NODE_HEADER_BYTES,
 };
-use dam_cache::{Page, Pager, PagerError};
-use dam_kv::codec::{unframe, CodecError, Reader, Writer};
+use dam_cache::{Page, Pager, Superblock, SuperblockIo};
+use dam_kv::codec::{unframe, CodecError};
+use dam_kv::msg::{replay, LastWriteWins, MergeOperator, Message, Operation};
+use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
+use dam_obs::{Obs, PagedDict};
+use dam_storage::SharedDevice;
 
 /// Bytes reserved at device offset 0 for the superblock.
 pub const SUPERBLOCK_BYTES: u64 = 4096;
-const SUPERBLOCK_MAGIC: u32 = 0x4441_4D45; // "DAME"
-const SUPERBLOCK_VERSION: u8 = 1;
-use dam_kv::msg::{replay, LastWriteWins, MergeOperator, Message, Operation};
-use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
-use dam_obs::Obs;
-use dam_storage::SharedDevice;
+const SUPERBLOCK: Superblock = Superblock {
+    magic: 0x4441_4D45, // "DAME"
+    version: 1,
+    label: "Be-tree superblock",
+    io: SuperblockIo::Slot,
+};
 
 /// Standard Bε-tree configuration.
 pub struct BeTreeConfig {
@@ -63,10 +67,6 @@ fn parse_node(id: NodeId, page: &Page) -> Result<BeNodeView<'_>, KvError> {
     BeNodeView::parse(page).map_err(|e| corrupt_node(id, e))
 }
 
-fn map_pager(e: PagerError) -> KvError {
-    KvError::Storage(e.to_string())
-}
-
 /// `(pivot, id)` pairs for new right siblings produced by a split.
 type Splits = Vec<(Vec<u8>, NodeId)>;
 
@@ -85,7 +85,6 @@ pub struct BeTree {
     /// Live keys at the leaves (pending messages not yet counted).
     count: u64,
     next_seq: u64,
-    last_cost: OpCost,
     obs: Option<Obs>,
 }
 
@@ -105,7 +104,7 @@ impl BeTree {
             return Err(KvError::Config("bulk_fill must be in [0.5, 1.0]".into()));
         }
         let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let root = pager.alloc(cfg.node_bytes as u64).map_err(map_pager)?;
+        let root = pager.alloc(cfg.node_bytes as u64)?;
         let mut tree = BeTree {
             pager,
             node_bytes: cfg.node_bytes,
@@ -115,7 +114,6 @@ impl BeTree {
             height: 1,
             count: 0,
             next_seq: 1,
-            last_cost: OpCost::default(),
             obs: None,
         };
         tree.write_node(root, &BeNode::empty_leaf())?;
@@ -139,67 +137,42 @@ impl BeTree {
 
     /// Write all dirty nodes to the device.
     pub fn flush(&mut self) -> Result<(), KvError> {
-        self.pager.flush().map_err(map_pager)
+        self.pager.flush().map_err(KvError::from)
     }
 
     /// Checkpoint: flush dirty nodes, then durably write a superblock so
     /// [`BeTree::open`] can reconstruct the tree on this device.
     pub fn persist(&mut self) -> Result<(), KvError> {
         self.flush()?;
-        let mut w = Writer::with_capacity(SUPERBLOCK_BYTES as usize);
-        w.put_u32(SUPERBLOCK_MAGIC);
-        w.put_u8(SUPERBLOCK_VERSION);
-        w.put_u64(self.root);
-        w.put_u32(self.height);
-        w.put_u64(self.count);
-        w.put_u64(self.next_seq);
-        w.put_u64(self.node_bytes as u64);
-        w.put_u32(self.max_fanout as u32);
-        encode_alloc_state(&mut w, &self.pager);
-        let payload = w.into_bytes();
-        if (payload.len() + dam_kv::codec::FRAME_OVERHEAD) as u64 > SUPERBLOCK_BYTES {
-            return Err(KvError::Config(
-                "superblock overflow (too many free extents)".into(),
-            ));
-        }
-        let image = dam_kv::codec::frame_into_slot(&payload, SUPERBLOCK_BYTES as usize);
-        self.pager.write_through(0, image).map_err(map_pager)
+        SUPERBLOCK.write(&mut self.pager, |w| {
+            w.put_u64(self.root);
+            w.put_u32(self.height);
+            w.put_u64(self.count);
+            w.put_u64(self.next_seq);
+            w.put_u64(self.node_bytes as u64);
+            w.put_u32(self.max_fanout as u32);
+        })
     }
 
     /// Reopen a tree previously [`BeTree::persist`]ed on `device`. The
-    /// config's node size must match; the merge operator is taken from the
-    /// config (it is code, not data).
+    /// config's node size and fanout must match the device's; the merge
+    /// operator is taken from the config (it is code, not data).
     pub fn open(device: SharedDevice, cfg: BeTreeConfig) -> Result<Self, KvError> {
         let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let image = pager
-            .read(0, SUPERBLOCK_BYTES as usize)
-            .map_err(map_pager)?;
-        let corrupt = |what: String| KvError::Corrupt(format!("superblock: {what}"));
-        let dec = |e: dam_kv::codec::CodecError| corrupt(e.to_string());
-        let payload = dam_kv::codec::unframe(&image).map_err(dec)?;
-        let mut r = Reader::new(payload);
-        if r.get_u32().map_err(dec)? != SUPERBLOCK_MAGIC {
-            return Err(corrupt(
-                "bad magic (no Be-tree persisted on this device?)".into(),
-            ));
-        }
-        if r.get_u8().map_err(dec)? != SUPERBLOCK_VERSION {
-            return Err(corrupt("unsupported version".into()));
-        }
-        let root = r.get_u64().map_err(dec)?;
-        let height = r.get_u32().map_err(dec)?;
-        let count = r.get_u64().map_err(dec)?;
-        let next_seq = r.get_u64().map_err(dec)?;
-        let node_bytes = r.get_u64().map_err(dec)?;
-        let max_fanout = r.get_u32().map_err(dec)? as usize;
-        if node_bytes != cfg.node_bytes as u64 {
-            return Err(KvError::Config(format!(
-                "node_bytes mismatch: device has {node_bytes}, config says {}",
-                cfg.node_bytes
-            )));
-        }
-        let (high_water, free) = decode_alloc_state(&mut r).map_err(dec)?;
-        pager.restore_alloc(high_water, free, SUPERBLOCK_BYTES);
+        let max_fanout = (2 * cfg.fanout).max(4);
+        let (root, height, count, next_seq) = SUPERBLOCK.read(&mut pager, |r| {
+            let fields = (r.get_u64()?, r.get_u32()?, r.get_u64()?, r.get_u64()?);
+            let node_bytes = r.get_u64()?;
+            let stored_fanout = r.get_u32()? as usize;
+            if node_bytes != cfg.node_bytes as u64 || stored_fanout != max_fanout {
+                return Err(KvError::Config(format!(
+                    "shape mismatch: device has node_bytes={node_bytes}/max_fanout={stored_fanout}, \
+                     config says node_bytes={}/max_fanout={max_fanout}",
+                    cfg.node_bytes
+                )));
+            }
+            Ok(fields)
+        })?;
         Ok(BeTree {
             pager,
             node_bytes: cfg.node_bytes,
@@ -209,7 +182,6 @@ impl BeTree {
             height,
             count,
             next_seq,
-            last_cost: OpCost::default(),
             obs: None,
         })
     }
@@ -223,13 +195,13 @@ impl BeTree {
 
     /// Flush and empty the cache.
     pub fn drop_cache(&mut self) -> Result<(), KvError> {
-        self.pager.drop_cache().map_err(map_pager)
+        self.pager.drop_cache().map_err(KvError::from)
     }
 
     /// Node `id`'s image, its frame checksum checked once: when the bytes
     /// come off the device, not on every cache hit.
     fn read_page(&mut self, id: NodeId) -> Result<Page, KvError> {
-        let page = self.pager.read(id, self.node_bytes).map_err(map_pager)?;
+        let page = self.pager.read(id, self.node_bytes)?;
         self.pager
             .check_once(&page, |b| unframe(b).map(drop))
             .map_err(|e| corrupt_node(id, e))?;
@@ -251,11 +223,13 @@ impl BeTree {
         }
         self.pager
             .write(id, node.encode(self.node_bytes))
-            .map_err(map_pager)
+            .map_err(KvError::from)
     }
 
     fn alloc_node(&mut self) -> Result<NodeId, KvError> {
-        self.pager.alloc(self.node_bytes as u64).map_err(map_pager)
+        self.pager
+            .alloc(self.node_bytes as u64)
+            .map_err(KvError::from)
     }
 
     // ------------------------------------------------------------------
@@ -724,7 +698,7 @@ impl BeTree {
             if edit.fits(self.node_bytes, self.max_fanout) {
                 let mut image = page.to_vec();
                 edit.apply(&mut image);
-                return self.pager.write(root, image).map_err(map_pager);
+                return self.pager.write(root, image).map_err(KvError::from);
             }
         }
         let mut node = view.to_node();
@@ -765,10 +739,7 @@ impl BeTree {
     /// Upsert: merge `delta` into the key's value via the configured
     /// [`MergeOperator`] — the blind-write fast path WODs exist for.
     pub fn upsert(&mut self, key: &[u8], delta: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.enqueue(key, Operation::Upsert(delta.to_vec()))?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.enqueue(key, Operation::Upsert(delta.to_vec())))
     }
 
     // ------------------------------------------------------------------
@@ -1189,42 +1160,21 @@ impl BeTree {
             }
         }
     }
+}
 
-    /// Reset per-op cost accounting and snapshot the pager counters. Called
-    /// at the start of every `Dictionary` operation so a failed op reports
-    /// zero cost instead of the previous op's stale numbers.
-    fn begin_op(&mut self) -> dam_cache::CostSnapshot {
-        self.last_cost = OpCost::default();
-        self.pager.snapshot()
-    }
-
-    fn finish_op(&mut self, snap: &dam_cache::CostSnapshot) {
-        let d = self.pager.cost_since(snap);
-        self.last_cost = OpCost {
-            ios: d.ios,
-            bytes_read: d.bytes_read,
-            bytes_written: d.bytes_written,
-            io_time_ns: d.io_time_ns,
-        };
-        if let Some(o) = &self.obs {
-            o.record_pager(&self.pager.counters());
-        }
+impl PagedDict for BeTree {
+    fn pager_and_obs(&mut self) -> (&mut Pager, Option<&Obs>) {
+        (&mut self.pager, self.obs.as_ref())
     }
 }
 
 impl Dictionary for BeTree {
     fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.enqueue(key, Operation::Put(value.to_vec()))?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.enqueue(key, Operation::Put(value.to_vec())))
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.enqueue(key, Operation::Delete)?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.enqueue(key, Operation::Delete))
     }
 
     fn apply_batch(&mut self, batch: &[BatchOp]) -> Result<(), KvError> {
@@ -1232,54 +1182,44 @@ impl Dictionary for BeTree {
         // root buffer (triggering flush cascades only when it fills), and
         // one cost window covers the batch — this is the amortization the
         // serving engine's per-shard write batching exists to buy.
-        let snap = self.begin_op();
-        for op in batch {
-            match op {
-                BatchOp::Put { key, value } => self.enqueue(key, Operation::Put(value.clone()))?,
-                BatchOp::Del { key } => self.enqueue(key, Operation::Delete)?,
-            }
-        }
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| {
+            batch.iter().try_for_each(|op| match op {
+                BatchOp::Put { key, value } => t.enqueue(key, Operation::Put(value.clone())),
+                BatchOp::Del { key } => t.enqueue(key, Operation::Delete),
+            })
+        })
     }
 
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        let snap = self.begin_op();
-        let r = self.get_inner(key);
-        self.finish_op(&snap);
-        r
+        self.in_op(|t| t.get_inner(key))
     }
 
     fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
-        let snap = self.begin_op();
-        let mut out = Vec::new();
-        if start < end {
-            let root = self.root;
-            self.range_rec(root, start, end, Vec::new(), &mut out)?;
-        }
-        self.finish_op(&snap);
-        Ok(out)
+        self.in_op(|t| {
+            let mut out = Vec::new();
+            if start < end {
+                t.range_rec(t.root, start, end, Vec::new(), &mut out)?;
+            }
+            Ok(out)
+        })
     }
 
     fn last_op_cost(&self) -> OpCost {
-        self.last_cost
+        self.pager.last_op_cost()
     }
 
     fn sync(&mut self) -> Result<(), KvError> {
-        let snap = self.begin_op();
         // Durability contract: a successful sync leaves a superblock from
         // which `open` recovers this exact state.
-        self.persist()?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(Self::persist)
     }
 
     /// Exact live-key count; drains all buffered messages first (O(N) IO).
     fn len(&mut self) -> Result<u64, KvError> {
-        let snap = self.begin_op();
-        self.drain_all()?;
-        self.finish_op(&snap);
-        Ok(self.count)
+        self.in_op(|t| {
+            t.drain_all()?;
+            Ok(t.count)
+        })
     }
 }
 
@@ -1664,6 +1604,22 @@ mod tests {
             BeTree::open(dev, BeTreeConfig::new(1024, 4, 1 << 16)),
             Err(KvError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn open_rejects_a_different_fanout() {
+        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(1000))));
+        let mut t = BeTree::create(dev.clone(), BeTreeConfig::new(1024, 4, 1 << 16)).unwrap();
+        t.insert(b"k", b"v").unwrap();
+        t.persist().unwrap();
+        drop(t);
+        // Fanout 4 stores max_fanout 8; fanout 3 would route with 6.
+        assert!(matches!(
+            BeTree::open(dev.clone(), BeTreeConfig::new(1024, 3, 1 << 16)),
+            Err(KvError::Config(_))
+        ));
+        let mut t = BeTree::open(dev, BeTreeConfig::new(1024, 4, 1 << 16)).unwrap();
+        assert_eq!(t.get(b"k").unwrap(), Some(b"v".to_vec()));
     }
 
     #[test]

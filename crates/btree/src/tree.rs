@@ -2,16 +2,20 @@
 //! and per-operation cost accounting.
 
 use crate::node::{LeafEdit, Node, NodeId, NodeView, LEAF_ENTRY_OVERHEAD, NODE_HEADER_BYTES};
-use dam_cache::{Page, Pager, PagerError};
-use dam_kv::codec::{unframe, CodecError, PairsView, Reader, Writer};
+use dam_cache::{Page, Pager, Superblock, SuperblockIo};
+use dam_kv::codec::{unframe, CodecError, PairsView};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
-use dam_obs::Obs;
+use dam_obs::{Obs, PagedDict};
 use dam_storage::SharedDevice;
 
 /// Bytes reserved at device offset 0 for the superblock.
 pub const SUPERBLOCK_BYTES: u64 = 4096;
-const SUPERBLOCK_MAGIC: u32 = 0x4441_4D42; // "DAMB"
-const SUPERBLOCK_VERSION: u8 = 1;
+const SUPERBLOCK: Superblock = Superblock {
+    magic: 0x4441_4D42, // "DAMB"
+    version: 1,
+    label: "B-tree superblock",
+    io: SuperblockIo::Slot,
+};
 
 /// B-tree configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,13 +39,6 @@ impl BTreeConfig {
     }
 }
 
-fn map_pager(e: PagerError) -> KvError {
-    match e {
-        PagerError::Io(io) => KvError::Storage(io.to_string()),
-        other => KvError::Storage(other.to_string()),
-    }
-}
-
 fn corrupt_node(id: NodeId, e: CodecError) -> KvError {
     KvError::Corrupt(format!("node {id}: {e}"))
 }
@@ -59,7 +56,6 @@ pub struct BTree {
     /// Levels including the leaf level; an empty tree has height 1.
     height: u32,
     count: u64,
-    last_cost: OpCost,
     obs: Option<Obs>,
 }
 
@@ -76,14 +72,13 @@ impl BTree {
             return Err(KvError::Config("bulk_fill must be in [0.5, 1.0]".into()));
         }
         let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let root = pager.alloc(cfg.node_bytes as u64).map_err(map_pager)?;
+        let root = pager.alloc(cfg.node_bytes as u64)?;
         let mut tree = BTree {
             pager,
             cfg,
             root,
             height: 1,
             count: 0,
-            last_cost: OpCost::default(),
             obs: None,
         };
         tree.write_node(root, &Node::empty_leaf())?;
@@ -96,81 +91,34 @@ impl BTree {
     /// reconstructs the tree.
     pub fn persist(&mut self) -> Result<(), KvError> {
         self.flush()?;
-        let mut w = Writer::with_capacity(SUPERBLOCK_BYTES as usize);
-        w.put_u32(SUPERBLOCK_MAGIC);
-        w.put_u8(SUPERBLOCK_VERSION);
-        w.put_u64(self.root);
-        w.put_u32(self.height);
-        w.put_u64(self.count);
-        w.put_u64(self.cfg.node_bytes as u64);
-        let (high_water, free) = self.pager.export_alloc();
-        w.put_u64(high_water);
-        w.put_u32(free.len() as u32);
-        for (len, offs) in &free {
-            w.put_u64(*len);
-            w.put_u32(offs.len() as u32);
-            for &o in offs {
-                w.put_u64(o);
-            }
-        }
-        let payload = w.into_bytes();
-        if (payload.len() + dam_kv::codec::FRAME_OVERHEAD) as u64 > SUPERBLOCK_BYTES {
-            return Err(KvError::Config(format!(
-                "superblock of {} bytes exceeds the reserved {} (too many free extents)",
-                payload.len(),
-                SUPERBLOCK_BYTES
-            )));
-        }
-        let image = dam_kv::codec::frame_into_slot(&payload, SUPERBLOCK_BYTES as usize);
-        self.pager.write_through(0, image).map_err(map_pager)
+        SUPERBLOCK.write(&mut self.pager, |w| {
+            w.put_u64(self.root);
+            w.put_u32(self.height);
+            w.put_u64(self.count);
+            w.put_u64(self.cfg.node_bytes as u64);
+        })
     }
 
     /// Reopen a tree previously [`BTree::persist`]ed on `device`.
     pub fn open(device: SharedDevice, cfg: BTreeConfig) -> Result<Self, KvError> {
         let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let image = pager
-            .read(0, SUPERBLOCK_BYTES as usize)
-            .map_err(map_pager)?;
-        let corrupt = |what: &str| KvError::Corrupt(format!("superblock: {what}"));
-        let payload = dam_kv::codec::unframe(&image).map_err(|e| corrupt(&e.to_string()))?;
-        let mut r = Reader::new(payload);
-        if r.get_u32().map_err(|e| corrupt(&e.to_string()))? != SUPERBLOCK_MAGIC {
-            return Err(corrupt("bad magic (no tree persisted on this device?)"));
-        }
-        if r.get_u8().map_err(|e| corrupt(&e.to_string()))? != SUPERBLOCK_VERSION {
-            return Err(corrupt("unsupported version"));
-        }
-        let dec = |e: dam_kv::codec::CodecError| corrupt(&e.to_string());
-        let root = r.get_u64().map_err(dec)?;
-        let height = r.get_u32().map_err(dec)?;
-        let count = r.get_u64().map_err(dec)?;
-        let node_bytes = r.get_u64().map_err(dec)?;
-        if node_bytes != cfg.node_bytes as u64 {
-            return Err(KvError::Config(format!(
-                "node_bytes mismatch: device has {node_bytes}, config says {}",
-                cfg.node_bytes
-            )));
-        }
-        let high_water = r.get_u64().map_err(dec)?;
-        let nfree = r.get_u32().map_err(dec)? as usize;
-        let mut free = Vec::with_capacity(nfree);
-        for _ in 0..nfree {
-            let len = r.get_u64().map_err(dec)?;
-            let k = r.get_u32().map_err(dec)? as usize;
-            let mut offs = Vec::with_capacity(k);
-            for _ in 0..k {
-                offs.push(r.get_u64().map_err(dec)?);
+        let (root, height, count) = SUPERBLOCK.read(&mut pager, |r| {
+            let fields = (r.get_u64()?, r.get_u32()?, r.get_u64()?);
+            let node_bytes = r.get_u64()?;
+            if node_bytes != cfg.node_bytes as u64 {
+                return Err(KvError::Config(format!(
+                    "node_bytes mismatch: device has {node_bytes}, config says {}",
+                    cfg.node_bytes
+                )));
             }
-            free.push((len, offs));
-        }
-        pager.restore_alloc(high_water, free, SUPERBLOCK_BYTES);
+            Ok(fields)
+        })?;
         Ok(BTree {
             pager,
             cfg,
             root,
             height,
             count,
-            last_cost: OpCost::default(),
             obs: None,
         })
     }
@@ -199,21 +147,18 @@ impl BTree {
 
     /// Write all dirty nodes to the device.
     pub fn flush(&mut self) -> Result<(), KvError> {
-        self.pager.flush().map_err(map_pager)
+        self.pager.flush().map_err(KvError::from)
     }
 
     /// Flush and empty the cache (cold-cache experiment reset).
     pub fn drop_cache(&mut self) -> Result<(), KvError> {
-        self.pager.drop_cache().map_err(map_pager)
+        self.pager.drop_cache().map_err(KvError::from)
     }
 
     /// Node `id`'s image, its frame checksum checked once: when the bytes
     /// come off the device, not on every cache hit.
     fn read_page(&mut self, id: NodeId) -> Result<Page, KvError> {
-        let page = self
-            .pager
-            .read(id, self.cfg.node_bytes)
-            .map_err(map_pager)?;
+        let page = self.pager.read(id, self.cfg.node_bytes)?;
         self.pager
             .check_once(&page, |b| unframe(b).map(drop))
             .map_err(|e| corrupt_node(id, e))?;
@@ -234,13 +179,13 @@ impl BTree {
             )));
         }
         let buf = node.encode(self.cfg.node_bytes);
-        self.pager.write(id, buf).map_err(map_pager)
+        self.pager.write(id, buf).map_err(KvError::from)
     }
 
     fn alloc_node(&mut self) -> Result<NodeId, KvError> {
         self.pager
             .alloc(self.cfg.node_bytes as u64)
-            .map_err(map_pager)
+            .map_err(KvError::from)
     }
 
     fn free_node(&mut self, id: NodeId) {
@@ -314,7 +259,7 @@ impl BTree {
                 }
                 let mut image = page.to_vec();
                 edit.apply(&mut image);
-                self.pager.write(id, image).map_err(map_pager)?;
+                self.pager.write(id, image)?;
                 return Ok((new_key, None));
             }
             NodeView::Internal { pivots, children } => (pivots, children),
@@ -420,7 +365,7 @@ impl BTree {
                 let under = self.underfull(edit.serialized_size());
                 let mut image = page.to_vec();
                 edit.apply(&mut image);
-                self.pager.write(id, image).map_err(map_pager)?;
+                self.pager.write(id, image)?;
                 return Ok((true, under));
             }
             NodeView::Internal { pivots, children } => (pivots, children),
@@ -860,27 +805,6 @@ impl BTree {
             }
         }
     }
-
-    /// Reset per-op cost accounting and snapshot the pager counters. Called
-    /// at the start of every `Dictionary` operation so a failed op reports
-    /// zero cost instead of the previous op's stale numbers.
-    fn begin_op(&mut self) -> dam_cache::CostSnapshot {
-        self.last_cost = OpCost::default();
-        self.pager.snapshot()
-    }
-
-    fn finish_op(&mut self, snap: &dam_cache::CostSnapshot) {
-        let d = self.pager.cost_since(snap);
-        self.last_cost = OpCost {
-            ios: d.ios,
-            bytes_read: d.bytes_read,
-            bytes_written: d.bytes_written,
-            io_time_ns: d.io_time_ns,
-        };
-        if let Some(o) = &self.obs {
-            o.record_pager(&self.pager.counters());
-        }
-    }
 }
 
 impl BTree {
@@ -915,76 +839,63 @@ impl BTree {
     }
 }
 
+impl PagedDict for BTree {
+    fn pager_and_obs(&mut self) -> (&mut Pager, Option<&Obs>) {
+        (&mut self.pager, self.obs.as_ref())
+    }
+}
+
 impl Dictionary for BTree {
     fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.insert_inner(key, value)?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.insert_inner(key, value))
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.delete_inner(key)?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.delete_inner(key))
     }
 
     fn apply_batch(&mut self, batch: &[BatchOp]) -> Result<(), KvError> {
         // One cost window for the whole batch: successive root-to-leaf
         // descents share the cache, so the batch cost is what the serving
         // engine's group commit actually pays.
-        let snap = self.begin_op();
-        for op in batch {
-            match op {
-                BatchOp::Put { key, value } => self.insert_inner(key, value)?,
-                BatchOp::Del { key } => self.delete_inner(key)?,
-            }
-        }
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| {
+            batch.iter().try_for_each(|op| match op {
+                BatchOp::Put { key, value } => t.insert_inner(key, value),
+                BatchOp::Del { key } => t.delete_inner(key),
+            })
+        })
     }
 
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        let snap = self.begin_op();
-        let root = self.root;
-        let r = self.get_rec(root, key);
-        self.finish_op(&snap);
-        r
+        self.in_op(|t| t.get_rec(t.root, key))
     }
 
     fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
-        let snap = self.begin_op();
-        let mut out = Vec::new();
-        if start < end {
-            let root = self.root;
-            self.range_rec(root, start, end, &mut out)?;
-        }
-        self.finish_op(&snap);
-        Ok(out)
+        self.in_op(|t| {
+            let mut out = Vec::new();
+            if start < end {
+                t.range_rec(t.root, start, end, &mut out)?;
+            }
+            Ok(out)
+        })
     }
 
     fn last_op_cost(&self) -> OpCost {
-        self.last_cost
+        self.pager.last_op_cost()
     }
 
     fn sync(&mut self) -> Result<(), KvError> {
-        let snap = self.begin_op();
         // Durability contract: after a successful sync, `open` on the same
         // device recovers this exact state — so write the superblock too,
         // not just the dirty nodes.
-        self.persist()?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(Self::persist)
     }
 
     fn len(&mut self) -> Result<u64, KvError> {
         // No IO, but the accounting contract still applies: `last_op_cost`
-        // must describe *this* op, so reset it rather than leaving the
-        // previous op's numbers in place.
-        let snap = self.begin_op();
-        self.finish_op(&snap);
-        Ok(self.count)
+        // must describe *this* op, so open a window rather than leaving
+        // the previous op's numbers in place.
+        self.in_op(|t| Ok(t.count))
     }
 }
 

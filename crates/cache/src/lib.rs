@@ -10,12 +10,17 @@
 //! * [`Allocator`] — a bump-plus-free-list space allocator for node images,
 //! * [`Pager`] — the buffer pool itself: variable-size cached objects, LRU
 //!   eviction under a byte budget, dirty write-back, pinning, and the
-//!   simulated clock that advances as misses hit the device.
+//!   simulated clock that advances as misses hit the device, and the cost
+//!   window each dictionary operation runs in,
+//! * [`Superblock`] — the one superblock envelope (frame, magic, version,
+//!   allocator state) every tree persists its root through.
 
 pub mod alloc;
 pub mod lru;
 pub mod pager;
+pub mod superblock;
 
 pub use alloc::Allocator;
 pub use lru::LruList;
 pub use pager::{CostSnapshot, Page, Pager, PagerCounters, PagerError};
+pub use superblock::{Superblock, SuperblockIo};

@@ -3,8 +3,10 @@
 //!
 //! One [`Pager`] owns the simulated clock for its client: cache hits are
 //! free, misses and write-backs advance `now` by the device's realized IO
-//! latency. Experiment harnesses snapshot the counters around each
-//! dictionary operation to attribute IO cost per op.
+//! latency. It also owns the per-operation cost window: a dictionary opens
+//! it ([`Pager::begin_window`]) when an operation starts and closes it
+//! ([`Pager::end_window`]) on every return path, and [`Pager::last_op_cost`]
+//! reports the device IO issued in between.
 //!
 //! Reads return a [`Page`]: a shared handle on the cached bytes, so a hit
 //! costs a reference-count bump rather than a copy of the object.
@@ -21,6 +23,7 @@
 
 use crate::alloc::Allocator;
 use crate::lru::LruList;
+use dam_kv::{KvError, OpCost};
 use dam_storage::{IoError, SharedDevice, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::ops::Deref;
@@ -72,6 +75,12 @@ impl std::fmt::Display for PagerError {
 }
 
 impl std::error::Error for PagerError {}
+
+impl From<PagerError> for KvError {
+    fn from(e: PagerError) -> Self {
+        KvError::Storage(e.to_string())
+    }
+}
 
 /// Cumulative pager counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -197,9 +206,14 @@ pub struct Pager {
     map: BTreeMap<u64, u32>,
     lru: LruList,
     slots: Vec<Option<PageEntry>>,
-    alloc: Allocator,
+    /// Device space; [`crate::Superblock`] persists its state.
+    pub(crate) alloc: Allocator,
     now: SimTime,
     counters: PagerCounters,
+    /// Counters when the current operation began ([`Pager::begin_window`]).
+    op_start: PagerCounters,
+    /// Cost of the last operation, frozen by [`Pager::end_window`].
+    last_op: OpCost,
 }
 
 impl Pager {
@@ -217,6 +231,8 @@ impl Pager {
             alloc: Allocator::new(capacity, reserved),
             now: SimTime::ZERO,
             counters: PagerCounters::default(),
+            op_start: PagerCounters::default(),
+            last_op: OpCost::default(),
         }
     }
 
@@ -255,6 +271,31 @@ impl Pager {
         self.counters.sub(&snap.0)
     }
 
+    /// Open the cost window of one dictionary operation: the reported
+    /// cost drops to zero and the counters are snapshotted.
+    pub fn begin_window(&mut self) {
+        self.last_op = OpCost::default();
+        self.op_start = self.counters;
+    }
+
+    /// Close the window opened by [`Pager::begin_window`], freezing the IO
+    /// issued since as the operation's cost. Called on every return path,
+    /// so a failed operation reports the IO it issued before it failed.
+    pub fn end_window(&mut self) {
+        let d = self.counters.sub(&self.op_start);
+        self.last_op = OpCost {
+            ios: d.ios,
+            bytes_read: d.bytes_read,
+            bytes_written: d.bytes_written,
+            io_time_ns: d.io_time_ns,
+        };
+    }
+
+    /// Cost of the last operation, as frozen by [`Pager::end_window`].
+    pub fn last_op_cost(&self) -> OpCost {
+        self.last_op
+    }
+
     /// The underlying device handle.
     pub fn device(&self) -> &SharedDevice {
         &self.dev
@@ -275,18 +316,6 @@ impl Pager {
     /// Bytes of live allocations on the device.
     pub fn live_bytes(&self) -> u64 {
         self.alloc.live_bytes()
-    }
-
-    /// Export allocator state (for a superblock): high-water mark plus free
-    /// lists.
-    pub fn export_alloc(&self) -> (u64, Vec<(u64, Vec<u64>)>) {
-        self.alloc.export_state()
-    }
-
-    /// Restore allocator state captured by [`Pager::export_alloc`]; the
-    /// `reserved` value must match the one this pager was built with.
-    pub fn restore_alloc(&mut self, high_water: u64, free: Vec<(u64, Vec<u64>)>, reserved: u64) {
-        self.alloc.restore_state(high_water, free, reserved);
     }
 
     /// Drop a cached object without writing it back.
@@ -878,6 +907,34 @@ mod tests {
         assert_eq!(delta.misses, 1);
         assert!(delta.writebacks >= 1);
         assert!(delta.io_time_ns > 0);
+    }
+
+    #[test]
+    fn cost_window_reports_the_io_before_a_failure() {
+        let (inj, switch) = FaultInjector::new(RamDisk::new(1 << 20, SimDuration(1000)));
+        let mut p = Pager::new(SharedDevice::new(Box::new(inj)), 10_000, 0);
+        let a = p.alloc(100).unwrap();
+        let b = p.alloc(100).unwrap();
+        p.write(a, vec![1; 100]).unwrap();
+        p.write(b, vec![2; 100]).unwrap();
+        p.drop_cache().unwrap();
+        p.begin_window();
+        p.read(a, 100).unwrap();
+        switch.set(FaultMode::AfterIos(0));
+        assert!(p.read(b, 100).is_err());
+        assert_eq!(
+            p.last_op_cost(),
+            OpCost::default(),
+            "open window reads zero"
+        );
+        p.end_window();
+        let cost = p.last_op_cost();
+        assert_eq!((cost.ios, cost.bytes_read, cost.io_time_ns), (1, 100, 1000));
+        // The next window starts from zero, not from the last op's cost.
+        switch.set(FaultMode::None);
+        p.begin_window();
+        p.end_window();
+        assert_eq!(p.last_op_cost(), OpCost::default());
     }
 
     #[test]

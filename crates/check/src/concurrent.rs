@@ -12,19 +12,7 @@
 
 use crate::harness::{Failure, Mode, Structure};
 use crate::trace::Op;
-use dam_serve::{oracle_divergence, run_ops, ServeConfig, ServeOp, ServeStructure};
-
-/// Map a harness structure onto the serving engine's enum (same four
-/// dictionaries; separate types because `dam-serve` cannot depend on
-/// `dam-check`).
-pub fn serve_structure(s: Structure) -> ServeStructure {
-    match s {
-        Structure::BTree => ServeStructure::BTree,
-        Structure::BeTree => ServeStructure::BeTree,
-        Structure::OptBeTree => ServeStructure::OptBeTree,
-        Structure::Lsm => ServeStructure::Lsm,
-    }
-}
+use dam_serve::{oracle_divergence, run_ops, ServeConfig, ServeOp};
 
 /// Convert a trace op to a serving-engine op (total: every trace op has a
 /// serving equivalent; `Sync` becomes a fan-out `SyncAll`).
@@ -74,7 +62,7 @@ pub fn replay_concurrent(
         per_client[i % clients].push(serve_op(op));
     }
     let cfg = ServeConfig {
-        structure: serve_structure(structure),
+        structure,
         clients,
         shards,
         p: 4,

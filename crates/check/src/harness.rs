@@ -1,13 +1,15 @@
 //! The differential engine: build fixtures, run a trace in lockstep
 //! against the oracle, compose fault and crash layers, shrink failures.
+//!
+//! Every fixture is a tree of the serving engine's default shard shape
+//! ([`ShardConfig::default`]), whose 64 KiB cache is small enough that
+//! traces cause real eviction traffic.
 
 use crate::oracle::Oracle;
 use crate::trace::{generate_trace, render_test, Op};
-use dam_betree::{BeTree, BeTreeConfig, OptBeTree, OptConfig};
-use dam_btree::{BTree, BTreeConfig};
 use dam_kv::{BatchOp, Dictionary, KvError, KvPair, OpCost};
-use dam_lsm::{LsmConfig, LsmTree};
 use dam_obs::{Obs, ObservedDevice};
+use dam_serve::ShardConfig;
 use dam_stats::prop::ddmin;
 use dam_storage::{
     BlockDevice, FaultInjector, FaultMode, FaultSwitch, RamDisk, RetryPolicy, RetryingDevice,
@@ -19,51 +21,13 @@ use std::fmt;
 const DISK_BYTES: u64 = 1 << 27;
 /// Per-IO simulated latency (value irrelevant to correctness).
 const IO_NS: u64 = 200;
-/// Buffer-pool budget — small enough that traces cause real eviction
-/// traffic.
-const CACHE_BYTES: u64 = 1 << 16;
 /// Harness-level re-executions of an op whose storage error surfaced in
 /// [`Mode::FaultsSurfaced`]. All trace ops are idempotent, so redriving
 /// until the probabilistic faults pass must converge to the oracle.
 const REDRIVE_CAP: usize = 200;
 
 /// The four dictionaries under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Structure {
-    /// In-place B-tree.
-    BTree,
-    /// Standard Bε-tree.
-    BeTree,
-    /// Theorem-9 optimized Bε-tree.
-    OptBeTree,
-    /// Leveled LSM tree.
-    Lsm,
-}
-
-impl Structure {
-    /// All four, in comparison order.
-    pub const ALL: [Structure; 4] = [
-        Structure::BTree,
-        Structure::BeTree,
-        Structure::OptBeTree,
-        Structure::Lsm,
-    ];
-
-    /// Display / CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Structure::BTree => "btree",
-            Structure::BeTree => "betree",
-            Structure::OptBeTree => "optbetree",
-            Structure::Lsm => "lsm",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<Structure> {
-        Structure::ALL.into_iter().find(|x| x.name() == s)
-    }
-}
+pub use dam_serve::ServeStructure as Structure;
 
 /// How the trace is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,73 +109,6 @@ pub struct ReplayStats {
     pub crash_recoveries: u64,
 }
 
-fn btree_cfg() -> BTreeConfig {
-    BTreeConfig::new(1024, CACHE_BYTES)
-}
-
-fn betree_cfg() -> BeTreeConfig {
-    BeTreeConfig::new(2048, 4, CACHE_BYTES)
-}
-
-fn opt_cfg() -> OptConfig {
-    OptConfig::new(4, 1024, CACHE_BYTES)
-}
-
-fn lsm_cfg() -> LsmConfig {
-    let mut cfg = LsmConfig::new(4096, CACHE_BYTES);
-    cfg.memtable_bytes = 2048;
-    cfg.block_bytes = 512;
-    cfg.level_ratio = 4;
-    cfg.l0_limit = 2;
-    cfg
-}
-
-fn build_dict(
-    structure: Structure,
-    dev: SharedDevice,
-    obs: Option<Obs>,
-) -> Result<Box<dyn Dictionary>, KvError> {
-    Ok(match structure {
-        Structure::BTree => {
-            let mut t = BTree::create(dev, btree_cfg())?;
-            if let Some(o) = obs {
-                t.set_obs(o);
-            }
-            Box::new(t)
-        }
-        Structure::BeTree => {
-            let mut t = BeTree::create(dev, betree_cfg())?;
-            if let Some(o) = obs {
-                t.set_obs(o);
-            }
-            Box::new(t)
-        }
-        Structure::OptBeTree => {
-            let mut t = OptBeTree::create(dev, opt_cfg())?;
-            if let Some(o) = obs {
-                t.set_obs(o);
-            }
-            Box::new(t)
-        }
-        Structure::Lsm => {
-            let mut t = LsmTree::create(dev, lsm_cfg())?;
-            if let Some(o) = obs {
-                t.set_obs(o);
-            }
-            Box::new(t)
-        }
-    })
-}
-
-fn open_dict(structure: Structure, dev: SharedDevice) -> Result<Box<dyn Dictionary>, KvError> {
-    Ok(match structure {
-        Structure::BTree => Box::new(BTree::open(dev, btree_cfg())?),
-        Structure::BeTree => Box::new(BeTree::open(dev, betree_cfg())?),
-        Structure::OptBeTree => Box::new(OptBeTree::open(dev, opt_cfg())?),
-        Structure::Lsm => Box::new(LsmTree::open(dev, lsm_cfg())?),
-    })
-}
-
 struct Fixture {
     structure: Structure,
     dict: Box<dyn Dictionary>,
@@ -247,12 +144,14 @@ fn build_fixture(structure: Structure, mode: Mode) -> Result<Fixture, Failure> {
         _ => Box::new(inj),
     };
     let dev = SharedDevice::new(boxed);
-    let dict = build_dict(structure, dev.clone(), obs.clone()).map_err(|e| Failure {
-        mode,
-        structure,
-        op_index: None,
-        message: format!("create failed: {e}"),
-    })?;
+    let dict = structure
+        .create(dev.clone(), &ShardConfig::default(), obs.clone())
+        .map_err(|e| Failure {
+            mode,
+            structure,
+            op_index: None,
+            message: format!("create failed: {e}"),
+        })?;
     // Arm faults only after a clean create, so every run starts from the
     // same healthy baseline.
     match mode {
@@ -563,12 +462,14 @@ fn build_crash_device(
 ) -> Result<(Box<dyn Dictionary>, CrashRun), Failure> {
     let (inj, switch) = FaultInjector::new(RamDisk::new(DISK_BYTES, SimDuration(IO_NS)));
     let dev = SharedDevice::new(Box::new(inj) as Box<dyn BlockDevice>);
-    let dict = build_dict(structure, dev.clone(), None).map_err(|e| Failure {
-        mode,
-        structure,
-        op_index: None,
-        message: format!("create failed: {e}"),
-    })?;
+    let dict = structure
+        .create(dev.clone(), &ShardConfig::default(), None)
+        .map_err(|e| Failure {
+            mode,
+            structure,
+            op_index: None,
+            message: format!("create failed: {e}"),
+        })?;
     let base_ios = switch.stats().ios_seen;
     Ok((
         dict,
@@ -695,7 +596,7 @@ fn run_crash(structure: Structure, crash_after: u64, trace: &[Op]) -> Result<Rep
         ops: ops.len(),
         ..ReplayStats::default()
     };
-    match open_dict(structure, run.dev.clone()) {
+    match structure.open(run.dev.clone(), &ShardConfig::default()) {
         Err(KvError::Corrupt(_)) if !sync_ok => {
             // No completed sync: nothing durable was promised. A clean
             // corruption report on open is the documented outcome.

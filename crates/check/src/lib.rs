@@ -34,7 +34,7 @@ pub mod harness;
 pub mod oracle;
 pub mod trace;
 
-pub use concurrent::{replay_concurrent, serve_op, serve_structure, ConcurrentStats};
+pub use concurrent::{replay_concurrent, serve_op, ConcurrentStats};
 pub use harness::{check, replay, shrink, CheckConfig, CheckReport, Failure, Mode, Structure};
 pub use oracle::Oracle;
 pub use trace::{generate_trace, render_test, Op};

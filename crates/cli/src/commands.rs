@@ -227,6 +227,73 @@ pub fn tune(args: &Args) -> Result<String, CliError> {
     ))
 }
 
+/// Load `keys` pairs (even keys, 100-byte values) into a fresh `structure`
+/// on `device`: the B-tree and both Bε-trees bulk-load; the LSM takes the
+/// pairs as inserts in a scattered order, then syncs. `obs`, when given,
+/// is attached once loading is done.
+fn bulk_load(
+    structure: &str,
+    device: SharedDevice,
+    node_bytes: usize,
+    cache: u64,
+    keys: u64,
+    obs: Option<&Obs>,
+) -> Result<Box<dyn Dictionary>, CliError> {
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..keys)
+        .map(|i| {
+            (
+                refined_dam::kv::key_from_u64(2 * i).to_vec(),
+                vec![(i % 251) as u8; 100],
+            )
+        })
+        .collect();
+    macro_rules! attach {
+        ($tree:expr) => {{
+            let mut t = $tree;
+            if let Some(o) = obs {
+                t.set_obs(o.clone());
+            }
+            Box::new(t)
+        }};
+    }
+    let map_err = |e: KvError| CliError::Runtime(e.to_string());
+    Ok(match structure {
+        "btree" => attach!(
+            BTree::bulk_load(device, BTreeConfig::new(node_bytes, cache), pairs)
+                .map_err(map_err)?
+        ),
+        "betree" => attach!(BeTree::bulk_load(
+            device,
+            BeTreeConfig::sqrt_fanout(node_bytes, 124, cache),
+            pairs,
+        )
+        .map_err(map_err)?),
+        "optbetree" => attach!(OptBeTree::bulk_load(
+            device,
+            OptConfig::balanced(node_bytes, 124, cache),
+            pairs
+        )
+        .map_err(map_err)?),
+        "lsm" => {
+            let mut t =
+                LsmTree::create(device, LsmConfig::new(node_bytes, cache)).map_err(map_err)?;
+            let n = pairs.len() as u64;
+            let stride = 982_451_653u64;
+            for j in 0..n {
+                let (k, v) = &pairs[((j.wrapping_mul(stride)) % n) as usize];
+                t.insert(k, v).map_err(map_err)?;
+            }
+            t.sync().map_err(map_err)?;
+            attach!(t)
+        }
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown structure '{other}' (btree | betree | optbetree | lsm)"
+            )))
+        }
+    })
+}
+
 /// `damlab run --structure <s> --device <d> ...`.
 pub fn run_workload(args: &Args) -> Result<String, CliError> {
     let structure = args.require("structure")?.to_string();
@@ -243,51 +310,7 @@ pub fn run_workload(args: &Args) -> Result<String, CliError> {
     };
     let node_bytes = (node_kb * 1024) as usize;
     let cache = cache_mb << 20;
-    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..keys)
-        .map(|i| {
-            (
-                refined_dam::kv::key_from_u64(2 * i).to_vec(),
-                vec![(i % 251) as u8; 100],
-            )
-        })
-        .collect();
-
-    let map_err = |e: KvError| CliError::Runtime(e.to_string());
-    let mut dict: Box<dyn Dictionary> = match structure.as_str() {
-        "btree" => Box::new(
-            BTree::bulk_load(device, BTreeConfig::new(node_bytes, cache), pairs)
-                .map_err(map_err)?,
-        ),
-        "betree" => Box::new(
-            BeTree::bulk_load(
-                device,
-                BeTreeConfig::sqrt_fanout(node_bytes, 124, cache),
-                pairs,
-            )
-            .map_err(map_err)?,
-        ),
-        "optbetree" => Box::new(
-            OptBeTree::bulk_load(device, OptConfig::balanced(node_bytes, 124, cache), pairs)
-                .map_err(map_err)?,
-        ),
-        "lsm" => {
-            let mut t =
-                LsmTree::create(device, LsmConfig::new(node_bytes, cache)).map_err(map_err)?;
-            let n = pairs.len() as u64;
-            let stride = 982_451_653u64;
-            for j in 0..n {
-                let (k, v) = &pairs[((j.wrapping_mul(stride)) % n) as usize];
-                t.insert(k, v).map_err(map_err)?;
-            }
-            t.sync().map_err(map_err)?;
-            Box::new(t)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown structure '{other}' (btree | betree | optbetree | lsm)"
-            )))
-        }
-    };
+    let mut dict = bulk_load(&structure, device, node_bytes, cache, keys, None)?;
 
     let scale = Scale {
         n_keys: keys,
@@ -559,59 +582,8 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
 
     let node_bytes = (node_kb * 1024) as usize;
     let cache = cache_mb << 20;
-    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..keys)
-        .map(|i| {
-            (
-                refined_dam::kv::key_from_u64(2 * i).to_vec(),
-                vec![(i % 251) as u8; 100],
-            )
-        })
-        .collect();
-
+    let mut dict = bulk_load(&structure, device, node_bytes, cache, keys, Some(&obs))?;
     let map_err = |e: KvError| CliError::Runtime(e.to_string());
-    let mut dict: Box<dyn Dictionary> = match structure.as_str() {
-        "btree" => {
-            let mut t = BTree::bulk_load(device, BTreeConfig::new(node_bytes, cache), pairs)
-                .map_err(map_err)?;
-            t.set_obs(obs.clone());
-            Box::new(t)
-        }
-        "betree" => {
-            let mut t = BeTree::bulk_load(
-                device,
-                BeTreeConfig::sqrt_fanout(node_bytes, 124, cache),
-                pairs,
-            )
-            .map_err(map_err)?;
-            t.set_obs(obs.clone());
-            Box::new(t)
-        }
-        "optbetree" => {
-            let mut t =
-                OptBeTree::bulk_load(device, OptConfig::balanced(node_bytes, 124, cache), pairs)
-                    .map_err(map_err)?;
-            t.set_obs(obs.clone());
-            Box::new(t)
-        }
-        "lsm" => {
-            let mut t =
-                LsmTree::create(device, LsmConfig::new(node_bytes, cache)).map_err(map_err)?;
-            let n = pairs.len() as u64;
-            let stride = 982_451_653u64;
-            for j in 0..n {
-                let (k, v) = &pairs[((j.wrapping_mul(stride)) % n) as usize];
-                t.insert(k, v).map_err(map_err)?;
-            }
-            t.sync().map_err(map_err)?;
-            t.set_obs(obs.clone());
-            Box::new(t)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown structure '{other}' (btree | betree | optbetree | lsm)"
-            )))
-        }
-    };
 
     // Mixed measured phase: point queries over preloaded (even) keys,
     // inserts of fresh (odd) keys, a few short scans, one sync.

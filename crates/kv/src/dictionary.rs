@@ -29,6 +29,13 @@ impl std::fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
+/// A malformed image is corruption.
+impl From<crate::codec::CodecError> for KvError {
+    fn from(e: crate::codec::CodecError) -> Self {
+        KvError::Corrupt(e.to_string())
+    }
+}
+
 /// Cost of one dictionary operation, as observed at the storage layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpCost {
@@ -108,12 +115,14 @@ pub trait Dictionary {
 
     /// Cost of the most recently completed operation.
     ///
-    /// Accounting contract (pinned by the `dam-check` harness): the cost is
-    /// reset at the start of every operation — including [`Dictionary::len`]
+    /// Accounting contract (pinned by the `dam-check` harness): the cost
+    /// covers exactly the device IO the operation issued, from its start
+    /// to its return — including [`Dictionary::len`], [`Dictionary::sync`]
     /// and failed operations — so it never accumulates across operations,
     /// and the sum of reported costs never exceeds the device's own IO
-    /// totals. An operation that returns an error reports a zero cost
-    /// rather than a stale one.
+    /// totals. An operation that returns an error reports the IO it issued
+    /// before it failed (zero if it failed before any IO), never a stale
+    /// cost from an earlier operation.
     fn last_op_cost(&self) -> OpCost;
 
     /// Flush buffered state to the device (checkpoint). The flush's IO cost

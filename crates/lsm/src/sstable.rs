@@ -6,7 +6,7 @@
 //! single IO and point reads fetch single blocks through
 //! [`dam_cache::Pager::read_within`].
 
-use dam_cache::{Page, Pager, PagerError};
+use dam_cache::{Page, Pager};
 use dam_kv::codec::{frame_payload, seal_frame, unframe, CodecError, Reader, FRAME_OVERHEAD};
 use dam_kv::KvError;
 use std::ops::{Deref, Range};
@@ -42,14 +42,6 @@ pub struct SsTable {
     pub entries: u64,
     /// Creation stamp; larger = newer (orders overlapping L0 runs).
     pub stamp: u64,
-}
-
-fn map_pager(e: PagerError) -> KvError {
-    KvError::Storage(e.to_string())
-}
-
-fn map_codec(e: CodecError) -> KvError {
-    KvError::Corrupt(e.to_string())
 }
 
 /// Bytes a block spends beyond its entries: the frame header and the `u32`
@@ -165,7 +157,7 @@ impl TableWriter {
         // The cached image keeps no unused reservation.
         self.image.shrink_to_fit();
         let data_len = self.image.len() as u64;
-        let base = pager.alloc(data_len).map_err(map_pager)?;
+        let base = pager.alloc(data_len)?;
         // One sequential *durable* write for the whole table — the LSM's
         // write pattern (LevelDB fsyncs each SSTable), and the reason large
         // SSTables amortize the setup cost.
@@ -173,7 +165,7 @@ impl TableWriter {
             // Don't leak the extent on a failed write; the caller may
             // retry the whole build once the fault clears.
             pager.free(base, data_len);
-            return Err(map_pager(e));
+            return Err(e.into());
         }
         Ok(SsTable {
             base,
@@ -252,8 +244,7 @@ pub(crate) fn write_merged<B: Deref<Target = [u8]>>(
     let views = runs
         .iter()
         .map(|run| run.iter().map(|b| BlockView::parse(b)).collect())
-        .collect::<Result<Vec<Vec<_>>, _>>()
-        .map_err(map_codec)?;
+        .collect::<Result<Vec<Vec<_>>, _>>()?;
     let mut stamp = || {
         let s = *next_stamp;
         *next_stamp += 1;
@@ -403,17 +394,13 @@ impl SsTable {
     /// checked once: when the bytes come off the device, not on every hit.
     pub(crate) fn block_page(&self, pager: &mut Pager, i: usize) -> Result<Page, KvError> {
         let b = &self.blocks[i];
-        let page = pager
-            .read_within(
-                self.base,
-                self.data_len as usize,
-                b.offset as usize,
-                b.len as usize,
-            )
-            .map_err(map_pager)?;
-        pager
-            .check_once(&page, |img| unframe(img).map(drop))
-            .map_err(map_codec)?;
+        let page = pager.read_within(
+            self.base,
+            self.data_len as usize,
+            b.offset as usize,
+            b.len as usize,
+        )?;
+        pager.check_once(&page, |img| unframe(img).map(drop))?;
         Ok(page)
     }
 
@@ -425,7 +412,7 @@ impl SsTable {
             return Ok(None);
         }
         let page = self.block_page(pager, self.block_index_for(key))?;
-        let block = BlockView::parse(&page).map_err(map_codec)?;
+        let block = BlockView::parse(&page)?;
         Ok(block.get(key).map(|v| v.map(<[u8]>::to_vec)))
     }
 
@@ -442,7 +429,7 @@ impl SsTable {
         }
         let mut out = Vec::new();
         for page in self.scan_pages(pager, start, Some(end))? {
-            let block = BlockView::parse(&page).map_err(map_codec)?;
+            let block = BlockView::parse(&page)?;
             out.extend(
                 block
                     .iter()
@@ -524,7 +511,7 @@ mod tests {
     /// Block `i` decoded into owned entries.
     fn read_block(t: &SsTable, pager: &mut Pager, i: usize) -> Result<Vec<RunEntry>, KvError> {
         let page = t.block_page(pager, i)?;
-        Ok(BlockView::parse(&page).map_err(map_codec)?.to_vec())
+        Ok(BlockView::parse(&page)?.to_vec())
     }
 
     fn scan_all(t: &SsTable, pager: &mut Pager) -> Vec<RunEntry> {

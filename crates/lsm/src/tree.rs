@@ -2,11 +2,11 @@
 //! non-overlapping levels, with size-triggered compaction.
 
 use crate::sstable::{write_merged, BlockMeta, BlockView, SsTable, TableWriter};
-use dam_cache::{Page, Pager, PagerError};
-use dam_kv::codec::{frame, unframe, CodecError, Reader, Writer, FRAME_OVERHEAD};
+use dam_cache::{Page, Pager, Superblock, SuperblockIo};
+use dam_kv::codec::{CodecError, Reader, Writer};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
-use dam_obs::Obs;
-use dam_storage::{SharedDevice, SimTime};
+use dam_obs::{Obs, PagedDict};
+use dam_storage::SharedDevice;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -14,8 +14,12 @@ use std::ops::Bound;
 /// metadata + block indexes, allocator state). Only the used prefix is
 /// ever written — the reservation is address space, not per-sync IO.
 pub const MANIFEST_BYTES: u64 = 1 << 20;
-const MANIFEST_MAGIC: u32 = 0x4441_4D4C; // "DAML"
-const MANIFEST_VERSION: u8 = 1;
+const MANIFEST: Superblock = Superblock {
+    magic: 0x4441_4D4C, // "DAML"
+    version: 1,
+    label: "LSM manifest",
+    io: SuperblockIo::Prefix,
+};
 
 /// LSM configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,10 +53,6 @@ impl LsmConfig {
     }
 }
 
-fn map_pager(e: PagerError) -> KvError {
-    KvError::Storage(e.to_string())
-}
-
 /// A leveled LSM-tree (see crate docs).
 pub struct LsmTree {
     pager: Pager,
@@ -64,7 +64,6 @@ pub struct LsmTree {
     /// `levels[i]` is level `i+1`: non-overlapping, ascending by `min_key`.
     levels: Vec<Vec<SsTable>>,
     next_stamp: u64,
-    last_cost: OpCost,
     obs: Option<Obs>,
 }
 
@@ -138,55 +137,26 @@ impl LsmTree {
             l0: Vec::new(),
             levels: Vec::new(),
             next_stamp: 1,
-            last_cost: OpCost::default(),
             obs: None,
         })
     }
 
     /// Reopen a tree persisted with [`LsmTree::persist`] / `sync`.
     ///
-    /// Reads the framed manifest at offset 0, validates its checksum and
-    /// rebuilds the level layout, block indexes and allocator state.  A
-    /// torn or corrupted manifest surfaces as [`KvError::Corrupt`].
+    /// Reads the framed manifest at offset 0 straight from the device (it
+    /// can be far larger than the cache budget), validates its checksum
+    /// and rebuilds the level layout, block indexes and allocator state.
+    /// A torn or corrupted manifest surfaces as [`KvError::Corrupt`].
     pub fn open(device: SharedDevice, cfg: LsmConfig) -> Result<Self, KvError> {
-        // Read the manifest straight from the device: it can be far
-        // larger than the cache budget, and caching a one-shot read of
-        // the whole region would only evict useful pages.
-        let mut image = vec![0u8; MANIFEST_BYTES as usize];
-        device
-            .read(0, &mut image, SimTime::ZERO)
-            .map_err(|e| KvError::Storage(e.to_string()))?;
         let mut pager = Pager::new(device, cfg.cache_bytes, MANIFEST_BYTES);
-        let corrupt = |m: &str| KvError::Corrupt(format!("lsm manifest: {m}"));
-        let dec = |e: CodecError| KvError::Corrupt(format!("lsm manifest: {e}"));
-        let payload = unframe(&image).map_err(dec)?;
-        let mut r = Reader::new(payload);
-        if r.get_u32().map_err(dec)? != MANIFEST_MAGIC {
-            return Err(corrupt("bad magic (no tree persisted on this device?)"));
-        }
-        if r.get_u8().map_err(dec)? != MANIFEST_VERSION {
-            return Err(corrupt("unsupported version"));
-        }
-        let next_stamp = r.get_u64().map_err(dec)?;
-        let l0 = decode_tables(&mut r).map_err(dec)?;
-        let nlevels = r.get_u32().map_err(dec)? as usize;
-        let mut levels = Vec::with_capacity(nlevels);
-        for _ in 0..nlevels {
-            levels.push(decode_tables(&mut r).map_err(dec)?);
-        }
-        let high_water = r.get_u64().map_err(dec)?;
-        let nfree = r.get_u32().map_err(dec)? as usize;
-        let mut free = Vec::with_capacity(nfree);
-        for _ in 0..nfree {
-            let len = r.get_u64().map_err(dec)?;
-            let k = r.get_u32().map_err(dec)? as usize;
-            let mut offs = Vec::with_capacity(k);
-            for _ in 0..k {
-                offs.push(r.get_u64().map_err(dec)?);
-            }
-            free.push((len, offs));
-        }
-        pager.restore_alloc(high_water, free, MANIFEST_BYTES);
+        let (next_stamp, l0, levels) = MANIFEST.read(&mut pager, |r| {
+            let next_stamp = r.get_u64()?;
+            let l0 = decode_tables(r)?;
+            let levels = (0..r.get_u32()?)
+                .map(|_| decode_tables(r))
+                .collect::<Result<_, _>>()?;
+            Ok((next_stamp, l0, levels))
+        })?;
         Ok(LsmTree {
             pager,
             cfg,
@@ -195,7 +165,6 @@ impl LsmTree {
             l0,
             levels,
             next_stamp,
-            last_cost: OpCost::default(),
             obs: None,
         })
     }
@@ -213,38 +182,15 @@ impl LsmTree {
     /// reconstructs the tree.
     pub fn persist(&mut self) -> Result<(), KvError> {
         self.flush_memtable()?;
-        self.pager.flush().map_err(map_pager)?;
-        let mut w = Writer::with_capacity(4096);
-        w.put_u32(MANIFEST_MAGIC);
-        w.put_u8(MANIFEST_VERSION);
-        w.put_u64(self.next_stamp);
-        encode_tables(&mut w, &self.l0);
-        w.put_u32(self.levels.len() as u32);
-        for level in &self.levels {
-            encode_tables(&mut w, level);
-        }
-        let (high_water, free) = self.pager.export_alloc();
-        w.put_u64(high_water);
-        w.put_u32(free.len() as u32);
-        for (len, offs) in &free {
-            w.put_u64(*len);
-            w.put_u32(offs.len() as u32);
-            for &o in offs {
-                w.put_u64(o);
+        self.pager.flush()?;
+        MANIFEST.write(&mut self.pager, |w| {
+            w.put_u64(self.next_stamp);
+            encode_tables(w, &self.l0);
+            w.put_u32(self.levels.len() as u32);
+            for level in &self.levels {
+                encode_tables(w, level);
             }
-        }
-        let payload = w.into_bytes();
-        if (payload.len() + FRAME_OVERHEAD) as u64 > MANIFEST_BYTES {
-            return Err(KvError::Config(format!(
-                "manifest of {} bytes exceeds the reserved {} (too many tables)",
-                payload.len(),
-                MANIFEST_BYTES
-            )));
-        }
-        // Write only the used prefix: `unframe` on open reads the stored
-        // length, and the device zero-fills the rest of the region.
-        let image = frame(&payload);
-        self.pager.write_through(0, image).map_err(map_pager)
+        })
     }
 
     /// The configuration in use.
@@ -266,12 +212,12 @@ impl LsmTree {
 
     /// Flush dirty cache pages (not the memtable).
     pub fn flush(&mut self) -> Result<(), KvError> {
-        self.pager.flush().map_err(map_pager)
+        self.pager.flush().map_err(KvError::from)
     }
 
     /// Flush and empty the cache.
     pub fn drop_cache(&mut self) -> Result<(), KvError> {
-        self.pager.drop_cache().map_err(map_pager)
+        self.pager.drop_cache().map_err(KvError::from)
     }
 
     fn stamp(&mut self) -> u64 {
@@ -597,97 +543,63 @@ impl LsmTree {
         }
         Ok(all.len() as u64)
     }
+}
 
-    /// Reset per-op cost accounting and snapshot the pager counters. Called
-    /// at the start of every `Dictionary` operation so a failed op reports
-    /// zero cost instead of the previous op's stale numbers.
-    fn begin_op(&mut self) -> dam_cache::CostSnapshot {
-        self.last_cost = OpCost::default();
-        self.pager.snapshot()
-    }
-
-    fn finish_op(&mut self, snap: &dam_cache::CostSnapshot) {
-        let d = self.pager.cost_since(snap);
-        self.last_cost = OpCost {
-            ios: d.ios,
-            bytes_read: d.bytes_read,
-            bytes_written: d.bytes_written,
-            io_time_ns: d.io_time_ns,
-        };
-        if let Some(o) = &self.obs {
-            o.record_pager(&self.pager.counters());
-        }
+impl PagedDict for LsmTree {
+    fn pager_and_obs(&mut self) -> (&mut Pager, Option<&Obs>) {
+        (&mut self.pager, self.obs.as_ref())
     }
 }
 
 impl Dictionary for LsmTree {
     fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.update(key, Some(value.to_vec()))?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.update(key, Some(value.to_vec())))
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
-        let snap = self.begin_op();
-        self.update(key, None)?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| t.update(key, None))
     }
 
     fn apply_batch(&mut self, batch: &[BatchOp]) -> Result<(), KvError> {
         // Batched writes land in the memtable back to back under one cost
         // window; a flush or compaction triggered mid-batch is charged to
         // the batch, matching the group-commit accounting in `dam-serve`.
-        let snap = self.begin_op();
-        for op in batch {
-            match op {
-                BatchOp::Put { key, value } => self.update(key, Some(value.clone()))?,
-                BatchOp::Del { key } => self.update(key, None)?,
-            }
-        }
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(|t| {
+            batch.iter().try_for_each(|op| match op {
+                BatchOp::Put { key, value } => t.update(key, Some(value.clone())),
+                BatchOp::Del { key } => t.update(key, None),
+            })
+        })
     }
 
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        let snap = self.begin_op();
-        let r = self.get_inner(key);
-        self.finish_op(&snap);
-        r
+        self.in_op(|t| t.get_inner(key))
     }
 
     fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
-        let snap = self.begin_op();
-        let r = if start < end {
-            self.range_inner(start, Some(end))
-        } else {
-            Ok(Vec::new())
-        };
-        self.finish_op(&snap);
-        r
+        self.in_op(|t| {
+            if start < end {
+                t.range_inner(start, Some(end))
+            } else {
+                Ok(Vec::new())
+            }
+        })
     }
 
     fn last_op_cost(&self) -> OpCost {
-        self.last_cost
+        self.pager.last_op_cost()
     }
 
     fn sync(&mut self) -> Result<(), KvError> {
         // Durability contract: after sync returns, `open` on the same
         // device reconstructs everything inserted so far — so sync writes
         // the manifest, not just the dirty pages.
-        let snap = self.begin_op();
-        self.persist()?;
-        self.finish_op(&snap);
-        Ok(())
+        self.in_op(Self::persist)
     }
 
     /// Exact live-key count via a full unbounded merge scan (O(N) IO).
     fn len(&mut self) -> Result<u64, KvError> {
-        let snap = self.begin_op();
-        let all = self.range_inner(&[], None)?;
-        self.finish_op(&snap);
-        Ok(all.len() as u64)
+        self.in_op(|t| Ok(t.range_inner(&[], None)?.len() as u64))
     }
 }
 

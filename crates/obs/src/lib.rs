@@ -32,6 +32,9 @@
 //!   `dam-models`), and the snapshot reports measured-vs-predicted ratios:
 //!   a per-run miniature of the paper's Table 1/2 validation.
 //!
+//! * [`PagedDict`] — the cost window a paged dictionary runs each operation
+//!   in; it also publishes the pager's counters to the registry.
+//!
 //! [`MetricsSnapshot`] renders as deterministic JSON ([`MetricsSnapshot::to_json`])
 //! or a human-readable table ([`MetricsSnapshot::render_table`]); snapshots
 //! can be validated against a checked-in schema with
@@ -43,6 +46,7 @@ pub mod registry;
 pub mod residual;
 pub mod snapshot;
 pub mod span;
+pub mod window;
 
 pub use device::ObservedDevice;
 pub use dict::ObservedDict;
@@ -50,3 +54,4 @@ pub use registry::{IoTally, Obs};
 pub use residual::{ModelParams, ResidualReport};
 pub use snapshot::{validate_snapshot_json, HistSummary, MetricsSnapshot, SpanSummary};
 pub use span::{SpanGuard, SpanNode};
+pub use window::PagedDict;

@@ -12,12 +12,12 @@ use dam_betree::{BeTree, BeTreeConfig, OptBeTree, OptConfig};
 use dam_btree::{BTree, BTreeConfig};
 use dam_kv::{BatchOp, Dictionary, KvError, KvPair};
 use dam_lsm::{LsmConfig, LsmTree};
+use dam_obs::Obs;
 use dam_stats::rng::{splitmix64, GOLDEN};
 use dam_storage::{BlockDevice, IoChain, RamDisk, SharedDevice, SimDuration};
 
-/// The four dictionaries the engine can serve. Mirrors the differential
-/// harness's structure set; defined here because `dam-check` depends on
-/// `dam-serve`, not the other way around.
+/// The four dictionaries: the set the engine serves, and the one the
+/// differential harness (`dam-check`) checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServeStructure {
     /// In-place B-tree.
@@ -53,6 +53,68 @@ impl ServeStructure {
     pub fn parse(s: &str) -> Option<ServeStructure> {
         ServeStructure::ALL.into_iter().find(|x| x.name() == s)
     }
+
+    /// A fresh tree of this kind on `dev`, shaped by `cfg`'s node, block
+    /// and cache sizes (its `structure` field is not read), reporting to
+    /// `obs` when given.
+    pub fn create(
+        self,
+        dev: SharedDevice,
+        cfg: &ShardConfig,
+        obs: Option<Obs>,
+    ) -> Result<Box<dyn Dictionary>, KvError> {
+        self.build(dev, cfg, obs, false)
+    }
+
+    /// Reopen the tree a [`ServeStructure::create`] with the same `cfg`
+    /// persisted on `dev`.
+    pub fn open(
+        self,
+        dev: SharedDevice,
+        cfg: &ShardConfig,
+    ) -> Result<Box<dyn Dictionary>, KvError> {
+        self.build(dev, cfg, None, true)
+    }
+
+    fn build(
+        self,
+        dev: SharedDevice,
+        cfg: &ShardConfig,
+        obs: Option<Obs>,
+        open: bool,
+    ) -> Result<Box<dyn Dictionary>, KvError> {
+        macro_rules! tree {
+            ($tree:ident, $cfg:expr) => {{
+                let mut t = if open {
+                    $tree::open(dev, $cfg)?
+                } else {
+                    $tree::create(dev, $cfg)?
+                };
+                if let Some(o) = obs {
+                    t.set_obs(o);
+                }
+                Box::new(t)
+            }};
+        }
+        let cache = cfg.cache_bytes;
+        Ok(match self {
+            ServeStructure::BTree => tree!(BTree, BTreeConfig::new(cfg.node_bytes, cache)),
+            ServeStructure::BeTree => {
+                tree!(BeTree, BeTreeConfig::new(cfg.node_bytes * 2, 4, cache))
+            }
+            ServeStructure::OptBeTree => {
+                tree!(OptBeTree, OptConfig::new(4, cfg.node_bytes, cache))
+            }
+            ServeStructure::Lsm => {
+                let mut lc = LsmConfig::new(4 * cfg.node_bytes, cache);
+                lc.memtable_bytes = 2 * cfg.node_bytes;
+                lc.block_bytes = cfg.block_bytes as usize;
+                lc.level_ratio = 4;
+                lc.l0_limit = 2;
+                tree!(LsmTree, lc)
+            }
+        })
+    }
 }
 
 /// Sizing of each shard's tree and device.
@@ -83,35 +145,6 @@ impl Default for ShardConfig {
             block_bytes: 512,
         }
     }
-}
-
-fn build_tree(
-    structure: ServeStructure,
-    dev: SharedDevice,
-    cfg: &ShardConfig,
-) -> Result<Box<dyn Dictionary>, KvError> {
-    let cache = cfg.cache_bytes;
-    Ok(match structure {
-        ServeStructure::BTree => {
-            Box::new(BTree::create(dev, BTreeConfig::new(cfg.node_bytes, cache))?)
-        }
-        ServeStructure::BeTree => Box::new(BeTree::create(
-            dev,
-            BeTreeConfig::new(cfg.node_bytes * 2, 4, cache),
-        )?),
-        ServeStructure::OptBeTree => Box::new(OptBeTree::create(
-            dev,
-            OptConfig::new(4, cfg.node_bytes, cache),
-        )?),
-        ServeStructure::Lsm => {
-            let mut lc = LsmConfig::new(4 * cfg.node_bytes, cache);
-            lc.memtable_bytes = 2 * cfg.node_bytes;
-            lc.block_bytes = cfg.block_bytes as usize;
-            lc.level_ratio = 4;
-            lc.l0_limit = 2;
-            Box::new(LsmTree::create(dev, lc)?)
-        }
-    })
 }
 
 struct Shard {
@@ -160,7 +193,7 @@ impl ShardSet {
                 CaptureDevice::new(Box::new(RamDisk::new(cfg.disk_bytes, SimDuration(100))));
             let dev = SharedDevice::new(Box::new(capture_dev) as Box<dyn BlockDevice>);
             let shard = Shard {
-                dict: build_tree(cfg.structure, dev, &cfg)?,
+                dict: cfg.structure.create(dev, &cfg, None)?,
                 capture,
             };
             // Creation IO is setup, not serving traffic: drop it.

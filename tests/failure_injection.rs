@@ -3,11 +3,13 @@
 //! silent corruption — and faults must leave the structure fully usable
 //! once they clear.
 //!
-//! Coverage: hard read/write faults, countdown (`AfterIos`) faults,
+//! Coverage: hard read/write faults, countdown (`AfterIos`) faults and the
+//! cost a failed operation reports,
 //! intermittent (`Transient`) faults absorbed by [`RetryingDevice`], torn
 //! writes repaired by re-flush, and silent bit rot caught by the
 //! checksummed block frames as `KvError::Corrupt`.
 
+use refined_dam::obs::PagedDict;
 use refined_dam::prelude::*;
 use refined_dam::storage::{
     FaultInjector, FaultMode, FaultSwitch, RamDisk, RetryPolicy, RetryingDevice,
@@ -224,6 +226,99 @@ fn lsm_after_ios_recovery() {
     cfg.block_bytes = 512;
     let tree = LsmTree::create(dev, cfg).unwrap();
     check_after_ios_recovery(Box::new(tree), switch, "lsm");
+}
+
+/// Run `op` on a device that passes `pass` more IOs and fails the rest.
+/// Whether the op fails or not, its reported cost must be exactly the IO
+/// its pager issued for it. Returns whether it failed and that IO count.
+fn windowed<T: Dictionary + PagedDict>(
+    t: &mut T,
+    switch: &FaultSwitch,
+    pass: u64,
+    op: impl FnOnce(&mut T) -> Result<(), KvError>,
+) -> (bool, u64) {
+    switch.set(FaultMode::AfterIos(pass));
+    let snap = t.pager_and_obs().0.snapshot();
+    let result = op(t);
+    let d = t.pager_and_obs().0.cost_since(&snap);
+    switch.set(FaultMode::None);
+    let failed = match result {
+        Ok(()) => false,
+        Err(KvError::Storage(_)) => true,
+        Err(other) => panic!("unexpected error kind: {other}"),
+    };
+    let c = t.last_op_cost();
+    assert_eq!(
+        (c.ios, c.bytes_read, c.bytes_written, c.io_time_ns),
+        (d.ios, d.bytes_read, d.bytes_written, d.io_time_ns),
+        "reported cost differs from the pager's delta (failed: {failed})"
+    );
+    (failed, d.ios)
+}
+
+/// A key between loaded key `i % 2_000` and the next one (`preload` loads
+/// `0..2_000`), distinct for every `i`.
+fn between(i: u64) -> Vec<u8> {
+    let mut k = refined_dam::kv::key_from_u64(i * 7_919 % 2_000).to_vec();
+    k.extend_from_slice(&i.to_be_bytes());
+    k
+}
+
+/// A failed op reports the IO it issued before it failed: a cold get whose
+/// second read fails, and an insert whose flush, compaction or writeback
+/// fails part-way.
+fn check_failed_op_costs<T: Dictionary + PagedDict>(mut t: T, switch: FaultSwitch, label: &str) {
+    preload(&mut t, 2_000);
+    // Keys scattered between the loaded ones: on the LSM they land in
+    // runs overlapping the loaded keys' tables, so a get probes several
+    // levels.
+    for i in 0..2_000 {
+        t.insert(&between(i), &[1; 50]).unwrap();
+    }
+    t.sync().unwrap();
+    let mut failed_get = false;
+    for i in (0..2_000u64).step_by(101) {
+        t.pager_and_obs().0.drop_cache().unwrap();
+        // An absent key: every tree descends to a leaf for it, and the LSM
+        // reads a block on each level whose table covers it.
+        let mut k = refined_dam::kv::key_from_u64(i).to_vec();
+        k.push(0);
+        let (failed, ios) = windowed(&mut t, &switch, 1, |t| t.get(&k).map(drop));
+        failed_get |= failed && ios > 0;
+    }
+    assert!(failed_get, "{label}: no cold get failed after issuing IO");
+    // Every 7th insert runs with a single IO to spare, so those that
+    // flush, compact or write back fail part-way; the rest run healthy
+    // and let the structure drain what a failed flush left buffered.
+    let mut failed_insert = false;
+    for i in 2_000..6_000u64 {
+        let pass = if i % 7 == 0 { 1 } else { u64::MAX };
+        let (failed, ios) = windowed(&mut t, &switch, pass, |t| t.insert(&between(i), &[1; 50]));
+        failed_insert |= failed && ios > 0;
+    }
+    assert!(failed_insert, "{label}: no insert failed after issuing IO");
+}
+
+#[test]
+fn failed_ops_report_the_io_they_issued() {
+    let (dev, switch) = faulty_device();
+    let tree = BTree::create(dev, BTreeConfig::new(1024, 1 << 16)).unwrap();
+    check_failed_op_costs(tree, switch, "btree");
+
+    let (dev, switch) = faulty_device();
+    let tree = BeTree::create(dev, BeTreeConfig::new(2048, 4, 1 << 16)).unwrap();
+    check_failed_op_costs(tree, switch, "betree");
+
+    let (dev, switch) = faulty_device();
+    let tree = OptBeTree::create(dev, OptConfig::new(4, 1024, 1 << 16)).unwrap();
+    check_failed_op_costs(tree, switch, "opt-betree");
+
+    let (dev, switch) = faulty_device();
+    let mut cfg = LsmConfig::new(4096, 1 << 16);
+    cfg.memtable_bytes = 2048;
+    cfg.block_bytes = 512;
+    let tree = LsmTree::create(dev, cfg).unwrap();
+    check_failed_op_costs(tree, switch, "lsm");
 }
 
 #[test]

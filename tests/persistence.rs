@@ -124,3 +124,121 @@ fn superblock_kinds_do_not_cross_open() {
         Err(KvError::Corrupt(_))
     ));
 }
+
+/// FNV-1a over a whole device image.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn device_image(dev: &SharedDevice) -> Vec<u8> {
+    let mut img = vec![0u8; dev.capacity_bytes() as usize];
+    dev.read(0, &mut img, SimTime::ZERO).unwrap();
+    img
+}
+
+/// The bytes each structure leaves on disk, pinned: a seeded trace on the
+/// serving engine's default shard shape, then a sync. Any change to a
+/// node, table or superblock format, or to which IOs a write path issues,
+/// moves the digest or the device counters.
+#[test]
+fn on_disk_images_are_pinned() {
+    use dam_check::{generate_trace, Op};
+    use dam_serve::{ServeStructure, ShardConfig};
+    let expected = [
+        (
+            ServeStructure::BTree,
+            0xb0d2_46d5_a895_0e19,
+            (0, 501, 0, 645_120),
+        ),
+        (
+            ServeStructure::BeTree,
+            0x4b56_2726_34ee_a5b0,
+            (54, 403, 110_592, 913_408),
+        ),
+        (
+            ServeStructure::OptBeTree,
+            0x24e5_9115_6322_d530,
+            (1_247, 387, 2_882_560, 2_994_176),
+        ),
+        (
+            ServeStructure::Lsm,
+            0x0117_0945_d7d4_7bdb,
+            (0, 170, 0, 452_304),
+        ),
+    ];
+    let cfg = ShardConfig::default();
+    for (structure, digest, io) in expected {
+        let name = structure.name();
+        let dev = SharedDevice::new(Box::new(RamDisk::new(16 << 20, SimDuration(500))));
+        let mut dict = structure.create(dev.clone(), &cfg, None).unwrap();
+        for op in generate_trace(801, 2_000) {
+            match op {
+                Op::Insert { key, value } => dict.insert(&key, &value).unwrap(),
+                Op::Delete { key } => dict.delete(&key).unwrap(),
+                Op::Get { key } => drop(dict.get(&key).unwrap()),
+                Op::Range { start, end } => drop(dict.range(&start, &end).unwrap()),
+                Op::Sync => dict.sync().unwrap(),
+                Op::Len => drop(dict.len().unwrap()),
+            }
+        }
+        dict.sync().unwrap();
+        drop(dict);
+        let st = dev.stats();
+        assert_eq!(
+            (st.reads, st.writes, st.bytes_read, st.bytes_written),
+            io,
+            "{name}: device IO"
+        );
+        assert_eq!(fnv1a(&device_image(&dev)), digest, "{name}: image digest");
+        let mut reopened = structure.open(dev, &cfg).unwrap();
+        assert_eq!(reopened.len().unwrap(), 588, "{name}: len after open");
+    }
+}
+
+/// Allocator state in a superblock comes off the device, so it is checked
+/// like any other field: a superblock with a valid frame but a high-water
+/// mark past the device's end, or a free extent inside the superblock's
+/// own reserved bytes, opens as `Corrupt` rather than panicking or handing
+/// the superblock's bytes out as a node.
+#[test]
+fn superblocks_with_impossible_allocator_state_are_corrupt() {
+    use dam_serve::{ServeStructure, ShardConfig};
+    use refined_dam::kv::codec::{frame, unframe};
+    let cfg = ShardConfig::default();
+    for structure in ServeStructure::ALL {
+        let name = structure.name();
+        let dev = SharedDevice::new(Box::new(RamDisk::new(16 << 20, SimDuration(500))));
+        structure
+            .create(dev.clone(), &cfg, None)
+            .unwrap()
+            .sync()
+            .unwrap();
+        let img = device_image(&dev);
+        let payload = unframe(&img).unwrap();
+        // A fresh tree has freed nothing: the payload ends with the
+        // high-water mark and an empty free-list count.
+        let (fields, alloc) = payload.split_at(payload.len() - 12);
+        assert_eq!(alloc[8..], [0; 4], "{name}: free-list count");
+        let high_water = u64::from_le_bytes(alloc[..8].try_into().unwrap());
+        let beyond = dev.capacity_bytes() + 4_096;
+        let mut past_end = fields.to_vec();
+        past_end.extend_from_slice(&beyond.to_le_bytes());
+        past_end.extend_from_slice(&0u32.to_le_bytes());
+        let mut in_superblock = fields.to_vec();
+        in_superblock.extend_from_slice(&high_water.to_le_bytes());
+        in_superblock.extend_from_slice(&1u32.to_le_bytes()); // one list
+        in_superblock.extend_from_slice(&1_024u64.to_le_bytes()); // of 1 KiB extents
+        in_superblock.extend_from_slice(&1u32.to_le_bytes()); // holding one
+        in_superblock.extend_from_slice(&0u64.to_le_bytes()); // at offset 0
+        for (what, payload) in [("past_end", past_end), ("in_superblock", in_superblock)] {
+            dev.write(0, &frame(&payload), SimTime::ZERO).unwrap();
+            match structure.open(dev.clone(), &cfg) {
+                Err(KvError::Corrupt(_)) => {}
+                Err(e) => panic!("{name} {what}: wrong error {e}"),
+                Ok(_) => panic!("{name} {what}: opened"),
+            }
+        }
+    }
+}
