@@ -656,6 +656,7 @@ impl OptBeTree {
                     desc.boundaries.insert(jj + off, sep);
                     segs.insert(jj + 1 + off, Seg::Desc(nd));
                 }
+                self.spill_oversized(&mut segs[jj..=jj + k], &mut pending);
                 shift += k;
             }
             // Undelivered messages return to this buffer (persisted by our
@@ -666,10 +667,30 @@ impl OptBeTree {
                     // Nothing beneath us changed; the wrapper restores.
                     return Err(e);
                 }
-                let _ = self.persist_internal(desc, segs, out, committed);
+                // A failed rewrite of this node is the graver error: its
+                // image no longer describes the children beneath it.
+                self.persist_internal(desc, segs, out, committed)?;
                 return Err(e);
             }
             self.persist_internal(desc, segs, out, committed)
+        }
+    }
+
+    /// Move the buffered messages of each descriptor in `segs` that no
+    /// longer fits a segment to the end of `into`. A child flush that
+    /// committed and then failed keeps its undelivered messages in its
+    /// descriptor, which can then outgrow its slot in this node; here they
+    /// rejoin this node's buffer, which our parent persists (or the root
+    /// holds in memory), instead of making this node's rewrite fail.
+    /// `segs` is in key order and `into` holds only smaller keys, so `into`
+    /// stays sorted.
+    fn spill_oversized(&self, segs: &mut [Seg], into: &mut Vec<Message>) {
+        for seg in segs {
+            if let Seg::Desc(d) = seg {
+                if d.size() > self.seg_bytes {
+                    into.append(&mut d.msgs);
+                }
+            }
         }
     }
 
@@ -1086,10 +1107,13 @@ impl OptBeTree {
                 if let Err(e) = child {
                     // The child may have rewritten itself; persist this
                     // node so its stored descriptors stay in sync.
+                    let mut spilled = Vec::new();
+                    self.spill_oversized(&mut segs[j..=j + k], &mut spilled);
+                    desc.msgs = buffer_merge(std::mem::take(&mut desc.msgs), spilled);
                     let mut c = false;
-                    let _ = self.persist_internal(desc, segs, out, &mut c);
+                    let persisted = self.persist_internal(desc, segs, out, &mut c);
                     out.extend(sibs);
-                    return Err(e);
+                    return Err(persisted.err().unwrap_or(e));
                 }
                 j += 1 + k;
             }
@@ -1460,6 +1484,43 @@ mod tests {
         assert!(failed > 0, "no insert failed");
         let want: Vec<(Vec<u8>, Vec<u8>)> = shadow.into_iter().collect();
         assert_eq!(t.range(&[], &[0xFF; 17]).unwrap(), want);
+    }
+
+    #[test]
+    fn committed_child_flush_failures_keep_every_acked_key() {
+        // Regression: a child flush that committed and then failed could
+        // leave the child's descriptor holding more undelivered messages
+        // than a segment fits. The parent's rewrite was then refused with
+        // `Config`, that error was dropped, and the messages vanished. Every
+        // insert here lets three IOs through and is redriven on a healthy
+        // device after a failure; every acked key must read back, before
+        // and after a sync and reopen.
+        let (inj, switch) = FaultInjector::new(RamDisk::new(1 << 26, SimDuration(100)));
+        let dev = SharedDevice::new(Box::new(inj));
+        let mut t = OptBeTree::create(dev.clone(), OptConfig::new(4, 1024, 64 << 10)).unwrap();
+        let mut shadow = std::collections::BTreeMap::new();
+        let mut failed = 0;
+        for i in 0..2_000u64 {
+            let k = key_from_u64(i * 7_919 % 100_003).to_vec();
+            let v = vec![(i % 251) as u8; 50];
+            switch.set(FaultMode::AfterIos(3));
+            if t.insert(&k, &v).is_err() {
+                failed += 1;
+                switch.set(FaultMode::None);
+                t.insert(&k, &v).unwrap();
+            }
+            shadow.insert(k, v);
+        }
+        switch.set(FaultMode::None);
+        assert!(failed > 0, "no insert failed");
+        let want: Vec<(Vec<u8>, Vec<u8>)> = shadow.into_iter().collect();
+        assert_eq!(t.range(&[], &[0xFF; 17]).unwrap(), want);
+        t.sync().unwrap();
+        let mut t = OptBeTree::open(dev, OptConfig::new(4, 1024, 64 << 10)).unwrap();
+        assert_eq!(t.range(&[], &[0xFF; 17]).unwrap(), want);
+        for (k, v) in &want {
+            assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
+        }
     }
 
     #[test]

@@ -9,7 +9,15 @@
 //! reports the device IO issued in between.
 //!
 //! Reads return a [`Page`]: a shared handle on the cached bytes, so a hit
-//! costs a reference-count bump rather than a copy of the object.
+//! costs a reference-count bump rather than a copy of the object. The same
+//! handle crosses the device boundary: a write-back, flush, write-through
+//! or oversized write hands the device the entry's image
+//! ([`BlockDevice::write_image`](dam_storage::BlockDevice::write_image)),
+//! and a whole-object miss takes back whatever image the device returns
+//! ([`BlockDevice::read_image`](dam_storage::BlockDevice::read_image)). On
+//! the simulated HDD, SSD and RAM disk a miss on an object the pager wrote
+//! there is the written image itself, with no byte copied either way.
+//! Images are immutable once shared; an update replaces an entry's image.
 //!
 //! Each entry also records whether its bytes are *verified*, so a client
 //! checks an object's frame once, when it arrives, rather than on every
@@ -19,7 +27,12 @@
 //! Device faults (bit rot, torn writes) only ever reach the cache through a
 //! device read, so they are still caught: the first check fails, nothing is
 //! marked, and every later hit on the poisoned entry fails the same way
-//! until the entry is dropped.
+//! until the entry is dropped. Shared images keep this true. A miss makes a
+//! new, unverified entry even when its image is one the pager wrote, so its
+//! check still runs. And a fault never lands in a shared image: the fault
+//! injector keeps the provided image methods, which go through its own
+//! `read` and `write`, so a flipped bit lands in the miss's private buffer
+//! and a torn write reaches the device as a copied prefix.
 
 use crate::alloc::Allocator;
 use crate::lru::LruList;
@@ -381,7 +394,7 @@ impl Pager {
             self.lru.remove(slot);
             self.used -= entry.data.len() as u64;
             if entry.dirty {
-                if let Err(e) = self.device_write(entry.offset, &entry.data) {
+                if let Err(e) = self.write_image(entry.offset, &entry.data) {
                     // The cache holds the only copy of a dirty object;
                     // discarding it on a failed writeback would silently
                     // lose acknowledged writes. Reinstate the victim (at
@@ -401,22 +414,25 @@ impl Pager {
         Ok(())
     }
 
-    fn device_write(&mut self, offset: u64, data: &[u8]) -> Result<(), PagerError> {
-        let c = self.dev.write(offset, data, self.now)?;
+    /// Hand `image` to the device (no copy on a device that keeps shared
+    /// images) and charge the write.
+    fn write_image(&mut self, offset: u64, image: &Arc<Vec<u8>>) -> Result<(), PagerError> {
+        let c = self.dev.write_image(offset, image, self.now)?;
         self.counters.ios += 1;
-        self.counters.bytes_written += data.len() as u64;
+        self.counters.bytes_written += image.len() as u64;
         self.counters.io_time_ns += (c.complete - self.now).0;
         self.now = c.complete;
         Ok(())
     }
 
-    fn device_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), PagerError> {
-        let c = self.dev.read(offset, buf, self.now)?;
+    /// Read `len` bytes at `offset` as a shared image and charge the read.
+    fn read_image(&mut self, offset: u64, len: usize) -> Result<Arc<Vec<u8>>, PagerError> {
+        let (image, c) = self.dev.read_image(offset, len, self.now)?;
         self.counters.ios += 1;
-        self.counters.bytes_read += buf.len() as u64;
+        self.counters.bytes_read += len as u64;
         self.counters.io_time_ns += (c.complete - self.now).0;
         self.now = c.complete;
-        Ok(())
+        Ok(image)
     }
 
     fn insert_entry(
@@ -486,10 +502,8 @@ impl Pager {
                 return Ok(Page::whole(offset, entry.data.clone(), entry.verified));
             }
         }
-        let mut buf = vec![0u8; len];
-        self.device_read(offset, &mut buf)?;
+        let data = self.read_image(offset, len)?;
         self.counters.misses += 1;
-        let data = Arc::new(buf);
         if (len as u64) <= self.budget {
             // Any cached sub-objects inside this range are clean copies of
             // device state; the whole object supersedes them.
@@ -553,10 +567,8 @@ impl Pager {
             }
         }
         // Miss: fetch only the sub-range.
-        let mut buf = vec![0u8; sub_len];
-        self.device_read(abs, &mut buf)?;
+        let data = self.read_image(abs, sub_len)?;
         self.counters.misses += 1;
-        let data = Arc::new(buf);
         if (sub_len as u64) <= self.budget && !self.map.contains_key(&abs) {
             self.insert_entry(abs, data.clone(), false, false)?;
         }
@@ -623,7 +635,7 @@ impl Pager {
             return Ok(());
         }
         if data.len() as u64 > self.budget {
-            return self.device_write(offset, &data);
+            return self.write_image(offset, &Arc::new(data));
         }
         self.insert_entry(offset, Arc::new(data), true, true)
     }
@@ -634,13 +646,15 @@ impl Pager {
     /// trees.
     pub fn write_through(&mut self, offset: u64, data: Vec<u8>) -> Result<(), PagerError> {
         self.discard_range_contained(offset, data.len() as u64);
-        self.device_write(offset, &data)?;
+        // One image for the device and the cache.
+        let data = Arc::new(data);
+        self.write_image(offset, &data)?;
         if let Some(&slot) = self.map.get(&offset) {
             let entry = self.slots[slot as usize]
                 .as_mut()
                 .expect("mapped slot must be live");
             self.used = self.used - entry.data.len() as u64 + data.len() as u64;
-            entry.data = Arc::new(data);
+            entry.data = data;
             entry.dirty = false;
             entry.verified = true;
             self.lru.touch(slot);
@@ -648,7 +662,7 @@ impl Pager {
             return Ok(());
         }
         if data.len() as u64 <= self.budget {
-            self.insert_entry(offset, Arc::new(data), false, true)?;
+            self.insert_entry(offset, data, false, true)?;
         }
         Ok(())
     }
@@ -694,13 +708,13 @@ impl Pager {
         dirty.sort_unstable();
         for off in dirty {
             let slot = self.map[&off];
-            // A shared handle, not a copy: the write only borrows the bytes.
+            // A shared handle, not a copy: the device may keep the image.
             let data = self.slots[slot as usize]
                 .as_ref()
                 .expect("mapped slot must be live")
                 .data
                 .clone();
-            self.device_write(off, &data)?;
+            self.write_image(off, &data)?;
             self.counters.writebacks += 1;
             self.slots[slot as usize]
                 .as_mut()
@@ -725,7 +739,7 @@ impl Pager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dam_storage::{FaultInjector, FaultMode, RamDisk};
+    use dam_storage::{FaultInjector, FaultMode, HddDevice, HddProfile, RamDisk};
 
     fn pager(cache: u64) -> Pager {
         let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(1000))));
@@ -1194,6 +1208,65 @@ mod tests {
         let x = p.read(a, 100).unwrap();
         let y = p.read(a, 100).unwrap();
         assert_eq!(x.as_ptr(), y.as_ptr(), "hits hand out one shared image");
+    }
+
+    #[test]
+    fn a_miss_gets_back_the_image_written_back_unverified() {
+        // A page-aligned object written back to a simulated device comes
+        // back on the next miss as the very image the cache held, but the
+        // new entry is still unverified: the flag belongs to the entry.
+        let mut p = pager(1 << 16);
+        let a = p.alloc(8192).unwrap();
+        assert_eq!(a % 4096, 0);
+        p.write(a, (0..8192).map(|i| i as u8).collect()).unwrap();
+        let written = p.read(a, 8192).unwrap();
+        assert!(written.is_verified());
+        p.drop_cache().unwrap();
+        let miss = p.read(a, 8192).unwrap();
+        assert_eq!(p.counters().misses, 1);
+        assert_eq!(miss.as_ptr(), written.as_ptr(), "the miss shares the image");
+        assert!(!miss.is_verified());
+        let mut calls = 0;
+        p.check_once(&miss, |b| {
+            calls += 1;
+            pass(b)
+        })
+        .unwrap();
+        assert_eq!(calls, 1, "a miss is checked even when its image is shared");
+    }
+
+    #[test]
+    fn a_flipped_bit_fails_the_first_check_and_a_clean_reread_passes() {
+        let hdd = HddDevice::new(
+            HddProfile::from_affine_targets("test disk", 2011, 1 << 30, 7200.0, 0.012, 0.000035),
+            7,
+        );
+        let (inj, switch) = FaultInjector::new(hdd);
+        let mut p = Pager::new(SharedDevice::new(Box::new(inj)), 1 << 20, 0);
+        let image: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
+        let a = p.alloc(8192).unwrap();
+        p.write(a, image.clone()).unwrap();
+        let written = p.read(a, 8192).unwrap();
+        p.drop_cache().unwrap();
+        let intact = |b: &[u8]| if b == &image[..] { Ok(()) } else { Err(()) };
+
+        switch.set(FaultMode::BitFlip { seed: 3, every: 1 });
+        let rotten = p.read(a, 8192).unwrap();
+        assert!(!rotten.is_verified());
+        assert_eq!(p.check_once(&rotten, intact), Err(()));
+        // The flip landed in the miss's own buffer: the image the cache
+        // wrote back is untouched.
+        assert_eq!(&written[..], &image[..]);
+
+        switch.set(FaultMode::None);
+        // The poisoned entry keeps failing until it is dropped.
+        let hit = p.read(a, 8192).unwrap();
+        assert_eq!(p.check_once(&hit, intact), Err(()));
+        p.discard(a);
+        let clean = p.read(a, 8192).unwrap();
+        assert_eq!(p.check_once(&clean, intact), Ok(()));
+        assert!(p.read(a, 8192).unwrap().is_verified());
+        assert_eq!(p.counters().misses, 2);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::registry::Obs;
 use dam_storage::{BlockDevice, DeviceStats, IoCompletion, IoError, SharedDevice, SimTime};
+use std::sync::Arc;
 
 /// A [`BlockDevice`] wrapper that reports every IO to an [`Obs`] registry:
 /// totals, per-kind latency histograms, span/per-level attribution, and
@@ -38,6 +39,25 @@ impl<D: BlockDevice> ObservedDevice<D> {
     pub fn into_inner(self) -> D {
         self.inner
     }
+
+    /// Report the outcome `r` of one IO of `len` bytes submitted at `now`,
+    /// whose completion `done` extracts, and pass it through.
+    fn observe<T>(
+        &self,
+        is_write: bool,
+        len: u64,
+        now: SimTime,
+        r: Result<T, IoError>,
+        done: impl FnOnce(&T) -> IoCompletion,
+    ) -> Result<T, IoError> {
+        match &r {
+            Ok(v) => self
+                .obs
+                .record_io(is_write, len, (done(v).complete - now).0),
+            Err(_) => self.obs.record_error(is_write),
+        }
+        r
+    }
 }
 
 impl ObservedDevice<Box<dyn BlockDevice>> {
@@ -54,31 +74,33 @@ impl<D: BlockDevice> BlockDevice for ObservedDevice<D> {
     }
 
     fn read(&mut self, offset: u64, buf: &mut [u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        match self.inner.read(offset, buf, now) {
-            Ok(c) => {
-                self.obs
-                    .record_io(false, buf.len() as u64, (c.complete - now).0);
-                Ok(c)
-            }
-            Err(e) => {
-                self.obs.record_error(false);
-                Err(e)
-            }
-        }
+        let r = self.inner.read(offset, buf, now);
+        self.observe(false, buf.len() as u64, now, r, |c| *c)
+    }
+
+    fn read_image(
+        &mut self,
+        offset: u64,
+        len: usize,
+        now: SimTime,
+    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
+        let r = self.inner.read_image(offset, len, now);
+        self.observe(false, len as u64, now, r, |(_, c)| *c)
     }
 
     fn write(&mut self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        match self.inner.write(offset, data, now) {
-            Ok(c) => {
-                self.obs
-                    .record_io(true, data.len() as u64, (c.complete - now).0);
-                Ok(c)
-            }
-            Err(e) => {
-                self.obs.record_error(true);
-                Err(e)
-            }
-        }
+        let r = self.inner.write(offset, data, now);
+        self.observe(true, data.len() as u64, now, r, |c| *c)
+    }
+
+    fn write_image(
+        &mut self,
+        offset: u64,
+        image: &Arc<Vec<u8>>,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        let r = self.inner.write_image(offset, image, now);
+        self.observe(true, image.len() as u64, now, r, |c| *c)
     }
 
     fn stats(&self) -> DeviceStats {

@@ -58,6 +58,13 @@ impl CaptureDevice {
             CaptureHandle { log },
         )
     }
+
+    fn record(&self, io: CapturedIo) {
+        self.log
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(io);
+    }
 }
 
 impl BlockDevice for CaptureDevice {
@@ -67,19 +74,35 @@ impl BlockDevice for CaptureDevice {
 
     fn read(&mut self, offset: u64, buf: &mut [u8], now: SimTime) -> Result<IoCompletion, IoError> {
         let c = self.inner.read(offset, buf, now)?;
-        self.log
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((false, offset, buf.len() as u64));
+        self.record((false, offset, buf.len() as u64));
         Ok(c)
+    }
+
+    fn read_image(
+        &mut self,
+        offset: u64,
+        len: usize,
+        now: SimTime,
+    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
+        let r = self.inner.read_image(offset, len, now)?;
+        self.record((false, offset, len as u64));
+        Ok(r)
     }
 
     fn write(&mut self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError> {
         let c = self.inner.write(offset, data, now)?;
-        self.log
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((true, offset, data.len() as u64));
+        self.record((true, offset, data.len() as u64));
+        Ok(c)
+    }
+
+    fn write_image(
+        &mut self,
+        offset: u64,
+        image: &Arc<Vec<u8>>,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        let c = self.inner.write_image(offset, image, now)?;
+        self.record((true, offset, image.len() as u64));
         Ok(c)
     }
 

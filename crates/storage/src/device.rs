@@ -133,8 +133,39 @@ pub trait BlockDevice: Send {
         self.read(offset, &mut scratch, now)
     }
 
+    /// Read the `len`-byte object at `offset` as a shared image: the same
+    /// checks, timing, statistics and fault decisions as
+    /// [`read`](BlockDevice::read). The default reads into a fresh zeroed
+    /// buffer; the simulated HDD, SSD and RAM disk override it to return
+    /// the very image that a [`write_image`](BlockDevice::write_image) of
+    /// the same range stored, without copying it.
+    fn read_image(
+        &mut self,
+        offset: u64,
+        len: usize,
+        now: SimTime,
+    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
+        let mut buf = vec![0u8; len];
+        let c = self.read(offset, &mut buf, now)?;
+        Ok((Arc::new(buf), c))
+    }
+
     /// Write `data` at `offset`, charging simulated time.
     fn write(&mut self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError>;
+
+    /// Write the immutable shared `image` at `offset`: the same checks,
+    /// timing, statistics and fault decisions as
+    /// [`write`](BlockDevice::write). The default writes the image's bytes;
+    /// the simulated HDD, SSD and RAM disk override it to keep the image
+    /// itself when it spans whole store pages (see [`crate::store`]).
+    fn write_image(
+        &mut self,
+        offset: u64,
+        image: &Arc<Vec<u8>>,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        self.write(offset, image, now)
+    }
 
     /// Cumulative statistics.
     fn stats(&self) -> DeviceStats;
@@ -180,8 +211,26 @@ impl BlockDevice for Box<dyn BlockDevice> {
         (**self).read_discard(offset, len, now)
     }
 
+    fn read_image(
+        &mut self,
+        offset: u64,
+        len: usize,
+        now: SimTime,
+    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
+        (**self).read_image(offset, len, now)
+    }
+
     fn write(&mut self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError> {
         (**self).write(offset, data, now)
+    }
+
+    fn write_image(
+        &mut self,
+        offset: u64,
+        image: &Arc<Vec<u8>>,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        (**self).write_image(offset, image, now)
     }
 
     fn stats(&self) -> DeviceStats {
@@ -221,12 +270,38 @@ impl SharedDevice {
             .read(offset, buf, now)
     }
 
+    /// Read a shared image through the shared handle.
+    pub fn read_image(
+        &self,
+        offset: u64,
+        len: usize,
+        now: SimTime,
+    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .read_image(offset, len, now)
+    }
+
     /// Write through the shared handle.
     pub fn write(&self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError> {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .write(offset, data, now)
+    }
+
+    /// Write a shared image through the shared handle.
+    pub fn write_image(
+        &self,
+        offset: u64,
+        image: &Arc<Vec<u8>>,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .write_image(offset, image, now)
     }
 
     /// Device capacity.

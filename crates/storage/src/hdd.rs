@@ -20,6 +20,7 @@ use crate::clock::{SimDuration, SimTime};
 use crate::device::{BlockDevice, DeviceStats, IoCompletion, IoError};
 use crate::store::SparseStore;
 use dam_stats::rng::Rng;
+use std::sync::Arc;
 
 /// Expected value of `√(|u−v|)` for `u, v` uniform on `[0, 1]` — the mean
 /// normalized seek distance factor under random access.
@@ -192,6 +193,20 @@ impl HddDevice {
         self.next_free = complete;
         IoCompletion { start, complete }
     }
+
+    /// Check, time and count one IO; the caller moves its bytes.
+    fn serve_io(
+        &mut self,
+        is_write: bool,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        self.check_range(offset, len)?;
+        let c = self.do_io(offset, len, now);
+        self.stats.record(is_write, len, c.latency());
+        Ok(c)
+    }
 }
 
 impl BlockDevice for HddDevice {
@@ -200,7 +215,7 @@ impl BlockDevice for HddDevice {
     }
 
     fn read(&mut self, offset: u64, buf: &mut [u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        let c = self.read_discard(offset, buf.len() as u64, now)?;
+        let c = self.serve_io(false, offset, buf.len() as u64, now)?;
         self.store.read(offset, buf);
         Ok(c)
     }
@@ -211,17 +226,33 @@ impl BlockDevice for HddDevice {
         len: u64,
         now: SimTime,
     ) -> Result<IoCompletion, IoError> {
-        self.check_range(offset, len)?;
-        let c = self.do_io(offset, len, now);
-        self.stats.record(false, len, c.latency());
-        Ok(c)
+        self.serve_io(false, offset, len, now)
+    }
+
+    fn read_image(
+        &mut self,
+        offset: u64,
+        len: usize,
+        now: SimTime,
+    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
+        let c = self.serve_io(false, offset, len as u64, now)?;
+        Ok((self.store.read_image(offset, len), c))
     }
 
     fn write(&mut self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        self.check_range(offset, data.len() as u64)?;
+        let c = self.serve_io(true, offset, data.len() as u64, now)?;
         self.store.write(offset, data);
-        let c = self.do_io(offset, data.len() as u64, now);
-        self.stats.record(true, data.len() as u64, c.latency());
+        Ok(c)
+    }
+
+    fn write_image(
+        &mut self,
+        offset: u64,
+        image: &Arc<Vec<u8>>,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        let c = self.serve_io(true, offset, image.len() as u64, now)?;
+        self.store.write_image(offset, image);
         Ok(c)
     }
 

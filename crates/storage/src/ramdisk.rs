@@ -7,6 +7,7 @@
 use crate::clock::{SimDuration, SimTime};
 use crate::device::{BlockDevice, DeviceStats, IoCompletion, IoError};
 use crate::store::SparseStore;
+use std::sync::Arc;
 
 /// In-memory device with fixed per-IO latency.
 pub struct RamDisk {
@@ -43,6 +44,23 @@ impl RamDisk {
         self.next_free = complete;
         IoCompletion { start, complete }
     }
+
+    /// Check, time and count one IO; the caller moves its bytes.
+    fn serve_io(
+        &mut self,
+        is_write: bool,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        self.check_range(offset, len)?;
+        if self.faulted {
+            return Err(IoError::Faulted);
+        }
+        let c = self.service(now);
+        self.stats.record(is_write, len, c.latency());
+        Ok(c)
+    }
 }
 
 impl BlockDevice for RamDisk {
@@ -51,7 +69,7 @@ impl BlockDevice for RamDisk {
     }
 
     fn read(&mut self, offset: u64, buf: &mut [u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        let c = self.read_discard(offset, buf.len() as u64, now)?;
+        let c = self.serve_io(false, offset, buf.len() as u64, now)?;
         self.store.read(offset, buf);
         Ok(c)
     }
@@ -62,23 +80,33 @@ impl BlockDevice for RamDisk {
         len: u64,
         now: SimTime,
     ) -> Result<IoCompletion, IoError> {
-        self.check_range(offset, len)?;
-        if self.faulted {
-            return Err(IoError::Faulted);
-        }
-        let c = self.service(now);
-        self.stats.record(false, len, c.latency());
-        Ok(c)
+        self.serve_io(false, offset, len, now)
+    }
+
+    fn read_image(
+        &mut self,
+        offset: u64,
+        len: usize,
+        now: SimTime,
+    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
+        let c = self.serve_io(false, offset, len as u64, now)?;
+        Ok((self.store.read_image(offset, len), c))
     }
 
     fn write(&mut self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        self.check_range(offset, data.len() as u64)?;
-        if self.faulted {
-            return Err(IoError::Faulted);
-        }
+        let c = self.serve_io(true, offset, data.len() as u64, now)?;
         self.store.write(offset, data);
-        let c = self.service(now);
-        self.stats.record(true, data.len() as u64, c.latency());
+        Ok(c)
+    }
+
+    fn write_image(
+        &mut self,
+        offset: u64,
+        image: &Arc<Vec<u8>>,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        let c = self.serve_io(true, offset, image.len() as u64, now)?;
+        self.store.write_image(offset, image);
         Ok(c)
     }
 

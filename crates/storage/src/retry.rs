@@ -86,11 +86,11 @@ impl<D: BlockDevice> RetryingDevice<D> {
     }
 
     /// Run `io` (an attempt closure) under the retry policy.
-    fn with_retries(
+    fn with_retries<T>(
         &mut self,
         now: SimTime,
-        mut io: impl FnMut(&mut D, SimTime) -> Result<IoCompletion, IoError>,
-    ) -> Result<IoCompletion, IoError> {
+        mut io: impl FnMut(&mut D, SimTime) -> Result<T, IoError>,
+    ) -> Result<T, IoError> {
         let mut at = now;
         let mut attempt = 0u32;
         loop {
@@ -147,8 +147,26 @@ impl<D: BlockDevice> BlockDevice for RetryingDevice<D> {
         self.with_retries(now, |d, at| d.read(offset, buf, at))
     }
 
+    fn read_image(
+        &mut self,
+        offset: u64,
+        len: usize,
+        now: SimTime,
+    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
+        self.with_retries(now, |d, at| d.read_image(offset, len, at))
+    }
+
     fn write(&mut self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError> {
         self.with_retries(now, |d, at| d.write(offset, data, at))
+    }
+
+    fn write_image(
+        &mut self,
+        offset: u64,
+        image: &Arc<Vec<u8>>,
+        now: SimTime,
+    ) -> Result<IoCompletion, IoError> {
+        self.with_retries(now, |d, at| d.write_image(offset, image, at))
     }
 
     fn stats(&self) -> DeviceStats {

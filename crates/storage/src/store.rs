@@ -4,12 +4,24 @@
 //! fraction; a page-granular hash map keeps memory proportional to the bytes
 //! actually written. Unwritten regions read back as zeroes, like a fresh
 //! drive, so writing zeros to them materializes nothing.
+//!
+//! A whole-object write can also hand the store a shared image
+//! ([`SparseStore::write_image`]). An image that starts and ends on a page
+//! boundary is kept as an *extent*, the `Arc` itself, instead of being
+//! copied into pages, and a read of exactly that object
+//! ([`SparseStore::read_image`]) returns the same `Arc`. Each byte is served
+//! by at most one of the two maps: extents never overlap one another, and no
+//! page lies inside an extent. Images are never mutated. A write over part
+//! of an extent copies the extent's bytes outside the write into pages and
+//! drops the extent; the bytes the write covers are never copied.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 12;
 /// Allocation granularity of the sparse store (4 KiB).
 pub const STORE_PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+const PAGE_MASK: u64 = STORE_PAGE_BYTES as u64 - 1;
 
 /// Whether every byte of `bytes` is zero. An OR over all of them, with no
 /// early exit: the loop vectorizes, where a short-circuiting scan goes a
@@ -23,34 +35,143 @@ fn all_zero(bytes: &[u8]) -> bool {
 #[derive(Debug, Default)]
 pub struct SparseStore {
     pages: HashMap<u64, Box<[u8; STORE_PAGE_BYTES]>>,
+    /// Shared images by start offset (see the module docs).
+    extents: BTreeMap<u64, Arc<Vec<u8>>>,
 }
 
 impl SparseStore {
     /// New empty store.
     pub fn new() -> Self {
-        SparseStore {
-            pages: HashMap::new(),
-        }
+        SparseStore::default()
     }
 
-    /// Number of 4 KiB pages currently materialized.
+    /// Number of 4 KiB pages currently materialized (extents not counted).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
 
-    /// Resident memory in bytes (data only).
+    /// Resident memory in bytes (data only): pages plus extents.
     pub fn resident_bytes(&self) -> usize {
-        self.pages.len() * STORE_PAGE_BYTES
+        self.pages.len() * STORE_PAGE_BYTES + self.extents.values().map(|i| i.len()).sum::<usize>()
     }
 
     /// Copy `buf.len()` bytes starting at `offset` into `buf`. Unwritten
     /// regions yield zeroes.
     pub fn read(&self, offset: u64, buf: &mut [u8]) {
+        let end = offset + buf.len() as u64;
+        let mut pos = offset;
+        for (&start, image) in self.extents_overlapping(offset, end) {
+            if start > pos {
+                self.read_pages(
+                    pos,
+                    &mut buf[(pos - offset) as usize..(start - offset) as usize],
+                );
+                pos = start;
+            }
+            let upto = (start + image.len() as u64).min(end);
+            buf[(pos - offset) as usize..(upto - offset) as usize]
+                .copy_from_slice(&image[(pos - start) as usize..(upto - start) as usize]);
+            pos = upto;
+        }
+        if pos < end {
+            self.read_pages(pos, &mut buf[(pos - offset) as usize..]);
+        }
+    }
+
+    /// The `len` bytes at `offset` as a shared image: the stored `Arc` when
+    /// an extent is exactly that range, otherwise a fresh copy.
+    pub fn read_image(&self, offset: u64, len: usize) -> Arc<Vec<u8>> {
+        if let Some(image) = self.extents.get(&offset) {
+            if image.len() == len {
+                return image.clone();
+            }
+        }
+        let mut buf = vec![0u8; len];
+        self.read(offset, &mut buf);
+        Arc::new(buf)
+    }
+
+    /// Write `data` starting at `offset`, materializing pages as needed.
+    pub fn write(&mut self, offset: u64, data: &[u8]) {
+        self.evict_extents(offset, offset + data.len() as u64);
+        self.write_pages(offset, data);
+    }
+
+    /// Write `image` at `offset`, keeping the image itself as an extent
+    /// when it starts and ends on a page boundary; any other image is
+    /// copied as by [`SparseStore::write`].
+    pub fn write_image(&mut self, offset: u64, image: &Arc<Vec<u8>>) {
+        let len = image.len() as u64;
+        if len == 0 || (offset | len) & PAGE_MASK != 0 {
+            return self.write(offset, image);
+        }
+        if let Some(old) = self.extents.get_mut(&offset) {
+            if old.len() == image.len() {
+                *old = image.clone();
+                return;
+            }
+        }
+        let end = offset + len;
+        self.evict_extents(offset, end);
+        if !self.pages.is_empty() {
+            for page_no in offset >> PAGE_SHIFT..end >> PAGE_SHIFT {
+                self.pages.remove(&page_no);
+            }
+        }
+        self.extents.insert(offset, image.clone());
+    }
+
+    /// Drop all contents.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+        self.extents.clear();
+    }
+
+    /// Extents that share a byte with `[offset, end)`, in offset order.
+    fn extents_overlapping(
+        &self,
+        offset: u64,
+        end: u64,
+    ) -> impl Iterator<Item = (&u64, &Arc<Vec<u8>>)> {
+        // Extents are disjoint, so at most one starts before `offset` and
+        // reaches into the range.
+        let straddling = self
+            .extents
+            .range(..offset)
+            .next_back()
+            .filter(|(&start, image)| start + image.len() as u64 > offset);
+        straddling
+            .into_iter()
+            .chain(self.extents.range(offset..end))
+    }
+
+    /// Drop every extent that shares a byte with `[offset, end)`, first
+    /// copying its bytes outside that range into pages. The bytes inside
+    /// are about to be overwritten, so they are not copied.
+    fn evict_extents(&mut self, offset: u64, end: u64) {
+        let starts: Vec<u64> = self
+            .extents_overlapping(offset, end)
+            .map(|(&start, _)| start)
+            .collect();
+        for start in starts {
+            let image = self.extents.remove(&start).expect("listed above");
+            if start < offset {
+                self.write_pages(start, &image[..(offset - start) as usize]);
+            }
+            let image_end = start + image.len() as u64;
+            if image_end > end {
+                self.write_pages(end, &image[(end - start) as usize..]);
+            }
+        }
+    }
+
+    /// [`SparseStore::read`] over a range that no extent touches.
+    fn read_pages(&self, offset: u64, buf: &mut [u8]) {
         let mut done = 0usize;
         while done < buf.len() {
             let pos = offset + done as u64;
             let page_no = pos >> PAGE_SHIFT;
-            let in_page = (pos & (STORE_PAGE_BYTES as u64 - 1)) as usize;
+            let in_page = (pos & PAGE_MASK) as usize;
             let chunk = (STORE_PAGE_BYTES - in_page).min(buf.len() - done);
             match self.pages.get(&page_no) {
                 Some(page) => {
@@ -62,13 +183,13 @@ impl SparseStore {
         }
     }
 
-    /// Write `data` starting at `offset`, materializing pages as needed.
-    pub fn write(&mut self, offset: u64, data: &[u8]) {
+    /// [`SparseStore::write`] over a range that no extent touches.
+    fn write_pages(&mut self, offset: u64, data: &[u8]) {
         let mut done = 0usize;
         while done < data.len() {
             let pos = offset + done as u64;
             let page_no = pos >> PAGE_SHIFT;
-            let in_page = (pos & (STORE_PAGE_BYTES as u64 - 1)) as usize;
+            let in_page = (pos & PAGE_MASK) as usize;
             let chunk = (STORE_PAGE_BYTES - in_page).min(data.len() - done);
             let src = &data[done..done + chunk];
             match self.pages.get_mut(&page_no) {
@@ -84,11 +205,6 @@ impl SparseStore {
             }
             done += chunk;
         }
-    }
-
-    /// Drop all contents.
-    pub fn clear(&mut self) {
-        self.pages.clear();
     }
 }
 
