@@ -5,12 +5,17 @@
 //!
 //! A render function runs its regenerator from [`crate::experiments`] and
 //! lays the rows out with [`crate::table`]; the regenerators and their row
-//! types stay public for callers that want the numbers, not the text.
+//! types stay public for callers that want the numbers, not the text. The
+//! layout is a public `<name>_text` function of the rows, so a caller that
+//! already holds them (the golden gate in `tests/experiments_smoke.rs`)
+//! renders the same text without running the regenerator again.
 
 use crate::experiments::{
     aging, cache_skew, corollary_optima, fig1_and_table1, fig2, fig3, lemma1, lemma13,
     lsm_sstable_size, oltp_olap, serve_sweep, table2, table3, thm9_ablation, wod_comparison,
-    write_amp,
+    write_amp, AffineFitRow, AgingRow, Lemma13Row, Lemma1Row, LsmSizePoint, NodeSizePoint,
+    OltpOlapRow, OptimaRow, ServeSweepRow, SkewRow, SsdScalingRow, Table3Result, Thm9Row, WodRow,
+    WriteAmpRow,
 };
 use crate::sweep::describe_jobs;
 use crate::table::{self, fmt_bytes};
@@ -106,11 +111,15 @@ pub const EXPERIMENTS: &[Experiment] = &[
 /// for p = 1..64 closed-loop reader threads.
 fn render_fig1(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    fig1_text(scale, &fig1_and_table1(scale))
+}
+
+/// The text of `render_fig1`, laid out from rows already computed.
+pub fn fig1_text(scale: &Scale, rows: &[SsdScalingRow]) -> String {
     let mut out = format!(
         "Figure 1 — closed-loop random 64 KiB reads, {} IOs per thread\n\n",
         scale.fig1_ios_per_client
     );
-    let rows = fig1_and_table1(scale);
     let threads: Vec<usize> = rows[0].series.iter().map(|&(p, _)| p).collect();
     let mut headers: Vec<String> = vec!["Device".to_string()];
     headers.extend(threads.iter().map(|p| format!("p={p}")));
@@ -135,9 +144,13 @@ fn render_fig1(scale: &Scale) -> String {
 /// each device's parallelism P, saturation throughput (∝ PB), and R².
 fn render_table1(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    table1_text(&fig1_and_table1(scale))
+}
+
+/// The text of `render_table1`, laid out from rows already computed.
+pub fn table1_text(rows: &[SsdScalingRow]) -> String {
     let mut out =
         "Table 1 — experimentally derived PDAM values (simulated devices)\n\n".to_string();
-    let rows = fig1_and_table1(scale);
     let paper = [(3.3, 530.0), (5.5, 2500.0), (2.9, 260.0), (4.6, 520.0)];
     let data: Vec<Vec<String>> = rows
         .iter()
@@ -174,11 +187,15 @@ fn render_table1(scale: &Scale) -> String {
 /// 16 MiB; linear regression yields s, t, and alpha per HDD.
 fn render_table2(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    table2_text(scale, &table2(scale))
+}
+
+/// The text of `render_table2`, laid out from rows already computed.
+pub fn table2_text(scale: &Scale, rows: &[AffineFitRow]) -> String {
     let mut out = format!(
         "Table 2 — experimentally derived alpha values ({} reads per IO size, 4 KiB..16 MiB)\n\n",
         scale.table2_reads
     );
-    let rows = table2(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -213,7 +230,11 @@ fn render_table2(scale: &Scale) -> String {
 /// B-tree and Bε-tree operations as the node size grows.
 fn render_table3(_scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
-    let r = table3();
+    table3_text(&table3())
+}
+
+/// The text of `render_table3`, laid out from rows already computed.
+pub fn table3_text(r: &Table3Result) -> String {
     let mut out = format!(
         "Table 3 — affine cost per operation vs node size (α = {:.2e}/byte, testbed disk)\n\n",
         r.alpha_per_byte
@@ -275,13 +296,17 @@ fn render_table3(_scale: &Scale) -> String {
 /// model's fitted prediction.
 fn render_fig2(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    fig2_text(scale, &fig2(scale))
+}
+
+/// The text of `render_fig2`, laid out from rows already computed.
+pub fn fig2_text(scale: &Scale, rows: &[NodeSizePoint]) -> String {
     let mut out = format!(
         "Figure 2 — B-tree ms/op vs node size ({} keys, {} cache, {} ops/phase)\n\n",
         scale.n_keys,
         fmt_bytes(scale.cache_bytes as f64),
         scale.ops
     );
-    let rows = fig2(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|p| {
@@ -318,13 +343,17 @@ fn render_fig2(scale: &Scale) -> String {
 /// as a function of node size, on the simulated testbed HDD.
 fn render_fig3(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    fig3_text(scale, &fig3(scale))
+}
+
+/// The text of `render_fig3`, laid out from rows already computed.
+pub fn fig3_text(scale: &Scale, rows: &[NodeSizePoint]) -> String {
     let mut out = format!(
         "Figure 3 — Bε-tree (F=√B) ms/op vs node size ({} keys, {} cache, {} ops/phase)\n\n",
         scale.n_keys,
         fmt_bytes(scale.cache_bytes as f64),
         scale.ops
     );
-    let rows = fig3(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|p| {
@@ -366,8 +395,12 @@ fn render_fig3(scale: &Scale) -> String {
 /// both directions, on representative IO traces.
 fn render_lemma1(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    lemma1_text(&lemma1(scale))
+}
+
+/// The text of `render_lemma1`, laid out from rows already computed.
+pub fn lemma1_text(rows: &[Lemma1Row]) -> String {
     let mut out = "Lemma 1 — DAM (B = 1/α) vs affine cost on IO traces\n\n".to_string();
-    let rows = lemma1(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -404,9 +437,13 @@ fn render_lemma1(scale: &Scale) -> String {
 /// segment) Bε-tree at the same large node size.
 fn render_thm9(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    thm9_text(&thm9_ablation(scale))
+}
+
+/// The text of `render_thm9`, laid out from rows already computed.
+pub fn thm9_text(rows: &[Thm9Row]) -> String {
     let mut out =
         "Theorem 9 — standard vs optimized Bε-tree (1 MiB nodes, testbed HDD)\n\n".to_string();
-    let rows = thm9_ablation(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -437,11 +474,15 @@ fn render_thm9(scale: &Scale) -> String {
 /// number of concurrent clients varies.
 fn render_lemma13(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    lemma13_text(scale, &lemma13(scale))
+}
+
+/// The text of `render_lemma13`, laid out from rows already computed.
+pub fn lemma13_text(scale: &Scale, rows: &[Lemma13Row]) -> String {
     let mut out = format!(
         "Lemma 13 — queries per time step, P = 8, PB nodes vs B nodes ({} steps)\n\n",
         scale.lemma13_steps
     );
-    let rows = lemma13(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -473,9 +514,13 @@ fn render_lemma13(scale: &Scale) -> String {
 /// Corollaries 6, 7, 11, 12: tuned node sizes and fanouts for every
 /// Table 2 disk.
 fn render_optima(_scale: &Scale) -> String {
+    optima_text(&corollary_optima())
+}
+
+/// The text of `render_optima`, laid out from rows already computed.
+pub fn optima_text(rows: &[OptimaRow]) -> String {
     let mut out =
         "Corollary optima — tuned parameters per disk (2e9 keys, 116 B entries)\n\n".to_string();
-    let rows = corollary_optima();
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -510,9 +555,13 @@ fn render_optima(_scale: &Scale) -> String {
 /// amplification of random inserts.
 fn render_writeamp(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    writeamp_text(&write_amp(scale))
+}
+
+/// The text of `render_writeamp`, laid out from rows already computed.
+pub fn writeamp_text(rows: &[WriteAmpRow]) -> String {
     let mut out =
         "Write amplification — random inserts, 256 KiB nodes, testbed HDD\n\n".to_string();
-    let rows = write_amp(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -537,12 +586,16 @@ fn render_writeamp(scale: &Scale) -> String {
 /// watch the affine model's answer appear.
 fn render_lsm(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    lsm_text(scale, &lsm_sstable_size(scale))
+}
+
+/// The text of `render_lsm`, laid out from rows already computed.
+pub fn lsm_text(scale: &Scale, rows: &[LsmSizePoint]) -> String {
     let mut out = format!(
         "LSM SSTable-size sweep — testbed HDD, {} keys, {} cache\n\n",
         scale.n_keys,
         fmt_bytes(scale.cache_bytes as f64)
     );
-    let rows = lsm_sstable_size(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|p| {
@@ -570,11 +623,15 @@ fn render_lsm(scale: &Scale) -> String {
 /// dictionaries (standard/optimized Bε-tree, LSM-tree) on one device and
 /// workload.
 fn render_wod(scale: &Scale) -> String {
+    wod_text(scale, &wod_comparison(scale))
+}
+
+/// The text of `render_wod`, laid out from rows already computed.
+pub fn wod_text(scale: &Scale, rows: &[WodRow]) -> String {
     let mut out = format!(
         "Write-optimized dictionary comparison — testbed HDD, {} keys\n\n",
         scale.n_keys
     );
-    let rows = wod_comparison(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -601,8 +658,12 @@ fn render_wod(scale: &Scale) -> String {
 /// disk, and range-query performance degrades. This is borne out in
 /// practice." Fresh vs aged B-tree, same content, same device.
 fn render_aging(scale: &Scale) -> String {
+    aging_text(&aging(scale))
+}
+
+/// The text of `render_aging`, laid out from rows already computed.
+pub fn aging_text(rows: &[AgingRow]) -> String {
     let mut out = "B-tree aging — full-scan bandwidth, 64 KiB nodes, testbed HDD\n\n".to_string();
-    let rows = aging(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -631,8 +692,12 @@ fn render_aging(scale: &Scale) -> String {
 /// small leaves (16 KiB) and OLAP systems use large ones (~1 MB).
 fn render_oltp_olap(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    oltp_olap_text(&oltp_olap(scale))
+}
+
+/// The text of `render_oltp_olap`, laid out from rows already computed.
+pub fn oltp_olap_text(rows: &[OltpOlapRow]) -> String {
     let mut out = "OLTP vs OLAP — B-tree node-size sweep on the testbed HDD\n\n".to_string();
-    let rows = oltp_olap(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -703,9 +768,13 @@ fn render_asymmetry(_scale: &Scale) -> String {
 /// speed — the `log(N/M)` term in every dictionary bound, measured.
 fn render_cache_skew(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    cache_skew_text(&cache_skew(scale))
+}
+
+/// The text of `render_cache_skew`, laid out from rows already computed.
+pub fn cache_skew_text(rows: &[SkewRow]) -> String {
     let mut out =
         "Access skew vs cache effectiveness — B-tree, 64 KiB nodes, testbed HDD\n\n".to_string();
-    let rows = cache_skew(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -735,9 +804,13 @@ fn render_cache_skew(scale: &Scale) -> String {
 /// column, not absolute values.
 fn render_serve_sweep(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
+    serve_sweep_text(&serve_sweep(scale))
+}
+
+/// The text of `render_serve_sweep`, laid out from rows already computed.
+pub fn serve_sweep_text(rows: &[ServeSweepRow]) -> String {
     let mut out =
         "Lemma 13 through real trees — ops per PDAM step, P = 8, S = 4 shards\n\n".to_string();
-    let rows = serve_sweep(scale);
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -1,17 +1,103 @@
 //! Experiment smoke tests: run every table/figure regenerator at a reduced
 //! scale and assert the *shape* properties the paper reports — who wins, by
 //! roughly what factor, where the knees and crossovers fall.
+//!
+//! They are also the behaviour gate. Each test lays its rows out as the
+//! text `damlab experiment <name>` prints and compares that text with the
+//! committed golden `tests/golden/<name>.txt`, so a change that moves any
+//! simulated number fails with a row diff even when every shape still
+//! holds. `DAM_BLESS=1 cargo test --test experiments_smoke` rewrites the
+//! goldens; a re-blessed row needs its reason in EXPERIMENTS.md.
 
-use dam_bench::experiments;
-use dam_bench::Scale;
+use dam_bench::registry::{self, EXPERIMENTS};
+use dam_bench::{experiments, Scale};
+use std::path::PathBuf;
 
 fn scale() -> Scale {
     Scale::smoke()
 }
 
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.txt"))
+}
+
+/// Compare `text`, the render of registry entry `name`, with its golden
+/// file, or rewrite the file when `DAM_BLESS=1`.
+fn golden(name: &str, text: &str) {
+    assert!(
+        EXPERIMENTS.iter().any(|e| e.name == name),
+        "{name} is not a registry entry"
+    );
+    let path = golden_path(name);
+    if std::env::var_os("DAM_BLESS").is_some_and(|v| v == "1") {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
+        std::fs::write(&path, text).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e} (DAM_BLESS=1 writes it from this build)",
+            path.display()
+        )
+    });
+    if want != text {
+        panic!(
+            "{name} differs from {} (- golden, + this build):\n{}",
+            path.display(),
+            row_diff(&want, text)
+        );
+    }
+}
+
+/// The lines where `want` and `got` differ, numbered from 1.
+fn row_diff(want: &str, got: &str) -> String {
+    let (w, g): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
+    let mut out = String::new();
+    for i in 0..w.len().max(g.len()) {
+        let (a, b) = (w.get(i), g.get(i));
+        if a != b {
+            out.push_str(&format!("line {}:\n", i + 1));
+            if let Some(a) = a {
+                out.push_str(&format!("- {a}\n"));
+            }
+            if let Some(b) = b {
+                out.push_str(&format!("+ {b}\n"));
+            }
+        }
+    }
+    if out.is_empty() {
+        out.push_str("(the texts differ only in line endings)\n");
+    }
+    out
+}
+
+#[test]
+fn every_registry_entry_has_a_golden() {
+    for e in EXPERIMENTS {
+        assert!(
+            golden_path(e.name).exists(),
+            "no golden for {} (DAM_BLESS=1 writes it)",
+            e.name
+        );
+    }
+}
+
+/// The two entries no shape test below computes rows for.
+#[test]
+fn remaining_renders_match_their_goldens() {
+    let s = scale();
+    for name in ["asymmetry", "serve-sweep"] {
+        let e = EXPERIMENTS.iter().find(|e| e.name == name).expect(name);
+        golden(name, &(e.render)(&s));
+    }
+}
+
 #[test]
 fn table1_fits_land_near_paper_values() {
     let rows = experiments::fig1_and_table1(&scale());
+    golden("table1", &registry::table1_text(&rows));
     let paper = [(3.3, 530.0), (5.5, 2500.0), (2.9, 260.0), (4.6, 520.0)];
     for (row, (p, sat)) in rows.iter().zip(paper) {
         assert!(
@@ -32,7 +118,9 @@ fn table1_fits_land_near_paper_values() {
 
 #[test]
 fn fig1_series_flat_then_linear() {
-    let rows = experiments::fig1_and_table1(&scale());
+    let s = scale();
+    let rows = experiments::fig1_and_table1(&s);
+    golden("fig1", &registry::fig1_text(&s, &rows));
     for row in rows {
         let t = |p: usize| row.series.iter().find(|&&(x, _)| x == p).unwrap().1;
         // Flat start: doubling 1 → 2 threads costs < 25% more time.
@@ -54,7 +142,9 @@ fn fig1_series_flat_then_linear() {
 
 #[test]
 fn table2_fits_match_paper_alphas() {
-    let rows = experiments::table2(&scale());
+    let s = scale();
+    let rows = experiments::table2(&s);
+    golden("table2", &registry::table2_text(&s, &rows));
     for row in rows {
         assert!(
             (row.alpha - row.paper_alpha).abs() / row.paper_alpha < 0.25,
@@ -70,6 +160,7 @@ fn table2_fits_match_paper_alphas() {
 #[test]
 fn table3_btree_most_sensitive() {
     let r = experiments::table3();
+    golden("table3", &registry::table3_text(&r));
     assert!(r.summary.btree_growth > 3.0 * r.summary.betree_insert_growth);
     assert!(r.summary.btree_growth > 3.0 * r.summary.betree_query_growth);
     // The optimized Bε query barely grows (or shrinks) with node size.
@@ -81,6 +172,8 @@ fn fig2_and_fig3_sensitivity_contrast() {
     let s = scale();
     let fig2 = experiments::fig2(&s);
     let fig3 = experiments::fig3(&s);
+    golden("fig2", &registry::fig2_text(&s, &fig2));
+    golden("fig3", &registry::fig3_text(&s, &fig3));
     // B-tree: cost at the largest node size is several times the minimum.
     let b_min = fig2
         .iter()
@@ -114,7 +207,9 @@ fn fig2_and_fig3_sensitivity_contrast() {
 
 #[test]
 fn lemma1_bound_holds_everywhere() {
-    for row in experiments::lemma1(&scale()) {
+    let rows = experiments::lemma1(&scale());
+    golden("lemma1", &registry::lemma1_text(&rows));
+    for row in rows {
         assert!(row.holds, "{}: factor {}", row.trace, row.error_factor);
         assert!((0.5..=2.0).contains(&row.error_factor), "{}", row.trace);
     }
@@ -123,6 +218,7 @@ fn lemma1_bound_holds_everywhere() {
 #[test]
 fn thm9_optimized_wins_queries_without_losing_inserts() {
     let rows = experiments::thm9_ablation(&scale());
+    golden("thm9", &registry::thm9_text(&rows));
     let std_row = &rows[0];
     let opt_row = &rows[1];
     assert!(
@@ -143,7 +239,9 @@ fn thm9_optimized_wins_queries_without_losing_inserts() {
 
 #[test]
 fn lemma13_veb_adapts_across_client_counts() {
-    let rows = experiments::lemma13(&scale());
+    let s = scale();
+    let rows = experiments::lemma13(&s);
+    golden("lemma13", &registry::lemma13_text(&s, &rows));
     // Throughput rises with k for the vEB design.
     for w in rows.windows(2) {
         assert!(w[1].fat_veb > w[0].fat_veb);
@@ -173,7 +271,9 @@ fn lemma13_veb_adapts_across_client_counts() {
 
 #[test]
 fn corollary_optima_are_ordered() {
-    for row in experiments::corollary_optima() {
+    let rows = experiments::corollary_optima();
+    golden("optima", &registry::optima_text(&rows));
+    for row in rows {
         assert!(row.btree_point < row.half_bandwidth, "{}", row.disk);
         assert!(row.betree_node > 10.0 * row.half_bandwidth, "{}", row.disk);
         assert!(row.insert_speedup > 3.0, "{}", row.disk);
@@ -183,6 +283,7 @@ fn corollary_optima_are_ordered() {
 #[test]
 fn write_amp_hierarchy() {
     let rows = experiments::write_amp(&scale());
+    golden("writeamp", &registry::writeamp_text(&rows));
     let btree = &rows[0];
     let betree = &rows[1];
     assert!(
@@ -205,7 +306,9 @@ fn experiments_are_deterministic() {
 
 #[test]
 fn lsm_sweep_shows_the_leveldb_story() {
-    let rows = experiments::lsm_sstable_size(&scale());
+    let s = scale();
+    let rows = experiments::lsm_sstable_size(&s);
+    golden("lsm", &registry::lsm_text(&s, &rows));
     let first = rows.first().unwrap();
     let last = rows.last().unwrap();
     // Inserts get much cheaper with bigger SSTables...
@@ -230,7 +333,9 @@ fn lsm_sweep_shows_the_leveldb_story() {
 
 #[test]
 fn wod_comparison_hierarchy() {
-    let rows = experiments::wod_comparison(&scale());
+    let s = scale();
+    let rows = experiments::wod_comparison(&s);
+    golden("wod", &registry::wod_text(&s, &rows));
     let btree = &rows[0];
     for wod in &rows[1..] {
         assert!(
@@ -253,6 +358,7 @@ fn wod_comparison_hierarchy() {
 #[test]
 fn aging_degrades_scans_not_points() {
     let rows = experiments::aging(&scale());
+    golden("aging", &registry::aging_text(&rows));
     let fresh = &rows[0];
     let aged = &rows[1];
     assert!(
@@ -269,6 +375,7 @@ fn aging_degrades_scans_not_points() {
 #[test]
 fn oltp_and_olap_optima_diverge() {
     let rows = experiments::oltp_olap(&scale());
+    golden("oltp-olap", &registry::oltp_olap_text(&rows));
     // Best node size for points...
     let best_point = rows
         .iter()
@@ -299,6 +406,7 @@ fn oltp_and_olap_optima_diverge() {
 #[test]
 fn skewed_queries_exploit_the_cache() {
     let rows = experiments::cache_skew(&scale());
+    golden("cache-skew", &registry::cache_skew_text(&rows));
     let uniform = &rows[0];
     let hot = rows.last().unwrap();
     assert!(
