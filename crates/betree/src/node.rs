@@ -1,8 +1,9 @@
-//! Standard Bε-tree node representation and on-disk format.
+//! The whole-node layout's node image: the standard Bε-tree node.
 //!
-//! An internal node carries, for each child, a buffer of pending messages
-//! sorted by `(key, seq)`; "the buffer is part of the node and is written to
-//! disk with the rest of the node" (§3).
+//! An internal node carries its pivots, its child ids and, for each child,
+//! a buffer of pending messages sorted by `(key, seq)`; "the buffer is part
+//! of the node and is written to disk with the rest of the node" (§3). A
+//! leaf is one sorted run of key-value pairs.
 
 use dam_kv::codec::{
     frame_into_slot, frame_payload, splice_in_place, unframe, CodecError, PairsView, Reader,
@@ -64,26 +65,10 @@ impl BeNode {
     /// no `Delete` is buffered.
     pub fn serialized_size(&self) -> usize {
         match self {
-            BeNode::Leaf { entries } => {
-                NODE_HEADER_BYTES
-                    + entries
-                        .iter()
-                        .map(|(k, v)| LEAF_ENTRY_OVERHEAD + k.len() + v.len())
-                        .sum::<usize>()
-            }
+            BeNode::Leaf { entries } => leaf_size(entries),
             BeNode::Internal {
-                pivots,
-                children,
-                buffers,
-            } => {
-                NODE_HEADER_BYTES
-                    + pivots.iter().map(|p| 4 + p.len()).sum::<usize>()
-                    + children.len() * 8
-                    + buffers
-                        .iter()
-                        .map(|b| 4 + b.iter().map(Message::footprint).sum::<usize>())
-                        .sum::<usize>()
-            }
+                pivots, buffers, ..
+            } => internal_size(pivots, buffers.iter().map(Vec::as_slice)),
         }
     }
 
@@ -109,45 +94,24 @@ impl BeNode {
     /// Serialize into a checksummed frame, padded with zeros to exactly
     /// `node_bytes`.
     pub fn encode(&self, node_bytes: usize) -> Vec<u8> {
-        debug_assert!(
-            self.serialized_size() <= node_bytes,
-            "node of {} bytes exceeds slot of {}",
-            self.serialized_size(),
-            node_bytes
-        );
-        let mut w = Writer::with_capacity(node_bytes - FRAME_OVERHEAD);
         match self {
-            BeNode::Leaf { entries } => {
-                w.put_u8(TAG_LEAF);
-                w.put_u32(entries.len() as u32);
-                for (k, v) in entries {
-                    w.put_bytes(k);
-                    w.put_bytes(v);
-                }
-            }
+            BeNode::Leaf { entries } => encode_leaf(entries, node_bytes),
             BeNode::Internal {
                 pivots,
                 children,
                 buffers,
             } => {
-                w.put_u8(TAG_INTERNAL);
-                w.put_u32(pivots.len() as u32);
-                for p in pivots {
-                    w.put_bytes(p);
-                }
-                for &c in children {
-                    w.put_u64(c);
-                }
                 debug_assert_eq!(buffers.len(), children.len());
-                for buf in buffers {
-                    w.put_u32(buf.len() as u32);
-                    for m in buf {
-                        m.encode(&mut w);
-                    }
-                }
+                encode_internal(
+                    pivots,
+                    children
+                        .iter()
+                        .copied()
+                        .zip(buffers.iter().map(Vec::as_slice)),
+                    node_bytes,
+                )
             }
         }
-        frame_into_slot(&w.into_bytes(), node_bytes)
     }
 
     /// Deserialize a node image, verifying its frame checksum first.
@@ -155,6 +119,66 @@ impl BeNode {
         unframe(buf)?;
         Ok(BeNodeView::parse(buf)?.to_node())
     }
+}
+
+/// [`BeNode::serialized_size`] of a leaf holding `entries`.
+pub(crate) fn leaf_size(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
+    NODE_HEADER_BYTES
+        + entries
+            .iter()
+            .map(|(k, v)| LEAF_ENTRY_OVERHEAD + k.len() + v.len())
+            .sum::<usize>()
+}
+
+/// [`BeNode::serialized_size`] of an internal node with `pivots` and one
+/// child per buffer.
+pub(crate) fn internal_size<'a>(
+    pivots: &[Vec<u8>],
+    buffers: impl ExactSizeIterator<Item = &'a [Message]>,
+) -> usize {
+    NODE_HEADER_BYTES
+        + pivots.iter().map(|p| 4 + p.len()).sum::<usize>()
+        + buffers
+            .map(|b| 8 + 4 + b.iter().map(Message::footprint).sum::<usize>())
+            .sum::<usize>()
+}
+
+/// The image of a leaf holding `entries`, padded to `node_bytes`.
+pub(crate) fn encode_leaf(entries: &[(Vec<u8>, Vec<u8>)], node_bytes: usize) -> Vec<u8> {
+    debug_assert!(leaf_size(entries) <= node_bytes, "leaf exceeds its slot");
+    let mut w = Writer::with_capacity(node_bytes - FRAME_OVERHEAD);
+    w.put_u8(TAG_LEAF);
+    w.put_u32(entries.len() as u32);
+    for (k, v) in entries {
+        w.put_bytes(k);
+        w.put_bytes(v);
+    }
+    frame_into_slot(&w.into_bytes(), node_bytes)
+}
+
+/// The image of an internal node with `pivots` and `(child id, buffer)`
+/// pairs in child order, padded to `node_bytes`.
+pub(crate) fn encode_internal<'a>(
+    pivots: &[Vec<u8>],
+    children: impl Iterator<Item = (NodeId, &'a [Message])> + Clone,
+    node_bytes: usize,
+) -> Vec<u8> {
+    let mut w = Writer::with_capacity(node_bytes - FRAME_OVERHEAD);
+    w.put_u8(TAG_INTERNAL);
+    w.put_u32(pivots.len() as u32);
+    for p in pivots {
+        w.put_bytes(p);
+    }
+    for (c, _) in children.clone() {
+        w.put_u64(c);
+    }
+    for (_, buf) in children {
+        w.put_u32(buf.len() as u32);
+        for m in buf {
+            m.encode(&mut w);
+        }
+    }
+    frame_into_slot(&w.into_bytes(), node_bytes)
 }
 
 /// A node image read in place: queries route, collect buffered messages
@@ -390,8 +414,8 @@ impl BufferEdit {
 }
 
 /// Apply `(key, seq)`-sorted messages over sorted entries in one merge pass;
-/// returns the change in live-key count. Shared by both tree variants'
-/// leaf-application paths.
+/// returns the change in live-key count. Used by flushes into leaves and
+/// by range queries over a leaf window.
 pub fn apply_msgs_to_entries(
     entries: &mut Vec<(Vec<u8>, Vec<u8>)>,
     msgs: &[Message],

@@ -1,133 +1,193 @@
-//! The standard Bε-tree: whole-node IOs, per-child buffers, flush-on-overflow.
+//! The Bε engine: one Bε-tree over either node layout.
+//!
+//! Inserts and deletes become sequenced messages. They enter the root's
+//! buffer, and when a node's buffers outgrow what its layout allows, a
+//! *flush* moves a child's messages one level down, cascading as needed;
+//! a node that no longer fits its slot splits. Queries walk a root-to-leaf
+//! path and replay the pending messages over the leaf value. Everything
+//! here is shared; the [`Layout`] decides where pivots live, how buffer
+//! budgets are counted, how many chunks a leaf holds and what one read
+//! fetches.
+//!
+//! # Fault contract
+//!
+//! A flush either aborts cleanly, leaving the subtree, its descriptor and
+//! the live-key count exactly as they were, or it *commits*: its writes
+//! landed in the cache (a write lands even when the device surfaces a
+//! fault) and any error is reported after the fact. Writes are ordered so
+//! that this holds: a split allocates every new slot before it writes
+//! anything, writes the new siblings, and rewrites its own node last.
+//! After a committed failure nothing more is flushed; a buffer the node
+//! can no longer hold moves up into the buffer above it, up to the root's
+//! buffer in memory, so no acknowledged message is ever dropped. An
+//! operation whose flush aborts cleanly is refused, and its message is
+//! taken back out of the root's buffer.
 
-use crate::node::{
-    buffer_insert, buffer_merge, BeNode, BeNodeView, BufferEdit, NodeId, LEAF_ENTRY_OVERHEAD,
-    NODE_HEADER_BYTES,
-};
-use dam_cache::{Page, Pager, Superblock, SuperblockIo};
-use dam_kv::codec::{unframe, CodecError};
-use dam_kv::msg::{replay, LastWriteWins, MergeOperator, Message, Operation};
+use crate::layout::{Body, Entries, Layout, Node, PartView, Segmented, WholeNode};
+use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge, NODE_HEADER_BYTES};
+use crate::segment::ChildDesc;
+use dam_cache::{Pager, PagerError};
+use dam_kv::msg::{replay, MergeOperator, Message, Operation};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
 use dam_obs::{Obs, PagedDict};
 use dam_storage::SharedDevice;
 
-/// Bytes reserved at device offset 0 for the superblock.
-pub const SUPERBLOCK_BYTES: u64 = 4096;
-const SUPERBLOCK: Superblock = Superblock {
-    magic: 0x4441_4D45, // "DAME"
-    version: 1,
-    label: "Be-tree superblock",
-    io: SuperblockIo::Slot,
-};
+/// The standard Bε-tree: whole-node IOs (see [`WholeNode`]).
+pub type BeTree = Engine<WholeNode>;
 
-/// Standard Bε-tree configuration.
-pub struct BeTreeConfig {
-    /// Node (and IO) size in bytes — the `B` of §6.
-    pub node_bytes: usize,
-    /// Target fanout `F` (`= B^ε` entries). TokuDB targets ~16; the `F = √B`
-    /// family is the paper's running example.
-    pub fanout: usize,
-    /// Buffer-pool budget in bytes.
-    pub cache_bytes: u64,
-    /// Fill fraction for bulk-loaded nodes.
-    pub bulk_fill: f64,
-    /// Upsert merge semantics.
-    pub merge: Box<dyn MergeOperator>,
-}
+/// The Theorem-9 Bε-tree: segment-granular queries (see [`Segmented`]).
+pub type OptBeTree = Engine<Segmented>;
 
-impl BeTreeConfig {
-    /// Config with explicit fanout and last-write-wins upserts.
-    pub fn new(node_bytes: usize, fanout: usize, cache_bytes: u64) -> Self {
-        BeTreeConfig {
-            node_bytes,
-            fanout,
-            cache_bytes,
-            bulk_fill: 0.85,
-            merge: Box::new(LastWriteWins),
-        }
-    }
+/// New right siblings from splits, `(separator, descriptor)`, for the
+/// caller to adopt.
+type Siblings = Vec<(Vec<u8>, ChildDesc)>;
 
-    /// The `ε = 1/2` configuration: `F = √(node_bytes / approx_entry_bytes)`.
-    pub fn sqrt_fanout(node_bytes: usize, approx_entry_bytes: usize, cache_bytes: u64) -> Self {
-        let entries = (node_bytes / approx_entry_bytes.max(1)).max(4);
-        Self::new(
-            node_bytes,
-            (entries as f64).sqrt().ceil() as usize,
-            cache_bytes,
-        )
-    }
-}
-
-fn corrupt_node(id: NodeId, e: CodecError) -> KvError {
-    KvError::Corrupt(format!("node {id}: {e}"))
-}
-
-/// View a page read by [`BeTree::read_page`].
-fn parse_node(id: NodeId, page: &Page) -> Result<BeNodeView<'_>, KvError> {
-    BeNodeView::parse(page).map_err(|e| corrupt_node(id, e))
-}
-
-/// `(pivot, id)` pairs for new right siblings produced by a split.
-type Splits = Vec<(Vec<u8>, NodeId)>;
-
-/// A split that committed to cache: the siblings to adopt, plus any
-/// surfaced-but-absorbed write fault to report once consistent.
-type SplitOutcome = Result<(Splits, Option<KvError>), KvError>;
-
-/// A standard Bε-tree (see crate docs).
-pub struct BeTree {
+/// A Bε-tree whose nodes are laid out by `L` (see the module docs).
+pub struct Engine<L: Layout> {
     pager: Pager,
-    node_bytes: usize,
-    max_fanout: usize,
+    layout: L,
     merge: Box<dyn MergeOperator>,
-    root: NodeId,
+    /// The root's descriptor: its slot and, in a layout that keeps pivots
+    /// in the parent, its pivots and the buffer above it (held in memory
+    /// and written to the superblock).
+    root: ChildDesc,
     height: u32,
     /// Live keys at the leaves (pending messages not yet counted).
     count: u64,
     next_seq: u64,
+    /// The slot a root split set aside for the new root.
+    spare_root: Option<u64>,
     obs: Option<Obs>,
 }
 
-impl BeTree {
+/// Split `(key, seq)`-sorted messages into one group per part of a node
+/// routed by `pivots`.
+fn partition(msgs: Vec<Message>, pivots: &[Vec<u8>]) -> Vec<Vec<Message>> {
+    let mut groups: Vec<Vec<Message>> = (0..=pivots.len()).map(|_| Vec::new()).collect();
+    let mut j = 0usize;
+    for m in msgs {
+        while j < pivots.len() && pivots[j].as_slice() <= m.key.as_slice() {
+            j += 1;
+        }
+        groups[j].push(m);
+    }
+    groups
+}
+
+/// Insert the siblings a child at `at` split off right after it.
+fn adopt(node: &mut Node, at: usize, siblings: Siblings) {
+    let Body::Internal(kids) = &mut node.body else {
+        unreachable!("only internal nodes adopt")
+    };
+    for (off, (sep, desc)) in siblings.into_iter().enumerate() {
+        node.pivots.insert(at + off, sep);
+        kids.insert(at + 1 + off, desc);
+    }
+}
+
+fn in_range(key: &[u8], start: &[u8], end: &[u8]) -> bool {
+    key >= start && key < end
+}
+
+/// Cuts a sorted stream of pairs into leaf chunks of at most `target`
+/// bytes (a chunk holds at least one pair).
+struct Chunker {
+    target: usize,
+    cur: Entries,
+    bytes: usize,
+}
+
+impl Chunker {
+    fn new(target: usize) -> Self {
+        Chunker {
+            target,
+            cur: Vec::new(),
+            bytes: NODE_HEADER_BYTES,
+        }
+    }
+
+    /// Add a pair; returns the chunk it closed, if any.
+    fn push(&mut self, k: Vec<u8>, v: Vec<u8>) -> Option<Entries> {
+        let sz = 8 + k.len() + v.len();
+        let mut done = None;
+        if !self.cur.is_empty() && self.bytes + sz > self.target {
+            done = Some(std::mem::take(&mut self.cur));
+            self.bytes = NODE_HEADER_BYTES;
+        }
+        self.bytes += sz;
+        self.cur.push((k, v));
+        done
+    }
+
+    fn finish(self) -> Option<Entries> {
+        (!self.cur.is_empty()).then_some(self.cur)
+    }
+}
+
+impl<L: Layout> Engine<L> {
     /// Create an empty tree on `device`.
-    pub fn create(device: SharedDevice, cfg: BeTreeConfig) -> Result<Self, KvError> {
-        if cfg.node_bytes < NODE_HEADER_BYTES + 128 {
-            return Err(KvError::Config(format!(
-                "node_bytes {} too small",
-                cfg.node_bytes
-            )));
-        }
-        if cfg.fanout < 2 {
-            return Err(KvError::Config("fanout must be at least 2".into()));
-        }
-        if !(0.5..=1.0).contains(&cfg.bulk_fill) {
-            return Err(KvError::Config("bulk_fill must be in [0.5, 1.0]".into()));
-        }
-        let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let root = pager.alloc(cfg.node_bytes as u64)?;
-        let mut tree = BeTree {
+    pub fn create(device: SharedDevice, cfg: L::Config) -> Result<Self, KvError> {
+        let (layout, shell) = L::from_config(cfg)?;
+        Self::with_layout(device, layout, shell.cache_bytes, shell.merge)
+    }
+
+    fn with_layout(
+        device: SharedDevice,
+        layout: L,
+        cache_bytes: u64,
+        merge: Box<dyn MergeOperator>,
+    ) -> Result<Self, KvError> {
+        let mut pager = Pager::new(device, cache_bytes, layout.superblock_bytes());
+        let addr = pager.alloc(layout.node_bytes() as u64)?;
+        let mut tree = Engine {
             pager,
-            node_bytes: cfg.node_bytes,
-            max_fanout: (2 * cfg.fanout).max(4),
-            merge: cfg.merge,
-            root,
+            layout,
+            merge,
+            root: ChildDesc::new(addr, true),
             height: 1,
             count: 0,
             next_seq: 1,
+            spare_root: None,
             obs: None,
         };
-        tree.write_node(root, &BeNode::empty_leaf())?;
+        tree.layout
+            .write(&mut tree.pager, &mut tree.root, &Node::empty_leaf())?;
         Ok(tree)
     }
 
-    /// Node size in use.
-    pub fn node_bytes(&self) -> usize {
-        self.node_bytes
+    /// Reopen a tree previously [`Engine::persist`]ed on `device`. The
+    /// config's shape (node size and fanout) must match the device's; the
+    /// merge operator is taken from the config (it is code, not data).
+    pub fn open(device: SharedDevice, cfg: L::Config) -> Result<Self, KvError> {
+        let (layout, shell) = L::from_config(cfg)?;
+        let mut pager = Pager::new(device, shell.cache_bytes, layout.superblock_bytes());
+        let meta = L::SUPERBLOCK.read(&mut pager, |r| layout.get_meta(r))?;
+        Ok(Engine {
+            pager,
+            layout,
+            merge: shell.merge,
+            root: meta.root,
+            height: meta.height,
+            count: meta.count,
+            next_seq: meta.next_seq,
+            spare_root: None,
+            obs: None,
+        })
     }
 
-    /// Tree height in levels (leaves = 1).
+    /// Node slot size (`B`).
+    pub fn node_bytes(&self) -> usize {
+        self.layout.node_bytes()
+    }
+
+    /// Tree height in node levels (a lone leaf node = 1).
     pub fn height(&self) -> u32 {
         self.height
+    }
+
+    /// The layout's shape.
+    pub fn layout(&self) -> &L {
+        &self.layout
     }
 
     /// The pager (counters, flush, cache drops).
@@ -141,54 +201,26 @@ impl BeTree {
     }
 
     /// Checkpoint: flush dirty nodes, then durably write a superblock so
-    /// [`BeTree::open`] can reconstruct the tree on this device.
+    /// [`Engine::open`] can reconstruct the tree on this device. In the
+    /// segmented layout the superblock carries the root's descriptor,
+    /// buffered messages included.
     pub fn persist(&mut self) -> Result<(), KvError> {
+        if !L::PIVOTS_IN_PARENT && !self.root.msgs.is_empty() {
+            // The whole-node superblock has no room for a root buffer,
+            // which only a failed flush leaves behind: push it down first.
+            self.flush_root(&mut false)?;
+        }
         self.flush()?;
-        SUPERBLOCK.write(&mut self.pager, |w| {
-            w.put_u64(self.root);
-            w.put_u32(self.height);
-            w.put_u64(self.count);
-            w.put_u64(self.next_seq);
-            w.put_u64(self.node_bytes as u64);
-            w.put_u32(self.max_fanout as u32);
-        })
-    }
-
-    /// Reopen a tree previously [`BeTree::persist`]ed on `device`. The
-    /// config's node size and fanout must match the device's; the merge
-    /// operator is taken from the config (it is code, not data).
-    pub fn open(device: SharedDevice, cfg: BeTreeConfig) -> Result<Self, KvError> {
-        let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let max_fanout = (2 * cfg.fanout).max(4);
-        let (root, height, count, next_seq) = SUPERBLOCK.read(&mut pager, |r| {
-            let fields = (r.get_u64()?, r.get_u32()?, r.get_u64()?, r.get_u64()?);
-            let node_bytes = r.get_u64()?;
-            let stored_fanout = r.get_u32()? as usize;
-            if node_bytes != cfg.node_bytes as u64 || stored_fanout != max_fanout {
-                return Err(KvError::Config(format!(
-                    "shape mismatch: device has node_bytes={node_bytes}/max_fanout={stored_fanout}, \
-                     config says node_bytes={}/max_fanout={max_fanout}",
-                    cfg.node_bytes
-                )));
-            }
-            Ok(fields)
-        })?;
-        Ok(BeTree {
-            pager,
-            node_bytes: cfg.node_bytes,
-            max_fanout,
-            merge: cfg.merge,
-            root,
-            height,
-            count,
-            next_seq,
-            obs: None,
+        let (layout, root) = (&self.layout, &self.root);
+        let (height, count, next_seq) = (self.height, self.count, self.next_seq);
+        L::SUPERBLOCK.write(&mut self.pager, |w| {
+            layout.put_meta(w, root, height, count, next_seq)
         })
     }
 
     /// Attach an observability registry: query descents open per-level
-    /// `betree.level` spans, buffer flushes open `betree.drain` spans, and
-    /// every operation publishes the pager's cache counters.
+    /// `<layout>.level` spans, buffer flushes open `<layout>.drain` spans,
+    /// and every operation publishes the pager's cache counters.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = Some(obs);
     }
@@ -198,544 +230,6 @@ impl BeTree {
         self.pager.drop_cache().map_err(KvError::from)
     }
 
-    /// Node `id`'s image, its frame checksum checked once: when the bytes
-    /// come off the device, not on every cache hit.
-    fn read_page(&mut self, id: NodeId) -> Result<Page, KvError> {
-        let page = self.pager.read(id, self.node_bytes)?;
-        self.pager
-            .check_once(&page, |b| unframe(b).map(drop))
-            .map_err(|e| corrupt_node(id, e))?;
-        Ok(page)
-    }
-
-    fn read_node(&mut self, id: NodeId) -> Result<BeNode, KvError> {
-        let page = self.read_page(id)?;
-        Ok(parse_node(id, &page)?.to_node())
-    }
-
-    fn write_node(&mut self, id: NodeId, node: &BeNode) -> Result<(), KvError> {
-        if node.serialized_size() > self.node_bytes {
-            return Err(KvError::Config(format!(
-                "node image {} exceeds node_bytes {}",
-                node.serialized_size(),
-                self.node_bytes
-            )));
-        }
-        self.pager
-            .write(id, node.encode(self.node_bytes))
-            .map_err(KvError::from)
-    }
-
-    fn alloc_node(&mut self) -> Result<NodeId, KvError> {
-        self.pager
-            .alloc(self.node_bytes as u64)
-            .map_err(KvError::from)
-    }
-
-    // ------------------------------------------------------------------
-    // Leaf application
-    // ------------------------------------------------------------------
-
-    /// Apply `(key, seq)`-sorted messages over sorted entries; returns the
-    /// change in live-key count.
-    fn apply_to_entries(
-        entries: &mut Vec<(Vec<u8>, Vec<u8>)>,
-        msgs: &[Message],
-        merge: &dyn MergeOperator,
-    ) -> i64 {
-        crate::node::apply_msgs_to_entries(entries, msgs, merge)
-    }
-
-    // ------------------------------------------------------------------
-    // Structural maintenance
-    // ------------------------------------------------------------------
-
-    /// Multi-way split of an oversize leaf; the node keeps the first chunk,
-    /// the rest are written to fresh slots.
-    ///
-    /// On `Ok` the split is fully committed to cache: every sibling image
-    /// is written (a surfaced device fault comes back in the deferred
-    /// slot, the bytes still landed) and the `(pivot, id)` pairs must be
-    /// adopted by the caller. On `Err` the node is restored untouched and
-    /// nothing was written.
-    fn split_leaf(&mut self, node: &mut BeNode) -> SplitOutcome {
-        let BeNode::Leaf { entries } = node else {
-            unreachable!()
-        };
-        let target = (self.node_bytes * 3) / 4;
-        let all = std::mem::take(entries);
-        let mut chunks: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::new();
-        let mut cur: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut bytes = NODE_HEADER_BYTES;
-        for (k, v) in all {
-            let sz = LEAF_ENTRY_OVERHEAD + k.len() + v.len();
-            if !cur.is_empty() && bytes + sz > target {
-                chunks.push(std::mem::take(&mut cur));
-                bytes = NODE_HEADER_BYTES;
-            }
-            bytes += sz;
-            cur.push((k, v));
-        }
-        if !cur.is_empty() {
-            chunks.push(cur);
-        }
-        if chunks.len() == 1 {
-            // One entry too large to split further.
-            *entries = chunks.pop().expect("one chunk");
-            if node.serialized_size() > self.node_bytes {
-                return Err(KvError::Config("single entry exceeds node_bytes".into()));
-            }
-            return Ok((vec![], None));
-        }
-        // Alloc every sibling slot up front so an allocator failure can
-        // abort cleanly before anything is written.
-        let mut ids = Vec::with_capacity(chunks.len() - 1);
-        for _ in 1..chunks.len() {
-            match self.alloc_node() {
-                Ok(id) => ids.push(id),
-                Err(e) => {
-                    for id in ids {
-                        self.pager.free(id, self.node_bytes as u64);
-                    }
-                    let BeNode::Leaf { entries } = node else {
-                        unreachable!()
-                    };
-                    *entries = chunks.concat();
-                    return Err(e);
-                }
-            }
-        }
-        let mut iter = chunks.into_iter();
-        *entries = iter.next().expect("at least one chunk");
-        let mut out = Vec::new();
-        let mut deferred = None;
-        for (chunk, id) in iter.zip(ids) {
-            let pivot = chunk[0].0.clone();
-            if let Err(e) = self.write_node(id, &BeNode::Leaf { entries: chunk }) {
-                // The image still landed in cache; surface the fault once
-                // the structure is consistent.
-                deferred.get_or_insert(e);
-            }
-            out.push((pivot, id));
-        }
-        Ok((out, deferred))
-    }
-
-    /// Multi-way split of an internal node by per-child byte groups
-    /// (structural + buffer); buffers travel with their children, so no
-    /// draining is needed.
-    ///
-    /// Same commit contract as [`Self::split_leaf`]: `Ok` means fully
-    /// committed to cache (deferred slot carries any surfaced sibling
-    /// write fault), `Err` means the node was left untouched.
-    fn split_internal(&mut self, node: &mut BeNode) -> SplitOutcome {
-        let BeNode::Internal {
-            pivots,
-            children,
-            buffers,
-        } = node
-        else {
-            unreachable!()
-        };
-        let n = children.len();
-        if n < 2 {
-            return Err(KvError::Config(
-                "cannot split a 1-child internal node".into(),
-            ));
-        }
-        // Per-child cost: child ptr + buffer + (pivot preceding it).
-        let child_cost: Vec<usize> = (0..n)
-            .map(|i| {
-                8 + buffers[i].iter().map(Message::footprint).sum::<usize>()
-                    + if i > 0 { 4 + pivots[i - 1].len() } else { 0 }
-            })
-            .collect();
-        let target = (self.node_bytes * 3) / 4;
-        // Cap group arity at the target fanout so fanout-triggered splits
-        // produce conforming parts even when every child is tiny.
-        let arity_cap = (self.max_fanout / 2).max(2);
-        let mut groups: Vec<usize> = Vec::new(); // split boundaries (start of each group)
-        groups.push(0);
-        let mut acc = NODE_HEADER_BYTES;
-        for (i, &c) in child_cost.iter().enumerate() {
-            let last = *groups.last().expect("nonempty");
-            if i > last && (acc + c > target || i - last >= arity_cap) {
-                groups.push(i);
-                acc = NODE_HEADER_BYTES;
-            }
-            acc += c;
-        }
-        if groups.len() == 1 {
-            return Err(KvError::Config(
-                "internal node cannot be split into fitting parts (keys/buffers too large)".into(),
-            ));
-        }
-        // Build and validate every part before touching the node, so any
-        // failure below aborts with the node untouched.
-        let mut parts: Vec<(Vec<u8>, BeNode)> = Vec::new();
-        for (gi, &start) in groups.iter().enumerate() {
-            let end = groups.get(gi + 1).copied().unwrap_or(n);
-            let part = BeNode::Internal {
-                pivots: pivots[start..end - 1].to_vec(),
-                children: children[start..end].to_vec(),
-                buffers: buffers[start..end].to_vec(),
-            };
-            if part.serialized_size() > self.node_bytes {
-                return Err(KvError::Config("split part still oversize".into()));
-            }
-            if gi > 0 {
-                parts.push((pivots[start - 1].clone(), part));
-            }
-        }
-        let mut ids = Vec::with_capacity(parts.len());
-        for _ in 0..parts.len() {
-            match self.alloc_node() {
-                Ok(id) => ids.push(id),
-                Err(e) => {
-                    for id in ids {
-                        self.pager.free(id, self.node_bytes as u64);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        // Commit: truncate the node to group 0 and write the siblings
-        // (their images land in cache even when the device surfaces a
-        // fault).
-        let first_end = groups.get(1).copied().unwrap_or(n);
-        let BeNode::Internal {
-            pivots,
-            children,
-            buffers,
-        } = node
-        else {
-            unreachable!()
-        };
-        pivots.truncate(first_end - 1);
-        children.truncate(first_end);
-        buffers.truncate(first_end);
-        let mut out = Vec::new();
-        let mut deferred = None;
-        for ((pivot, part), id) in parts.into_iter().zip(ids) {
-            if let Err(e) = self.write_node(id, &part) {
-                deferred.get_or_insert(e);
-            }
-            out.push((pivot, id));
-        }
-        Ok((out, deferred))
-    }
-
-    /// Route `(key, seq)`-sorted `msgs` into an internal node's per-child
-    /// buffers.
-    fn route_into_buffers(node: &mut BeNode, msgs: Vec<Message>) {
-        let BeNode::Internal {
-            pivots, buffers, ..
-        } = node
-        else {
-            unreachable!()
-        };
-        let mut idx = 0usize;
-        let mut pending: Vec<Vec<Message>> = vec![Vec::new(); buffers.len()];
-        for m in msgs {
-            while idx < pivots.len() && pivots[idx].as_slice() <= m.key.as_slice() {
-                idx += 1;
-            }
-            // Messages are key-sorted, so idx only moves forward — but a
-            // message for an earlier child can't appear. (Route fresh for
-            // safety if order were violated.)
-            debug_assert!(idx == pivots.partition_point(|p| p.as_slice() <= m.key.as_slice()));
-            pending[idx].push(m);
-        }
-        for (i, p) in pending.into_iter().enumerate() {
-            if !p.is_empty() {
-                let existing = std::mem::take(&mut buffers[i]);
-                buffers[i] = buffer_merge(existing, p);
-            }
-        }
-    }
-
-    /// Deliver messages into the subtree rooted at `id`; new right
-    /// siblings for the caller to adopt are pushed onto `out`.
-    ///
-    /// Commit contract: on `Err` with `*committed == false`, neither the
-    /// subtree's cache state nor `self.count` changed — the caller still
-    /// owns `msgs` and must put them back. On `Err` with
-    /// `*committed == true`, the delivery fully landed in cache
-    /// (including any siblings pushed onto `out`, which the caller must
-    /// still adopt) and the error reports an already-absorbed device
-    /// fault.
-    fn apply_msgs_to_child(
-        &mut self,
-        id: NodeId,
-        msgs: Vec<Message>,
-        out: &mut Vec<(Vec<u8>, NodeId)>,
-        committed: &mut bool,
-    ) -> Result<(), KvError> {
-        let _flush = self.obs.as_ref().map(|o| o.descend("betree.drain"));
-        let mut node = self.read_node(id)?;
-        let count_before = self.count;
-        match &mut node {
-            BeNode::Leaf { entries } => {
-                let delta = Self::apply_to_entries(entries, &msgs, self.merge.as_ref());
-                self.count = (self.count as i64 + delta) as u64;
-            }
-            BeNode::Internal { .. } => {
-                Self::route_into_buffers(&mut node, msgs);
-            }
-        }
-        let result = self.fix_and_write(id, &mut node, out, committed);
-        if result.is_err() && !*committed {
-            // Clean abort: the leaf delta (if any) was never persisted and
-            // the messages will be redelivered — don't count them twice.
-            self.count = count_before;
-        }
-        result
-    }
-
-    /// Restore invariants on `node` and persist it; any new right
-    /// siblings produced by splits are pushed onto `out` for the caller
-    /// to adopt.
-    ///
-    /// Same commit contract as [`Self::apply_msgs_to_child`]. Callers may
-    /// pre-set `*committed = true` to force persistence of in-memory
-    /// changes they have already made to `node`.
-    fn fix_and_write(
-        &mut self,
-        id: NodeId,
-        node: &mut BeNode,
-        out: &mut Vec<(Vec<u8>, NodeId)>,
-        committed: &mut bool,
-    ) -> Result<(), KvError> {
-        let mut deferred: Option<KvError> = None;
-        let mut force_split = false;
-        let splits = loop {
-            let size = node.serialized_size();
-            let buffered = node.buffer_bytes();
-            match node {
-                BeNode::Leaf { .. } => {
-                    if size <= self.node_bytes {
-                        break Vec::new();
-                    }
-                    match self.split_leaf(node) {
-                        Ok((s, d)) => {
-                            deferred = deferred.or(d);
-                            break s;
-                        }
-                        Err(e) => {
-                            // split_leaf restored the node; if committed
-                            // changes are pending, persist them best-effort
-                            // before reporting.
-                            if *committed {
-                                let _ = self.write_node(id, node);
-                            }
-                            return Err(deferred.unwrap_or(e));
-                        }
-                    }
-                }
-                BeNode::Internal {
-                    children, buffers, ..
-                } => {
-                    let fanout_ok = children.len() <= self.max_fanout;
-                    if size <= self.node_bytes && fanout_ok {
-                        break Vec::new();
-                    }
-                    if !fanout_ok || buffered == 0 || force_split {
-                        match self.split_internal(node) {
-                            Ok((s, d)) => {
-                                deferred = deferred.or(d);
-                                break s;
-                            }
-                            Err(e) => {
-                                if *committed {
-                                    let _ = self.write_node(id, node);
-                                }
-                                return Err(deferred.unwrap_or(e));
-                            }
-                        }
-                    }
-                    // Flush the child with the most buffered bytes (§3:
-                    // "typically v is chosen to be the child with the most
-                    // pending messages").
-                    let idx = buffers
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, b)| b.iter().map(Message::footprint).sum::<usize>())
-                        .map(|(i, _)| i)
-                        .expect("internal node has children");
-                    let child_id = children[idx];
-                    let msgs = std::mem::take(&mut buffers[idx]);
-                    let mut child_out = Vec::new();
-                    let mut child_committed = false;
-                    match self.apply_msgs_to_child(
-                        child_id,
-                        msgs.clone(),
-                        &mut child_out,
-                        &mut child_committed,
-                    ) {
-                        Ok(()) => {
-                            // The child absorbed the batch; this node's
-                            // emptied buffer must now be persisted.
-                            *committed = true;
-                        }
-                        Err(e) if child_committed => {
-                            // Delivery landed despite a surfaced fault;
-                            // adopt the child's siblings below and keep
-                            // fixing — report the fault once consistent.
-                            *committed = true;
-                            deferred.get_or_insert(e);
-                        }
-                        Err(e) => {
-                            // Subtree untouched: the taken buffer is the
-                            // only copy of acked updates — put it back.
-                            let BeNode::Internal { buffers, .. } = node else {
-                                unreachable!()
-                            };
-                            let existing = std::mem::take(&mut buffers[idx]);
-                            buffers[idx] = buffer_merge(existing, msgs);
-                            if !*committed {
-                                // Nothing changed anywhere; clean abort.
-                                return Err(e);
-                            }
-                            // Earlier cascades committed, so this node must
-                            // be persisted — but cascading again would pick
-                            // the same failing child. Split instead so the
-                            // node fits, then write it out.
-                            deferred.get_or_insert(e);
-                            force_split = true;
-                            continue;
-                        }
-                    }
-                    let BeNode::Internal {
-                        pivots,
-                        children,
-                        buffers,
-                    } = node
-                    else {
-                        unreachable!()
-                    };
-                    for (off, (pivot, cid)) in child_out.into_iter().enumerate() {
-                        pivots.insert(idx + off, pivot);
-                        children.insert(idx + 1 + off, cid);
-                        buffers.insert(idx + 1 + off, Vec::new());
-                    }
-                }
-            }
-        };
-        // Commit point: any split siblings are already in cache; hand them
-        // to the caller, then write this node (the image lands in cache
-        // even when the device surfaces a fault).
-        out.extend(splits);
-        *committed = true;
-        let write = self.write_node(id, node);
-        match deferred {
-            Some(e) => Err(e),
-            None => write,
-        }
-    }
-
-    /// Grow the root when it splits.
-    fn grow_root(&mut self, splits: Vec<(Vec<u8>, NodeId)>) -> Result<(), KvError> {
-        if splits.is_empty() {
-            return Ok(());
-        }
-        let mut pivots = Vec::with_capacity(splits.len());
-        let mut children = vec![self.root];
-        for (p, id) in splits {
-            pivots.push(p);
-            children.push(id);
-        }
-        let buffers = vec![Vec::new(); children.len()];
-        let new_root = self.alloc_node()?;
-        // Commit the new root even when its write surfaces a fault (the
-        // image lands in cache either way): the old root must not keep
-        // masking the freshly written siblings.
-        let write = self.write_node(
-            new_root,
-            &BeNode::Internal {
-                pivots,
-                children,
-                buffers,
-            },
-        );
-        self.root = new_root;
-        self.height += 1;
-        write
-    }
-
-    // ------------------------------------------------------------------
-    // Message entry
-    // ------------------------------------------------------------------
-
-    fn entry_fits(&self, key: &[u8], payload: usize) -> Result<(), KvError> {
-        let need = NODE_HEADER_BYTES + LEAF_ENTRY_OVERHEAD + key.len() + payload;
-        let msg_need = NODE_HEADER_BYTES + 8 + 4 + key.len() + payload + 17;
-        if need.max(msg_need) > self.node_bytes {
-            return Err(KvError::Config(format!(
-                "entry of key {} + payload {} bytes cannot fit in node_bytes {}",
-                key.len(),
-                payload,
-                self.node_bytes
-            )));
-        }
-        Ok(())
-    }
-
-    fn enqueue(&mut self, key: &[u8], op: Operation) -> Result<(), KvError> {
-        self.entry_fits(key, op.payload_len())?;
-        let msg = Message {
-            seq: self.next_seq,
-            key: key.to_vec(),
-            op,
-        };
-        self.next_seq += 1;
-        let root = self.root;
-        let page = self.read_page(root)?;
-        let view = parse_node(root, &page)?;
-        if let BeNodeView::Internal { .. } = view {
-            // The common case: the root absorbs the message with no flush
-            // or split, so splice it into a copy of the cached image.
-            let edit = BufferEdit::new(&page, view, &msg).map_err(|e| corrupt_node(root, e))?;
-            if edit.fits(self.node_bytes, self.max_fanout) {
-                let mut image = page.to_vec();
-                edit.apply(&mut image);
-                return self.pager.write(root, image).map_err(KvError::from);
-            }
-        }
-        let mut node = view.to_node();
-        let count_before = self.count;
-        match &mut node {
-            BeNode::Leaf { entries } => {
-                let delta = Self::apply_to_entries(
-                    entries,
-                    std::slice::from_ref(&msg),
-                    self.merge.as_ref(),
-                );
-                self.count = (self.count as i64 + delta) as u64;
-            }
-            BeNode::Internal { .. } => {
-                let idx = node.route(&msg.key);
-                let BeNode::Internal { buffers, .. } = &mut node else {
-                    unreachable!()
-                };
-                buffer_insert(&mut buffers[idx], msg);
-            }
-        }
-        let mut splits = Vec::new();
-        let mut root_committed = false;
-        let result = self.fix_and_write(root, &mut node, &mut splits, &mut root_committed);
-        if result.is_err() && !root_committed {
-            // Clean abort: the cache root is unchanged and the op is not
-            // acked — undo the in-memory count delta so a redrive doesn't
-            // double-count it.
-            self.count = count_before;
-            return result;
-        }
-        // Even a fault-carrying Err is committed here: adopt root splits
-        // before reporting it, or the new siblings become unreachable.
-        let grow = self.grow_root(splits);
-        result.and(grow)
-    }
-
     /// Upsert: merge `delta` into the key's value via the configured
     /// [`MergeOperator`] — the blind-write fast path WODs exist for.
     pub fn upsert(&mut self, key: &[u8], delta: &[u8]) -> Result<(), KvError> {
@@ -743,106 +237,499 @@ impl BeTree {
     }
 
     // ------------------------------------------------------------------
+    // Writes and the flush cascade
+    // ------------------------------------------------------------------
+
+    fn enqueue(&mut self, key: &[u8], op: Operation) -> Result<(), KvError> {
+        self.layout.entry_fits(key, op.payload_len())?;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let msg = Message {
+            seq,
+            key: key.to_vec(),
+            op,
+        };
+        buffer_insert(&mut self.root.msgs, msg);
+        if !self.layout.over_budget(&self.root) {
+            return Ok(());
+        }
+        let mut committed = false;
+        let result = self.flush_root(&mut committed);
+        if result.is_err() && !committed {
+            // A clean abort: refuse the write and leave the tree exactly as
+            // it was, so a persistent fault costs each later write one
+            // bounded attempt, not a retry over an ever larger buffer.
+            self.root.msgs.retain(|m| m.seq != seq);
+            self.next_seq = seq;
+        }
+        result
+    }
+
+    /// Push the root's buffer into the root node, growing the tree when the
+    /// root splits.
+    fn flush_root(&mut self, committed: &mut bool) -> Result<(), KvError> {
+        let mut root = self.take_root();
+        let mut siblings = Vec::new();
+        let result = if L::PIVOTS_IN_PARENT {
+            self.flush_child(&mut root, &mut siblings, committed)
+        } else {
+            // The whole-node root has no buffer above it: a message goes
+            // straight into the root node, the op's own write, not a flush.
+            self.deliver(&mut root, &mut siblings, committed)
+        };
+        self.root = root;
+        // Siblings are committed even when the flush reported an error:
+        // adopt them before reporting it, or they become unreachable.
+        let grow = self.grow_root(siblings);
+        result.and(grow)
+    }
+
+    /// Move the root's descriptor out for a cascade, leaving its address
+    /// behind so a split can tell the root from other nodes.
+    fn take_root(&mut self) -> ChildDesc {
+        let stand_in = ChildDesc::new(self.root.addr, true);
+        std::mem::replace(&mut self.root, stand_in)
+    }
+
+    /// Slots kept free for the committed end of a cascade: a node whose
+    /// children were already rewritten must be written, so its split, and
+    /// its ancestors', must find room. A split that can still abort
+    /// cleanly leaves them untouched.
+    fn reserve(&self) -> u64 {
+        4 * (self.height as u64 + 1)
+    }
+
+    /// [`Self::deliver`] under a drain span.
+    fn flush_child(
+        &mut self,
+        desc: &mut ChildDesc,
+        out: &mut Siblings,
+        committed: &mut bool,
+    ) -> Result<(), KvError> {
+        if desc.msgs.is_empty() {
+            return Ok(());
+        }
+        let _flush = self.obs.as_ref().map(|o| o.descend(L::DRAIN_SPAN));
+        self.deliver(desc, out, committed)
+    }
+
+    /// Deliver `desc.msgs` into the node `desc` describes. New right
+    /// siblings are pushed onto `out` for the caller to adopt.
+    ///
+    /// On an error with `*committed` still false, nothing beneath `desc`
+    /// changed: `desc` and the live-key count are restored exactly. With
+    /// `*committed` set, the subtree was rewritten: `desc` and `out`
+    /// describe what the cache holds, `desc.msgs` holds whatever could not
+    /// be delivered, and the error is reported after the fact.
+    fn deliver(
+        &mut self,
+        desc: &mut ChildDesc,
+        out: &mut Siblings,
+        committed: &mut bool,
+    ) -> Result<(), KvError> {
+        if desc.msgs.is_empty() {
+            return Ok(());
+        }
+        let backup = desc.clone();
+        let count_before = self.count;
+        let result = self.deliver_inner(desc, out, committed);
+        if result.is_err() && !*committed {
+            *desc = backup;
+            self.count = count_before;
+        }
+        result
+    }
+
+    fn deliver_inner(
+        &mut self,
+        desc: &mut ChildDesc,
+        out: &mut Siblings,
+        committed: &mut bool,
+    ) -> Result<(), KvError> {
+        let page = self.layout.fetch(&mut self.pager, desc)?;
+        if let [msg] = desc.msgs.as_slice() {
+            if let Some(image) = self.layout.absorb(&page, desc.addr, msg)? {
+                desc.msgs.clear();
+                *committed = true;
+                return self.pager.write(desc.addr, image).map_err(KvError::from);
+            }
+        }
+        let mut node = self.layout.decode(&page, desc)?;
+        drop(page);
+        let groups = partition(std::mem::take(&mut desc.msgs), &node.pivots);
+        match &mut node.body {
+            Body::Leaf(chunks) => {
+                for (chunk, group) in chunks.iter_mut().zip(groups) {
+                    if !group.is_empty() {
+                        let delta = apply_msgs_to_entries(chunk, &group, self.merge.as_ref());
+                        self.count = (self.count as i64 + delta) as u64;
+                    }
+                }
+            }
+            Body::Internal(kids) => {
+                for (kid, group) in kids.iter_mut().zip(groups) {
+                    if !group.is_empty() {
+                        kid.msgs = buffer_merge(std::mem::take(&mut kid.msgs), group);
+                    }
+                }
+            }
+        }
+        self.finish(desc, node, Vec::new(), out, committed)
+    }
+
+    /// Flush the children of `node` that its layout picks — over budget,
+    /// or, when `draining`, the ones the layout flushes before descending —
+    /// adopting their splits. After a committed failure the remaining
+    /// picks are not flushed: their buffers move to `spilled`, for the
+    /// buffer above this node. A clean failure before anything committed
+    /// returns at once.
+    fn relieve(
+        &mut self,
+        node: &mut Node,
+        spilled: &mut Vec<Message>,
+        committed: &mut bool,
+        draining: bool,
+    ) -> Result<(), KvError> {
+        let mut deferred = None;
+        let mut from = 0;
+        while let Some(i) = self.layout.pick(node, from, draining && deferred.is_none()) {
+            let Body::Internal(kids) = &mut node.body else {
+                unreachable!("only internal nodes have children to pick")
+            };
+            if deferred.is_some() {
+                *spilled = buffer_merge(std::mem::take(spilled), std::mem::take(&mut kids[i].msgs));
+                from = i + 1;
+                continue;
+            }
+            let mut kid_out = Vec::new();
+            let mut kid_committed = false;
+            let result = self.flush_child(&mut kids[i], &mut kid_out, &mut kid_committed);
+            let k = kid_out.len();
+            adopt(node, i, kid_out);
+            match result {
+                Ok(()) => {
+                    *committed = true;
+                    from = i + 1 + k;
+                }
+                Err(e) if kid_committed || *committed => {
+                    // From here this node must be written to stay in step
+                    // with its children; revisit the failed child, which
+                    // may hold more than its budget now.
+                    *committed = true;
+                    deferred = Some(e);
+                    from = i;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        deferred.map_or(Ok(()), Err)
+    }
+
+    /// Relieve `node`'s over-budget children, then write it back to
+    /// `desc`'s slot, splitting it when it does not fit. `spilled`
+    /// messages, and any a failed flush below leaves behind, go back to
+    /// `desc.msgs`.
+    fn finish(
+        &mut self,
+        desc: &mut ChildDesc,
+        mut node: Node,
+        mut spilled: Vec<Message>,
+        out: &mut Siblings,
+        committed: &mut bool,
+    ) -> Result<(), KvError> {
+        let relieved = self.relieve(&mut node, &mut spilled, committed, false);
+        if relieved.is_err() && !*committed {
+            return relieved;
+        }
+        if !spilled.is_empty() {
+            desc.msgs = buffer_merge(std::mem::take(&mut desc.msgs), spilled);
+        }
+        // A failed write of this node is the graver error: its image no
+        // longer describes the children beneath it.
+        self.persist_node(desc, node, out, committed).and(relieved)
+    }
+
+    /// Write `node` to `desc`'s slot, splitting it first when it does not
+    /// fit. The split allocates every new slot before writing anything
+    /// (an allocation failure aborts cleanly), writes the new siblings,
+    /// and rewrites this node last.
+    fn persist_node(
+        &mut self,
+        desc: &mut ChildDesc,
+        node: Node,
+        out: &mut Siblings,
+        committed: &mut bool,
+    ) -> Result<(), KvError> {
+        if self.layout.fits(&node) {
+            *committed = true;
+            return self.layout.write(&mut self.pager, desc, &node);
+        }
+        let is_leaf = node.is_leaf();
+        let parts = self.split(node);
+        if parts.iter().any(|(_, p)| !self.layout.fits(p)) {
+            return Err(KvError::Config(
+                "node cannot be split into fitting parts (entries, keys or buffers too large)"
+                    .into(),
+            ));
+        }
+        // A root split also takes the slot of the new root above it.
+        let is_root = desc.addr == self.root.addr;
+        let wanted = parts.len() - 1 + is_root as usize;
+        let node_bytes = self.layout.node_bytes() as u64;
+        if !*committed && self.pager.available(node_bytes) < wanted as u64 + self.reserve() {
+            return Err(PagerError::OutOfSpace.into());
+        }
+        let mut addrs = Vec::with_capacity(wanted);
+        for _ in 0..wanted {
+            match self.pager.alloc(node_bytes) {
+                Ok(addr) => addrs.push(addr),
+                Err(e) => {
+                    for addr in addrs {
+                        self.pager.free(addr, node_bytes);
+                    }
+                    return Err(e.into());
+                }
+            }
+        }
+        if is_root {
+            self.spare_root = addrs.pop();
+        }
+        let mut parts = parts.into_iter();
+        let (_, own) = parts.next().expect("a split has a first part");
+        let mut siblings = Vec::with_capacity(addrs.len());
+        let mut deferred = None;
+        for ((sep, part), addr) in parts.zip(addrs) {
+            let mut sib = ChildDesc::new(addr, is_leaf);
+            if let Err(e) = self.layout.write(&mut self.pager, &mut sib, &part) {
+                deferred.get_or_insert(e);
+            }
+            siblings.push((sep, sib));
+        }
+        // Commit point. Messages still buffered above this node (a failed
+        // cascade's undelivered ones) follow their keys into the parts.
+        *committed = true;
+        for (sep, sib) in siblings.iter_mut().rev() {
+            let at = desc.msgs.partition_point(|m| m.key < *sep);
+            sib.msgs = desc.msgs.split_off(at);
+        }
+        out.extend(siblings);
+        let own = self.layout.write(&mut self.pager, desc, &own);
+        deferred.map_or(own, Err)
+    }
+
+    /// Cut a node that does not fit into parts, each with the separator
+    /// that precedes it (empty for the first).
+    fn split(&self, node: Node) -> Vec<(Vec<u8>, Node)> {
+        match node.body {
+            Body::Leaf(chunks) => self.split_leaf(chunks),
+            Body::Internal(_) => self.split_internal(node),
+        }
+    }
+
+    /// Repack a leaf's pairs into chunks of three quarters of the layout's
+    /// chunk budget, `chunks_per_node` chunks to a node.
+    fn split_leaf(&self, chunks: Vec<Entries>) -> Vec<(Vec<u8>, Node)> {
+        let mut chunker = Chunker::new(self.layout.chunk_bytes() * 3 / 4);
+        let mut all: Vec<Entries> = chunks
+            .into_iter()
+            .flatten()
+            .filter_map(|(k, v)| chunker.push(k, v))
+            .collect();
+        all.extend(chunker.finish());
+        if all.is_empty() {
+            all.push(Vec::new());
+        }
+        let mut parts = Vec::new();
+        let mut all = all.into_iter().peekable();
+        while all.peek().is_some() {
+            let group: Vec<Entries> = all.by_ref().take(self.layout.chunks_per_node()).collect();
+            let sep = group[0].first().map(|(k, _)| k.clone()).unwrap_or_default();
+            let pivots = group[1..].iter().map(|c| c[0].0.clone()).collect();
+            let body = Body::Leaf(group);
+            parts.push((sep, Node { pivots, body }));
+        }
+        parts
+    }
+
+    /// Cut an internal node into groups of at most `F` children and of at
+    /// most three quarters of a node's bytes; buffers travel with their
+    /// children.
+    fn split_internal(&self, node: Node) -> Vec<(Vec<u8>, Node)> {
+        let target = self.layout.node_bytes() * 3 / 4;
+        let mut starts = vec![0usize];
+        let mut acc = NODE_HEADER_BYTES;
+        for i in 0..=node.pivots.len() {
+            let bytes = self.layout.kid_bytes(&node, i);
+            let last = *starts.last().expect("nonempty");
+            if i > last && (acc + bytes > target || i - last >= self.layout.fanout()) {
+                starts.push(i);
+                acc = NODE_HEADER_BYTES;
+            }
+            acc += bytes;
+        }
+        let Node { mut pivots, body } = node;
+        let Body::Internal(mut kids) = body else {
+            unreachable!("split_internal of a leaf")
+        };
+        let mut parts = Vec::with_capacity(starts.len());
+        for &s in starts.iter().skip(1).rev() {
+            let body = Body::Internal(kids.split_off(s));
+            let mut rest = pivots.split_off(s - 1);
+            let sep = rest.remove(0);
+            parts.push((sep, Node { pivots: rest, body }));
+        }
+        let body = Body::Internal(kids);
+        parts.push((Vec::new(), Node { pivots, body }));
+        parts.reverse();
+        parts
+    }
+
+    /// Grow the root when it splits.
+    fn grow_root(&mut self, siblings: Siblings) -> Result<(), KvError> {
+        if siblings.is_empty() {
+            return Ok(());
+        }
+        let addr = match self.spare_root.take() {
+            Some(addr) => addr,
+            None => self.pager.alloc(self.layout.node_bytes() as u64)?,
+        };
+        let old = std::mem::replace(&mut self.root, ChildDesc::new(addr, false));
+        let mut pivots = Vec::with_capacity(siblings.len());
+        let mut kids = vec![old];
+        for (sep, desc) in siblings {
+            pivots.push(sep);
+            kids.push(desc);
+        }
+        self.height += 1;
+        // The new root is committed even when its write surfaces a fault
+        // (the image lands in cache either way): the old root must not keep
+        // masking the freshly written siblings.
+        let node = Node {
+            pivots,
+            body: Body::Internal(kids),
+        };
+        self.layout.write(&mut self.pager, &mut self.root, &node)
+    }
+
+    // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
 
     fn get_inner(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        let mut collected: Vec<Message> = Vec::new();
-        let mut id = self.root;
+        let root = &self.root;
+        let mut collected: Vec<Message> = root
+            .msgs
+            .iter()
+            .skip_while(|m| m.key.as_slice() < key)
+            .take_while(|m| m.key.as_slice() == key)
+            .cloned()
+            .collect();
+        let (mut addr, mut is_leaf, mut seg) = (root.addr, root.is_leaf, root.route(key));
         let mut depth = 0u32;
         loop {
-            let _lvl = self.obs.as_ref().map(|o| o.span_at("betree.level", depth));
+            let _lvl = self.obs.as_ref().map(|o| o.span_at(L::LEVEL_SPAN, depth));
             depth += 1;
-            let page = self.read_page(id)?;
-            match parse_node(id, &page)? {
-                BeNodeView::Leaf(entries) => {
+            let page = self.layout.read_for_query(&mut self.pager, addr, seg)?;
+            match self.layout.part_for_key(&page, addr, seg, is_leaf, key)? {
+                PartView::Pairs(entries) => {
                     collected.sort_by_key(|m| m.seq);
                     return Ok(replay(entries.get(key), &collected, self.merge.as_ref()));
                 }
-                BeNodeView::Internal {
+                PartView::Kid {
+                    addr: next,
+                    is_leaf: leaf,
                     pivots,
-                    children,
-                    buffers,
+                    msgs,
                 } => {
-                    let idx = pivots.route(key);
-                    let buf = buffers.get(idx).ok_or_else(|| {
-                        corrupt_node(id, CodecError::Invalid("missing message buffer"))
-                    })?;
-                    collected.extend(buf.for_key(key).map(|m| m.to_message()));
-                    id = BeNodeView::child(children, idx);
+                    collected.extend(msgs.for_key(key).map(|m| m.to_message()));
+                    (addr, is_leaf) = (next, leaf);
+                    seg = pivots.map_or(0, |p| p.route(key));
                 }
             }
         }
     }
 
+    /// Range scan of the node at `addr`: `held` are its pivots when the
+    /// layout keeps them in the parent, and `pending` the messages buffered
+    /// above it, restricted to the query and `(key, seq)`-sorted.
+    #[allow(clippy::too_many_arguments)]
     fn range_rec(
         &mut self,
-        id: NodeId,
+        addr: u64,
+        is_leaf: bool,
+        held: &[&[u8]],
+        pending: Vec<Message>,
         start: &[u8],
         end: &[u8],
-        inherited: Vec<Message>,
         out: &mut Vec<(Vec<u8>, Vec<u8>)>,
     ) -> Result<(), KvError> {
-        let _lvl = self.obs.as_ref().map(|o| o.descend("betree.level"));
-        let page = self.read_page(id)?;
-        match parse_node(id, &page)? {
-            BeNodeView::Leaf(entries) => {
-                // Every inherited message lies in [start, end), so applying
-                // them to the window alone is a virtual view of the leaf
-                // restricted to the query (the leaf itself is not persisted).
-                let mut window: Vec<(Vec<u8>, Vec<u8>)> = entries
-                    .range(start, end)
-                    .map(|(k, v)| (k.to_vec(), v.to_vec()))
-                    .collect();
-                Self::apply_to_entries(&mut window, &inherited, self.merge.as_ref());
-                out.extend(window);
-                Ok(())
+        let _lvl = self.obs.as_ref().map(|o| o.descend(L::LEVEL_SPAN));
+        // A whole-node layout reads the node once here; a segmented one
+        // reads each overlapping segment below.
+        let whole = if L::PIVOTS_IN_PARENT {
+            None
+        } else {
+            Some(self.layout.read_for_query(&mut self.pager, addr, 0)?)
+        };
+        let (pivots, parts) = match &whole {
+            Some(page) => self.layout.parts(page, addr, 0, is_leaf)?,
+            None => (held.to_vec(), Vec::new()),
+        };
+        let mut pending = pending.into_iter().peekable();
+        let mut lo: Option<&[u8]> = None;
+        for j in 0..=pivots.len() {
+            let hi = pivots.get(j).copied();
+            // The pending messages routed to part j.
+            let mut group = Vec::new();
+            while let Some(m) = pending.next_if(|m| hi.is_none_or(|h| m.key.as_slice() < h)) {
+                group.push(m);
             }
-            BeNodeView::Internal {
-                pivots,
-                children,
-                buffers,
-            } => {
-                // Child i holds keys in [pivots[i-1], pivots[i]).
-                let mut child_lo: Option<&[u8]> = None;
-                let mut uppers = pivots.iter();
-                for (i, buffer) in buffers.iter().enumerate() {
-                    let child_hi = uppers.next();
-                    let lower_ok = child_lo.is_none_or(|l| l < end);
-                    let upper_ok = child_hi.is_none_or(|h| h > start);
-                    if lower_ok && upper_ok {
-                        // Messages for this child: inherited ones in range
-                        // plus the child's buffer slice in range.
-                        let in_child = |k: &[u8]| {
-                            k >= start
-                                && k < end
-                                && child_lo.is_none_or(|l| k >= l)
-                                && child_hi.is_none_or(|h| k < h)
-                        };
-                        let inherited_in: Vec<Message> = inherited
-                            .iter()
-                            .filter(|m| in_child(&m.key))
-                            .cloned()
-                            .collect();
-                        let buffered_in: Vec<Message> = buffer
-                            .iter()
-                            .filter(|m| in_child(m.key))
-                            .map(|m| m.to_message())
-                            .collect();
-                        let child_msgs = buffer_merge(inherited_in, buffered_in);
-                        self.range_rec(
-                            BeNodeView::child(children, i),
-                            start,
-                            end,
-                            child_msgs,
-                            out,
-                        )?;
-                    }
-                    child_lo = child_hi;
+            let overlaps = lo.is_none_or(|l| l < end) && hi.is_none_or(|h| h > start);
+            lo = hi;
+            if !overlaps {
+                debug_assert!(group.is_empty());
+                continue;
+            }
+            let seg_page;
+            let part = match parts.get(j) {
+                Some(&part) => part,
+                None => {
+                    seg_page = self.layout.read_for_query(&mut self.pager, addr, j)?;
+                    self.layout
+                        .part_for_key(&seg_page, addr, j, is_leaf, start)?
                 }
-                Ok(())
+            };
+            match part {
+                PartView::Pairs(entries) => {
+                    // Every pending message lies in [start, end), so the
+                    // window alone is a virtual view of the chunk
+                    // restricted to the query.
+                    let mut window: Vec<(Vec<u8>, Vec<u8>)> = entries
+                        .range(start, end)
+                        .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                        .collect();
+                    apply_msgs_to_entries(&mut window, &group, self.merge.as_ref());
+                    out.extend(window);
+                }
+                PartView::Kid {
+                    addr: kid,
+                    is_leaf: leaf,
+                    pivots: kid_pivots,
+                    msgs,
+                } => {
+                    let own = msgs
+                        .iter()
+                        .filter(|m| in_range(m.key, start, end))
+                        .map(|m| m.to_message())
+                        .collect();
+                    let kid_pivots: Vec<&[u8]> =
+                        kid_pivots.map(|p| p.iter().collect()).unwrap_or_default();
+                    let msgs = buffer_merge(group, own);
+                    self.range_rec(kid, leaf, &kid_pivots, msgs, start, end, out)?;
+                }
             }
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -851,116 +738,91 @@ impl BeTree {
 
     /// Push every buffered message down to the leaves.
     pub fn drain_all(&mut self) -> Result<(), KvError> {
-        let root = self.root;
-        let mut splits = Vec::new();
-        let result = self.drain_rec(root, &mut splits);
-        // Siblings pushed onto `splits` are committed in cache even when
-        // the drain errored partway — adopt them before reporting.
-        let grow = self.grow_root(splits);
+        let mut root = self.take_root();
+        let mut siblings = Vec::new();
+        let result = self.drain(&mut root, &mut siblings);
+        self.root = root;
+        // As in a write, committed splits must be adopted even when the
+        // drain surfaced an error partway down.
+        let grow = self.grow_root(siblings);
         result.and(grow)
     }
 
-    /// Drain the subtree rooted at `id`; new right siblings are pushed
-    /// onto `out`. Whatever is in `out` on return — `Ok` or `Err` — is
-    /// committed in cache and must be adopted by the caller.
-    fn drain_rec(&mut self, id: NodeId, out: &mut Vec<(Vec<u8>, NodeId)>) -> Result<(), KvError> {
-        let _flush = self.obs.as_ref().map(|o| o.descend("betree.drain"));
-        let mut node = self.read_node(id)?;
+    /// Drain `desc`'s buffer and its whole subtree. Splits produced along
+    /// the way are pushed onto `out`; whether the drain succeeds or not,
+    /// they are committed nodes the caller must adopt.
+    fn drain(&mut self, desc: &mut ChildDesc, out: &mut Siblings) -> Result<(), KvError> {
+        let mut siblings = Vec::new();
+        if let Err(e) = self.flush_child(desc, &mut siblings, &mut false) {
+            out.extend(siblings);
+            return Err(e);
+        }
+        if !(L::PIVOTS_IN_PARENT && desc.is_leaf) {
+            if let Err(e) = self.drain_node(desc, out) {
+                out.extend(siblings);
+                return Err(e);
+            }
+        }
+        // Siblings the flush split off are drained too, so `out` only
+        // carries fully drained subtrees.
+        for (sep, mut sib) in siblings {
+            let mut more = Vec::new();
+            let result = self.drain(&mut sib, &mut more);
+            out.push((sep, sib));
+            out.extend(more);
+            result?;
+        }
+        Ok(())
+    }
+
+    /// Read `desc`'s node and drain every child's subtree, then write the
+    /// node back. The whole-node layout first flushes every buffered child
+    /// while it holds the node, as it cannot see a child's kind without
+    /// reading it.
+    fn drain_node(&mut self, desc: &mut ChildDesc, out: &mut Siblings) -> Result<(), KvError> {
+        let _visit = if L::PIVOTS_IN_PARENT {
+            None
+        } else {
+            self.obs.as_ref().map(|o| o.descend(L::DRAIN_SPAN))
+        };
+        let page = self.layout.fetch(&mut self.pager, desc)?;
+        let mut node = self.layout.decode(&page, desc)?;
+        drop(page);
         if node.is_leaf() {
             return Ok(());
         }
-        // Whether committed subtree changes (emptied buffers, adopted
-        // splits) make persisting this node mandatory.
-        let mut dirty = false;
-        let adopt = |node: &mut BeNode, at: usize, sibs: Vec<(Vec<u8>, NodeId)>| {
-            let BeNode::Internal {
-                pivots,
-                children,
-                buffers,
-            } = node
-            else {
-                unreachable!()
-            };
-            for (off, (pivot, cid)) in sibs.into_iter().enumerate() {
-                pivots.insert(at + off, pivot);
-                children.insert(at + 1 + off, cid);
-                buffers.insert(at + 1 + off, Vec::new());
-            }
-        };
-        // Flush every nonempty buffer, restarting whenever splits reshuffle
-        // child indices.
-        loop {
-            let BeNode::Internal {
-                children, buffers, ..
-            } = &mut node
-            else {
-                unreachable!()
-            };
-            let Some(idx) = buffers.iter().position(|b| !b.is_empty()) else {
-                break;
-            };
-            let child_id = children[idx];
-            let msgs = std::mem::take(&mut buffers[idx]);
-            let mut child_out = Vec::new();
-            let mut child_committed = false;
-            let result = self.apply_msgs_to_child(
-                child_id,
-                msgs.clone(),
-                &mut child_out,
-                &mut child_committed,
-            );
-            if let Err(e) = result {
-                if child_committed {
-                    dirty = true;
-                    adopt(&mut node, idx, child_out);
-                } else {
-                    let BeNode::Internal { buffers, .. } = &mut node else {
-                        unreachable!()
-                    };
-                    let existing = std::mem::take(&mut buffers[idx]);
-                    buffers[idx] = buffer_merge(existing, msgs);
-                }
-                if dirty {
-                    let mut committed = true;
-                    let _ = self.fix_and_write(id, &mut node, out, &mut committed);
-                }
-                return Err(e);
-            }
-            dirty = true;
-            adopt(&mut node, idx, child_out);
+        let mut committed = false;
+        let mut spilled = Vec::new();
+        let mut result = self.relieve(&mut node, &mut spilled, &mut committed, true);
+        if result.is_err() && !committed {
+            return result;
         }
-        // Recurse into (now stable) children. Splits from child `i` shift
-        // every later child right, so walk by live index, not a snapshot.
-        let mut i = 0usize;
-        loop {
-            let cid = {
-                let BeNode::Internal { children, .. } = &node else {
+        if result.is_ok() {
+            // Splits from child i shift every later child right, so walk by
+            // live index.
+            let mut i = 0usize;
+            loop {
+                let Body::Internal(kids) = &mut node.body else {
                     unreachable!()
                 };
-                match children.get(i) {
-                    Some(&c) => c,
-                    None => break,
+                let Some(kid) = kids.get_mut(i) else { break };
+                let mut kid_out = Vec::new();
+                let kid_result = self.drain(kid, &mut kid_out);
+                let k = kid_out.len();
+                adopt(&mut node, i, kid_out);
+                if let Err(e) = kid_result {
+                    // The child may have rewritten itself: write this node
+                    // so the descriptors it stores stay in step.
+                    result = Err(e);
+                    break;
                 }
-            };
-            let mut child_out = Vec::new();
-            let result = self.drain_rec(cid, &mut child_out);
-            let adopted = child_out.len();
-            if adopted > 0 {
-                dirty = true;
+                // New siblings are already drained subtrees.
+                i += 1 + k;
             }
-            adopt(&mut node, i, child_out);
-            if let Err(e) = result {
-                if dirty {
-                    let mut committed = true;
-                    let _ = self.fix_and_write(id, &mut node, out, &mut committed);
-                }
-                return Err(e);
-            }
-            // New siblings are already drained subtrees — skip past them.
-            i += 1 + adopted;
+            committed = true;
         }
-        let mut committed = dirty;
-        self.fix_and_write(id, &mut node, out, &mut committed)
+        self.finish(desc, node, spilled, out, &mut committed)
+            .and(result)
     }
 
     // ------------------------------------------------------------------
@@ -970,97 +832,104 @@ impl BeTree {
     /// Build a tree bottom-up from strictly ascending pairs.
     pub fn bulk_load(
         device: SharedDevice,
-        cfg: BeTreeConfig,
+        cfg: L::Config,
         pairs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     ) -> Result<Self, KvError> {
-        let fanout = cfg.fanout;
-        let bulk_fill = cfg.bulk_fill;
-        let mut tree = BeTree::create(device, cfg)?;
-        let leaf_target = (tree.node_bytes as f64 * bulk_fill) as usize;
-
-        let mut level: Vec<(Vec<u8>, NodeId)> = Vec::new();
-        let mut cur: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut bytes = NODE_HEADER_BYTES;
+        let (layout, shell) = L::from_config(cfg)?;
+        let fill = shell.bulk_fill;
+        let mut tree = Self::with_layout(device, layout, shell.cache_bytes, shell.merge)?;
+        let per_node = tree.layout.chunks_per_node();
+        let mut chunker = Chunker::new((tree.layout.chunk_bytes() as f64 * fill) as usize);
+        let mut group: Vec<Entries> = Vec::new();
+        let mut level: Siblings = Vec::new();
         let mut count = 0u64;
         let mut last: Option<Vec<u8>> = None;
         for (k, v) in pairs {
-            if let Some(prev) = &last {
-                if *prev >= k {
-                    return Err(KvError::Config(
-                        "bulk_load input not strictly ascending".into(),
-                    ));
-                }
+            if last.as_ref().is_some_and(|prev| *prev >= k) {
+                return Err(KvError::Config(
+                    "bulk_load input not strictly ascending".into(),
+                ));
             }
             last = Some(k.clone());
-            tree.entry_fits(&k, v.len())?;
-            let sz = LEAF_ENTRY_OVERHEAD + k.len() + v.len();
-            if !cur.is_empty() && bytes + sz > leaf_target {
-                let id = tree.alloc_node()?;
-                let first = cur[0].0.clone();
-                tree.write_node(
-                    id,
-                    &BeNode::Leaf {
-                        entries: std::mem::take(&mut cur),
-                    },
-                )?;
-                level.push((first, id));
-                bytes = NODE_HEADER_BYTES;
-            }
-            bytes += sz;
-            cur.push((k, v));
+            tree.layout.entry_fits(&k, v.len())?;
             count += 1;
+            if let Some(chunk) = chunker.push(k, v) {
+                group.push(chunk);
+                if group.len() == per_node {
+                    tree.bulk_leaf(std::mem::take(&mut group), &mut level)?;
+                }
+            }
         }
-        if !cur.is_empty() {
-            let id = tree.alloc_node()?;
-            let first = cur[0].0.clone();
-            tree.write_node(id, &BeNode::Leaf { entries: cur })?;
-            level.push((first, id));
+        group.extend(chunker.finish());
+        if !group.is_empty() {
+            tree.bulk_leaf(group, &mut level)?;
         }
         if level.is_empty() {
             return Ok(tree);
         }
-
+        let node_bytes = tree.layout.node_bytes() as u64;
+        let arity = tree.layout.fanout().max(2);
         let mut height = 1u32;
         while level.len() > 1 {
-            let mut next: Vec<(Vec<u8>, NodeId)> = Vec::new();
-            for group in level.chunks(fanout.max(2)) {
-                let first = group[0].0.clone();
-                let pivots: Vec<Vec<u8>> = group[1..].iter().map(|(k, _)| k.clone()).collect();
-                let children: Vec<NodeId> = group.iter().map(|(_, id)| *id).collect();
-                let buffers = vec![Vec::new(); children.len()];
-                let id = tree.alloc_node()?;
-                tree.write_node(
-                    id,
-                    &BeNode::Internal {
-                        pivots,
-                        children,
-                        buffers,
-                    },
-                )?;
-                next.push((first, id));
+            let mut next: Siblings = Vec::new();
+            let mut it = level.into_iter().peekable();
+            while it.peek().is_some() {
+                let mut pivots = Vec::with_capacity(arity);
+                let mut kids = Vec::with_capacity(arity);
+                for (sep, desc) in it.by_ref().take(arity) {
+                    pivots.push(sep);
+                    kids.push(desc);
+                }
+                let first = pivots.remove(0);
+                let mut desc = ChildDesc::new(tree.pager.alloc(node_bytes)?, false);
+                let node = Node {
+                    pivots,
+                    body: Body::Internal(kids),
+                };
+                tree.layout.write(&mut tree.pager, &mut desc, &node)?;
+                next.push((first, desc));
             }
             level = next;
             height += 1;
         }
-
-        let built_root = level[0].1;
-        tree.pager.free(tree.root, tree.node_bytes as u64);
-        tree.root = built_root;
+        let (_, root) = level.pop().expect("nonempty level");
+        if !L::BULK_REUSES_ROOT {
+            tree.pager.free(tree.root.addr, node_bytes);
+        }
+        tree.root = root;
         tree.height = height;
         tree.count = count;
         tree.flush()?;
         Ok(tree)
     }
 
+    /// Write one bulk-loaded leaf of `chunks` and queue it for its parent.
+    fn bulk_leaf(&mut self, chunks: Vec<Entries>, level: &mut Siblings) -> Result<(), KvError> {
+        let first = chunks[0][0].0.clone();
+        let pivots = chunks[1..].iter().map(|c| c[0].0.clone()).collect();
+        let addr = if level.is_empty() && L::BULK_REUSES_ROOT {
+            self.root.addr
+        } else {
+            self.pager.alloc(self.layout.node_bytes() as u64)?
+        };
+        let mut desc = ChildDesc::new(addr, true);
+        let node = Node {
+            pivots,
+            body: Body::Leaf(chunks),
+        };
+        self.layout.write(&mut self.pager, &mut desc, &node)?;
+        level.push((first, desc));
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Invariants (test support)
     // ------------------------------------------------------------------
 
-    /// Verify structural invariants; returns leaf-entry count.
+    /// Verify structural invariants; returns the leaf-entry count.
     pub fn check_invariants(&mut self) -> Result<u64, KvError> {
-        let root = self.root;
-        let height = self.height;
-        let n = self.check_rec(root, height, None, None)?;
+        let root = self.root.clone();
+        let n = self.check(&root, self.height, None, None, true)?;
         if n != self.count {
             return Err(KvError::Corrupt(format!(
                 "count mismatch: walked {n}, tracked {}",
@@ -1070,105 +939,106 @@ impl BeTree {
         Ok(n)
     }
 
-    fn check_rec(
+    fn check(
         &mut self,
-        id: NodeId,
+        desc: &ChildDesc,
         level: u32,
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
+        is_root: bool,
     ) -> Result<u64, KvError> {
-        let node = self.read_node(id)?;
-        if node.serialized_size() > self.node_bytes {
-            return Err(KvError::Corrupt(format!("node {id} oversize")));
+        let id = desc.addr;
+        let bad = |what: &str| Err(KvError::Corrupt(format!("node {id}: {what}")));
+        self.layout.check_desc(desc, is_root)?;
+        let outside = |k: &[u8]| lo.is_some_and(|l| k < l) || hi.is_some_and(|h| k >= h);
+        for w in desc.msgs.windows(2) {
+            if (w[0].key.as_slice(), w[0].seq) >= (w[1].key.as_slice(), w[1].seq) {
+                return bad("buffered messages unsorted");
+            }
         }
-        let in_bounds =
-            |k: &[u8]| -> bool { !(lo.is_some_and(|l| k < l) || hi.is_some_and(|h| k >= h)) };
-        match node {
-            BeNode::Leaf { entries } => {
+        if desc.msgs.iter().any(|m| outside(&m.key)) {
+            return bad("buffered message out of range");
+        }
+        let page = self.layout.fetch(&mut self.pager, desc)?;
+        let node = self.layout.decode(&page, desc)?;
+        drop(page);
+        if !self.layout.fits(&node) {
+            return bad("oversize");
+        }
+        if node.pivots.windows(2).any(|w| w[0] >= w[1]) {
+            return bad("pivots unsorted");
+        }
+        let p = &node.pivots;
+        let bounds = |j: usize| {
+            (
+                if j == 0 {
+                    lo
+                } else {
+                    Some(p[j - 1].as_slice())
+                },
+                if j == p.len() {
+                    hi
+                } else {
+                    Some(p[j].as_slice())
+                },
+            )
+        };
+        let mut total = 0u64;
+        match &node.body {
+            Body::Leaf(chunks) => {
                 if level != 1 {
-                    return Err(KvError::Corrupt(format!("leaf {id} at level {level}")));
+                    return bad("leaf above the leaf level");
                 }
-                for w in entries.windows(2) {
-                    if w[0].0 >= w[1].0 {
-                        return Err(KvError::Corrupt(format!("leaf {id} unsorted")));
+                for (j, chunk) in chunks.iter().enumerate() {
+                    let (clo, chi) = bounds(j);
+                    if chunk.windows(2).any(|w| w[0].0 >= w[1].0) {
+                        return bad("leaf unsorted");
                     }
-                }
-                for (k, _) in &entries {
-                    if !in_bounds(k) {
-                        return Err(KvError::Corrupt(format!("leaf {id} key out of bounds")));
+                    if chunk.iter().any(|(k, _)| {
+                        clo.is_some_and(|l| k.as_slice() < l)
+                            || chi.is_some_and(|h| k.as_slice() >= h)
+                    }) {
+                        return bad("leaf key out of range");
                     }
+                    total += chunk.len() as u64;
                 }
-                Ok(entries.len() as u64)
             }
-            BeNode::Internal {
-                pivots,
-                children,
-                buffers,
-            } => {
+            Body::Internal(kids) => {
                 if level < 2 {
-                    return Err(KvError::Corrupt(format!("internal {id} at leaf level")));
+                    return bad("internal node at the leaf level");
                 }
-                if children.len() != pivots.len() + 1 || buffers.len() != children.len() {
-                    return Err(KvError::Corrupt(format!("internal {id} arity mismatch")));
+                if kids.len() != p.len() + 1 {
+                    return bad("arity mismatch");
                 }
-                for w in pivots.windows(2) {
-                    if w[0] >= w[1] {
-                        return Err(KvError::Corrupt(format!("internal {id} pivots unsorted")));
-                    }
+                for (j, kid) in kids.iter().enumerate() {
+                    let (clo, chi) = bounds(j);
+                    total += self.check(kid, level - 1, clo, chi, false)?;
                 }
-                for (i, buf) in buffers.iter().enumerate() {
-                    let blo = if i == 0 {
-                        lo
-                    } else {
-                        Some(pivots[i - 1].as_slice())
-                    };
-                    let bhi = if i == pivots.len() {
-                        hi
-                    } else {
-                        Some(pivots[i].as_slice())
-                    };
-                    for w in buf.windows(2) {
-                        if (w[0].key.as_slice(), w[0].seq) >= (w[1].key.as_slice(), w[1].seq) {
-                            return Err(KvError::Corrupt(format!("internal {id} buffer unsorted")));
-                        }
-                    }
-                    for m in buf {
-                        if blo.is_some_and(|l| m.key.as_slice() < l)
-                            || bhi.is_some_and(|h| m.key.as_slice() >= h)
-                        {
-                            return Err(KvError::Corrupt(format!(
-                                "internal {id} buffered message out of child range"
-                            )));
-                        }
-                    }
-                }
-                let mut total = 0u64;
-                for (i, &child) in children.iter().enumerate() {
-                    let clo = if i == 0 {
-                        lo
-                    } else {
-                        Some(pivots[i - 1].as_slice())
-                    };
-                    let chi = if i == pivots.len() {
-                        hi
-                    } else {
-                        Some(pivots[i].as_slice())
-                    };
-                    total += self.check_rec(child, level - 1, clo, chi)?;
-                }
-                Ok(total)
             }
         }
+        Ok(total)
     }
 }
 
-impl PagedDict for BeTree {
+impl Engine<Segmented> {
+    /// Segment size (the query IO unit, `≈ B/2F`).
+    pub fn seg_bytes(&self) -> usize {
+        self.layout.seg_bytes()
+    }
+
+    /// Target fanout `F`.
+    pub fn fanout(&self) -> usize {
+        self.layout.fanout()
+    }
+}
+
+impl<L: Layout> PagedDict for Engine<L> {
     fn pager_and_obs(&mut self) -> (&mut Pager, Option<&Obs>) {
         (&mut self.pager, self.obs.as_ref())
     }
 }
 
-impl Dictionary for BeTree {
+impl<L: Layout> Dictionary for Engine<L> {
     fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
         self.in_op(|t| t.enqueue(key, Operation::Put(value.to_vec())))
     }
@@ -1198,7 +1068,22 @@ impl Dictionary for BeTree {
         self.in_op(|t| {
             let mut out = Vec::new();
             if start < end {
-                t.range_rec(t.root, start, end, Vec::new(), &mut out)?;
+                let root = t.root.clone();
+                let pending = root
+                    .msgs
+                    .into_iter()
+                    .filter(|m| in_range(&m.key, start, end))
+                    .collect();
+                let pivots: Vec<&[u8]> = root.boundaries.iter().map(Vec::as_slice).collect();
+                t.range_rec(
+                    root.addr,
+                    root.is_leaf,
+                    &pivots,
+                    pending,
+                    start,
+                    end,
+                    &mut out,
+                )?;
             }
             Ok(out)
         })
@@ -1221,68 +1106,143 @@ impl Dictionary for BeTree {
             Ok(t.count)
         })
     }
+
+    fn buffered_bytes(&self) -> usize {
+        self.root.msgs.iter().map(Message::footprint).sum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    //! One suite, run once per layout (`whole_node::*` and `segmented::*`).
+
     use super::*;
+    use crate::layout::{BeTreeConfig, OptConfig};
     use dam_kv::key_from_u64;
     use dam_kv::msg::CounterMerge;
     use dam_storage::{FaultInjector, FaultMode, RamDisk, SimDuration};
+    use std::collections::BTreeMap;
 
-    fn tree(node_bytes: usize, fanout: usize) -> BeTree {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        BeTree::create(dev, BeTreeConfig::new(node_bytes, fanout, 1 << 20)).unwrap()
+    /// The shapes each test builds, per layout.
+    trait Case: Layout {
+        /// The common shape: F = 4 with 1 KiB nodes, or with 512-byte
+        /// segments (4 KiB nodes); last-write-wins unless `counter`.
+        fn cfg(cache: u64, counter: bool) -> Self::Config;
+        /// The fault regressions' shape and seeds (fault schedule, keys).
+        fn faulty() -> (Self::Config, u64, u64);
+        /// The common shape with another fanout, which `open` refuses.
+        fn other_fanout() -> Self::Config;
+        /// A wider shape for the write-amplification bound, and the bound
+        /// as a fraction of a node.
+        fn wide() -> (Self::Config, usize);
+        /// 4 KiB nodes with F = 4 and a 64 KiB cache: the device-full probe.
+        fn probe() -> Self::Config;
+        /// Height that 3,000 sequential inserts reach at least.
+        const GROWN: u32;
+        /// Bytes one query read fetches.
+        fn query_bytes(t: &Engine<Self>) -> usize;
     }
 
-    #[test]
-    fn surfaced_faults_never_lose_acked_updates() {
-        // Regression (found by dam-check): a fault during a buffer-flush
-        // cascade used to drop the message batch taken from the parent's
-        // buffer. Mutations are retried until Ok; the final state must
-        // match a shadow map exactly.
-        let (inj, switch) = FaultInjector::new(RamDisk::new(1 << 26, SimDuration(200)));
-        let dev = SharedDevice::new(Box::new(inj));
-        let mut t = BeTree::create(dev, BeTreeConfig::new(2048, 4, 1 << 16)).unwrap();
-        switch.set(FaultMode::Probabilistic {
-            num: 1,
-            denom: 48,
-            seed: 11,
-        });
-        let mut shadow: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-            std::collections::BTreeMap::new();
-        let mut rng = 0x9e37_79b9u64;
-        let mut next = move || {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            rng >> 33
-        };
-        for i in 0..4000u64 {
-            let k = key_from_u64(next() % 700).to_vec();
-            if next() % 10 < 7 {
-                let v = format!("v{i:06}").into_bytes();
-                let mut tries = 0;
-                while let Err(e) = t.insert(&k, &v) {
-                    tries += 1;
-                    assert!(tries < 200, "insert never converged: {e}");
-                }
-                shadow.insert(k, v);
-            } else {
-                let mut tries = 0;
-                while let Err(e) = t.delete(&k) {
-                    tries += 1;
-                    assert!(tries < 200, "delete never converged: {e}");
-                }
-                shadow.remove(&k);
+    impl Case for WholeNode {
+        fn cfg(cache: u64, counter: bool) -> BeTreeConfig {
+            let mut cfg = BeTreeConfig::new(1024, 4, cache);
+            if counter {
+                cfg.merge = Box::new(CounterMerge);
             }
+            cfg
         }
-        switch.set(FaultMode::None);
-        let dump = t.range(&[], &[0xFF; 17]).unwrap();
-        let want: Vec<(Vec<u8>, Vec<u8>)> =
-            shadow.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        assert_eq!(dump, want);
-        assert_eq!(t.len().unwrap(), shadow.len() as u64);
+        fn faulty() -> (BeTreeConfig, u64, u64) {
+            (BeTreeConfig::new(2048, 4, 1 << 16), 11, 0x9e37_79b9)
+        }
+        fn other_fanout() -> BeTreeConfig {
+            // Fanout 4 stores max_fanout 8; fanout 3 would route with 6.
+            BeTreeConfig::new(1024, 3, 1 << 16)
+        }
+        fn wide() -> (BeTreeConfig, usize) {
+            (BeTreeConfig::new(4096, 8, 1 << 20), 1)
+        }
+        fn probe() -> BeTreeConfig {
+            BeTreeConfig::new(4096, 4, 64 << 10)
+        }
+        const GROWN: u32 = 3;
+        fn query_bytes(t: &Engine<Self>) -> usize {
+            t.node_bytes()
+        }
+    }
+
+    impl Case for Segmented {
+        fn cfg(cache: u64, counter: bool) -> OptConfig {
+            let mut cfg = OptConfig::new(4, 512, cache);
+            if counter {
+                cfg.merge = Box::new(CounterMerge);
+            }
+            cfg
+        }
+        fn faulty() -> (OptConfig, u64, u64) {
+            (OptConfig::new(4, 1024, 1 << 16), 7, 0x1234_5678)
+        }
+        fn other_fanout() -> OptConfig {
+            OptConfig::new(8, 512, 1 << 16)
+        }
+        fn wide() -> (OptConfig, usize) {
+            (OptConfig::new(8, 1024, 1 << 20), 2)
+        }
+        fn probe() -> OptConfig {
+            OptConfig::new(4, 512, 64 << 10)
+        }
+        const GROWN: u32 = 2;
+        fn query_bytes(t: &Engine<Self>) -> usize {
+            t.seg_bytes()
+        }
+    }
+
+    macro_rules! per_layout {
+        ($($name:ident),* $(,)?) => {
+            mod whole_node {
+                $(#[test] fn $name() { super::$name::<crate::WholeNode>() })*
+            }
+            mod segmented {
+                $(#[test] fn $name() { super::$name::<crate::Segmented>() })*
+            }
+        };
+    }
+
+    per_layout!(
+        surfaced_faults_never_lose_acked_updates,
+        internal_split_after_a_child_split_survives_a_write_fault,
+        committed_child_flush_failures_keep_every_acked_key,
+        device_full_refuses_writes_and_loses_no_acked_key,
+        empty_tree,
+        insert_get_small,
+        insert_get_through_growth,
+        random_order_inserts,
+        overwrite_latest_wins,
+        tombstones_delete,
+        delete_everything,
+        delete_of_absent_key_is_noop,
+        upserts_merge,
+        upserts_spanning_flushes,
+        range_sees_through_buffers,
+        range_sees_buffered_deletes,
+        drain_then_count_consistent,
+        bulk_load_matches_incremental,
+        bulk_load_rejects_unsorted,
+        query_reads_one_unit_per_level,
+        structural_ops_use_whole_node_ios,
+        insert_amortization_beats_node_per_insert,
+        cold_query_reads_the_path,
+        persist_and_open_roundtrip,
+        open_refuses_blank_and_mismatched_devices,
+        oversized_entry_rejected,
+        len_and_failed_ops_follow_cost_contract,
+    );
+
+    fn ram() -> SharedDevice {
+        SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))))
+    }
+
+    fn tree<L: Case>() -> Engine<L> {
+        Engine::create(ram(), L::cfg(1 << 20, false)).unwrap()
     }
 
     fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {
@@ -1292,22 +1252,154 @@ mod tests {
         )
     }
 
-    #[test]
-    fn empty_tree() {
-        let mut t = tree(1024, 4);
+    fn insert_all<L: Layout>(t: &mut Engine<L>, keys: impl IntoIterator<Item = u64>) {
+        for i in keys {
+            let (k, v) = kv(i);
+            t.insert(&k, &v).unwrap();
+        }
+    }
+
+    fn surfaced_faults_never_lose_acked_updates<L: Case>() {
+        // Regression (found by dam-check): a device fault surfaced during a
+        // buffer flush used to drop the batch taken from a buffer or leave a
+        // descriptor out of step with its node image — keys vanished and
+        // stale values reappeared. Every mutation is retried until it
+        // reports Ok; the final state must then match a shadow map exactly.
+        let (cfg, fault_seed, mut rng) = L::faulty();
+        let (inj, switch) = FaultInjector::new(RamDisk::new(1 << 26, SimDuration(200)));
+        let mut t = Engine::<L>::create(SharedDevice::new(Box::new(inj)), cfg).unwrap();
+        switch.set(FaultMode::Probabilistic {
+            num: 1,
+            denom: 48,
+            seed: fault_seed,
+        });
+        let mut shadow = BTreeMap::new();
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        for i in 0..4000u64 {
+            let k = key_from_u64(next() % 700).to_vec();
+            let insert = next() % 10 < 7;
+            let v = format!("v{i:06}").into_bytes();
+            let mut tries = 0;
+            while let Err(e) = if insert {
+                t.insert(&k, &v)
+            } else {
+                t.delete(&k)
+            } {
+                tries += 1;
+                assert!(tries < 200, "op never converged: {e}");
+            }
+            if insert {
+                shadow.insert(k, v);
+            } else {
+                shadow.remove(&k);
+            }
+        }
+        switch.set(FaultMode::None);
+        let want: Vec<(Vec<u8>, Vec<u8>)> = shadow.into_iter().collect();
+        assert_eq!(t.range(&[], &[0xFF; 17]).unwrap(), want);
+        assert_eq!(t.len().unwrap(), want.len() as u64);
+        t.check_invariants().unwrap();
+    }
+
+    /// Insert `n` keys, each armed with `AfterIos(after)` and redriven on a
+    /// healthy device when it fails; the final state must match, before
+    /// and after a sync and reopen.
+    fn redriven_inserts<L: Case>(n: u64, after: u64) {
+        let (cfg, _, _) = L::faulty();
+        let (inj, switch) = FaultInjector::new(RamDisk::new(1 << 26, SimDuration(100)));
+        let dev = SharedDevice::new(Box::new(inj));
+        let mut t = Engine::<L>::create(dev.clone(), cfg).unwrap();
+        let mut shadow = BTreeMap::new();
+        let mut failed = 0;
+        for i in 0..n {
+            let k = key_from_u64(i * 7_919 % 100_003).to_vec();
+            let v = vec![(i % 251) as u8; 50];
+            switch.set(FaultMode::AfterIos(after));
+            if t.insert(&k, &v).is_err() {
+                failed += 1;
+                switch.set(FaultMode::None);
+                t.insert(&k, &v).unwrap();
+            }
+            shadow.insert(k, v);
+        }
+        switch.set(FaultMode::None);
+        assert!(failed > 0, "no insert failed");
+        let want: Vec<(Vec<u8>, Vec<u8>)> = shadow.into_iter().collect();
+        assert_eq!(t.range(&[], &[0xFF; 17]).unwrap(), want);
+        t.sync().unwrap();
+        let mut t = Engine::<L>::open(dev, L::faulty().0).unwrap();
+        assert_eq!(t.range(&[], &[0xFF; 17]).unwrap(), want);
+        for (k, v) in &want {
+            assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
+        }
+    }
+
+    fn internal_split_after_a_child_split_survives_a_write_fault<L: Case>() {
+        // Regression: an internal split forced by a child's committed split
+        // returned on the first failed sibling write, leaving the parent
+        // naming more children than a node holds, and left the node's
+        // undelivered messages in its left part, away from their keys.
+        redriven_inserts::<L>(2_000, 1);
+    }
+
+    fn committed_child_flush_failures_keep_every_acked_key<L: Case>() {
+        // Regression: a child flush that committed and then failed could
+        // leave more undelivered messages than its buffer holds; the
+        // parent's rewrite was refused, that error dropped, and the
+        // messages vanished.
+        redriven_inserts::<L>(2_000, 3);
+    }
+
+    fn device_full_refuses_writes_and_loses_no_acked_key<L: Case>() {
+        // A 1 MiB device fills partway through 12,000 distinct inserts and
+        // keeps refusing allocations. A write whose flush then aborts
+        // cleanly is refused and leaves no trace; one whose flush committed
+        // before failing is readable. Either way no acknowledged key is
+        // lost, and the root buffer stays within a node.
+        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(100))));
+        let mut t = Engine::<L>::create(dev, L::probe()).unwrap();
+        let mut kept = BTreeMap::new();
+        let mut refused = Vec::new();
+        for i in 0..12_000u64 {
+            let k = key_from_u64(i * 7_919 % 100_003).to_vec();
+            let v = vec![(i % 251) as u8; 50];
+            let acked = t.insert(&k, &v).is_ok();
+            if acked || t.get(&k).unwrap().as_ref() == Some(&v) {
+                kept.insert(k, v);
+            } else {
+                refused.push(k);
+            }
+            assert!(
+                t.buffered_bytes() <= t.node_bytes(),
+                "insert {i}: {} bytes buffered in memory",
+                t.buffered_bytes()
+            );
+        }
+        assert!(refused.len() > 1_000, "the device never filled");
+        for (k, v) in &kept {
+            assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
+        }
+        for k in &refused {
+            assert_eq!(t.get(k).unwrap(), None);
+        }
+    }
+
+    fn empty_tree<L: Case>() {
+        let mut t = tree::<L>();
         assert_eq!(t.get(b"x").unwrap(), None);
         assert_eq!(t.len().unwrap(), 0);
         assert!(t.range(b"a", b"z").unwrap().is_empty());
         t.check_invariants().unwrap();
     }
 
-    #[test]
-    fn insert_get_small() {
-        let mut t = tree(1024, 4);
-        for i in 0..50 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
+    fn insert_get_small<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, 0..50);
         for i in 0..50 {
             let (k, v) = kv(i);
             assert_eq!(t.get(&k).unwrap(), Some(v), "key {i}");
@@ -1315,123 +1407,91 @@ mod tests {
         assert_eq!(t.get(&key_from_u64(50)).unwrap(), None);
     }
 
-    #[test]
-    fn insert_get_through_many_flushes() {
-        let mut t = tree(1024, 4);
-        for i in 0..2000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        assert!(t.height() >= 3, "height {}", t.height());
+    fn insert_get_through_growth<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, 0..3000);
+        assert!(t.height() >= L::GROWN, "height {}", t.height());
         t.check_invariants().unwrap();
-        for i in (0..2000).step_by(37) {
+        for i in (0..3000).step_by(41) {
             let (k, v) = kv(i);
             assert_eq!(t.get(&k).unwrap(), Some(v), "key {i}");
         }
-        assert_eq!(t.len().unwrap(), 2000);
+        assert_eq!(t.len().unwrap(), 3000);
         t.check_invariants().unwrap();
     }
 
-    #[test]
-    fn random_insertion_order() {
-        let mut t = tree(1024, 4);
-        // Deterministic pseudo-random permutation of 0..1000.
-        let mut keys: Vec<u64> = (0..1000).map(|i| (i * 739) % 1000).collect();
-        keys.dedup();
-        for &i in &keys {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
+    fn random_order_inserts<L: Case>() {
+        let mut t = tree::<L>();
+        let keys: Vec<u64> = (0..1500).map(|i| (i * 1543) % 1500).collect();
+        insert_all(&mut t, keys.iter().copied());
         t.check_invariants().unwrap();
         for &i in &keys {
             let (k, v) = kv(i);
             assert_eq!(t.get(&k).unwrap(), Some(v));
         }
+        assert_eq!(t.len().unwrap(), 1500);
     }
 
-    #[test]
-    fn overwrite_latest_wins() {
-        let mut t = tree(1024, 4);
-        let (k, _) = kv(7);
-        for round in 0..100u32 {
+    fn overwrite_latest_wins<L: Case>() {
+        let mut t = tree::<L>();
+        let (k, _) = kv(9);
+        for round in 0..200u32 {
             t.insert(&k, &round.to_le_bytes()).unwrap();
         }
-        assert_eq!(t.get(&k).unwrap(), Some(99u32.to_le_bytes().to_vec()));
+        assert_eq!(t.get(&k).unwrap(), Some(199u32.to_le_bytes().to_vec()));
         assert_eq!(t.len().unwrap(), 1);
     }
 
-    #[test]
-    fn delete_via_tombstone() {
-        let mut t = tree(1024, 4);
-        for i in 0..500 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
+    fn tombstones_delete<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, 0..800);
+        for i in (0..800).step_by(3) {
+            t.delete(&kv(i).0).unwrap();
         }
-        for i in (0..500).step_by(2) {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        for i in 0..500 {
+        for i in 0..800 {
             let (k, v) = kv(i);
-            let expect = if i % 2 == 0 { None } else { Some(v) };
+            let expect = if i % 3 == 0 { None } else { Some(v) };
             assert_eq!(t.get(&k).unwrap(), expect, "key {i}");
         }
-        assert_eq!(t.len().unwrap(), 250);
+        assert_eq!(t.len().unwrap(), 533);
         t.check_invariants().unwrap();
     }
 
-    #[test]
-    fn delete_everything() {
-        let mut t = tree(1024, 4);
+    fn delete_everything<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, 0..300);
         for i in 0..300 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in 0..300 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
+            t.delete(&kv(i).0).unwrap();
         }
         assert_eq!(t.len().unwrap(), 0);
         for i in 0..300 {
-            let (k, _) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), None);
+            assert_eq!(t.get(&kv(i).0).unwrap(), None);
         }
     }
 
-    #[test]
-    fn delete_of_absent_key_is_noop() {
-        let mut t = tree(1024, 4);
-        let (k0, v0) = kv(1);
-        t.insert(&k0, &v0).unwrap();
+    fn delete_of_absent_key_is_noop<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, [1]);
         t.delete(&key_from_u64(999)).unwrap();
         assert_eq!(t.len().unwrap(), 1);
     }
 
-    #[test]
-    fn upsert_counters_accumulate() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let mut cfg = BeTreeConfig::new(1024, 4, 1 << 20);
-        cfg.merge = Box::new(CounterMerge);
-        let mut t = BeTree::create(dev, cfg).unwrap();
-        let (k, _) = kv(3);
-        for _ in 0..10 {
-            t.upsert(&k, &5u64.to_le_bytes()).unwrap();
+    fn upserts_merge<L: Case>() {
+        let mut t = Engine::<L>::create(ram(), L::cfg(1 << 20, true)).unwrap();
+        let (k, _) = kv(5);
+        for _ in 0..50 {
+            t.upsert(&k, &3u64.to_le_bytes()).unwrap();
         }
         let got = t.get(&k).unwrap().unwrap();
-        assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), 50);
+        assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), 150);
     }
 
-    #[test]
-    fn upserts_spanning_flushes() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let mut cfg = BeTreeConfig::new(1024, 4, 1 << 20);
-        cfg.merge = Box::new(CounterMerge);
-        let mut t = BeTree::create(dev, cfg).unwrap();
+    fn upserts_spanning_flushes<L: Case>() {
+        let mut t = Engine::<L>::create(ram(), L::cfg(1 << 20, true)).unwrap();
         // Interleave hot-key upserts with bulk traffic that forces flushes.
         let (hot, _) = kv(500);
         for i in 0..1000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
+            insert_all(&mut t, [i]);
             if i % 3 == 0 {
                 t.upsert(&hot, &1u64.to_le_bytes()).unwrap();
             }
@@ -1441,125 +1501,116 @@ mod tests {
         // The Put at i = 500 (seq order!) overwrites the 167 upserts queued
         // before it; the 167 upserts with i in (500, 999] merge over its
         // value bytes, which CounterMerge reads as a u64.
-        let base = {
-            let (_, v) = kv(500);
-            let mut a = [0u8; 8];
-            a.copy_from_slice(&v[..8]);
-            u64::from_le_bytes(a)
-        };
+        let base = u64::from_le_bytes(kv(500).1[..8].try_into().unwrap());
         assert_eq!(n, base.wrapping_add(167));
     }
 
-    #[test]
-    fn range_sees_through_buffers() {
-        let mut t = tree(2048, 4);
-        // Insert enough that some messages are still buffered high in the
-        // tree, then range over everything.
-        for i in 0..800 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        let out = t.range(&key_from_u64(100), &key_from_u64(120)).unwrap();
-        assert_eq!(out.len(), 20);
-        for (j, (k, v)) in out.iter().enumerate() {
-            let (ek, ev) = kv(100 + j as u64);
-            assert_eq!((k, v), (&ek, &ev));
+    fn range_sees_through_buffers<L: Case>() {
+        let mut t = tree::<L>();
+        // Enough that some messages are still buffered high in the tree.
+        insert_all(&mut t, 0..1000);
+        for (lo, hi) in [(100u64, 120u64), (200, 260)] {
+            let out = t.range(&key_from_u64(lo), &key_from_u64(hi)).unwrap();
+            let want: Vec<_> = (lo..hi).map(kv).collect();
+            assert_eq!(out, want);
         }
     }
 
-    #[test]
-    fn range_sees_buffered_deletes() {
-        let mut t = tree(2048, 4);
-        for i in 0..400 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
+    fn range_sees_buffered_deletes<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, 0..500);
         t.drain_all().unwrap();
-        // Freshly buffered tombstones, not yet at leaves.
-        for i in 100..110 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
+        // Freshly buffered tombstones, not yet at the leaves.
+        for i in 200..210 {
+            t.delete(&kv(i).0).unwrap();
         }
-        let out = t.range(&key_from_u64(95), &key_from_u64(115)).unwrap();
+        let out = t.range(&key_from_u64(195), &key_from_u64(215)).unwrap();
         let keys: Vec<u64> = out
             .iter()
             .map(|(k, _)| dam_kv::key_to_u64(k).unwrap())
             .collect();
-        assert_eq!(keys, vec![95, 96, 97, 98, 99, 110, 111, 112, 113, 114]);
+        assert_eq!(keys, vec![195, 196, 197, 198, 199, 210, 211, 212, 213, 214]);
     }
 
-    #[test]
-    fn drain_moves_everything_to_leaves() {
-        let mut t = tree(1024, 4);
-        for i in 0..500 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
+    fn drain_then_count_consistent<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, 0..700);
+        for i in 0..100 {
+            t.delete(&kv(i).0).unwrap();
         }
         t.drain_all().unwrap();
+        assert_eq!(t.count, 600, "after a drain every key lives at a leaf");
         t.check_invariants().unwrap();
-        assert_eq!(t.count, 500, "after drain, all keys live at leaves");
+        // Idempotent.
+        assert_eq!(t.len().unwrap(), 600);
+        assert_eq!(t.len().unwrap(), 600);
     }
 
-    #[test]
-    fn bulk_load_matches_incremental() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let pairs: Vec<_> = (0..2000).map(kv).collect();
-        let mut t =
-            BeTree::bulk_load(dev, BeTreeConfig::new(1024, 4, 1 << 20), pairs.clone()).unwrap();
+    fn bulk_load_matches_incremental<L: Case>() {
+        let pairs: Vec<_> = (0..3000).map(kv).collect();
+        let mut t = Engine::<L>::bulk_load(ram(), L::cfg(1 << 20, false), pairs.clone()).unwrap();
         t.check_invariants().unwrap();
-        assert_eq!(t.len().unwrap(), 2000);
-        for (k, v) in pairs.iter().step_by(97) {
+        assert_eq!(t.len().unwrap(), 3000);
+        for (k, v) in pairs.iter().step_by(113) {
             assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
         }
-        // Mutate after bulk load.
-        for i in 0..100 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
+        for i in 0..200 {
+            t.delete(&kv(i).0).unwrap();
         }
-        assert_eq!(t.len().unwrap(), 1900);
+        assert_eq!(t.len().unwrap(), 2800);
         t.check_invariants().unwrap();
     }
 
-    #[test]
-    fn bulk_load_rejects_unsorted() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 24, SimDuration(1000))));
+    fn bulk_load_rejects_unsorted<L: Case>() {
+        let cfg = L::cfg(1 << 20, false);
         assert!(matches!(
-            BeTree::bulk_load(dev, BeTreeConfig::new(1024, 4, 1 << 20), vec![kv(2), kv(1)]),
+            Engine::<L>::bulk_load(ram(), cfg, vec![kv(2), kv(1)]),
             Err(KvError::Config(_))
         ));
     }
 
-    #[test]
-    fn insert_cost_amortizes_below_btree() {
-        // The write-optimization claim: amortized insert IO (bytes written
-        // per insert) is far below one node write per insert.
-        let mut t = tree(4096, 8);
-        let n = 5000u64;
-        for i in 0..n {
-            let (k, v) = kv((i * 2654435761) % (1 << 30));
-            t.insert(&k, &v).unwrap();
-        }
-        t.flush().unwrap();
-        let written = t.pager().counters().bytes_written;
-        let per_insert = written as f64 / n as f64;
-        // A B-tree would write >= 4096 bytes per insert (whole node) in the
-        // worst case; the betree should amortize to a fraction of a node.
-        assert!(
-            per_insert < 4096.0,
-            "bytes written per insert {per_insert} should be below one node"
+    fn query_reads_one_unit_per_level<L: Case>() {
+        // A cold query reads one node (whole-node) or one segment
+        // (Theorem 9) per level, and nothing else.
+        let pairs: Vec<_> = (0..20_000).map(kv).collect();
+        let mut t = Engine::<L>::bulk_load(ram(), L::cfg(1 << 22, false), pairs).unwrap();
+        t.drop_cache().unwrap();
+        t.get(&kv(12_345).0).unwrap();
+        let cost = t.last_op_cost();
+        assert_eq!(cost.ios as u32, t.height());
+        assert_eq!(
+            cost.bytes_read,
+            (t.height() as usize * L::query_bytes(&t)) as u64
         );
     }
 
-    #[test]
-    fn cost_accounting_reports_io() {
-        let mut t = tree(1024, 4);
-        for i in 0..1000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
+    fn structural_ops_use_whole_node_ios<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, 0..2000);
+        t.flush().unwrap();
+        let c = t.pager().counters();
+        assert!(c.bytes_written > 0);
+        assert_eq!(c.bytes_written % t.node_bytes() as u64, 0);
+    }
+
+    fn insert_amortization_beats_node_per_insert<L: Case>() {
+        // The write-optimization claim: bytes written per insert stay well
+        // below the one node a B-tree writes.
+        let (cfg, div) = L::wide();
+        let mut t = Engine::<L>::create(ram(), cfg).unwrap();
+        let n = 5000u64;
+        insert_all(&mut t, (0..n).map(|i| (i * 2654435761) % (1 << 30)));
+        t.flush().unwrap();
+        let per_insert = t.pager().counters().bytes_written as f64 / n as f64;
+        let bound = (t.node_bytes() / div) as f64;
+        assert!(per_insert < bound, "bytes/insert {per_insert} vs {bound}");
+    }
+
+    fn cold_query_reads_the_path<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, 0..1000);
         t.drop_cache().unwrap();
-        let (k, _) = kv(777);
-        t.get(&k).unwrap();
+        t.get(&kv(777).0).unwrap();
         let c = t.last_op_cost();
         assert!(
             c.ios as u32 >= t.height() - 1,
@@ -1568,58 +1619,71 @@ mod tests {
         assert!(c.io_time_ns > 0);
     }
 
-    #[test]
-    fn persist_and_open_roundtrip() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
+    fn persist_and_open_roundtrip<L: Case>() {
+        let dev = ram();
         {
-            let mut t = BeTree::create(dev.clone(), BeTreeConfig::new(1024, 4, 1 << 20)).unwrap();
-            for i in 0..1200 {
-                let (k, v) = kv(i);
-                t.insert(&k, &v).unwrap();
-            }
+            let mut t = Engine::<L>::create(dev.clone(), L::cfg(1 << 20, false)).unwrap();
+            insert_all(&mut t, 0..1200);
             for i in 0..100 {
-                let (k, _) = kv(i * 2);
-                t.delete(&k).unwrap();
+                t.delete(&kv(i * 2).0).unwrap();
             }
+            // Persist with messages still buffered: in the segmented layout
+            // the superblock carries the root's.
             t.persist().unwrap();
         }
-        let mut reopened = BeTree::open(dev, BeTreeConfig::new(1024, 4, 1 << 20)).unwrap();
-        reopened.check_invariants().unwrap();
-        assert_eq!(reopened.len().unwrap(), 1100);
+        let mut t = Engine::<L>::open(dev, L::cfg(1 << 20, false)).unwrap();
+        t.check_invariants().unwrap();
+        assert_eq!(t.len().unwrap(), 1100);
         for i in 0..1200 {
             let (k, v) = kv(i);
             let expect = if i % 2 == 0 && i < 200 { None } else { Some(v) };
-            assert_eq!(reopened.get(&k).unwrap(), expect, "key {i}");
+            assert_eq!(t.get(&k).unwrap(), expect, "key {i}");
         }
         // Sequence numbers keep advancing: a new overwrite beats old state.
-        let (k, _) = kv(500);
-        reopened.insert(&k, b"fresh").unwrap();
-        assert_eq!(reopened.get(&k).unwrap(), Some(b"fresh".to_vec()));
+        let (k, _) = kv(600);
+        t.insert(&k, b"fresh").unwrap();
+        assert_eq!(t.get(&k).unwrap(), Some(b"fresh".to_vec()));
     }
 
-    #[test]
-    fn open_blank_device_errors() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(1000))));
+    fn open_refuses_blank_and_mismatched_devices<L: Case>() {
+        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 24, SimDuration(1000))));
         assert!(matches!(
-            BeTree::open(dev, BeTreeConfig::new(1024, 4, 1 << 16)),
+            Engine::<L>::open(dev.clone(), L::cfg(1 << 16, false)),
             Err(KvError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn open_rejects_a_different_fanout() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(1000))));
-        let mut t = BeTree::create(dev.clone(), BeTreeConfig::new(1024, 4, 1 << 16)).unwrap();
+        let mut t = Engine::<L>::create(dev.clone(), L::cfg(1 << 16, false)).unwrap();
         t.insert(b"k", b"v").unwrap();
         t.persist().unwrap();
         drop(t);
-        // Fanout 4 stores max_fanout 8; fanout 3 would route with 6.
         assert!(matches!(
-            BeTree::open(dev.clone(), BeTreeConfig::new(1024, 3, 1 << 16)),
+            Engine::<L>::open(dev.clone(), L::other_fanout()),
             Err(KvError::Config(_))
         ));
-        let mut t = BeTree::open(dev, BeTreeConfig::new(1024, 4, 1 << 16)).unwrap();
+        let mut t = Engine::<L>::open(dev, L::cfg(1 << 16, false)).unwrap();
         assert_eq!(t.get(b"k").unwrap(), Some(b"v".to_vec()));
+    }
+
+    fn oversized_entry_rejected<L: Case>() {
+        let mut t = tree::<L>();
+        assert!(matches!(
+            t.insert(b"k", &vec![0u8; 5000]),
+            Err(KvError::Config(_))
+        ));
+    }
+
+    /// Regression (dam-check): `len` drains buffered messages, so its IO
+    /// must be attributed to `last_op_cost` — and a failed operation must
+    /// report zero cost rather than the previous operation's numbers.
+    fn len_and_failed_ops_follow_cost_contract<L: Case>() {
+        let mut t = tree::<L>();
+        insert_all(&mut t, 0..800);
+        // Cold cache: the drain inside `len` must hit the device.
+        t.drop_cache().unwrap();
+        assert_eq!(t.len().unwrap(), 800);
+        assert!(t.last_op_cost().ios > 0, "len's drain should be attributed");
+        let err = t.insert(b"big", &vec![0u8; 5000]);
+        assert!(matches!(err, Err(KvError::Config(_))));
+        assert_eq!(t.last_op_cost(), OpCost::default(), "failed op is free");
     }
 
     #[test]
@@ -1630,30 +1694,10 @@ mod tests {
     }
 
     #[test]
-    fn oversized_entry_rejected() {
-        let mut t = tree(512, 4);
-        assert!(matches!(
-            t.insert(b"k", &vec![0u8; 600]),
-            Err(KvError::Config(_))
-        ));
-    }
-
-    /// Regression (dam-check): `len` drains buffered messages, so its IO
-    /// must be attributed to `last_op_cost` — and a failed operation must
-    /// report zero cost rather than the previous operation's numbers.
-    #[test]
-    fn len_and_failed_ops_follow_cost_contract() {
-        let mut t = tree(1024, 4);
-        for i in 0..800 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        // Cold cache: the drain inside `len` must hit the device.
-        t.drop_cache().unwrap();
-        assert_eq!(t.len().unwrap(), 800);
-        assert!(t.last_op_cost().ios > 0, "len's drain should be attributed");
-        let err = t.insert(b"big", &vec![0u8; 2048]);
-        assert!(matches!(err, Err(KvError::Config(_))));
-        assert_eq!(t.last_op_cost(), OpCost::default(), "failed op is free");
+    fn balanced_config_shapes() {
+        let cfg = OptConfig::balanced(1 << 20, 116, 1 << 20);
+        // ~9039 entries → F ≈ 96, seg ≈ 5461.
+        assert!((90..=100).contains(&cfg.fanout), "fanout {}", cfg.fanout);
+        assert!(cfg.node_bytes() >= (1 << 20) - cfg.seg_bytes * 2);
     }
 }

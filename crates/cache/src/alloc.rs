@@ -64,6 +64,13 @@ impl Allocator {
         self.live_bytes = self.live_bytes.saturating_sub(len);
     }
 
+    /// How many more `len`-byte extents [`Allocator::alloc`] can return.
+    pub fn available(&self, len: u64) -> u64 {
+        assert!(len > 0, "zero-length extent");
+        let freed = self.free_lists.get(&len).map_or(0, Vec::len) as u64;
+        freed + self.capacity.saturating_sub(self.next) / len
+    }
+
     /// Bytes currently allocated and not freed.
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes

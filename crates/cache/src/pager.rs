@@ -319,6 +319,11 @@ impl Pager {
         self.alloc.alloc(len).ok_or(PagerError::OutOfSpace)
     }
 
+    /// How many more `len`-byte allocations can succeed.
+    pub fn available(&self, len: u64) -> u64 {
+        self.alloc.available(len)
+    }
+
     /// Free device space and discard any cached copy (without write-back —
     /// the object is dead).
     pub fn free(&mut self, offset: u64, len: u64) {

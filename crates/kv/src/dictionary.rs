@@ -154,6 +154,21 @@ pub trait Dictionary {
     fn is_empty(&mut self) -> Result<bool, KvError> {
         Ok(self.len()? == 0)
     }
+
+    /// Bytes of writes held only in memory, in no node or table image the
+    /// cache or device holds (the Bε-tree's root buffer, the LSM-tree's
+    /// memtable). Default: none.
+    ///
+    /// Fault contract (pinned by `dam-check`'s persistent-fault mode): when
+    /// a write's flush fails, the dictionary either keeps the write in such
+    /// a buffer of bounded size, or refuses it with a typed error, leaving
+    /// itself exactly as it was before the write — so a later write does a
+    /// bounded amount of work, however long the fault persists. It never
+    /// re-encodes an ever-growing buffer on every operation, and never
+    /// drops a write it acknowledged.
+    fn buffered_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// Mutable references are dictionaries too, so instrumentation wrappers can
@@ -194,6 +209,10 @@ impl<T: Dictionary + ?Sized> Dictionary for &mut T {
 
     fn is_empty(&mut self) -> Result<bool, KvError> {
         (**self).is_empty()
+    }
+
+    fn buffered_bytes(&self) -> usize {
+        (**self).buffered_bytes()
     }
 }
 
