@@ -31,7 +31,7 @@ use dam_kv::KvError;
 pub(crate) type Entries = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// A node decoded for modification, in either layout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Routing keys: part `j` (a leaf chunk or a child) covers keys in
     /// `[pivots[j-1], pivots[j])`.
@@ -41,7 +41,7 @@ pub struct Node {
 }
 
 /// What a node holds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Body {
     /// Sorted runs of pairs, one per chunk (subleaf).
     Leaf(Vec<Entries>),

@@ -44,6 +44,6 @@ pub mod segment;
 pub mod tree;
 
 pub use layout::{BeTreeConfig, Layout, OptConfig, Segmented, WholeNode};
-pub use node::{BeNode, BeNodeView, BufferEdit};
+pub use node::{BeNodeView, BufferEdit};
 pub use segment::ChildDesc;
 pub use tree::{BeTree, Engine, OptBeTree};

@@ -6,8 +6,8 @@
 //! leaf is one sorted run of key-value pairs.
 
 use dam_kv::codec::{
-    frame_into_slot, frame_payload, splice_in_place, unframe, CodecError, PairsView, Reader,
-    Splice, StrsView, Writer, FRAME_OVERHEAD,
+    frame_into_slot, frame_payload, splice_in_place, CodecError, PairsView, Reader, Splice,
+    StrsView, Writer, FRAME_OVERHEAD,
 };
 use dam_kv::msg::{Message, MessageRef, MsgsView};
 
@@ -25,104 +25,9 @@ pub const NODE_HEADER_BYTES: usize = FRAME_OVERHEAD + 1 + 4;
 /// Per-leaf-entry overhead (two length prefixes).
 pub const LEAF_ENTRY_OVERHEAD: usize = 8;
 
-/// A standard Bε-tree node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BeNode {
-    /// Sorted key-value pairs (like a B-tree leaf).
-    Leaf {
-        /// Entries in strictly ascending key order.
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
-    },
-    /// Pivots, children, and one message buffer per child.
-    Internal {
-        /// Strictly ascending pivots; `children.len() == pivots.len() + 1`.
-        pivots: Vec<Vec<u8>>,
-        /// Child node ids.
-        children: Vec<NodeId>,
-        /// `buffers[i]` holds messages destined for `children[i]`'s subtree,
-        /// sorted by `(key, seq)`.
-        buffers: Vec<Vec<Message>>,
-    },
-}
-
-impl BeNode {
-    /// An empty leaf.
-    pub fn empty_leaf() -> BeNode {
-        BeNode::Leaf {
-            entries: Vec::new(),
-        }
-    }
-
-    /// True for leaves.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, BeNode::Leaf { .. })
-    }
-
-    /// Accounting size in bytes: what split and flush decisions compare
-    /// with `node_bytes`. It counts each buffered message at its
-    /// [`Message::footprint`], which is four bytes more than a `Delete`
-    /// encodes to, so it is at least the image length, and equal to it when
-    /// no `Delete` is buffered.
-    pub fn serialized_size(&self) -> usize {
-        match self {
-            BeNode::Leaf { entries } => leaf_size(entries),
-            BeNode::Internal {
-                pivots, buffers, ..
-            } => internal_size(pivots, buffers.iter().map(Vec::as_slice)),
-        }
-    }
-
-    /// Total bytes of buffered messages (internal nodes; 0 for leaves).
-    pub fn buffer_bytes(&self) -> usize {
-        match self {
-            BeNode::Leaf { .. } => 0,
-            BeNode::Internal { buffers, .. } => buffers
-                .iter()
-                .map(|b| b.iter().map(Message::footprint).sum::<usize>())
-                .sum(),
-        }
-    }
-
-    /// Index of the child routing `key`.
-    pub fn route(&self, key: &[u8]) -> usize {
-        match self {
-            BeNode::Internal { pivots, .. } => pivots.partition_point(|p| p.as_slice() <= key),
-            BeNode::Leaf { .. } => panic!("route() on a leaf"),
-        }
-    }
-
-    /// Serialize into a checksummed frame, padded with zeros to exactly
-    /// `node_bytes`.
-    pub fn encode(&self, node_bytes: usize) -> Vec<u8> {
-        match self {
-            BeNode::Leaf { entries } => encode_leaf(entries, node_bytes),
-            BeNode::Internal {
-                pivots,
-                children,
-                buffers,
-            } => {
-                debug_assert_eq!(buffers.len(), children.len());
-                encode_internal(
-                    pivots,
-                    children
-                        .iter()
-                        .copied()
-                        .zip(buffers.iter().map(Vec::as_slice)),
-                    node_bytes,
-                )
-            }
-        }
-    }
-
-    /// Deserialize a node image, verifying its frame checksum first.
-    pub fn decode(buf: &[u8]) -> Result<BeNode, CodecError> {
-        unframe(buf)?;
-        Ok(BeNodeView::parse(buf)?.to_node())
-    }
-}
-
-/// [`BeNode::serialized_size`] of a leaf holding `entries`.
-pub(crate) fn leaf_size(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
+/// Accounting size of a leaf holding `entries`: exactly its image length
+/// before padding.
+pub fn leaf_size(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
     NODE_HEADER_BYTES
         + entries
             .iter()
@@ -130,9 +35,12 @@ pub(crate) fn leaf_size(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
             .sum::<usize>()
 }
 
-/// [`BeNode::serialized_size`] of an internal node with `pivots` and one
-/// child per buffer.
-pub(crate) fn internal_size<'a>(
+/// Accounting size of an internal node with `pivots` and one child per
+/// buffer: what split and flush decisions compare with `node_bytes`. It
+/// counts each buffered message at its [`Message::footprint`], which is
+/// four bytes more than a `Delete` encodes to, so it is at least the image
+/// length, and equal to it when no `Delete` is buffered.
+pub fn internal_size<'a>(
     pivots: &[Vec<u8>],
     buffers: impl ExactSizeIterator<Item = &'a [Message]>,
 ) -> usize {
@@ -143,8 +51,9 @@ pub(crate) fn internal_size<'a>(
             .sum::<usize>()
 }
 
-/// The image of a leaf holding `entries`, padded to `node_bytes`.
-pub(crate) fn encode_leaf(entries: &[(Vec<u8>, Vec<u8>)], node_bytes: usize) -> Vec<u8> {
+/// The checksummed image of a leaf holding `entries`, padded with zeros to
+/// exactly `node_bytes`.
+pub fn encode_leaf(entries: &[(Vec<u8>, Vec<u8>)], node_bytes: usize) -> Vec<u8> {
     debug_assert!(leaf_size(entries) <= node_bytes, "leaf exceeds its slot");
     let mut w = Writer::with_capacity(node_bytes - FRAME_OVERHEAD);
     w.put_u8(TAG_LEAF);
@@ -156,9 +65,10 @@ pub(crate) fn encode_leaf(entries: &[(Vec<u8>, Vec<u8>)], node_bytes: usize) -> 
     frame_into_slot(&w.into_bytes(), node_bytes)
 }
 
-/// The image of an internal node with `pivots` and `(child id, buffer)`
-/// pairs in child order, padded to `node_bytes`.
-pub(crate) fn encode_internal<'a>(
+/// The checksummed image of an internal node with `pivots` and
+/// `(child id, buffer)` pairs in child order, padded with zeros to exactly
+/// `node_bytes`.
+pub fn encode_internal<'a>(
     pivots: &[Vec<u8>],
     children: impl Iterator<Item = (NodeId, &'a [Message])> + Clone,
     node_bytes: usize,
@@ -185,7 +95,7 @@ pub(crate) fn encode_internal<'a>(
 /// and search leaves inside the image, copying out only what they return.
 /// Parsing checks the whole structure, so a malformed payload is a
 /// [`CodecError`] up front, never a panic or a partial answer. This is the
-/// format's only parser; [`BeNode::decode`] is built on it.
+/// format's only parser.
 #[derive(Debug, Clone, Copy)]
 pub enum BeNodeView<'a> {
     /// Sorted key-value pairs.
@@ -232,26 +142,6 @@ impl<'a> BeNodeView<'a> {
     pub fn child(children: &[u8], i: usize) -> NodeId {
         let b = &children[i * 8..i * 8 + 8];
         NodeId::from_le_bytes(b.try_into().expect("slice of 8"))
-    }
-
-    /// An owned copy of the node.
-    pub fn to_node(self) -> BeNode {
-        match self {
-            BeNodeView::Leaf(entries) => BeNode::Leaf {
-                entries: entries.to_vec(),
-            },
-            BeNodeView::Internal {
-                pivots,
-                children,
-                buffers,
-            } => BeNode::Internal {
-                pivots: pivots.to_vec(),
-                children: (0..=pivots.len())
-                    .map(|i| Self::child(children, i))
-                    .collect(),
-                buffers: buffers.iter().map(|b| b.to_vec()).collect(),
-            },
-        }
     }
 }
 
@@ -338,10 +228,10 @@ struct BufferSpot {
 ///
 /// The encoded message is spliced into the node image itself
 /// ([`splice_in_place`]), with no decode into owned buffers. The edited
-/// image is the one [`BeNode::encode`] writes after `buffer_insert` of the
-/// same message into the decoded node, and
-/// [`BufferEdit::serialized_size`] is that node's
-/// [`BeNode::serialized_size`], so callers take the same fit decisions.
+/// image is the one [`encode_internal`] writes after [`buffer_insert`] of
+/// the same message into the decoded buffers, and
+/// [`BufferEdit::serialized_size`] is then that node's [`internal_size`],
+/// so callers take the same fit decisions.
 #[derive(Debug)]
 pub struct BufferEdit {
     splice: Splice,
@@ -394,7 +284,7 @@ impl BufferEdit {
         })
     }
 
-    /// [`BeNode::serialized_size`] of the edited node.
+    /// [`internal_size`] of the edited node.
     pub fn serialized_size(&self) -> usize {
         self.serialized_size
     }
@@ -496,7 +386,8 @@ pub fn buffer_merge(a: Vec<Message>, b: Vec<Message>) -> Vec<Message> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dam_kv::msg::Operation;
+    use dam_kv::codec::unframe;
+    use dam_kv::msg::{LastWriteWins, Operation};
 
     fn m(seq: u64, key: &[u8]) -> Message {
         Message {
@@ -504,55 +395,6 @@ mod tests {
             key: key.to_vec(),
             op: Operation::Put(vec![seq as u8; 4]),
         }
-    }
-
-    #[test]
-    fn leaf_roundtrip() {
-        let node = BeNode::Leaf {
-            entries: vec![
-                (b"a".to_vec(), b"1".to_vec()),
-                (b"b".to_vec(), b"2".to_vec()),
-            ],
-        };
-        let buf = node.encode(256);
-        assert_eq!(BeNode::decode(&buf).unwrap(), node);
-    }
-
-    #[test]
-    fn internal_with_buffers_roundtrip() {
-        let node = BeNode::Internal {
-            pivots: vec![b"m".to_vec()],
-            children: vec![10, 20],
-            buffers: vec![vec![m(1, b"a"), m(3, b"c")], vec![m(2, b"x")]],
-        };
-        let buf = node.encode(1024);
-        assert_eq!(BeNode::decode(&buf).unwrap(), node);
-    }
-
-    #[test]
-    fn serialized_size_is_exact_for_internal() {
-        let node = BeNode::Internal {
-            pivots: vec![b"m".to_vec()],
-            children: vec![10, 20],
-            buffers: vec![vec![m(1, b"a")], vec![]],
-        };
-        let unpadded = node.encode(node.serialized_size());
-        assert_eq!(unpadded.len(), node.serialized_size());
-        assert_eq!(BeNode::decode(&unpadded).unwrap(), node);
-        // A buffered Delete encodes in four bytes less than its footprint,
-        // so the accounting size is then above the image length.
-        let with_delete = BeNode::Internal {
-            pivots: vec![b"m".to_vec()],
-            children: vec![10, 20],
-            buffers: vec![
-                vec![m(1, b"a"), del(4, b"c")],
-                vec![del(2, b"x"), del(3, b"y")],
-            ],
-        };
-        let img = with_delete.encode(with_delete.serialized_size());
-        let framed_len = FRAME_OVERHEAD + unframe(&img).unwrap().len();
-        assert_eq!(framed_len + 3 * 4, with_delete.serialized_size());
-        assert_eq!(BeNode::decode(&img).unwrap(), with_delete);
     }
 
     fn del(seq: u64, key: &[u8]) -> Message {
@@ -563,13 +405,39 @@ mod tests {
         }
     }
 
+    fn internal(pivots: &[Vec<u8>], buffers: &[Vec<Message>], node_bytes: usize) -> Vec<u8> {
+        let children = (0..)
+            .map(|i| 10 * (i + 1))
+            .zip(buffers.iter().map(Vec::as_slice));
+        encode_internal(pivots, children, node_bytes)
+    }
+
+    #[test]
+    fn sizes_are_exact_unless_a_delete_is_buffered() {
+        let pivots = vec![b"m".to_vec()];
+        let buffers = vec![vec![m(1, b"a")], vec![]];
+        let size = internal_size(&pivots, buffers.iter().map(Vec::as_slice));
+        assert_eq!(internal(&pivots, &buffers, size).len(), size);
+        let entries = vec![(b"a".to_vec(), b"1".to_vec())];
+        assert_eq!(
+            encode_leaf(&entries, leaf_size(&entries)).len(),
+            leaf_size(&entries)
+        );
+        // A buffered Delete encodes in four bytes less than its footprint,
+        // so the accounting size is then above the image length.
+        let buffers = vec![
+            vec![m(1, b"a"), del(4, b"c")],
+            vec![del(2, b"x"), del(3, b"y")],
+        ];
+        let size = internal_size(&pivots, buffers.iter().map(Vec::as_slice));
+        let img = internal(&pivots, &buffers, size);
+        assert_eq!(FRAME_OVERHEAD + unframe(&img).unwrap().len() + 3 * 4, size);
+    }
+
     #[test]
     fn buffer_edit_splices_in_key_seq_order() {
-        let node = BeNode::Internal {
-            pivots: vec![b"m".to_vec()],
-            children: vec![10, 20],
-            buffers: vec![vec![m(1, b"b"), m(5, b"b"), del(2, b"d")], vec![]],
-        };
+        let pivots = vec![b"m".to_vec()];
+        let mut buffers = vec![vec![m(1, b"b"), m(5, b"b"), del(2, b"d")], vec![]];
         let node_bytes = 512;
         let upsert = |seq, key: &[u8]| Message {
             seq,
@@ -586,139 +454,70 @@ mod tests {
             upsert(8, b"z"),
             del(9, b"a"),
         ];
-        let mut img = node.encode(node_bytes);
-        let mut owned = node;
+        let mut img = internal(&pivots, &buffers, node_bytes);
         for msg in msgs {
             let edit = BufferEdit::new(&img, BeNodeView::parse(&img).unwrap(), &msg).unwrap();
-            let idx = owned.route(&msg.key);
-            let BeNode::Internal { buffers, .. } = &mut owned else {
-                unreachable!()
-            };
-            buffer_insert(&mut buffers[idx], msg);
-            assert_eq!(edit.serialized_size(), owned.serialized_size());
+            buffer_insert(&mut buffers[usize::from(msg.key.as_slice() >= b"m")], msg);
+            let size = internal_size(&pivots, buffers.iter().map(Vec::as_slice));
+            assert_eq!(edit.serialized_size(), size);
             assert!(edit.fits(node_bytes, 2));
             assert!(!edit.fits(node_bytes, 1));
-            assert!(!edit.fits(owned.serialized_size() - 1, 2));
+            assert!(!edit.fits(size - 1, 2));
             edit.apply(&mut img);
-            assert_eq!(img, owned.encode(node_bytes));
+            assert_eq!(img, internal(&pivots, &buffers, node_bytes));
         }
-        let leaf = BeNode::empty_leaf().encode(node_bytes);
+        let leaf = encode_leaf(&[], node_bytes);
         let view = BeNodeView::parse(&leaf).unwrap();
         assert!(BufferEdit::new(&leaf, view, &m(1, b"a")).is_err());
     }
 
     #[test]
-    fn buffer_bytes_counts_messages_only() {
-        let node = BeNode::Internal {
-            pivots: vec![b"m".to_vec()],
-            children: vec![10, 20],
-            buffers: vec![vec![m(1, b"a")], vec![m(2, b"z"), m(3, b"z")]],
-        };
-        let expect: usize = [m(1, b"a"), m(2, b"z"), m(3, b"z")]
-            .iter()
-            .map(Message::footprint)
-            .sum();
-        assert_eq!(node.buffer_bytes(), expect);
-        assert_eq!(BeNode::empty_leaf().buffer_bytes(), 0);
-    }
-
-    #[test]
     fn apply_messages_merge_pass() {
-        use dam_kv::msg::LastWriteWins;
         let mut entries = vec![(b"b".to_vec(), b"old".to_vec())];
-        let msgs = vec![
-            Message {
-                seq: 1,
-                key: b"a".to_vec(),
-                op: Operation::Put(b"x".to_vec()),
-            },
-            Message {
-                seq: 2,
-                key: b"b".to_vec(),
-                op: Operation::Delete,
-            },
-            Message {
-                seq: 3,
-                key: b"c".to_vec(),
-                op: Operation::Put(b"y".to_vec()),
-            },
-        ];
+        let msgs = vec![m(1, b"a"), del(2, b"b"), m(3, b"c")];
         let delta = apply_msgs_to_entries(&mut entries, &msgs, &LastWriteWins);
         assert_eq!(delta, 1); // +a, -b, +c
-        assert_eq!(
-            entries,
-            vec![
-                (b"a".to_vec(), b"x".to_vec()),
-                (b"c".to_vec(), b"y".to_vec())
-            ]
-        );
+        let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
+        assert_eq!(keys, [b"a", b"c"]);
     }
 
     #[test]
-    fn buffer_insert_keeps_key_seq_order() {
+    fn buffer_insert_and_merge_keep_key_seq_order() {
         let mut buf = Vec::new();
-        buffer_insert(&mut buf, m(5, b"b"));
-        buffer_insert(&mut buf, m(1, b"b"));
-        buffer_insert(&mut buf, m(3, b"a"));
-        let order: Vec<(Vec<u8>, u64)> = buf.iter().map(|x| (x.key.clone(), x.seq)).collect();
-        assert_eq!(
-            order,
-            vec![(b"a".to_vec(), 3), (b"b".to_vec(), 1), (b"b".to_vec(), 5)]
-        );
-    }
-
-    #[test]
-    fn buffer_merge_is_stable_sorted() {
-        let a = vec![m(1, b"a"), m(4, b"c")];
-        let b = vec![m(2, b"a"), m(3, b"b")];
-        let out = buffer_merge(a, b);
-        let order: Vec<(Vec<u8>, u64)> = out.iter().map(|x| (x.key.clone(), x.seq)).collect();
-        assert_eq!(
-            order,
-            vec![
-                (b"a".to_vec(), 1),
-                (b"a".to_vec(), 2),
-                (b"b".to_vec(), 3),
-                (b"c".to_vec(), 4)
-            ]
-        );
-    }
-
-    #[test]
-    fn decode_garbage_fails() {
-        assert!(BeNode::decode(&[7]).is_err());
-        assert!(BeNode::decode(&[]).is_err());
-    }
-
-    #[test]
-    fn decode_detects_corruption() {
-        let node = BeNode::Internal {
-            pivots: vec![b"m".to_vec()],
-            children: vec![10, 20],
-            buffers: vec![vec![m(1, b"a"), m(3, b"c")], vec![m(2, b"x")]],
+        for msg in [m(5, b"b"), m(1, b"b"), m(3, b"a")] {
+            buffer_insert(&mut buf, msg);
+        }
+        let order = |b: &[Message]| -> Vec<(Vec<u8>, u64)> {
+            b.iter().map(|x| (x.key.clone(), x.seq)).collect()
         };
-        let mut buf = node.encode(1024);
-        buf[NODE_HEADER_BYTES + 1] ^= 0x02; // flip one payload bit
+        assert_eq!(
+            order(&buf),
+            [(b"a".to_vec(), 3), (b"b".to_vec(), 1), (b"b".to_vec(), 5)]
+        );
+        let out = buffer_merge(vec![m(1, b"a"), m(4, b"c")], vec![m(2, b"a"), m(3, b"b")]);
+        let want = [
+            (b"a".to_vec(), 1),
+            (b"a".to_vec(), 2),
+            (b"b".to_vec(), 3),
+            (b"c".to_vec(), 4),
+        ];
+        assert_eq!(order(&out), want);
+    }
+
+    #[test]
+    fn corruption_and_garbage_are_errors() {
+        assert!(unframe(&[7]).is_err() && BeNodeView::parse(&[]).is_err());
+        let pivots = vec![b"m".to_vec()];
+        let mut img = internal(&pivots, &[vec![m(1, b"a")], vec![m(2, b"x")]], 1024);
+        let full = img.clone();
+        img[NODE_HEADER_BYTES + 1] ^= 0x02; // flip one payload bit
         assert!(matches!(
-            BeNode::decode(&buf),
+            unframe(&img),
             Err(CodecError::ChecksumMismatch { .. })
         ));
-        // A torn prefix of the image must not decode either.
-        let full = node.encode(1024);
+        // A torn prefix of the image must not pass either.
         let mut torn = vec![0u8; 1024];
         torn[..40].copy_from_slice(&full[..40]);
-        assert!(BeNode::decode(&torn).is_err());
-    }
-
-    #[test]
-    fn route_uses_pivots() {
-        let node = BeNode::Internal {
-            pivots: vec![b"h".to_vec()],
-            children: vec![1, 2],
-            buffers: vec![vec![], vec![]],
-        };
-        assert_eq!(node.route(b"a"), 0);
-        assert_eq!(node.route(b"h"), 1);
-        assert_eq!(node.route(b"z"), 1);
+        assert!(unframe(&torn).is_err());
     }
 }

@@ -187,161 +187,3 @@ impl<'a> SegView<'a> {
         Self::read(&mut Reader::new(frame_payload(image)?))
     }
 }
-
-#[cfg(test)]
-mod tests {
-    //! Property tests: a borrowed [`SegView`] answers exactly what the
-    //! owned segment answers, and a well-framed segment around a malformed
-    //! payload is a `CodecError`, never a panic or data.
-
-    use super::*;
-    use dam_kv::codec::{frame, frame_into_slot, unframe};
-    use dam_kv::msg::Operation;
-    use dam_stats::prop::*;
-
-    /// An owned segment, as the tests generate it.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    enum Seg {
-        Subleaf(Vec<(Vec<u8>, Vec<u8>)>),
-        Desc(ChildDesc),
-    }
-
-    impl Seg {
-        fn of(view: SegView<'_>) -> Seg {
-            match view {
-                SegView::Subleaf(entries) => Seg::Subleaf(entries.to_vec()),
-                SegView::Desc(d) => Seg::Desc(d.to_desc()),
-            }
-        }
-
-        fn size(&self) -> usize {
-            match self {
-                Seg::Subleaf(entries) => subleaf_size(entries),
-                Seg::Desc(d) => d.size(),
-            }
-        }
-
-        fn payload(&self) -> Vec<u8> {
-            let mut w = Writer::new();
-            match self {
-                Seg::Subleaf(entries) => encode_subleaf(&mut w, entries),
-                Seg::Desc(d) => d.encode_into(&mut w),
-            }
-            w.into_bytes()
-        }
-    }
-
-    fn in_range(key: &[u8], start: &[u8], end: &[u8]) -> bool {
-        key >= start && key < end
-    }
-
-    fn key() -> impl Gen<Value = Vec<u8>> {
-        vec(0u8..4, 0..4)
-    }
-
-    fn subleaf() -> impl Gen<Value = Seg> {
-        btree_map(key(), vec(any::<u8>(), 0..12), 0..30)
-            .prop_map(|m| Seg::Subleaf(m.into_iter().collect()))
-    }
-
-    fn desc() -> impl Gen<Value = Seg> {
-        let op = prop_oneof![
-            vec(any::<u8>(), 0..8).prop_map(Operation::Put),
-            Just(Operation::Delete),
-            vec(any::<u8>(), 0..8).prop_map(Operation::Upsert),
-        ];
-        (
-            any::<u64>(),
-            any::<bool>(),
-            btree_set(key(), 0..10),
-            vec((key(), any::<u16>(), op), 0..16),
-        )
-            .prop_map(|(addr, is_leaf, boundaries, raw)| {
-                let mut msgs: Vec<Message> = raw
-                    .into_iter()
-                    .map(|(key, seq, op)| Message {
-                        seq: seq as u64,
-                        key,
-                        op,
-                    })
-                    .collect();
-                msgs.sort_by(|a, b| (&a.key, a.seq).cmp(&(&b.key, b.seq)));
-                Seg::Desc(ChildDesc {
-                    addr,
-                    is_leaf,
-                    boundaries: boundaries.into_iter().collect(),
-                    msgs,
-                })
-            })
-    }
-
-    props! {
-        cases = 256;
-
-        #[test]
-        fn view_equals_owned_decode(
-            seg in prop_oneof![subleaf(), desc()],
-            probes in vec((key(), key()), 1..20),
-        ) {
-            let img = frame_into_slot(&seg.payload(), seg.size() + 3);
-            let owned = Seg::of(
-                SegView::read(&mut Reader::new(unframe(&img).unwrap())).unwrap().unwrap(),
-            );
-            prop_assert_eq!(&owned, &seg);
-            let view = SegView::parse(&img).unwrap().unwrap();
-            for (a, b) in &probes {
-                match (&owned, view) {
-                    (Seg::Subleaf(entries), SegView::Subleaf(pairs)) => {
-                        let want = entries
-                            .binary_search_by(|(k, _)| k.as_slice().cmp(a))
-                            .ok()
-                            .map(|i| entries[i].1.as_slice());
-                        prop_assert_eq!(pairs.get(a), want);
-                        let want: Vec<(&[u8], &[u8])> = entries
-                            .iter()
-                            .filter(|(k, _)| in_range(k, a, b))
-                            .map(|(k, v)| (k.as_slice(), v.as_slice()))
-                            .collect();
-                        let got: Vec<(&[u8], &[u8])> = pairs.range(a, b).collect();
-                        prop_assert_eq!(got, want);
-                    }
-                    (Seg::Desc(d), SegView::Desc(v)) => {
-                        prop_assert_eq!(v.boundaries.route(a), d.route(a));
-                        let want: Vec<Message> =
-                            d.msgs.iter().filter(|m| &m.key == a).cloned().collect();
-                        let got: Vec<Message> =
-                            v.msgs.for_key(a).map(|m| m.to_message()).collect();
-                        prop_assert_eq!(got, want);
-                    }
-                    _ => prop_assert!(false, "view and owned decode disagree on the kind"),
-                }
-            }
-        }
-
-        #[test]
-        fn malformed_payload_in_a_valid_frame_is_an_error(
-            seg in prop_oneof![subleaf(), desc()],
-            cut in any::<u64>(),
-        ) {
-            let p = seg.payload();
-            let truncated = frame(&p[..cut as usize % p.len()]);
-            prop_assert!(SegView::parse(&truncated).is_err());
-        }
-
-        #[test]
-        fn arbitrary_payload_never_panics(
-            payload in vec(any::<u8>(), 0..96),
-            tag in 0u8..4,
-        ) {
-            let mut p = payload;
-            if !p.is_empty() {
-                p[0] = tag;
-            }
-            // Parsing either fails or yields a segment whose owned copy
-            // fits in the payload it came from.
-            if let Ok(Some(view)) = SegView::parse(&frame(&p)) {
-                prop_assert!(Seg::of(view).payload().len() <= p.len());
-            }
-        }
-    }
-}

@@ -55,8 +55,6 @@ pub struct Engine<L: Layout> {
     /// Live keys at the leaves (pending messages not yet counted).
     count: u64,
     next_seq: u64,
-    /// The slot a root split set aside for the new root.
-    spare_root: Option<u64>,
     obs: Option<Obs>,
 }
 
@@ -147,7 +145,6 @@ impl<L: Layout> Engine<L> {
             height: 1,
             count: 0,
             next_seq: 1,
-            spare_root: None,
             obs: None,
         };
         tree.layout
@@ -170,7 +167,6 @@ impl<L: Layout> Engine<L> {
             height: meta.height,
             count: meta.count,
             next_seq: meta.next_seq,
-            spare_root: None,
             obs: None,
         })
     }
@@ -183,11 +179,6 @@ impl<L: Layout> Engine<L> {
     /// Tree height in node levels (a lone leaf node = 1).
     pub fn height(&self) -> u32 {
         self.height
-    }
-
-    /// The layout's shape.
-    pub fn layout(&self) -> &L {
-        &self.layout
     }
 
     /// The pager (counters, flush, cache drops).
@@ -205,9 +196,10 @@ impl<L: Layout> Engine<L> {
     /// segmented layout the superblock carries the root's descriptor,
     /// buffered messages included.
     pub fn persist(&mut self) -> Result<(), KvError> {
-        if !L::PIVOTS_IN_PARENT && !self.root.msgs.is_empty() {
-            // The whole-node superblock has no room for a root buffer,
-            // which only a failed flush leaves behind: push it down first.
+        if self.layout.over_budget(&self.root) {
+            // Only a failed flush leaves the root buffer over its budget,
+            // and the superblock holds at most one segment of it (none in
+            // the whole-node layout): push it down first.
             self.flush_root(&mut false)?;
         }
         self.flush()?;
@@ -292,9 +284,9 @@ impl<L: Layout> Engine<L> {
     }
 
     /// Slots kept free for the committed end of a cascade: a node whose
-    /// children were already rewritten must be written, so its split, and
-    /// its ancestors', must find room. A split that can still abort
-    /// cleanly leaves them untouched.
+    /// children were already rewritten must be written, so its split, its
+    /// ancestors' and the new root above them must find room. A split that
+    /// can still abort cleanly leaves them untouched.
     fn reserve(&self) -> u64 {
         4 * (self.height as u64 + 1)
     }
@@ -472,15 +464,14 @@ impl<L: Layout> Engine<L> {
                     .into(),
             ));
         }
-        // A root split also takes the slot of the new root above it.
-        let is_root = desc.addr == self.root.addr;
-        let wanted = parts.len() - 1 + is_root as usize;
+        // A root split will also need the slot of the new root above it.
+        let wanted = parts.len() - 1 + usize::from(desc.addr == self.root.addr);
         let node_bytes = self.layout.node_bytes() as u64;
         if !*committed && self.pager.available(node_bytes) < wanted as u64 + self.reserve() {
             return Err(PagerError::OutOfSpace.into());
         }
-        let mut addrs = Vec::with_capacity(wanted);
-        for _ in 0..wanted {
+        let mut addrs = Vec::with_capacity(parts.len() - 1);
+        for _ in 1..parts.len() {
             match self.pager.alloc(node_bytes) {
                 Ok(addr) => addrs.push(addr),
                 Err(e) => {
@@ -490,9 +481,6 @@ impl<L: Layout> Engine<L> {
                     return Err(e.into());
                 }
             }
-        }
-        if is_root {
-            self.spare_root = addrs.pop();
         }
         let mut parts = parts.into_iter();
         let (_, own) = parts.next().expect("a split has a first part");
@@ -589,16 +577,18 @@ impl<L: Layout> Engine<L> {
         if siblings.is_empty() {
             return Ok(());
         }
-        let addr = match self.spare_root.take() {
-            Some(addr) => addr,
-            None => self.pager.alloc(self.layout.node_bytes() as u64)?,
-        };
+        let addr = self.pager.alloc(self.layout.node_bytes() as u64)?;
         let old = std::mem::replace(&mut self.root, ChildDesc::new(addr, false));
         let mut pivots = Vec::with_capacity(siblings.len());
         let mut kids = vec![old];
         for (sep, desc) in siblings {
             pivots.push(sep);
             kids.push(desc);
+        }
+        // Messages a failed cascade left above the old root stay above the
+        // new one, where no segment budget applies.
+        for kid in &mut kids {
+            self.root.msgs.append(&mut kid.msgs);
         }
         self.height += 1;
         // The new root is committed even when its write surfaces a fault

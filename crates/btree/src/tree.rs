@@ -56,6 +56,9 @@ pub struct BTree {
     /// Levels including the leaf level; an empty tree has height 1.
     height: u32,
     count: u64,
+    /// A write fault that surfaced mid-operation; the write itself landed
+    /// in the cache, so the operation went on and reports it at the end.
+    deferred: Option<KvError>,
     obs: Option<Obs>,
 }
 
@@ -79,6 +82,7 @@ impl BTree {
             root,
             height: 1,
             count: 0,
+            deferred: None,
             obs: None,
         };
         tree.write_node(root, &Node::empty_leaf())?;
@@ -119,6 +123,7 @@ impl BTree {
             root,
             height,
             count,
+            deferred: None,
             obs: None,
         })
     }
@@ -259,7 +264,8 @@ impl BTree {
                 }
                 let mut image = page.to_vec();
                 edit.apply(&mut image);
-                self.pager.write(id, image)?;
+                let written = self.pager.write(id, image).map_err(KvError::from);
+                self.landed(written)?;
                 return Ok((new_key, None));
             }
             NodeView::Internal { pivots, children } => (pivots, children),
@@ -276,7 +282,8 @@ impl BTree {
         pivots.insert(idx, pivot);
         children.insert(idx + 1, right_id);
         if node.serialized_size() <= self.cfg.node_bytes {
-            self.write_node(id, &node)?;
+            let written = self.write_node(id, &node);
+            self.landed(written)?;
             return Ok((new_key, None));
         }
         // Split the internal node: promote the byte-midpoint pivot.
@@ -308,8 +315,10 @@ impl BTree {
             pivots: right_pivots,
             children: right_children,
         };
-        self.write_node(id, &node)?;
-        self.write_node(right_id, &right)?;
+        let written = self.write_node(id, &node);
+        self.landed(written)?;
+        let written = self.write_node(right_id, &right);
+        self.landed(written)?;
         Ok((new_key, Some((promoted, right_id))))
     }
 
@@ -330,13 +339,15 @@ impl BTree {
         }
         let (pivot, right_entries) = Self::split_leaf_entries(&mut entries);
         let right_id = self.alloc_node()?;
-        self.write_node(id, &Node::Leaf { entries })?;
-        self.write_node(
+        let written = self.write_node(id, &Node::Leaf { entries });
+        self.landed(written)?;
+        let written = self.write_node(
             right_id,
             &Node::Leaf {
                 entries: right_entries,
             },
-        )?;
+        );
+        self.landed(written)?;
         Ok((pivot, right_id))
     }
 
@@ -365,7 +376,8 @@ impl BTree {
                 let under = self.underfull(edit.serialized_size());
                 let mut image = page.to_vec();
                 edit.apply(&mut image);
-                self.pager.write(id, image)?;
+                let written = self.pager.write(id, image).map_err(KvError::from);
+                self.landed(written)?;
                 return Ok((true, under));
             }
             NodeView::Internal { pivots, children } => (pivots, children),
@@ -389,7 +401,8 @@ impl BTree {
         };
         // Single child (possible transiently at the root): nothing to do.
         if children.len() == 1 {
-            self.write_node(id, node)?;
+            let written = self.write_node(id, node);
+            self.landed(written)?;
             return Ok(());
         }
         // Prefer the left sibling; fall back to the right when idx == 0.
@@ -431,11 +444,13 @@ impl BTree {
                 }
                 _ => return Err(KvError::Corrupt("sibling level mismatch".into())),
             }
-            self.write_node(left_id, &left)?;
+            let written = self.write_node(left_id, &left);
+            self.landed(written)?;
             self.free_node(right_id);
             pivots.remove(li);
             children.remove(ri);
-            self.write_node(id, node)?;
+            let written = self.write_node(id, node);
+            self.landed(written)?;
             return Ok(());
         }
 
@@ -491,10 +506,13 @@ impl BTree {
             }
             _ => return Err(KvError::Corrupt("sibling level mismatch".into())),
         };
-        self.write_node(left_id, &left)?;
-        self.write_node(right_id, &right)?;
+        let written = self.write_node(left_id, &left);
+        self.landed(written)?;
+        let written = self.write_node(right_id, &right);
+        self.landed(written)?;
         pivots[li] = new_separator;
-        self.write_node(id, node)?;
+        let written = self.write_node(id, node);
+        self.landed(written)?;
         Ok(())
     }
 
@@ -808,7 +826,33 @@ impl BTree {
 }
 
 impl BTree {
+    /// A write the pager applied even though a device fault surfaced
+    /// (every write lands in the cache; the fault belongs to an eviction
+    /// write-back): keep going, so a split is never left half-adopted, and
+    /// report the fault when the operation ends ([`Self::finish_op`]).
+    fn landed(&mut self, written: Result<(), KvError>) -> Result<(), KvError> {
+        match written {
+            Err(e @ KvError::Storage(_)) => {
+                self.deferred.get_or_insert(e);
+                Ok(())
+            }
+            other => other,
+        }
+    }
+
+    /// The result of a write operation: its own, or else the first write
+    /// fault it deferred.
+    fn finish_op(&mut self, result: Result<(), KvError>) -> Result<(), KvError> {
+        let deferred = self.deferred.take();
+        result.and(deferred.map_or(Ok(()), Err))
+    }
+
     fn insert_inner(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
+        let result = self.insert_body(key, value);
+        self.finish_op(result)
+    }
+
+    fn insert_body(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
         self.entry_fits(key, value)?;
         let root = self.root;
         let (new_key, split) = self.insert_rec(root, key, value)?;
@@ -818,7 +862,8 @@ impl BTree {
                 pivots: vec![pivot],
                 children: vec![root, right],
             };
-            self.write_node(new_root, &node)?;
+            let written = self.write_node(new_root, &node);
+            self.landed(written)?;
             self.root = new_root;
             self.height += 1;
         }
@@ -829,6 +874,11 @@ impl BTree {
     }
 
     fn delete_inner(&mut self, key: &[u8]) -> Result<(), KvError> {
+        let result = self.delete_body(key);
+        self.finish_op(result)
+    }
+
+    fn delete_body(&mut self, key: &[u8]) -> Result<(), KvError> {
         let root = self.root;
         let (removed, _) = self.delete_rec(root, key)?;
         if removed {

@@ -55,6 +55,20 @@ pub enum Mode {
         /// Post-create IO ordinal at which the device dies.
         crash_after: u64,
     },
+    /// A fault that persists: every op is armed with `AfterIos(1)` (one IO
+    /// passes, then every IO fails until the harness disarms), or, with
+    /// `full`, the device is too small for the trace and keeps refusing
+    /// allocations once it fills. A write that fails must have landed
+    /// whole or left no trace (the harness reads its key back); `AfterIos`
+    /// failures are then redriven on a healthy device, so every acked write
+    /// must survive. After every op the dictionary's
+    /// [`Dictionary::buffered_bytes`] must stay within its structure's
+    /// cap ([`buffer_cap`]): a failed flush may not leave an ever-growing
+    /// buffer behind.
+    Persistent {
+        /// Fill the device instead of failing IOs.
+        full: bool,
+    },
 }
 
 fn mode_expr(mode: Mode) -> String {
@@ -63,6 +77,7 @@ fn mode_expr(mode: Mode) -> String {
         Mode::FaultsAbsorbed => "Mode::FaultsAbsorbed".into(),
         Mode::FaultsSurfaced { seed } => format!("Mode::FaultsSurfaced {{ seed: {seed} }}"),
         Mode::Crash { crash_after } => format!("Mode::Crash {{ crash_after: {crash_after} }}"),
+        Mode::Persistent { full } => format!("Mode::Persistent {{ full: {full} }}"),
     }
 }
 
@@ -107,6 +122,8 @@ pub struct ReplayStats {
     pub crash_corrupt_opens: u64,
     /// Crash runs that recovered a synced state.
     pub crash_recoveries: u64,
+    /// Failed writes that had landed (persistent mode).
+    pub landed_writes: u64,
 }
 
 struct Fixture {
@@ -679,8 +696,153 @@ pub fn replay(mode: Mode, structures: &[Structure], trace: &[Op]) -> Result<Repl
             }
             Ok(stats)
         }
+        Mode::Persistent { full } => {
+            let mut stats = ReplayStats::default();
+            for &s in structures {
+                let r = run_persistent(s, full, trace)?;
+                stats.ops = r.ops;
+                stats.surfaced_errors += r.surfaced_errors;
+                stats.redrives += r.redrives;
+                stats.landed_writes += r.landed_writes;
+            }
+            Ok(stats)
+        }
         _ => run_lockstep(mode, structures, trace),
     }
+}
+
+/// The most bytes `structure` may hold only in memory in the shard shape
+/// `cfg` ([`ServeStructure::create`](dam_serve::ServeStructure::create)'s).
+/// For the Bε-trees, two nodes (whole-node: `2 × node_bytes` each;
+/// segmented: `2F = 8` segments of `node_bytes`): the root buffer's own
+/// budget is at most a node, and a committed failure moves the buffers the
+/// root node cannot keep up into it (seen reaching 1.03 nodes). For the
+/// LSM-tree, the memtable budget plus one entry; nothing for the B-tree.
+pub fn buffer_cap(structure: Structure, cfg: &ShardConfig) -> usize {
+    match structure {
+        Structure::BTree => 0,
+        Structure::BeTree => 2 * 2 * cfg.node_bytes,
+        Structure::OptBeTree => 2 * 8 * cfg.node_bytes,
+        Structure::Lsm => 2 * cfg.node_bytes + cfg.block_bytes as usize,
+    }
+}
+
+/// A device for [`Mode::Persistent`] with `full`: the structure's reserved
+/// prefix plus 24 of its node (or table) slots, so a trace of a few
+/// hundred writes fills it.
+fn full_disk_bytes(structure: Structure, cfg: &ShardConfig) -> u64 {
+    let (reserved, slot) = match structure {
+        Structure::BTree => (4096, cfg.node_bytes),
+        Structure::BeTree => (4096, 2 * cfg.node_bytes),
+        Structure::OptBeTree => (4096, 8 * cfg.node_bytes),
+        Structure::Lsm => (dam_lsm::MANIFEST_BYTES, 4 * cfg.node_bytes),
+    };
+    reserved + 24 * slot as u64
+}
+
+fn run_persistent(structure: Structure, full: bool, trace: &[Op]) -> Result<ReplayStats, Failure> {
+    let mode = Mode::Persistent { full };
+    let fail = |op_index: Option<usize>, message: String| Failure {
+        mode,
+        structure,
+        op_index,
+        message,
+    };
+    let cfg = ShardConfig::default();
+    let disk = if full {
+        full_disk_bytes(structure, &cfg)
+    } else {
+        DISK_BYTES
+    };
+    let (inj, switch) = FaultInjector::new(RamDisk::new(disk, SimDuration(IO_NS)));
+    let dev = SharedDevice::new(Box::new(inj) as Box<dyn BlockDevice>);
+    let mut dict = structure
+        .create(dev, &cfg, None)
+        .map_err(|e| fail(None, format!("create failed: {e}")))?;
+    let cap = buffer_cap(structure, &cfg);
+    let mut oracle = Oracle::new();
+    let mut stats = ReplayStats {
+        ops: trace.len(),
+        ..ReplayStats::default()
+    };
+    let check_answer = |answer: Answer, op: &Op, oracle: &Oracle| -> Result<(), String> {
+        let ok = match (answer, op) {
+            (Answer::Val(got), Op::Get { key }) => got == oracle.get(key),
+            (Answer::Pairs(got), Op::Range { start, end }) => got == oracle.range(start, end),
+            (Answer::Count(got), Op::Len) => got == oracle.len(),
+            _ => true,
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{op:?} diverged from the oracle"))
+        }
+    };
+    for (i, op) in trace.iter().enumerate() {
+        if !full {
+            switch.set(FaultMode::AfterIos(1));
+        }
+        let result = apply_op(dict.as_mut(), op);
+        switch.set(FaultMode::None);
+        if dict.buffered_bytes() > cap {
+            return Err(fail(
+                Some(i),
+                format!(
+                    "{} bytes buffered in memory after {op:?}, over the cap of {cap}",
+                    dict.buffered_bytes()
+                ),
+            ));
+        }
+        match result {
+            Ok(answer) => {
+                check_answer(answer, op, &oracle).map_err(|m| fail(Some(i), m))?;
+                oracle.apply(op);
+            }
+            Err(KvError::Storage(_)) => {
+                stats.surfaced_errors += 1;
+                // A failed write landed whole or left no trace.
+                if let Op::Insert { key, .. } | Op::Delete { key } = op {
+                    let got = dict
+                        .get(key)
+                        .map_err(|e| fail(Some(i), format!("read-back failed: {e}")))?;
+                    let landed = match op {
+                        Op::Insert { value, .. } => got.as_ref() == Some(value),
+                        _ => got.is_none(),
+                    };
+                    if landed {
+                        stats.landed_writes += 1;
+                        oracle.apply(op);
+                    } else if got != oracle.get(key) {
+                        return Err(fail(Some(i), format!("{op:?} failed half-applied")));
+                    }
+                }
+                if !full {
+                    // Redrive on the healthy device: it must go through.
+                    stats.redrives += 1;
+                    let answer = apply_op(dict.as_mut(), op)
+                        .map_err(|e| fail(Some(i), format!("redrive of {op:?} failed: {e}")))?;
+                    check_answer(answer, op, &oracle).map_err(|m| fail(Some(i), m))?;
+                    oracle.apply(op);
+                }
+            }
+            Err(e) => return Err(fail(Some(i), format!("op {op:?} failed: {e}"))),
+        }
+    }
+    // Every acked write survives: a full scan must match the oracle.
+    let dump = dict
+        .range(&[], &oracle.exclusive_upper_bound())
+        .map_err(|e| fail(None, format!("final dump failed: {e}")))?;
+    if dump != oracle.dump() {
+        return Err(fail(
+            None,
+            format!(
+                "final state diverged: oracle {}, tree {}",
+                describe_pairs(&oracle.dump()),
+                describe_pairs(&dump)
+            ),
+        ));
+    }
+    Ok(stats)
 }
 
 /// Greedy delta-debugging ([`ddmin`]): repeatedly drop chunks of the trace
@@ -705,6 +867,9 @@ pub struct CheckConfig {
     pub faults: bool,
     /// Run the crash-recovery sweep.
     pub crash: bool,
+    /// Run the persistent-fault mode, both variants (not part of the
+    /// default run).
+    pub persistent: bool,
     /// Trace prefix length for crash mode (each crash point replays it).
     pub crash_trace_ops: usize,
     /// Crash points per structure, spread over the clean run's IO count.
@@ -732,6 +897,7 @@ impl Default for CheckConfig {
             plain: true,
             faults: true,
             crash: true,
+            persistent: false,
             crash_trace_ops: 800,
             crash_points: 5,
             shrink_budget: 200,
@@ -823,6 +989,22 @@ pub fn check(cfg: &CheckConfig) -> Result<CheckReport, Box<CheckFailure>> {
             stats.ops,
             stats.surfaced_errors,
             stats.redrives
+        ));
+    }
+    if cfg.persistent {
+        let armed = replay(Mode::Persistent { full: false }, &cfg.structures, &trace)
+            .map_err(|f| shrunk_failure(cfg, f, &trace))?;
+        let full = replay(Mode::Persistent { full: true }, &cfg.structures, &trace)
+            .map_err(|f| shrunk_failure(cfg, f, &trace))?;
+        report.lines.push(format!(
+            "persistent : {} structures x {} ops, each armed with AfterIos(1): {} failed ({} had landed), {} redrives; on a full device: {} failed ({} had landed); buffers within cap, acked writes kept — ok",
+            cfg.structures.len(),
+            armed.ops,
+            armed.surfaced_errors,
+            armed.landed_writes,
+            armed.redrives,
+            full.surfaced_errors,
+            full.landed_writes,
         ));
     }
     if cfg.crash {

@@ -20,9 +20,11 @@
 //! 3. [`Mode`] composes the earlier resilience layers: transient faults
 //!    fully absorbed by `RetryingDevice`, probabilistic faults that may
 //!    surface as typed `KvError`s (the harness redrives idempotent ops and
-//!    still demands convergence to the oracle), and `CrashAfterIos`
+//!    still demands convergence to the oracle), `CrashAfterIos`
 //!    crash-points followed by reopen-and-compare against the last synced
-//!    state.
+//!    state, and, on request, faults that persist (every op armed with
+//!    `AfterIos(1)`, or a device that fills), under which each dictionary's
+//!    in-memory buffer must stay within its cap.
 //! 4. On failure, [`shrink`] minimizes the trace and [`render_test`]
 //!    prints a ready-to-paste `#[test]` that replays the reproducer.
 //!
@@ -35,6 +37,8 @@ pub mod oracle;
 pub mod trace;
 
 pub use concurrent::{replay_concurrent, serve_op, ConcurrentStats};
-pub use harness::{check, replay, shrink, CheckConfig, CheckReport, Failure, Mode, Structure};
+pub use harness::{
+    buffer_cap, check, replay, shrink, CheckConfig, CheckReport, Failure, Mode, Structure,
+};
 pub use oracle::Oracle;
 pub use trace::{generate_trace, render_test, Op};

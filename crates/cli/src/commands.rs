@@ -106,7 +106,9 @@ pub fn help() -> String {
      \x20                                      plus a concurrent mode replaying the\n\
      \x20                                      trace as K clients through the serving\n\
      \x20                                      engine; prints a repro on divergence\n\
-     \x20         modes: all | plain | faults | crash | concurrent\n\
+     \x20         modes: all | plain | faults | crash | concurrent |\n\
+     \x20         persistent (every op armed with a lasting fault, and a\n\
+     \x20         device that fills; not part of all)\n\
      \x20 check-metrics --snapshot <f> --schema <f>   validate a metrics snapshot\n"
         .to_string()
 }
@@ -803,6 +805,13 @@ pub fn check(args: &Args) -> Result<String, CliError> {
             cfg.faults = false;
             cfg.concurrent_clients = 0;
         }
+        "persistent" => {
+            cfg.plain = false;
+            cfg.faults = false;
+            cfg.crash = false;
+            cfg.concurrent_clients = 0;
+            cfg.persistent = true;
+        }
         "concurrent" => {
             cfg.plain = false;
             cfg.faults = false;
@@ -815,7 +824,7 @@ pub fn check(args: &Args) -> Result<String, CliError> {
         }
         other => {
             return Err(CliError::Usage(format!(
-                "unknown mode '{other}'; expected all|plain|faults|crash|concurrent"
+                "unknown mode '{other}'; expected all|plain|faults|crash|concurrent|persistent"
             )))
         }
     }

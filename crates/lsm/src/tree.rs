@@ -238,14 +238,30 @@ impl LsmTree {
                 self.cfg.block_bytes
             )));
         }
-        if let Some(old) = self.mem.insert(key.to_vec(), value) {
+        let bytes_before = self.mem_bytes;
+        let old = self.mem.insert(key.to_vec(), value);
+        if let Some(old) = &old {
             self.mem_bytes = self
                 .mem_bytes
                 .saturating_sub(SsTable::entry_bytes(key, old.as_deref()));
         }
         self.mem_bytes += add;
         if self.mem_bytes >= self.cfg.memtable_bytes {
-            self.flush_memtable()?;
+            if let Err(e) = self.flush_memtable() {
+                if !self.mem.is_empty() {
+                    // The memtable could not be written out: refuse the
+                    // write, so the memtable stays within its budget
+                    // however long the fault lasts (`Dictionary`'s fault
+                    // contract). A compaction that failed after the flush
+                    // keeps the write; it is retried at the next flush.
+                    match old {
+                        Some(old) => self.mem.insert(key.to_vec(), old),
+                        None => self.mem.remove(key),
+                    };
+                    self.mem_bytes = bytes_before;
+                }
+                return Err(e);
+            }
         }
         Ok(())
     }
@@ -600,6 +616,10 @@ impl Dictionary for LsmTree {
     /// Exact live-key count via a full unbounded merge scan (O(N) IO).
     fn len(&mut self) -> Result<u64, KvError> {
         self.in_op(|t| Ok(t.range_inner(&[], None)?.len() as u64))
+    }
+
+    fn buffered_bytes(&self) -> usize {
+        self.mem_bytes
     }
 }
 

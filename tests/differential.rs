@@ -146,3 +146,18 @@ fn degenerate_ranges_empty_across_structures() {
         panic!("degenerate ranges diverged: {f}");
     }
 }
+
+#[test]
+fn persistent_faults_keep_buffers_bounded_and_acked_writes() {
+    // Every op armed with AfterIos(1), then a device that fills: each
+    // failed write landed whole or not at all, every acked write survives,
+    // and no dictionary's in-memory buffer outgrows its cap. Before the
+    // one fault contract, the optimized Bε-tree kept every refused write
+    // in its root buffer and re-flushed it on every later write.
+    let trace = generate_trace(42, 1_500);
+    for full in [false, true] {
+        if let Err(f) = replay(Mode::Persistent { full }, &Structure::ALL, &trace) {
+            panic!("{f}");
+        }
+    }
+}
