@@ -50,14 +50,6 @@ pub enum Body {
 }
 
 impl Node {
-    /// A leaf with one empty chunk.
-    pub fn empty_leaf() -> Node {
-        Node {
-            pivots: Vec::new(),
-            body: Body::Leaf(vec![Vec::new()]),
-        }
-    }
-
     /// True for leaves.
     pub fn is_leaf(&self) -> bool {
         matches!(self.body, Body::Leaf(_))
@@ -204,13 +196,20 @@ pub trait Layout: Sized {
     ) -> Result<PartView<'p>, KvError>;
     /// The pivots and parts of a page read by [`Layout::read_for_query`]
     /// (one part, and no pivots, for a segment).
+    #[allow(clippy::type_complexity)]
     fn parts<'p>(
         &self,
         page: &'p Page,
         addr: u64,
         seg: usize,
         expect_leaf: bool,
-    ) -> Result<(Vec<&'p [u8]>, Vec<PartView<'p>>), KvError>;
+    ) -> Result<
+        (
+            impl Iterator<Item = &'p [u8]> + use<'p, Self>,
+            impl Iterator<Item = PartView<'p>> + use<'p, Self>,
+        ),
+        KvError,
+    >;
 
     /// Encode tree metadata into the superblock.
     fn put_meta(&self, w: &mut Writer, root: &ChildDesc, height: u32, count: u64, next_seq: u64);
@@ -510,35 +509,43 @@ impl Layout for WholeNode {
         )
     }
 
+    #[allow(clippy::type_complexity)]
     fn parts<'p>(
         &self,
         page: &'p Page,
         addr: u64,
         _seg: usize,
         _expect_leaf: bool,
-    ) -> Result<(Vec<&'p [u8]>, Vec<PartView<'p>>), KvError> {
-        Ok(
-            match BeNodeView::parse(page).map_err(|e| corrupt(addr, e))? {
-                BeNodeView::Leaf(entries) => (Vec::new(), vec![PartView::Pairs(entries)]),
-                BeNodeView::Internal {
-                    pivots,
-                    children,
-                    buffers,
-                } => (
-                    pivots.iter().collect(),
-                    buffers
-                        .iter()
-                        .enumerate()
-                        .map(|(i, msgs)| PartView::Kid {
-                            addr: BeNodeView::child(children, i),
-                            is_leaf: false,
-                            pivots: None,
-                            msgs,
-                        })
-                        .collect(),
-                ),
-            },
-        )
+    ) -> Result<
+        (
+            impl Iterator<Item = &'p [u8]> + use<'p>,
+            impl Iterator<Item = PartView<'p>> + use<'p>,
+        ),
+        KvError,
+    > {
+        let (leaf, pivots, kids) = match BeNodeView::parse(page).map_err(|e| corrupt(addr, e))? {
+            BeNodeView::Leaf(entries) => (Some(PartView::Pairs(entries)), None, None),
+            BeNodeView::Internal {
+                pivots,
+                children,
+                buffers,
+            } => {
+                let kids = buffers
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, msgs)| PartView::Kid {
+                        addr: BeNodeView::child(children, i),
+                        is_leaf: false,
+                        pivots: None,
+                        msgs,
+                    });
+                (None, Some(pivots.iter()), Some(kids))
+            }
+        };
+        Ok((
+            pivots.into_iter().flatten(),
+            leaf.into_iter().chain(kids.into_iter().flatten()),
+        ))
     }
 
     fn put_meta(&self, w: &mut Writer, root: &ChildDesc, height: u32, count: u64, next_seq: u64) {
@@ -901,15 +908,22 @@ impl Layout for Segmented {
         })
     }
 
+    #[allow(clippy::type_complexity)]
     fn parts<'p>(
         &self,
         page: &'p Page,
         addr: u64,
         seg: usize,
         expect_leaf: bool,
-    ) -> Result<(Vec<&'p [u8]>, Vec<PartView<'p>>), KvError> {
+    ) -> Result<
+        (
+            impl Iterator<Item = &'p [u8]> + use<'p>,
+            impl Iterator<Item = PartView<'p>> + use<'p>,
+        ),
+        KvError,
+    > {
         let part = self.part_for_key(page, addr, seg, expect_leaf, &[])?;
-        Ok((Vec::new(), vec![part]))
+        Ok((std::iter::empty(), std::iter::once(part)))
     }
 
     fn put_meta(&self, w: &mut Writer, root: &ChildDesc, height: u32, count: u64, next_seq: u64) {

@@ -147,8 +147,11 @@ impl<L: Layout> Engine<L> {
             next_seq: 1,
             obs: None,
         };
-        tree.layout
-            .write(&mut tree.pager, &mut tree.root, &Node::empty_leaf())?;
+        let empty = Node {
+            pivots: Vec::new(),
+            body: Body::Leaf(vec![Vec::new()]),
+        };
+        tree.layout.write(&mut tree.pager, &mut tree.root, &empty)?;
         Ok(tree)
     }
 
@@ -641,7 +644,9 @@ impl<L: Layout> Engine<L> {
 
     /// Range scan of the node at `addr`: `held` are its pivots when the
     /// layout keeps them in the parent, and `pending` the messages buffered
-    /// above it, restricted to the query and `(key, seq)`-sorted.
+    /// above it, restricted to the query and `(key, seq)`-sorted. A
+    /// whole-node layout reads the node once here; a segmented one reads
+    /// each overlapping segment in [`Self::range_parts`].
     #[allow(clippy::too_many_arguments)]
     fn range_rec(
         &mut self,
@@ -654,21 +659,42 @@ impl<L: Layout> Engine<L> {
         out: &mut Vec<(Vec<u8>, Vec<u8>)>,
     ) -> Result<(), KvError> {
         let _lvl = self.obs.as_ref().map(|o| o.descend(L::LEVEL_SPAN));
-        // A whole-node layout reads the node once here; a segmented one
-        // reads each overlapping segment below.
-        let whole = if L::PIVOTS_IN_PARENT {
-            None
-        } else {
-            Some(self.layout.read_for_query(&mut self.pager, addr, 0)?)
-        };
-        let (pivots, parts) = match &whole {
-            Some(page) => self.layout.parts(page, addr, 0, is_leaf)?,
-            None => (held.to_vec(), Vec::new()),
-        };
+        if L::PIVOTS_IN_PARENT {
+            let no_parts = std::iter::empty();
+            return self.range_parts(
+                addr,
+                is_leaf,
+                held.iter().copied(),
+                no_parts,
+                pending,
+                start,
+                end,
+                out,
+            );
+        }
+        let page = self.layout.read_for_query(&mut self.pager, addr, 0)?;
+        let (pivots, parts) = self.layout.parts(&page, addr, 0, is_leaf)?;
+        self.range_parts(addr, is_leaf, pivots, parts, pending, start, end, out)
+    }
+
+    /// The parts of the node at `addr` that overlap `[start, end)`, routed
+    /// by `pivots`: taken from `parts` in key order, or, when it runs dry,
+    /// read one segment at a time.
+    #[allow(clippy::too_many_arguments)]
+    fn range_parts<'p>(
+        &mut self,
+        addr: u64,
+        is_leaf: bool,
+        pivots: impl Iterator<Item = &'p [u8]>,
+        mut parts: impl Iterator<Item = PartView<'p>>,
+        pending: Vec<Message>,
+        start: &[u8],
+        end: &[u8],
+        out: &mut Vec<(Vec<u8>, Vec<u8>)>,
+    ) -> Result<(), KvError> {
         let mut pending = pending.into_iter().peekable();
         let mut lo: Option<&[u8]> = None;
-        for j in 0..=pivots.len() {
-            let hi = pivots.get(j).copied();
+        for (j, hi) in pivots.map(Some).chain(std::iter::once(None)).enumerate() {
             // The pending messages routed to part j.
             let mut group = Vec::new();
             while let Some(m) = pending.next_if(|m| hi.is_none_or(|h| m.key.as_slice() < h)) {
@@ -676,13 +702,14 @@ impl<L: Layout> Engine<L> {
             }
             let overlaps = lo.is_none_or(|l| l < end) && hi.is_none_or(|h| h > start);
             lo = hi;
+            let next = parts.next();
             if !overlaps {
                 debug_assert!(group.is_empty());
                 continue;
             }
             let seg_page;
-            let part = match parts.get(j) {
-                Some(&part) => part,
+            let part = match next {
+                Some(part) => part,
                 None => {
                     seg_page = self.layout.read_for_query(&mut self.pager, addr, j)?;
                     self.layout
@@ -753,16 +780,19 @@ impl<L: Layout> Engine<L> {
                 return Err(e);
             }
         }
-        // Siblings the flush split off are drained too, so `out` only
-        // carries fully drained subtrees.
+        // Siblings the flush split off are drained too, so on success `out`
+        // carries only drained subtrees. After a failure the rest are
+        // handed up undrained: they are committed nodes all the same.
+        let mut result = Ok(());
         for (sep, mut sib) in siblings {
             let mut more = Vec::new();
-            let result = self.drain(&mut sib, &mut more);
+            if result.is_ok() {
+                result = self.drain(&mut sib, &mut more);
+            }
             out.push((sep, sib));
             out.extend(more);
-            result?;
         }
-        Ok(())
+        result
     }
 
     /// Read `desc`'s node and drain every child's subtree, then write the
@@ -1015,11 +1045,6 @@ impl Engine<Segmented> {
     pub fn seg_bytes(&self) -> usize {
         self.layout.seg_bytes()
     }
-
-    /// Target fanout `F`.
-    pub fn fanout(&self) -> usize {
-        self.layout.fanout()
-    }
 }
 
 impl<L: Layout> PagedDict for Engine<L> {
@@ -1203,13 +1228,11 @@ mod tests {
         committed_child_flush_failures_keep_every_acked_key,
         device_full_refuses_writes_and_loses_no_acked_key,
         empty_tree,
-        insert_get_small,
         insert_get_through_growth,
         random_order_inserts,
         overwrite_latest_wins,
         tombstones_delete,
         delete_everything,
-        delete_of_absent_key_is_noop,
         upserts_merge,
         upserts_spanning_flushes,
         range_sees_through_buffers,
@@ -1387,19 +1410,16 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
-    fn insert_get_small<L: Case>() {
+    fn insert_get_through_growth<L: Case>() {
         let mut t = tree::<L>();
+        // First while everything fits the root (and its buffer).
         insert_all(&mut t, 0..50);
         for i in 0..50 {
             let (k, v) = kv(i);
             assert_eq!(t.get(&k).unwrap(), Some(v), "key {i}");
         }
         assert_eq!(t.get(&key_from_u64(50)).unwrap(), None);
-    }
-
-    fn insert_get_through_growth<L: Case>() {
-        let mut t = tree::<L>();
-        insert_all(&mut t, 0..3000);
+        insert_all(&mut t, 50..3000);
         assert!(t.height() >= L::GROWN, "height {}", t.height());
         t.check_invariants().unwrap();
         for i in (0..3000).step_by(41) {
@@ -1450,6 +1470,9 @@ mod tests {
     fn delete_everything<L: Case>() {
         let mut t = tree::<L>();
         insert_all(&mut t, 0..300);
+        // Deleting an absent key is a no-op.
+        t.delete(&key_from_u64(999)).unwrap();
+        assert_eq!(t.len().unwrap(), 300);
         for i in 0..300 {
             t.delete(&kv(i).0).unwrap();
         }
@@ -1457,13 +1480,6 @@ mod tests {
         for i in 0..300 {
             assert_eq!(t.get(&kv(i).0).unwrap(), None);
         }
-    }
-
-    fn delete_of_absent_key_is_noop<L: Case>() {
-        let mut t = tree::<L>();
-        insert_all(&mut t, [1]);
-        t.delete(&key_from_u64(999)).unwrap();
-        assert_eq!(t.len().unwrap(), 1);
     }
 
     fn upserts_merge<L: Case>() {

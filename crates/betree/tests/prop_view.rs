@@ -121,11 +121,7 @@ fn route(pivots: &[Vec<u8>], key: &[u8]) -> usize {
     pivots.partition_point(|p| p.as_slice() <= key)
 }
 
-fn views_match_the_node<L: Layout>(
-    layout: L,
-    node: Node,
-    probes: Vec<(Vec<u8>, Vec<u8>)>,
-) -> CaseResult {
+fn check_views<L: Layout>(layout: L, node: Node, probes: &[(Vec<u8>, Vec<u8>)]) -> CaseResult {
     let (mut pager, desc) = written(&layout, &node);
     let page = layout.fetch(&mut pager, &desc).unwrap();
     prop_assert_eq!(&layout.decode(&page, &desc).unwrap(), &node);
@@ -133,19 +129,20 @@ fn views_match_the_node<L: Layout>(
         Body::Leaf(chunks) => chunks.len(),
         Body::Internal(kids) => kids.len(),
     };
-    for (a, b) in &probes {
+    for (a, b) in probes {
         let j = route(&node.pivots, a);
         let seg = if L::PIVOTS_IN_PARENT { j } else { 0 };
         let page = layout.read_for_query(&mut pager, desc.addr, seg).unwrap();
         let (pivots, all) = layout.parts(&page, desc.addr, seg, node.is_leaf()).unwrap();
+        let (pivots, all): (Vec<&[u8]>, usize) = (pivots.collect(), all.count());
         if L::PIVOTS_IN_PARENT {
-            prop_assert!(pivots.is_empty() && all.len() == 1);
+            prop_assert!(pivots.is_empty() && all == 1);
         } else {
             prop_assert_eq!(
                 pivots,
                 node.pivots.iter().map(Vec::as_slice).collect::<Vec<_>>()
             );
-            prop_assert_eq!(all.len(), parts);
+            prop_assert_eq!(all, parts);
         }
         let part = layout
             .part_for_key(&page, desc.addr, seg, node.is_leaf(), a)
@@ -190,7 +187,7 @@ fn views_match_the_node<L: Layout>(
 /// Replace the node's first frame (the whole image, or segment 0) with
 /// `payload` in a valid frame; decoding and reading it must then fail or
 /// yield a node, never panic. A truncated payload must fail.
-fn framed_payload_is_checked<L: Layout>(
+fn check_framed<L: Layout>(
     layout: L,
     node: Node,
     payload: Option<Vec<u8>>,
@@ -223,49 +220,31 @@ props! {
     cases = 256;
 
     #[test]
-    fn whole_node_views_match_the_node(
-        node in prop_oneof![leaf(1), internal(false)],
+    fn views_match_the_node(
+        whole_node in prop_oneof![leaf(1), internal(false)],
+        seg_node in prop_oneof![leaf(16), internal(true)],
         probes in vec((key(), key()), 1..20),
     ) {
-        views_match_the_node(whole(), node, probes)?;
+        check_views(whole(), whole_node, &probes)?;
+        check_views(segmented(), seg_node, &probes)?;
     }
 
     #[test]
-    fn segmented_views_match_the_node(
-        node in prop_oneof![leaf(16), internal(true)],
-        probes in vec((key(), key()), 1..20),
-    ) {
-        views_match_the_node(segmented(), node, probes)?;
-    }
-
-    #[test]
-    fn whole_node_malformed_payloads_are_errors(
-        node in prop_oneof![leaf(1), internal(false)],
-        cut in any::<u64>(),
-        arbitrary in vec(any::<u8>(), 0..96),
-        tag in 0u8..3,
-    ) {
-        framed_payload_is_checked(whole(), node.clone(), None, cut)?;
-        let mut p = arbitrary;
-        if let Some(first) = p.first_mut() {
-            *first = tag;
-        }
-        framed_payload_is_checked(whole(), node, Some(p), cut)?;
-    }
-
-    #[test]
-    fn segmented_malformed_payloads_are_errors(
-        node in prop_oneof![leaf(16), internal(true)],
+    fn malformed_payloads_are_errors(
+        whole_node in prop_oneof![leaf(1), internal(false)],
+        seg_node in prop_oneof![leaf(16), internal(true)],
         cut in any::<u64>(),
         arbitrary in vec(any::<u8>(), 0..96),
         tag in 0u8..4,
     ) {
-        framed_payload_is_checked(segmented(), node.clone(), None, cut)?;
         let mut p = arbitrary;
         if let Some(first) = p.first_mut() {
             *first = tag;
         }
-        framed_payload_is_checked(segmented(), node, Some(p), cut)?;
+        check_framed(whole(), whole_node.clone(), None, cut)?;
+        check_framed(whole(), whole_node, Some(p.clone()), cut)?;
+        check_framed(segmented(), seg_node.clone(), None, cut)?;
+        check_framed(segmented(), seg_node, Some(p), cut)?;
     }
 
     #[test]

@@ -161,3 +161,19 @@ fn persistent_faults_keep_buffers_bounded_and_acked_writes() {
         }
     }
 }
+
+#[test]
+fn optbetree_full_device_drain_keeps_split_siblings() {
+    // Regression (found by the persistent mode, seed 8): a drain whose
+    // root flush split the root, and which then failed on a full device
+    // while draining the first new sibling, dropped the siblings after it;
+    // eight acknowledged keys vanished.
+    let trace = generate_trace(8, 3_000);
+    if let Err(f) = replay(
+        Mode::Persistent { full: true },
+        &[Structure::OptBeTree],
+        &trace,
+    ) {
+        panic!("{f}");
+    }
+}
