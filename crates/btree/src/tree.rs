@@ -282,8 +282,7 @@ impl BTree {
         pivots.insert(idx, pivot);
         children.insert(idx + 1, right_id);
         if node.serialized_size() <= self.cfg.node_bytes {
-            let written = self.write_node(id, &node);
-            self.landed(written)?;
+            self.write_landed(id, &node)?;
             return Ok((new_key, None));
         }
         // Split the internal node: promote the byte-midpoint pivot.
@@ -315,10 +314,8 @@ impl BTree {
             pivots: right_pivots,
             children: right_children,
         };
-        let written = self.write_node(id, &node);
-        self.landed(written)?;
-        let written = self.write_node(right_id, &right);
-        self.landed(written)?;
+        self.write_landed(id, &node)?;
+        self.write_landed(right_id, &right)?;
         Ok((new_key, Some((promoted, right_id))))
     }
 
@@ -339,15 +336,13 @@ impl BTree {
         }
         let (pivot, right_entries) = Self::split_leaf_entries(&mut entries);
         let right_id = self.alloc_node()?;
-        let written = self.write_node(id, &Node::Leaf { entries });
-        self.landed(written)?;
-        let written = self.write_node(
+        self.write_landed(id, &Node::Leaf { entries })?;
+        self.write_landed(
             right_id,
             &Node::Leaf {
                 entries: right_entries,
             },
-        );
-        self.landed(written)?;
+        )?;
         Ok((pivot, right_id))
     }
 
@@ -401,8 +396,7 @@ impl BTree {
         };
         // Single child (possible transiently at the root): nothing to do.
         if children.len() == 1 {
-            let written = self.write_node(id, node);
-            self.landed(written)?;
+            self.write_landed(id, node)?;
             return Ok(());
         }
         // Prefer the left sibling; fall back to the right when idx == 0.
@@ -444,13 +438,11 @@ impl BTree {
                 }
                 _ => return Err(KvError::Corrupt("sibling level mismatch".into())),
             }
-            let written = self.write_node(left_id, &left);
-            self.landed(written)?;
+            self.write_landed(left_id, &left)?;
             self.free_node(right_id);
             pivots.remove(li);
             children.remove(ri);
-            let written = self.write_node(id, node);
-            self.landed(written)?;
+            self.write_landed(id, node)?;
             return Ok(());
         }
 
@@ -506,13 +498,10 @@ impl BTree {
             }
             _ => return Err(KvError::Corrupt("sibling level mismatch".into())),
         };
-        let written = self.write_node(left_id, &left);
-        self.landed(written)?;
-        let written = self.write_node(right_id, &right);
-        self.landed(written)?;
+        self.write_landed(left_id, &left)?;
+        self.write_landed(right_id, &right)?;
         pivots[li] = new_separator;
-        let written = self.write_node(id, node);
-        self.landed(written)?;
+        self.write_landed(id, node)?;
         Ok(())
     }
 
@@ -840,6 +829,12 @@ impl BTree {
         }
     }
 
+    /// [`Self::write_node`] inside a write operation (see [`Self::landed`]).
+    fn write_landed(&mut self, id: NodeId, node: &Node) -> Result<(), KvError> {
+        let written = self.write_node(id, node);
+        self.landed(written)
+    }
+
     /// The result of a write operation: its own, or else the first write
     /// fault it deferred.
     fn finish_op(&mut self, result: Result<(), KvError>) -> Result<(), KvError> {
@@ -862,8 +857,7 @@ impl BTree {
                 pivots: vec![pivot],
                 children: vec![root, right],
             };
-            let written = self.write_node(new_root, &node);
-            self.landed(written)?;
+            self.write_landed(new_root, &node)?;
             self.root = new_root;
             self.height += 1;
         }

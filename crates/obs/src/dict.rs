@@ -130,6 +130,10 @@ impl<D: Dictionary> Dictionary for ObservedDict<D> {
         self.inner.last_op_cost()
     }
 
+    fn buffered_bytes(&self) -> usize {
+        self.inner.buffered_bytes()
+    }
+
     fn sync(&mut self) -> Result<(), KvError> {
         let r = {
             let _span = self.obs.span(&format!("{}.sync", self.name));
