@@ -237,7 +237,7 @@ impl BTree {
         (pivot, right)
     }
 
-    /// Recursive insert. Returns `(inserted_new_key, Option<(pivot, new_right)>)`.
+    /// Recursive insert. Returns the `(pivot, new_right)` of a split, if any.
     ///
     /// Internal nodes route in place and are decoded only to absorb a child
     /// split.
@@ -247,7 +247,7 @@ impl BTree {
         id: NodeId,
         key: &[u8],
         value: &[u8],
-    ) -> Result<(bool, Option<(Vec<u8>, NodeId)>), KvError> {
+    ) -> Result<Option<(Vec<u8>, NodeId)>, KvError> {
         let _lvl = self.obs.as_ref().map(|o| o.descend("btree.level"));
         let page = self.read_page(id)?;
         let (pivots, children) = match parse_node(id, &page)? {
@@ -257,23 +257,28 @@ impl BTree {
                 // split.
                 let edit = LeafEdit::new(&page, entries, key, Some(value))
                     .map_err(|e| corrupt_node(id, e))?;
-                let new_key = !edit.found();
+                // The key is counted once its leaf image landed, so a fault
+                // further up leaves the count right.
+                let new_key = u64::from(!edit.found());
                 if edit.serialized_size() > self.cfg.node_bytes {
                     let split = self.split_leaf(id, entries, key, value)?;
-                    return Ok((new_key, Some(split)));
+                    self.count += new_key;
+                    return Ok(Some(split));
                 }
                 let mut image = page.to_vec();
                 edit.apply(&mut image);
                 let written = self.pager.write(id, image).map_err(KvError::from);
                 self.landed(written)?;
-                return Ok((new_key, None));
+                self.count += new_key;
+                return Ok(None);
             }
             NodeView::Internal { pivots, children } => (pivots, children),
         };
         let idx = pivots.route(key);
-        let (new_key, split) = self.insert_rec(NodeView::child(children, idx), key, value)?;
-        let Some((pivot, right_id)) = split else {
-            return Ok((new_key, None));
+        let Some((pivot, right_id)) =
+            self.insert_rec(NodeView::child(children, idx), key, value)?
+        else {
+            return Ok(None);
         };
         let mut node = NodeView::Internal { pivots, children }.to_node();
         let Node::Internal { pivots, children } = &mut node else {
@@ -283,7 +288,7 @@ impl BTree {
         children.insert(idx + 1, right_id);
         if node.serialized_size() <= self.cfg.node_bytes {
             self.write_landed(id, &node)?;
-            return Ok((new_key, None));
+            return Ok(None);
         }
         // Split the internal node: promote the byte-midpoint pivot.
         let Node::Internal { pivots, children } = &mut node else {
@@ -316,7 +321,7 @@ impl BTree {
         };
         self.write_landed(id, &node)?;
         self.write_landed(right_id, &right)?;
-        Ok((new_key, Some((promoted, right_id))))
+        Ok(Some((promoted, right_id)))
     }
 
     /// Put `key` into the leaf `id`, whose entries `entries` overflow the
@@ -373,6 +378,7 @@ impl BTree {
                 edit.apply(&mut image);
                 let written = self.pager.write(id, image).map_err(KvError::from);
                 self.landed(written)?;
+                self.count -= 1;
                 return Ok((true, under));
             }
             NodeView::Internal { pivots, children } => (pivots, children),
@@ -850,8 +856,7 @@ impl BTree {
     fn insert_body(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
         self.entry_fits(key, value)?;
         let root = self.root;
-        let (new_key, split) = self.insert_rec(root, key, value)?;
-        if let Some((pivot, right)) = split {
+        if let Some((pivot, right)) = self.insert_rec(root, key, value)? {
             let new_root = self.alloc_node()?;
             let node = Node::Internal {
                 pivots: vec![pivot],
@@ -860,9 +865,6 @@ impl BTree {
             self.write_landed(new_root, &node)?;
             self.root = new_root;
             self.height += 1;
-        }
-        if new_key {
-            self.count += 1;
         }
         Ok(())
     }
@@ -876,7 +878,6 @@ impl BTree {
         let root = self.root;
         let (removed, _) = self.delete_rec(root, key)?;
         if removed {
-            self.count -= 1;
             self.collapse_root()?;
         }
         Ok(())
