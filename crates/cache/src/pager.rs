@@ -37,7 +37,7 @@
 use crate::alloc::Allocator;
 use crate::lru::LruList;
 use dam_kv::{KvError, OpCost};
-use dam_storage::{IoError, SharedDevice, SimDuration, SimTime};
+use dam_storage::{IoError, SharedDevice, SimTime};
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -252,11 +252,6 @@ impl Pager {
     /// Current simulated time as seen by this pager's client.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Advance the clock (model CPU work between IOs).
-    pub fn advance_time(&mut self, d: SimDuration) {
-        self.now += d;
     }
 
     /// Cache budget in bytes.
@@ -744,7 +739,7 @@ impl Pager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dam_storage::{FaultInjector, FaultMode, HddDevice, HddProfile, RamDisk};
+    use dam_storage::{FaultInjector, FaultMode, HddDevice, HddProfile, RamDisk, SimDuration};
 
     fn pager(cache: u64) -> Pager {
         let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(1000))));

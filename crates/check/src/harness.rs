@@ -7,7 +7,7 @@
 
 use crate::oracle::Oracle;
 use crate::trace::{generate_trace, render_test, Op};
-use dam_kv::{BatchOp, Dictionary, KvError, KvPair, OpCost};
+use dam_kv::{Dictionary, KvError, KvPair, OpCost};
 use dam_obs::{Obs, ObservedDevice};
 use dam_serve::ShardConfig;
 use dam_stats::prop::ddmin;
@@ -130,14 +130,18 @@ struct Fixture {
     structure: Structure,
     dict: Box<dyn Dictionary>,
     dev: SharedDevice,
+    switch: FaultSwitch,
     obs: Option<Obs>,
     attributed: OpCost,
     surfaced: u64,
     redrives: u64,
 }
 
-fn build_fixture(structure: Structure, mode: Mode) -> Result<Fixture, Failure> {
-    let (inj, switch) = FaultInjector::new(RamDisk::new(DISK_BYTES, SimDuration(IO_NS)));
+/// A `structure` created on a RAM disk of `disk_bytes` behind a fault
+/// injector, with the wrappers `mode` runs through; faults are armed only
+/// in the lockstep fault modes, the other modes drive `switch` themselves.
+fn build_fixture(structure: Structure, mode: Mode, disk_bytes: u64) -> Result<Fixture, Failure> {
+    let (inj, switch) = FaultInjector::new(RamDisk::new(disk_bytes, SimDuration(IO_NS)));
     let obs = matches!(mode, Mode::Plain).then(Obs::new);
     let boxed: Box<dyn BlockDevice> = match (mode, &obs) {
         // Plain runs double as the Obs composition check: the observed
@@ -187,6 +191,7 @@ fn build_fixture(structure: Structure, mode: Mode) -> Result<Fixture, Failure> {
         structure,
         dict,
         dev,
+        switch,
         obs,
         attributed: OpCost::default(),
         surfaced: 0,
@@ -431,7 +436,7 @@ fn run_lockstep(
 ) -> Result<ReplayStats, Failure> {
     let mut fixtures = structures
         .iter()
-        .map(|&s| build_fixture(s, mode))
+        .map(|&s| build_fixture(s, mode, DISK_BYTES))
         .collect::<Result<Vec<_>, _>>()?;
     let mut oracle = Oracle::new();
     for (i, op) in trace.iter().enumerate() {
@@ -467,37 +472,6 @@ fn crash_ops(trace: &[Op]) -> Vec<Op> {
     ops
 }
 
-struct CrashRun {
-    switch: FaultSwitch,
-    dev: SharedDevice,
-    base_ios: u64,
-}
-
-fn build_crash_device(
-    structure: Structure,
-    mode: Mode,
-) -> Result<(Box<dyn Dictionary>, CrashRun), Failure> {
-    let (inj, switch) = FaultInjector::new(RamDisk::new(DISK_BYTES, SimDuration(IO_NS)));
-    let dev = SharedDevice::new(Box::new(inj) as Box<dyn BlockDevice>);
-    let dict = structure
-        .create(dev.clone(), &ShardConfig::default(), None)
-        .map_err(|e| Failure {
-            mode,
-            structure,
-            op_index: None,
-            message: format!("create failed: {e}"),
-        })?;
-    let base_ios = switch.stats().ios_seen;
-    Ok((
-        dict,
-        CrashRun {
-            switch,
-            dev,
-            base_ios,
-        },
-    ))
-}
-
 /// Count the post-create device IOs of a clean (fault-free) crash-trace
 /// execution — the denominator crash points are chosen from. The clean run
 /// is also differentially checked, so it doubles as plain-mode coverage of
@@ -505,48 +479,14 @@ fn build_crash_device(
 pub fn crash_trace_total_ios(structure: Structure, trace: &[Op]) -> Result<u64, Failure> {
     let mode = Mode::Crash { crash_after: 0 };
     let ops = crash_ops(trace);
-    let (mut dict, run) = build_crash_device(structure, mode)?;
+    let mut f = build_fixture(structure, mode, DISK_BYTES)?;
+    let base_ios = f.switch.stats().ios_seen;
     let mut oracle = Oracle::new();
-    let mut f = Fixture {
-        structure,
-        dict: std::mem::replace(&mut dict, Box::new(NullDict)),
-        dev: run.dev.clone(),
-        obs: None,
-        attributed: OpCost::default(),
-        surfaced: 0,
-        redrives: 0,
-    };
     for (i, op) in ops.iter().enumerate() {
         exec_and_compare(&mut f, mode, i, op, &oracle)?;
         oracle.apply(op);
     }
-    Ok(run.switch.stats().ios_seen - run.base_ios)
-}
-
-/// A placeholder dictionary (used only while moving boxes around).
-struct NullDict;
-impl Dictionary for NullDict {
-    fn insert(&mut self, _: &[u8], _: &[u8]) -> Result<(), KvError> {
-        Err(KvError::Config("null dictionary".into()))
-    }
-    fn delete(&mut self, _: &[u8]) -> Result<(), KvError> {
-        Err(KvError::Config("null dictionary".into()))
-    }
-    fn get(&mut self, _: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        Err(KvError::Config("null dictionary".into()))
-    }
-    fn range(&mut self, _: &[u8], _: &[u8]) -> Result<Vec<KvPair>, KvError> {
-        Err(KvError::Config("null dictionary".into()))
-    }
-    fn apply_batch(&mut self, _: &[BatchOp]) -> Result<(), KvError> {
-        Err(KvError::Config("null dictionary".into()))
-    }
-    fn last_op_cost(&self) -> OpCost {
-        OpCost::default()
-    }
-    fn len(&mut self) -> Result<u64, KvError> {
-        Err(KvError::Config("null dictionary".into()))
-    }
+    Ok(f.switch.stats().ios_seen - base_ios)
 }
 
 fn run_crash(structure: Structure, crash_after: u64, trace: &[Op]) -> Result<ReplayStats, Failure> {
@@ -558,9 +498,14 @@ fn run_crash(structure: Structure, crash_after: u64, trace: &[Op]) -> Result<Rep
         op_index,
         message: msg,
     };
-    let (mut dict, run) = build_crash_device(structure, mode)?;
-    run.switch
-        .set(FaultMode::CrashAfterIos(run.base_ios + crash_after));
+    let Fixture {
+        mut dict,
+        dev,
+        switch,
+        ..
+    } = build_fixture(structure, mode, DISK_BYTES)?;
+    let base_ios = switch.stats().ios_seen;
+    switch.set(FaultMode::CrashAfterIos(base_ios + crash_after));
 
     let mut oracle = Oracle::new();
     let mut sync_ok = false;
@@ -594,7 +539,7 @@ fn run_crash(structure: Structure, crash_after: u64, trace: &[Op]) -> Result<Rep
                 }
             }
             Err(KvError::Storage(_) | KvError::Corrupt(_))
-                if run.switch.stats().faults_injected > 0 =>
+                if switch.stats().faults_injected > 0 =>
             {
                 // The crash point hit: the device is dead from here on.
                 crashed = true;
@@ -608,12 +553,12 @@ fn run_crash(structure: Structure, crash_after: u64, trace: &[Op]) -> Result<Rep
     drop(dict);
 
     // "Reboot": faults clear, the device contents survive.
-    run.switch.set(FaultMode::None);
+    switch.set(FaultMode::None);
     let mut stats = ReplayStats {
         ops: ops.len(),
         ..ReplayStats::default()
     };
-    match structure.open(run.dev.clone(), &ShardConfig::default()) {
+    match structure.open(dev, &ShardConfig::default()) {
         Err(KvError::Corrupt(_)) if !sync_ok => {
             // No completed sync: nothing durable was promised. A clean
             // corruption report on open is the documented outcome.
@@ -754,11 +699,9 @@ fn run_persistent(structure: Structure, full: bool, trace: &[Op]) -> Result<Repl
     } else {
         DISK_BYTES
     };
-    let (inj, switch) = FaultInjector::new(RamDisk::new(disk, SimDuration(IO_NS)));
-    let dev = SharedDevice::new(Box::new(inj) as Box<dyn BlockDevice>);
-    let mut dict = structure
-        .create(dev, &cfg, None)
-        .map_err(|e| fail(None, format!("create failed: {e}")))?;
+    let Fixture {
+        mut dict, switch, ..
+    } = build_fixture(structure, mode, disk)?;
     let cap = buffer_cap(structure, &cfg);
     let mut oracle = Oracle::new();
     let mut stats = ReplayStats {
@@ -1137,7 +1080,7 @@ mod tests {
         // A trace that cannot fail shrinks to itself only if it fails; on
         // a passing trace shrink is never called. Here we just check the
         // shrinker's mechanics against a trace that fails for a synthetic
-        // reason: an op the NullDict-free harness cannot fail on — so
+        // reason: an op the harness cannot fail on — so
         // instead validate that shrinking a passing trace is a no-op via
         // the predicate (replay succeeds => shrink unused in check()).
         let trace = generate_trace(3, 50);

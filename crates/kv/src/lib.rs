@@ -11,21 +11,18 @@
 //! * [`dictionary`] — the common external-dictionary interface (insert,
 //!   delete, point query, range query) the paper's data structures
 //!   implement, plus per-operation cost reporting.
-//! * [`workload`] — deterministic workload generators (uniform, zipfian,
-//!   sequential; read/write mixes) matching the §7 benchmark protocol.
-//! * [`writeamp`] — write-amplification metering (Definition 3).
+//! * [`workload`] — deterministic, seeded key-index and value streams
+//!   (uniform, zipfian) for the §7 benchmark protocol.
 
 pub mod codec;
 pub mod dictionary;
 pub mod msg;
 pub mod workload;
-pub mod writeamp;
 
 pub use codec::{CodecError, Reader, Writer};
 pub use dictionary::{BatchOp, Dictionary, KvError, KvPair, OpCost};
 pub use msg::{CounterMerge, LastWriteWins, MergeOperator, Message, Operation};
-pub use workload::{KeyDistribution, Op, WorkloadConfig, WorkloadGen};
-pub use writeamp::WriteAmpMeter;
+pub use workload::{KeyDistribution, WorkloadConfig, WorkloadGen};
 
 /// Encode an index as a fixed-width big-endian key so lexicographic order
 /// equals numeric order. 16 bytes to match the §7 benchmark's key size.

@@ -1,9 +1,10 @@
 //! Deterministic workload generation.
 //!
 //! §7's protocol: preload the database with random key-value pairs, then
-//! issue random inserts and random queries over the key space. Generators
-//! here produce those streams reproducibly: uniform, zipfian (hot-key), and
-//! sequential key distributions; configurable value sizes; mixed op streams.
+//! issue random inserts and random queries over the key space. The
+//! generator here draws the key indices reproducibly from a uniform or a
+//! zipfian (hot-key) distribution, and builds values of a configurable
+//! size that embed their index.
 
 use dam_stats::rng::Rng;
 
@@ -15,21 +16,6 @@ pub enum KeyDistribution {
     /// Zipfian with the given exponent (`~0.99` is the YCSB default);
     /// key 0 is hottest.
     Zipfian(f64),
-    /// Strictly ascending from 0 (bulk-load / time-series pattern).
-    Sequential,
-}
-
-/// One generated operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
-    /// Insert (or overwrite) a pair.
-    Insert(Vec<u8>, Vec<u8>),
-    /// Delete a key.
-    Delete(Vec<u8>),
-    /// Point query.
-    Get(Vec<u8>),
-    /// Range query starting at the key, spanning `span` key indices.
-    Range(Vec<u8>, u64),
 }
 
 /// Workload parameters.
@@ -61,7 +47,6 @@ impl WorkloadConfig {
 pub struct WorkloadGen {
     cfg: WorkloadConfig,
     rng: Rng,
-    sequential_next: u64,
     /// Zipf rejection-sampler constants (Jim Gray et al.'s method), built
     /// lazily on first zipfian draw.
     zipf: Option<ZipfSampler>,
@@ -75,36 +60,20 @@ impl WorkloadGen {
         WorkloadGen {
             cfg,
             rng,
-            sequential_next: 0,
             zipf: None,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.cfg
     }
 
     /// Draw a key index according to the configured distribution.
     pub fn next_index(&mut self) -> u64 {
         match self.cfg.distribution {
             KeyDistribution::Uniform => self.rng.gen_range(0..self.cfg.n_keys),
-            KeyDistribution::Sequential => {
-                let i = self.sequential_next;
-                self.sequential_next = (self.sequential_next + 1) % self.cfg.n_keys;
-                i
-            }
             KeyDistribution::Zipfian(theta) => {
                 let n = self.cfg.n_keys;
                 let z = self.zipf.get_or_insert_with(|| ZipfSampler::new(n, theta));
                 z.sample(&mut self.rng)
             }
         }
-    }
-
-    /// Draw a key (16-byte big-endian encoding of the index).
-    pub fn next_key(&mut self) -> Vec<u8> {
-        crate::key_from_u64(self.next_index()).to_vec()
     }
 
     /// Generate a pseudo-random value of the configured size. Values embed
@@ -116,62 +85,6 @@ impl WorkloadGen {
             *b = tag[i % 8] ^ (i as u8).wrapping_mul(31);
         }
         v
-    }
-
-    /// Next insert op.
-    pub fn next_insert(&mut self) -> Op {
-        let i = self.next_index();
-        let v = self.value_for(i);
-        Op::Insert(crate::key_from_u64(i).to_vec(), v)
-    }
-
-    /// Next point-query op.
-    pub fn next_get(&mut self) -> Op {
-        Op::Get(self.next_key())
-    }
-
-    /// Next delete op.
-    pub fn next_delete(&mut self) -> Op {
-        Op::Delete(self.next_key())
-    }
-
-    /// Next range op spanning `span` key indices.
-    pub fn next_range(&mut self, span: u64) -> Op {
-        let start = self.next_index().min(self.cfg.n_keys.saturating_sub(span));
-        Op::Range(crate::key_from_u64(start).to_vec(), span)
-    }
-
-    /// A mixed stream: each op is a get with probability `read_fraction`,
-    /// otherwise an insert.
-    pub fn mixed_stream(&mut self, n: usize, read_fraction: f64) -> Vec<Op> {
-        (0..n)
-            .map(|_| {
-                if self.rng.gen_range(0.0..1.0) < read_fraction {
-                    self.next_get()
-                } else {
-                    self.next_insert()
-                }
-            })
-            .collect()
-    }
-
-    /// The §7 preload: every key in `[0, n_keys)` exactly once, in random
-    /// order (Fisher–Yates on the index space would need O(n) memory anyway,
-    /// so we shuffle a materialized index vector).
-    pub fn preload_ops(&mut self) -> Vec<Op> {
-        let n = self.cfg.n_keys;
-        let mut idx: Vec<u64> = (0..n).collect();
-        // Fisher–Yates with the generator's RNG.
-        for i in (1..idx.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
-            idx.swap(i, j);
-        }
-        idx.into_iter()
-            .map(|i| {
-                let v = self.value_for(i);
-                Op::Insert(crate::key_from_u64(i).to_vec(), v)
-            })
-            .collect()
     }
 }
 
@@ -251,18 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_wraps() {
-        let mut g = WorkloadGen::new(WorkloadConfig {
-            n_keys: 3,
-            value_bytes: 8,
-            distribution: KeyDistribution::Sequential,
-            seed: 0,
-        });
-        let seq: Vec<u64> = (0..7).map(|_| g.next_index()).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
     fn zipfian_skews_to_low_indices() {
         let mut g = WorkloadGen::new(WorkloadConfig {
             n_keys: 10_000,
@@ -300,35 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn preload_hits_every_key_once() {
-        let mut g = WorkloadGen::new(WorkloadConfig::uniform(500, 3));
-        let ops = g.preload_ops();
-        assert_eq!(ops.len(), 500);
-        let mut seen = vec![false; 500];
-        for op in &ops {
-            if let Op::Insert(k, _) = op {
-                let i = crate::key_to_u64(k).unwrap() as usize;
-                assert!(!seen[i], "duplicate key {i}");
-                seen[i] = true;
-            } else {
-                panic!("preload must be all inserts");
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn preload_is_shuffled() {
-        let mut g = WorkloadGen::new(WorkloadConfig::uniform(500, 3));
-        let ops = g.preload_ops();
-        let ordered = ops.windows(2).all(|w| match (&w[0], &w[1]) {
-            (Op::Insert(a, _), Op::Insert(b, _)) => a < b,
-            _ => false,
-        });
-        assert!(!ordered, "preload should not be in sorted order");
-    }
-
-    #[test]
     fn values_embed_index_and_have_right_size() {
         let mut g = WorkloadGen::new(WorkloadConfig::uniform(10, 1));
         let v1 = g.value_for(3);
@@ -337,24 +209,5 @@ mod tests {
         assert_eq!(v1.len(), 100);
         assert_eq!(v1, v2);
         assert_ne!(v1, v3);
-    }
-
-    #[test]
-    fn mixed_stream_respects_fraction() {
-        let mut g = WorkloadGen::new(WorkloadConfig::uniform(1000, 11));
-        let ops = g.mixed_stream(2000, 0.75);
-        let gets = ops.iter().filter(|o| matches!(o, Op::Get(_))).count();
-        assert!((gets as f64 / 2000.0 - 0.75).abs() < 0.05, "gets {gets}");
-    }
-
-    #[test]
-    fn range_op_stays_in_bounds() {
-        let mut g = WorkloadGen::new(WorkloadConfig::uniform(100, 2));
-        for _ in 0..100 {
-            if let Op::Range(start, span) = g.next_range(20) {
-                let s = crate::key_to_u64(&start).unwrap();
-                assert!(s + span <= 100 + 20);
-            }
-        }
     }
 }

@@ -121,8 +121,8 @@ pub trait BlockDevice: Send {
     /// the same checks, timing, statistics and fault decisions as
     /// [`read`](BlockDevice::read), for callers that only time IOs (the
     /// closed-loop microbenchmarks). The default reads into a scratch
-    /// buffer; the simulated HDD, SSD and RAM disk override it to skip
-    /// moving the bytes.
+    /// buffer; [`SimDevice`](crate::SimDevice), the simulated HDD, SSD and
+    /// RAM disk, overrides it to skip moving the bytes.
     fn read_discard(
         &mut self,
         offset: u64,
@@ -136,9 +136,9 @@ pub trait BlockDevice: Send {
     /// Read the `len`-byte object at `offset` as a shared image: the same
     /// checks, timing, statistics and fault decisions as
     /// [`read`](BlockDevice::read). The default reads into a fresh zeroed
-    /// buffer; the simulated HDD, SSD and RAM disk override it to return
-    /// the very image that a [`write_image`](BlockDevice::write_image) of
-    /// the same range stored, without copying it.
+    /// buffer; [`SimDevice`](crate::SimDevice) overrides it to return the
+    /// very image that a [`write_image`](BlockDevice::write_image) of the
+    /// same range stored, without copying it.
     fn read_image(
         &mut self,
         offset: u64,
@@ -156,8 +156,8 @@ pub trait BlockDevice: Send {
     /// Write the immutable shared `image` at `offset`: the same checks,
     /// timing, statistics and fault decisions as
     /// [`write`](BlockDevice::write). The default writes the image's bytes;
-    /// the simulated HDD, SSD and RAM disk override it to keep the image
-    /// itself when it spans whole store pages (see [`crate::store`]).
+    /// [`SimDevice`](crate::SimDevice) overrides it to keep the image itself
+    /// when it spans whole store pages (see [`crate::store`]).
     fn write_image(
         &mut self,
         offset: u64,

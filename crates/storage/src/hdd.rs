@@ -17,10 +17,9 @@
 //! Table 2 profiles are constructed (see [`HddProfile::from_affine_targets`]).
 
 use crate::clock::{SimDuration, SimTime};
-use crate::device::{BlockDevice, DeviceStats, IoCompletion, IoError};
-use crate::store::SparseStore;
+use crate::device::IoCompletion;
+use crate::sim::{SimDevice, Timing};
 use dam_stats::rng::Rng;
-use std::sync::Arc;
 
 /// Expected value of `√(|u−v|)` for `u, v` uniform on `[0, 1]` — the mean
 /// normalized seek distance factor under random access.
@@ -136,132 +135,61 @@ impl HddProfile {
 }
 
 /// A simulated hard drive: one head, one command at a time.
-pub struct HddDevice {
+pub type HddDevice = SimDevice<HddTiming>;
+
+/// A hard drive's timing state: where the head is, when it is free, where
+/// the previous IO ended and the rotational-latency stream.
+pub struct HddTiming {
     profile: HddProfile,
     head_cylinder: u64,
     next_free: SimTime,
     /// End offset of the previous IO, for sequential-stream detection.
     last_end: Option<u64>,
     rng: Rng,
-    store: SparseStore,
-    stats: DeviceStats,
 }
 
 impl HddDevice {
     /// Build a drive from a profile with a deterministic RNG seed (the seed
     /// drives rotational-latency sampling).
     pub fn new(profile: HddProfile, seed: u64) -> Self {
-        HddDevice {
+        SimDevice::from(HddTiming {
             profile,
             head_cylinder: 0,
             next_free: SimTime::ZERO,
             last_end: None,
             rng: Rng::seed_from_u64(seed),
-            store: SparseStore::new(),
-            stats: DeviceStats::default(),
-        }
+        })
     }
 
     /// The profile this device simulates.
     pub fn profile(&self) -> &HddProfile {
-        &self.profile
+        &self.timing.profile
+    }
+}
+
+impl Timing for HddTiming {
+    fn capacity_bytes(&self) -> u64 {
+        self.profile.capacity_bytes
     }
 
-    /// Service time for an IO at `offset` of `len` bytes given current head
-    /// state; advances head state.
-    fn service(&mut self, offset: u64, len: u64) -> SimDuration {
+    /// Positioning (none for a sequential IO) plus transfer, after the
+    /// previous command; moves the head to the IO's last byte.
+    fn schedule(&mut self, _: bool, offset: u64, len: u64, now: SimTime) -> IoCompletion {
         let target_cyl = self.profile.cylinder_of(offset);
-        let sequential = self.last_end == Some(offset);
-        let positioning = if sequential {
+        let positioning = if self.last_end == Some(offset) {
             0.0
         } else {
             let seek = self.profile.seek_time_s(self.head_cylinder, target_cyl);
             let rot = self.rng.gen_range(0.0..self.profile.rotation());
             seek + rot
         };
-        let rate = self.profile.rate_at(target_cyl);
-        let transfer = len as f64 / rate;
+        let transfer = len as f64 / self.profile.rate_at(target_cyl);
         self.head_cylinder = self.profile.cylinder_of(offset + len - 1);
         self.last_end = Some(offset + len);
-        SimDuration::from_secs_f64(positioning + transfer)
-    }
-
-    fn do_io(&mut self, offset: u64, len: u64, now: SimTime) -> IoCompletion {
         let start = now.max(self.next_free);
-        let dur = self.service(offset, len);
-        let complete = start + dur;
+        let complete = start + SimDuration::from_secs_f64(positioning + transfer);
         self.next_free = complete;
         IoCompletion { start, complete }
-    }
-
-    /// Check, time and count one IO; the caller moves its bytes.
-    fn serve_io(
-        &mut self,
-        is_write: bool,
-        offset: u64,
-        len: u64,
-        now: SimTime,
-    ) -> Result<IoCompletion, IoError> {
-        self.check_range(offset, len)?;
-        let c = self.do_io(offset, len, now);
-        self.stats.record(is_write, len, c.latency());
-        Ok(c)
-    }
-}
-
-impl BlockDevice for HddDevice {
-    fn capacity_bytes(&self) -> u64 {
-        self.profile.capacity_bytes
-    }
-
-    fn read(&mut self, offset: u64, buf: &mut [u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        let c = self.serve_io(false, offset, buf.len() as u64, now)?;
-        self.store.read(offset, buf);
-        Ok(c)
-    }
-
-    fn read_discard(
-        &mut self,
-        offset: u64,
-        len: u64,
-        now: SimTime,
-    ) -> Result<IoCompletion, IoError> {
-        self.serve_io(false, offset, len, now)
-    }
-
-    fn read_image(
-        &mut self,
-        offset: u64,
-        len: usize,
-        now: SimTime,
-    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
-        let c = self.serve_io(false, offset, len as u64, now)?;
-        Ok((self.store.read_image(offset, len), c))
-    }
-
-    fn write(&mut self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        let c = self.serve_io(true, offset, data.len() as u64, now)?;
-        self.store.write(offset, data);
-        Ok(c)
-    }
-
-    fn write_image(
-        &mut self,
-        offset: u64,
-        image: &Arc<Vec<u8>>,
-        now: SimTime,
-    ) -> Result<IoCompletion, IoError> {
-        let c = self.serve_io(true, offset, image.len() as u64, now)?;
-        self.store.write_image(offset, image);
-        Ok(c)
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DeviceStats::default();
     }
 
     fn describe(&self) -> String {
@@ -272,6 +200,7 @@ impl BlockDevice for HddDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::BlockDevice;
 
     fn test_profile() -> HddProfile {
         HddProfile::from_affine_targets("test disk", 2011, 1 << 34, 7200.0, 0.012, 0.000035)

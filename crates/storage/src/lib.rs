@@ -16,6 +16,10 @@
 //!   clock every completion time is expressed in.
 //! * [`BlockDevice`] — the device interface (read/write at byte offsets,
 //!   returning [`IoCompletion`] timestamps).
+//! * [`SimDevice`] — the one simulated device: the sparse store, the
+//!   statistics, the range check and the byte path, including the
+//!   overrides of `read_discard`, `read_image` and `write_image`. A
+//!   [`Timing`] model prices each IO; the three below are its aliases.
 //! * [`HddDevice`] — mechanical disk: distance-dependent seek curve,
 //!   rotational latency, zoned transfer, sequential-access detection.
 //! * [`SsdDevice`] — flash device: `channels × dies` independent units with
@@ -38,6 +42,7 @@ pub mod profiles;
 pub mod ramdisk;
 pub mod retry;
 pub mod sched;
+pub mod sim;
 pub mod ssd;
 pub mod store;
 
@@ -45,11 +50,12 @@ pub use clock::{SimDuration, SimTime};
 pub use concurrency::{run_closed_loop, ClosedLoopConfig, ClosedLoopResult};
 pub use device::{BlockDevice, DeviceStats, IoCompletion, IoError, SharedDevice};
 pub use faulty::{FaultInjector, FaultMode, FaultStats, FaultSwitch};
-pub use hdd::{HddDevice, HddProfile};
+pub use hdd::{HddDevice, HddProfile, HddTiming};
 pub use hist::LatencyHist;
-pub use ramdisk::RamDisk;
+pub use ramdisk::{RamDisk, RamTiming};
 pub use retry::{RetryHandle, RetryPolicy, RetryStats, RetryingDevice};
 pub use sched::{
     BlockAddr, BlockReq, IoChain, PdamScheduler, SchedConfig, SchedStats, StepOutcome, StepRecord,
 };
-pub use ssd::{SsdDevice, SsdProfile};
+pub use sim::{SimDevice, Timing};
+pub use ssd::{SsdDevice, SsdProfile, SsdTiming};

@@ -17,9 +17,8 @@
 //! fractional values like Table 1's 3.3 fall out naturally.
 
 use crate::clock::{SimDuration, SimTime};
-use crate::device::{BlockDevice, DeviceStats, IoCompletion, IoError};
-use crate::store::SparseStore;
-use std::sync::Arc;
+use crate::device::IoCompletion;
+use crate::sim::{SimDevice, Timing};
 
 /// Static description of an SSD.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,42 +114,42 @@ impl SsdProfile {
 }
 
 /// A simulated SSD: parallel flash units feeding one shared bus.
-pub struct SsdDevice {
+pub type SsdDevice = SimDevice<SsdTiming>;
+
+/// An SSD's timing state: when each flash unit and the bus are free.
+pub struct SsdTiming {
     profile: SsdProfile,
     unit_free: Vec<SimTime>,
     bus_free: SimTime,
-    store: SparseStore,
-    stats: DeviceStats,
 }
 
 impl SsdDevice {
     /// Build a device from a profile.
     pub fn new(profile: SsdProfile) -> Self {
-        let units = profile.units;
-        SsdDevice {
-            profile,
-            unit_free: vec![SimTime::ZERO; units],
+        SimDevice::from(SsdTiming {
+            unit_free: vec![SimTime::ZERO; profile.units],
             bus_free: SimTime::ZERO,
-            store: SparseStore::new(),
-            stats: DeviceStats::default(),
-        }
+            profile,
+        })
     }
 
     /// The profile this device simulates.
     pub fn profile(&self) -> &SsdProfile {
-        &self.profile
+        &self.timing.profile
+    }
+}
+
+impl Timing for SsdTiming {
+    fn capacity_bytes(&self) -> u64 {
+        self.profile.capacity_bytes
     }
 
-    /// Which unit serves the stripe containing `offset`.
-    fn unit_of(&self, offset: u64) -> usize {
-        ((offset / self.profile.stripe_bytes) % self.profile.units as u64) as usize
-    }
-
-    /// Schedule an IO: array phases run in parallel on the involved units
-    /// (queueing per unit = bank conflicts); the bus transfer then
-    /// serializes behind other commands.
-    fn do_io(&mut self, offset: u64, len: u64, now: SimTime, is_write: bool) -> IoCompletion {
-        // Pages per involved unit.
+    /// Array phases run in parallel on the involved units (queueing per
+    /// unit = bank conflicts); the bus transfer then serializes behind
+    /// other commands.
+    fn schedule(&mut self, is_write: bool, offset: u64, len: u64, now: SimTime) -> IoCompletion {
+        // Pages per involved unit; a stripe lives on unit
+        // `(offset / stripe) % units`.
         let mut per_unit: Vec<(usize, u64)> = Vec::new();
         let stripe = self.profile.stripe_bytes;
         let mut pos = offset;
@@ -159,7 +158,7 @@ impl SsdDevice {
             let stripe_end = (pos / stripe + 1) * stripe;
             let chunk = stripe_end.min(end) - pos;
             let pages = chunk.div_ceil(self.profile.page_bytes).max(1);
-            let u = self.unit_of(pos);
+            let u = ((pos / stripe) % self.profile.units as u64) as usize;
             match per_unit.iter_mut().find(|(uu, _)| *uu == u) {
                 Some((_, p)) => *p += pages,
                 None => per_unit.push((u, pages)),
@@ -189,76 +188,6 @@ impl SsdDevice {
         IoCompletion { start, complete }
     }
 
-    /// Check, time and count one IO; the caller moves its bytes.
-    fn serve_io(
-        &mut self,
-        is_write: bool,
-        offset: u64,
-        len: u64,
-        now: SimTime,
-    ) -> Result<IoCompletion, IoError> {
-        self.check_range(offset, len)?;
-        let c = self.do_io(offset, len, now, is_write);
-        self.stats.record(is_write, len, c.latency());
-        Ok(c)
-    }
-}
-
-impl BlockDevice for SsdDevice {
-    fn capacity_bytes(&self) -> u64 {
-        self.profile.capacity_bytes
-    }
-
-    fn read(&mut self, offset: u64, buf: &mut [u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        let c = self.serve_io(false, offset, buf.len() as u64, now)?;
-        self.store.read(offset, buf);
-        Ok(c)
-    }
-
-    fn read_discard(
-        &mut self,
-        offset: u64,
-        len: u64,
-        now: SimTime,
-    ) -> Result<IoCompletion, IoError> {
-        self.serve_io(false, offset, len, now)
-    }
-
-    fn read_image(
-        &mut self,
-        offset: u64,
-        len: usize,
-        now: SimTime,
-    ) -> Result<(Arc<Vec<u8>>, IoCompletion), IoError> {
-        let c = self.serve_io(false, offset, len as u64, now)?;
-        Ok((self.store.read_image(offset, len), c))
-    }
-
-    fn write(&mut self, offset: u64, data: &[u8], now: SimTime) -> Result<IoCompletion, IoError> {
-        let c = self.serve_io(true, offset, data.len() as u64, now)?;
-        self.store.write(offset, data);
-        Ok(c)
-    }
-
-    fn write_image(
-        &mut self,
-        offset: u64,
-        image: &Arc<Vec<u8>>,
-        now: SimTime,
-    ) -> Result<IoCompletion, IoError> {
-        let c = self.serve_io(true, offset, image.len() as u64, now)?;
-        self.store.write_image(offset, image);
-        Ok(c)
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DeviceStats::default();
-    }
-
     fn describe(&self) -> String {
         format!(
             "{} ({} units + shared bus, sim SSD)",
@@ -270,6 +199,7 @@ impl BlockDevice for SsdDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::BlockDevice;
 
     fn test_profile() -> SsdProfile {
         SsdProfile::from_pdam_targets("test ssd", 1 << 34, 3.3, 530.0)

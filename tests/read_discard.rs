@@ -1,12 +1,15 @@
-//! `BlockDevice::read_discard` is `read` without the bytes.
+//! Every read or write path of a simulated device costs the same:
+//! `read_discard` is `read` without the bytes, and `read_image` and
+//! `write_image` are `read` and `write` with shared images.
 //!
-//! Two identical devices run one seeded mixed IO sequence: one reads
-//! through `read`, the other through `read_discard`. Each device that
-//! overrides `read_discard` (RAM disk, SSD, HDD) must then report the same
-//! completions and errors, and end with the same device statistics.
-//! Wrappers keep the provided `read_discard`, which calls their `read`. The
-//! sequence includes out-of-range and zero-length reads, so the error paths
-//! are compared too.
+//! Identical devices run one seeded mixed IO sequence, each through one
+//! path: `read` and `write`; `read_discard` and `write`; or `read_image`
+//! and `write_image`. Each simulated device (RAM disk, SSD, HDD: the
+//! `SimDevice` that overrides all three) must then report the same
+//! completions and errors, read the same bytes, and end with the same
+//! device statistics. Wrappers keep the provided methods, which call their
+//! `read` and `write`. The sequence includes out-of-range and zero-length
+//! reads, so the error paths are compared too.
 //!
 //! The generator is `dam_stats::rng::SplitMix64`, whose modulo `below` the
 //! sequence is pinned to.
@@ -17,6 +20,7 @@ use dam_storage::{
     BlockDevice, DeviceStats, HddDevice, IoCompletion, IoError, RamDisk, SimDuration, SimTime,
     SsdDevice,
 };
+use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy)]
 enum Io {
@@ -56,27 +60,81 @@ fn sequence(seed: u64, capacity: u64, n: usize) -> Vec<Io> {
         .collect()
 }
 
+/// `sequence` with every third read turned into a read of exactly the
+/// range the latest write covered, so the image paths hand back the images
+/// they kept (whole-page writes at page offsets) and read images that
+/// later writes overwrote in part.
+fn rereading_sequence(seed: u64, capacity: u64, n: usize) -> Vec<Io> {
+    let mut last_write = None;
+    sequence(seed, capacity, n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, io)| match (io, last_write) {
+            (Io::Write { offset, len, .. }, _) => {
+                last_write = Some((offset, len));
+                io
+            }
+            (Io::Read { .. }, Some((offset, len))) if i % 3 == 0 => Io::Read { offset, len },
+            _ => io,
+        })
+        .collect()
+}
+
+/// Which `BlockDevice` methods a replica moves its bytes through.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// `read` and `write`.
+    Copy,
+    /// `read_discard` and `write`.
+    Discard,
+    /// `read_image` and `write_image`.
+    Image,
+}
+
 #[derive(Debug, PartialEq)]
 struct Report {
     results: Vec<Result<IoCompletion, IoError>>,
     device: DeviceStats,
 }
 
-/// Run `ios` against `dev`, each IO submitted when the previous one
-/// completed (or a microsecond after it failed).
-fn drive(mut dev: Box<dyn BlockDevice>, ios: &[Io], discard: bool) -> Report {
+/// What a replica's successful reads returned (nothing through
+/// `read_discard`), and how many of them were images the device shared.
+#[derive(Debug, Default, PartialEq)]
+struct ReadBytes {
+    bytes: Vec<Vec<u8>>,
+    shared: usize,
+}
+
+/// Run `ios` against `dev` through `path`, each IO submitted when the
+/// previous one completed (or a microsecond after it failed).
+fn drive(mut dev: Box<dyn BlockDevice>, ios: &[Io], path: Path) -> (Report, ReadBytes) {
     let mut now = SimTime::ZERO;
-    let mut buf = Vec::new();
+    let mut read = ReadBytes::default();
     let results = ios
         .iter()
         .map(|&io| {
-            let done = match io {
-                Io::Read { offset, len } if discard => dev.read_discard(offset, len, now),
-                Io::Read { offset, len } => {
-                    buf.resize(len as usize, 0);
-                    dev.read(offset, &mut buf, now)
+            let done = match (io, path) {
+                (Io::Read { offset, len }, Path::Discard) => dev.read_discard(offset, len, now),
+                (Io::Read { offset, len }, Path::Copy) => {
+                    let mut buf = vec![0; len as usize];
+                    let done = dev.read(offset, &mut buf, now);
+                    if done.is_ok() {
+                        read.bytes.push(buf);
+                    }
+                    done
                 }
-                Io::Write { offset, len, fill } => {
+                (Io::Read { offset, len }, Path::Image) => {
+                    dev.read_image(offset, len as usize, now).map(|(image, c)| {
+                        // The device keeps a reference to an image it shares.
+                        read.shared += usize::from(Arc::strong_count(&image) > 1);
+                        read.bytes.push(image.to_vec());
+                        c
+                    })
+                }
+                (Io::Write { offset, len, fill }, Path::Image) => {
+                    dev.write_image(offset, &Arc::new(vec![fill; len as usize]), now)
+                }
+                (Io::Write { offset, len, fill }, _) => {
                     dev.write(offset, &vec![fill; len as usize], now)
                 }
             };
@@ -87,10 +145,11 @@ fn drive(mut dev: Box<dyn BlockDevice>, ios: &[Io], discard: bool) -> Report {
             done
         })
         .collect();
-    Report {
+    let report = Report {
         results,
         device: dev.stats(),
-    }
+    };
+    (report, read)
 }
 
 type Base = fn() -> Box<dyn BlockDevice>;
@@ -115,16 +174,35 @@ fn bases() -> [(&'static str, Base); 3] {
 fn read_discard_matches_read_on_every_device() {
     for (name, base) in bases() {
         let ios = sequence(0xD15C_A7D0, base().capacity_bytes(), 300);
-        let with_bytes = drive(base(), &ios, false);
-        let timing_only = drive(base(), &ios, true);
+        let (with_bytes, _) = drive(base(), &ios, Path::Copy);
+        let (timing_only, _) = drive(base(), &ios, Path::Discard);
         assert_eq!(with_bytes, timing_only, "{name}");
+    }
+}
+
+#[test]
+fn image_paths_match_read_and_write_on_every_device() {
+    for (name, base) in bases() {
+        let ios = rereading_sequence(0x1AA6_E5ED, base().capacity_bytes(), 300);
+        let (copied, copied_bytes) = drive(base(), &ios, Path::Copy);
+        let (shared, shared_bytes) = drive(base(), &ios, Path::Image);
+        assert_eq!(copied, shared, "{name}");
+        assert_eq!(copied_bytes.bytes, shared_bytes.bytes, "{name}");
+        // The image replica did take the shared path, and no read of the
+        // copying replica shares anything.
+        assert!(shared_bytes.shared > 0, "{name}");
+        assert_eq!(copied_bytes.shared, 0, "{name}");
     }
 }
 
 #[test]
 fn the_sequence_covers_errors_sequential_and_random_io() {
     let ios = sequence(0xD15C_A7D0, 1 << 21, 300);
-    let report = drive(Box::new(RamDisk::new(1 << 21, SimDuration(1))), &ios, true);
+    let (report, _) = drive(
+        Box::new(RamDisk::new(1 << 21, SimDuration(1))),
+        &ios,
+        Path::Discard,
+    );
     let out_of_range = report
         .results
         .iter()
