@@ -1,15 +1,18 @@
 //! The differential engine: build fixtures, run a trace in lockstep
-//! against the oracle, compose fault and crash layers, shrink failures.
+//! against the oracle, compose fault, crash and serving layers, shrink
+//! failures.
 //!
-//! Every fixture is a tree of the serving engine's default shard shape
-//! ([`ShardConfig::default`]), whose 64 KiB cache is small enough that
-//! traces cause real eviction traffic.
+//! Every mode runs through [`replay`]. Each fixture is a tree of the
+//! serving engine's default shard shape ([`ShardConfig::default`]), whose
+//! 64 KiB cache is small enough that traces cause real eviction traffic,
+//! with its own [`Oracle`]; every answer goes through one comparison
+//! against it, and every run ends with one full-state audit.
 
-use crate::oracle::Oracle;
-use crate::trace::{generate_trace, render_test, Op};
+use crate::trace::{generate_trace, render_test};
+use crate::Op;
 use dam_kv::{Dictionary, KvError, KvPair, OpCost};
 use dam_obs::{Obs, ObservedDevice};
-use dam_serve::ShardConfig;
+use dam_serve::{run_ops, Oracle, ServeAnswer, ServeConfig, ShardConfig};
 use dam_stats::prop::ddmin;
 use dam_storage::{
     BlockDevice, FaultInjector, FaultMode, FaultSwitch, RamDisk, RetryPolicy, RetryingDevice,
@@ -46,13 +49,13 @@ pub enum Mode {
         /// Seed of the deterministic fault schedule.
         seed: u64,
     },
-    /// `CrashAfterIos`: the device dies mid-trace (post-create IO ordinal
-    /// `crash_after`), the harness "reboots" (clears the fault) and
-    /// reopens. The reopened state must be a synced state: the final one
+    /// `CrashAfterIos`: the device dies mid-trace (at post-create IO
+    /// ordinal `crash_after` plus the number of IOs create issued), the
+    /// harness "reboots" (clears the fault) and reopens. The reopened state must be a synced state: the final one
     /// if `sync` completed, otherwise `Corrupt`-on-open or a prior synced
     /// state (empty, for structures that persist nothing at create).
     Crash {
-        /// Post-create IO ordinal at which the device dies.
+        /// Post-create IOs (beyond create's own count) the device survives.
         crash_after: u64,
     },
     /// A fault that persists: every op is armed with `AfterIos(1)` (one IO
@@ -69,16 +72,19 @@ pub enum Mode {
         /// Fill the device instead of failing IOs.
         full: bool,
     },
-}
-
-fn mode_expr(mode: Mode) -> String {
-    match mode {
-        Mode::Plain => "Mode::Plain".into(),
-        Mode::FaultsAbsorbed => "Mode::FaultsAbsorbed".into(),
-        Mode::FaultsSurfaced { seed } => format!("Mode::FaultsSurfaced {{ seed: {seed} }}"),
-        Mode::Crash { crash_after } => format!("Mode::Crash {{ crash_after: {crash_after} }}"),
-        Mode::Persistent { full } => format!("Mode::Persistent {{ full: {full} }}"),
-    }
+    /// Through the serving engine: the trace is dealt round-robin to
+    /// `clients` closed-loop clients (op `i` to client `i % clients`, so
+    /// each client keeps trace order) over `shards` hash shards on the
+    /// PDAM scheduler (`P = 4`, no preload). Routing, admission batching,
+    /// group commit and re-timing may change no answer: the commit log
+    /// must match the oracle op for op, and a divergence names the trace
+    /// index of the op.
+    Concurrent {
+        /// Closed-loop clients (`>= 1`).
+        clients: usize,
+        /// Hash shards (`>= 1`).
+        shards: usize,
+    },
 }
 
 /// A divergence (or contract violation) found by the harness.
@@ -107,7 +113,7 @@ impl fmt::Display for Failure {
     }
 }
 
-/// Counters from a successful replay.
+/// Counters from a successful replay, summed over structures.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayStats {
     /// Ops executed (per structure).
@@ -116,7 +122,7 @@ pub struct ReplayStats {
     pub surfaced_errors: u64,
     /// Harness-level op re-executions after surfaced errors.
     pub redrives: u64,
-    /// Total IOs attributed through `last_op_cost`, summed over fixtures.
+    /// Total IOs attributed through `last_op_cost`.
     pub attributed_ios: u64,
     /// Crash runs that recovered via `KvError::Corrupt` on open.
     pub crash_corrupt_opens: u64,
@@ -124,110 +130,35 @@ pub struct ReplayStats {
     pub crash_recoveries: u64,
     /// Failed writes that had landed (persistent mode).
     pub landed_writes: u64,
+    /// PDAM steps the serving engine took (concurrent mode).
+    pub steps: u64,
+    /// Write batches the serving engine flushed (concurrent mode).
+    pub batches: u64,
 }
 
-struct Fixture {
-    structure: Structure,
-    dict: Box<dyn Dictionary>,
-    dev: SharedDevice,
-    switch: FaultSwitch,
-    obs: Option<Obs>,
-    attributed: OpCost,
-    surfaced: u64,
-    redrives: u64,
-}
-
-/// A `structure` created on a RAM disk of `disk_bytes` behind a fault
-/// injector, with the wrappers `mode` runs through; faults are armed only
-/// in the lockstep fault modes, the other modes drive `switch` themselves.
-fn build_fixture(structure: Structure, mode: Mode, disk_bytes: u64) -> Result<Fixture, Failure> {
-    let (inj, switch) = FaultInjector::new(RamDisk::new(disk_bytes, SimDuration(IO_NS)));
-    let obs = matches!(mode, Mode::Plain).then(Obs::new);
-    let boxed: Box<dyn BlockDevice> = match (mode, &obs) {
-        // Plain runs double as the Obs composition check: the observed
-        // device feeds span/IO attribution while answers must stay
-        // byte-identical.
-        (Mode::Plain, Some(o)) => Box::new(ObservedDevice::new(inj, o.clone())),
-        (Mode::FaultsAbsorbed, _) => {
-            let policy = RetryPolicy {
-                max_retries: 4,
-                base_backoff: SimDuration(500),
-            };
-            Box::new(RetryingDevice::new(inj, policy).0)
-        }
-        (Mode::FaultsSurfaced { .. }, _) => {
-            let policy = RetryPolicy {
-                max_retries: 1,
-                base_backoff: SimDuration(500),
-            };
-            Box::new(RetryingDevice::new(inj, policy).0)
-        }
-        _ => Box::new(inj),
-    };
-    let dev = SharedDevice::new(boxed);
-    let dict = structure
-        .create(dev.clone(), &ShardConfig::default(), obs.clone())
-        .map_err(|e| Failure {
-            mode,
-            structure,
-            op_index: None,
-            message: format!("create failed: {e}"),
-        })?;
-    // Arm faults only after a clean create, so every run starts from the
-    // same healthy baseline.
-    match mode {
-        Mode::FaultsAbsorbed => switch.set(FaultMode::Transient {
-            fail_n: 2,
-            pass_n: 6,
-        }),
-        Mode::FaultsSurfaced { seed } => switch.set(FaultMode::Probabilistic {
-            num: 1,
-            denom: 64,
-            seed,
-        }),
-        _ => {}
+impl ReplayStats {
+    fn add(&mut self, o: &ReplayStats) {
+        self.surfaced_errors += o.surfaced_errors;
+        self.redrives += o.redrives;
+        self.attributed_ios += o.attributed_ios;
+        self.crash_corrupt_opens += o.crash_corrupt_opens;
+        self.crash_recoveries += o.crash_recoveries;
+        self.landed_writes += o.landed_writes;
+        self.steps += o.steps;
+        self.batches += o.batches;
     }
-    Ok(Fixture {
-        structure,
-        dict,
-        dev,
-        switch,
-        obs,
-        attributed: OpCost::default(),
-        surfaced: 0,
-        redrives: 0,
-    })
 }
 
-enum Answer {
-    Unit,
-    Val(Option<Vec<u8>>),
-    Pairs(Vec<KvPair>),
-    Count(u64),
-}
-
-fn apply_op(dict: &mut dyn Dictionary, op: &Op) -> Result<Answer, KvError> {
+/// Run `op` on one dictionary (`SyncAll` is its `sync`).
+fn apply_op(dict: &mut dyn Dictionary, op: &Op) -> Result<ServeAnswer, KvError> {
     Ok(match op {
-        Op::Insert { key, value } => {
-            dict.insert(key, value)?;
-            Answer::Unit
-        }
-        Op::Delete { key } => {
-            dict.delete(key)?;
-            Answer::Unit
-        }
-        Op::Get { key } => Answer::Val(dict.get(key)?),
-        Op::Range { start, end } => Answer::Pairs(dict.range(start, end)?),
-        Op::Sync => {
-            dict.sync()?;
-            Answer::Unit
-        }
-        Op::Len => Answer::Count(dict.len()?),
+        Op::Put { key, value } => dict.insert(key, value).map(|()| ServeAnswer::Unit)?,
+        Op::Del { key } => dict.delete(key).map(|()| ServeAnswer::Unit)?,
+        Op::Get { key } => ServeAnswer::Val(dict.get(key)?),
+        Op::Range { start, end } => ServeAnswer::Pairs(dict.range(start, end)?),
+        Op::SyncAll => dict.sync().map(|()| ServeAnswer::Unit)?,
+        Op::Len => ServeAnswer::Count(dict.len()?),
     })
-}
-
-fn short(b: &[u8]) -> String {
-    format!("{b:?}")
 }
 
 fn describe_pairs(p: &[KvPair]) -> String {
@@ -256,404 +187,503 @@ fn diff_pairs(want: &[KvPair], got: &[KvPair]) -> String {
     )
 }
 
-fn exec_and_compare(
-    f: &mut Fixture,
+/// The one answer-versus-oracle check: `None` when `got` is the oracle's
+/// `want`, else what diverged, pinpointed.
+fn divergence(op: &Op, want: &ServeAnswer, got: &ServeAnswer) -> Option<String> {
+    use ServeAnswer::{Count, Pairs, Val};
+    if want == got {
+        return None;
+    }
+    Some(match (op, want, got) {
+        (Op::Get { key }, Val(w), Val(g)) => {
+            format!("get({key:?}) diverged: oracle {w:?}, tree {g:?}")
+        }
+        (Op::Range { start, end }, Pairs(w), Pairs(g)) => format!(
+            "range({start:?}, {end:?}) diverged: oracle {}, tree {}; {}",
+            describe_pairs(w),
+            describe_pairs(g),
+            diff_pairs(w, g)
+        ),
+        (_, Count(w), Count(g)) => format!("len diverged: oracle {w}, tree {g}"),
+        _ => format!("{op:?} diverged: oracle {want:?}, tree {got:?}"),
+    })
+}
+
+/// One structure running one trace under one mode, against its own
+/// oracle.
+struct Fixture {
     mode: Mode,
-    i: usize,
-    op: &Op,
-    oracle: &Oracle,
-) -> Result<(), Failure> {
-    let redrive = matches!(mode, Mode::FaultsSurfaced { .. });
-    let fail = |f: &Fixture, msg: String| Failure {
-        mode,
-        structure: f.structure,
-        op_index: Some(i),
-        message: msg,
-    };
-    let mut attempts = 0usize;
-    loop {
-        attempts += 1;
-        let result = apply_op(f.dict.as_mut(), op);
-        // OpCost contract, checked on success AND failure: the per-op cost
-        // was reset at op start, never mixes in a previous op, and zero
-        // IOs implies zero bytes.
-        let cost = f.dict.last_op_cost();
-        if cost.ios == 0 && (cost.bytes_read != 0 || cost.bytes_written != 0) {
-            return Err(fail(
-                f,
-                format!("cost invariant violated: zero ios but bytes {cost:?} ({op:?})"),
-            ));
-        }
-        f.attributed.add(&cost);
-        match result {
-            Ok(answer) => {
-                match (answer, op) {
-                    (Answer::Val(got), Op::Get { key }) => {
-                        let want = oracle.get(key);
-                        if got != want {
-                            return Err(fail(
-                                f,
-                                format!(
-                                    "get({}) diverged: oracle {:?}, tree {:?}",
-                                    short(key),
-                                    want,
-                                    got
-                                ),
-                            ));
-                        }
-                    }
-                    (Answer::Pairs(got), Op::Range { start, end }) => {
-                        let want = oracle.range(start, end);
-                        if got != want {
-                            return Err(fail(
-                                f,
-                                format!(
-                                    "range({}, {}) diverged: oracle {}, tree {}; {}",
-                                    short(start),
-                                    short(end),
-                                    describe_pairs(&want),
-                                    describe_pairs(&got),
-                                    diff_pairs(&want, &got)
-                                ),
-                            ));
-                        }
-                    }
-                    (Answer::Count(got), Op::Len) => {
-                        let want = oracle.len();
-                        if got != want {
-                            return Err(fail(
-                                f,
-                                format!("len diverged: oracle {want}, tree {got}"),
-                            ));
-                        }
-                    }
-                    _ => {}
-                }
-                return Ok(());
-            }
-            Err(KvError::Storage(_)) if redrive && attempts <= REDRIVE_CAP => {
-                // Typed error under injected faults: acceptable. Redrive
-                // the idempotent op until the fault schedule lets it
-                // through; state must converge, never silently diverge.
-                f.surfaced += 1;
-                f.redrives += 1;
-            }
-            Err(e) => {
-                return Err(fail(f, format!("op {op:?} failed: {e}")));
-            }
-        }
-    }
+    structure: Structure,
+    dict: Box<dyn Dictionary>,
+    dev: SharedDevice,
+    switch: FaultSwitch,
+    obs: Option<Obs>,
+    oracle: Oracle,
+    /// Most bytes the dictionary may hold only in memory.
+    cap: usize,
+    attributed: OpCost,
+    stats: ReplayStats,
+    /// A `SyncAll` completed (crash mode: the trace's final one).
+    synced: bool,
+    /// The crash point hit: the device is dead from here on.
+    crashed: bool,
 }
 
-fn final_audit(f: &mut Fixture, mode: Mode, oracle: &Oracle) -> Result<(), Failure> {
-    let fail = |msg: String| Failure {
-        mode,
-        structure: f.structure,
-        op_index: None,
-        message: msg,
-    };
-    // The audit's own reads run under the same fault schedule as the
-    // trace: in surfaced mode a typed storage error is acceptable and is
-    // redriven like any other idempotent op.
-    let redrive = matches!(mode, Mode::FaultsSurfaced { .. });
-    // Full-state comparison: a finite range provably covering every oracle
-    // key, plus len equality to rule out stray extra keys anywhere above.
-    let ub = oracle.exclusive_upper_bound();
-    let mut attempts = 0usize;
-    let dump = loop {
-        attempts += 1;
-        match f.dict.range(&[], &ub) {
-            Ok(d) => break d,
-            Err(KvError::Storage(_)) if redrive && attempts <= REDRIVE_CAP => {
-                f.attributed.add(&f.dict.last_op_cost());
-                f.surfaced += 1;
-                f.redrives += 1;
-            }
-            Err(e) => return Err(fail(format!("final dump failed: {e}"))),
-        }
-    };
-    f.attributed.add(&f.dict.last_op_cost());
-    if dump != oracle.dump() {
-        return Err(fail(format!(
-            "final state diverged: oracle {}, tree {}",
-            describe_pairs(&oracle.dump()),
-            describe_pairs(&dump)
-        )));
-    }
-    let mut attempts = 0usize;
-    let n = loop {
-        attempts += 1;
-        match f.dict.len() {
-            Ok(n) => break n,
-            Err(KvError::Storage(_)) if redrive && attempts <= REDRIVE_CAP => {
-                f.attributed.add(&f.dict.last_op_cost());
-                f.surfaced += 1;
-                f.redrives += 1;
-            }
-            Err(e) => return Err(fail(format!("final len failed: {e}"))),
-        }
-    };
-    f.attributed.add(&f.dict.last_op_cost());
-    if n != oracle.len() {
-        return Err(fail(format!(
-            "final len diverged: oracle {}, tree {n}",
-            oracle.len()
-        )));
-    }
-    // Attribution can never exceed what the device actually did. (Device
-    // stats include create-time and retried IOs, so `<=`.)
-    let st = f.dev.stats();
-    if f.attributed.ios > st.reads + st.writes
-        || f.attributed.bytes_read > st.bytes_read
-        || f.attributed.bytes_written > st.bytes_written
-    {
-        return Err(fail(format!(
-            "cost attribution exceeds device totals: attributed {:?}, device {st:?}",
-            f.attributed
-        )));
-    }
-    // Obs composition (plain mode): span-attributed IO is a subset of the
-    // IO the observed device saw.
-    if let Some(obs) = &f.obs {
-        let snap = obs.snapshot();
-        if snap.attributed.ios > snap.device.ios
-            || snap.attributed.bytes_read > snap.device.bytes_read
-            || snap.attributed.bytes_written > snap.device.bytes_written
-        {
-            return Err(fail(format!(
-                "obs invariant violated: attributed {:?} exceeds device {:?}",
-                snap.attributed, snap.device
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn run_lockstep(
-    mode: Mode,
-    structures: &[Structure],
-    trace: &[Op],
-) -> Result<ReplayStats, Failure> {
-    let mut fixtures = structures
-        .iter()
-        .map(|&s| build_fixture(s, mode, DISK_BYTES))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut oracle = Oracle::new();
-    for (i, op) in trace.iter().enumerate() {
-        for f in &mut fixtures {
-            exec_and_compare(f, mode, i, op, &oracle)?;
-        }
-        oracle.apply(op);
-    }
-    let mut stats = ReplayStats {
-        ops: trace.len(),
-        ..ReplayStats::default()
-    };
-    for f in &mut fixtures {
-        final_audit(f, mode, &oracle)?;
-        stats.surfaced_errors += f.surfaced;
-        stats.redrives += f.redrives;
-        stats.attributed_ios += f.attributed.ios;
-    }
-    Ok(stats)
-}
-
-/// Prepare a trace for crash mode: mid-trace syncs are stripped and one
-/// final `Sync` is appended, so a successful sync is always the last
-/// durable point and "recovered state == a synced state" is exactly
-/// checkable (post-sync in-place writes would otherwise blend states).
-fn crash_ops(trace: &[Op]) -> Vec<Op> {
-    let mut ops: Vec<Op> = trace
-        .iter()
-        .filter(|o| !matches!(o, Op::Sync))
-        .cloned()
-        .collect();
-    ops.push(Op::Sync);
-    ops
-}
-
-/// Count the post-create device IOs of a clean (fault-free) crash-trace
-/// execution — the denominator crash points are chosen from. The clean run
-/// is also differentially checked, so it doubles as plain-mode coverage of
-/// the crash trace.
-pub fn crash_trace_total_ios(structure: Structure, trace: &[Op]) -> Result<u64, Failure> {
-    let mode = Mode::Crash { crash_after: 0 };
-    let ops = crash_ops(trace);
-    let mut f = build_fixture(structure, mode, DISK_BYTES)?;
-    let base_ios = f.switch.stats().ios_seen;
-    let mut oracle = Oracle::new();
-    for (i, op) in ops.iter().enumerate() {
-        exec_and_compare(&mut f, mode, i, op, &oracle)?;
-        oracle.apply(op);
-    }
-    Ok(f.switch.stats().ios_seen - base_ios)
-}
-
-fn run_crash(structure: Structure, crash_after: u64, trace: &[Op]) -> Result<ReplayStats, Failure> {
-    let mode = Mode::Crash { crash_after };
-    let ops = crash_ops(trace);
-    let fail = |op_index: Option<usize>, msg: String| Failure {
-        mode,
-        structure,
-        op_index,
-        message: msg,
-    };
-    let Fixture {
-        mut dict,
-        dev,
-        switch,
-        ..
-    } = build_fixture(structure, mode, DISK_BYTES)?;
-    let base_ios = switch.stats().ios_seen;
-    switch.set(FaultMode::CrashAfterIos(base_ios + crash_after));
-
-    let mut oracle = Oracle::new();
-    let mut sync_ok = false;
-    let mut crashed = false;
-    for (i, op) in ops.iter().enumerate() {
-        match apply_op(dict.as_mut(), op) {
-            Ok(answer) => {
-                match (&answer, op) {
-                    (Answer::Val(got), Op::Get { key }) if *got != oracle.get(key) => {
-                        return Err(fail(
-                            Some(i),
-                            format!("pre-crash get({}) diverged", short(key)),
-                        ));
-                    }
-                    (Answer::Pairs(got), Op::Range { start, end })
-                        if *got != oracle.range(start, end) =>
-                    {
-                        return Err(fail(
-                            Some(i),
-                            format!("pre-crash range({}, {}) diverged", short(start), short(end)),
-                        ));
-                    }
-                    (Answer::Count(got), Op::Len) if *got != oracle.len() => {
-                        return Err(fail(Some(i), "pre-crash len diverged".into()));
-                    }
-                    _ => {}
-                }
-                oracle.apply(op);
-                if matches!(op, Op::Sync) {
-                    sync_ok = true;
-                }
-            }
-            Err(KvError::Storage(_) | KvError::Corrupt(_))
-                if switch.stats().faults_injected > 0 =>
-            {
-                // The crash point hit: the device is dead from here on.
-                crashed = true;
-                break;
-            }
-            Err(e) => {
-                return Err(fail(Some(i), format!("op {op:?} failed pre-crash: {e}")));
-            }
-        }
-    }
-    drop(dict);
-
-    // "Reboot": faults clear, the device contents survive.
-    switch.set(FaultMode::None);
-    let mut stats = ReplayStats {
-        ops: ops.len(),
-        ..ReplayStats::default()
-    };
-    match structure.open(dev, &ShardConfig::default()) {
-        Err(KvError::Corrupt(_)) if !sync_ok => {
-            // No completed sync: nothing durable was promised. A clean
-            // corruption report on open is the documented outcome.
-            stats.crash_corrupt_opens += 1;
-            Ok(stats)
-        }
-        Err(e) => Err(fail(
-            None,
-            if sync_ok {
-                format!("durability violated: sync completed but reopen failed: {e}")
-            } else {
-                format!("reopen failed with unexpected error kind: {e}")
-            },
-        )),
-        Ok(mut reopened) => {
-            let dump_of =
-                |d: &mut Box<dyn Dictionary>, ub: &[u8]| -> Result<(Vec<KvPair>, u64), KvError> {
-                    let pairs = d.range(&[], ub)?;
-                    let n = d.len()?;
-                    Ok((pairs, n))
+impl Fixture {
+    /// `structure` created on a RAM disk behind a fault injector, with the
+    /// wrappers `mode` runs through. Faults are armed after a clean
+    /// create, so every run starts from the same healthy baseline.
+    fn new(mode: Mode, structure: Structure) -> Result<Fixture, Failure> {
+        let cfg = ShardConfig::default();
+        let disk = match mode {
+            Mode::Persistent { full: true } => full_disk_bytes(structure, &cfg),
+            _ => DISK_BYTES,
+        };
+        let (inj, switch) = FaultInjector::new(RamDisk::new(disk, SimDuration(IO_NS)));
+        let obs = (mode == Mode::Plain).then(Obs::new);
+        let boxed: Box<dyn BlockDevice> = match (mode, &obs) {
+            // Plain runs double as the Obs composition check: the observed
+            // device feeds span/IO attribution while answers must stay
+            // byte-identical.
+            (Mode::Plain, Some(o)) => Box::new(ObservedDevice::new(inj, o.clone())),
+            (Mode::FaultsAbsorbed | Mode::FaultsSurfaced { .. }, _) => {
+                let policy = RetryPolicy {
+                    max_retries: if mode == Mode::FaultsAbsorbed { 4 } else { 1 },
+                    base_backoff: SimDuration(500),
                 };
-            let ub = oracle.exclusive_upper_bound();
-            let (pairs, n) = dump_of(&mut reopened, &ub)
-                .map_err(|e| fail(None, format!("post-recovery scan failed: {e}")))?;
-            let matches_final = pairs == oracle.dump() && n == oracle.len();
-            let matches_empty = pairs.is_empty() && n == 0;
-            let acceptable = if sync_ok {
-                // Sync was the last op and completed: recovery must be
-                // exact.
-                matches_final
-            } else {
-                // Crash before/during sync. The superblock write is the
-                // last IO of sync, so a successful open means either the
-                // full final state (crash after the superblock landed) or
-                // a prior synced state (empty, for structures persisting
-                // an initial checkpoint at create).
-                matches_final || matches_empty
-            };
-            if !acceptable {
-                return Err(fail(
-                    None,
+                Box::new(RetryingDevice::new(inj, policy).0)
+            }
+            _ => Box::new(inj),
+        };
+        let dev = SharedDevice::new(boxed);
+        let dict = structure
+            .create(dev.clone(), &cfg, obs.clone())
+            .map_err(|e| Failure {
+                mode,
+                structure,
+                op_index: None,
+                message: format!("create failed: {e}"),
+            })?;
+        match mode {
+            Mode::FaultsAbsorbed => switch.set(FaultMode::Transient {
+                fail_n: 2,
+                pass_n: 6,
+            }),
+            Mode::FaultsSurfaced { seed } => switch.set(FaultMode::Probabilistic {
+                num: 1,
+                denom: 64,
+                seed,
+            }),
+            Mode::Crash { crash_after } => {
+                // `set` restarts the IO count, so create's IOs shift the
+                // crash point by their number.
+                let create_ios = switch.stats().ios_seen;
+                switch.set(FaultMode::CrashAfterIos(
+                    create_ios.saturating_add(crash_after),
+                ));
+            }
+            _ => {}
+        }
+        Ok(Fixture {
+            mode,
+            structure,
+            dict,
+            dev,
+            switch,
+            obs,
+            oracle: Oracle::default(),
+            cap: match mode {
+                Mode::Persistent { .. } => buffer_cap(structure, &cfg),
+                _ => usize::MAX,
+            },
+            attributed: OpCost::default(),
+            stats: ReplayStats::default(),
+            synced: false,
+            crashed: false,
+        })
+    }
+
+    fn fail(&self, op_index: Option<usize>, message: String) -> Failure {
+        Failure {
+            mode: self.mode,
+            structure: self.structure,
+            op_index,
+            message,
+        }
+    }
+
+    /// One dictionary call. The `OpCost` contract is checked on success and
+    /// failure alike (the per-op cost was reset at call start, never mixes
+    /// in a previous op, and zero IOs implies zero bytes), the cost is
+    /// attributed, and the in-memory buffer must stay within the cap. Under
+    /// [`Mode::FaultsSurfaced`] a typed storage error is acceptable: the
+    /// idempotent call is redriven until the fault schedule lets it
+    /// through, so state must converge, never silently diverge.
+    fn call<T>(
+        &mut self,
+        i: Option<usize>,
+        what: &dyn fmt::Debug,
+        mut f: impl FnMut(&mut dyn Dictionary) -> Result<T, KvError>,
+    ) -> Result<Result<T, KvError>, Failure> {
+        let redrive = matches!(self.mode, Mode::FaultsSurfaced { .. });
+        let mut attempts = 0usize;
+        loop {
+            attempts += 1;
+            let result = f(self.dict.as_mut());
+            let cost = self.dict.last_op_cost();
+            if cost.ios == 0 && (cost.bytes_read != 0 || cost.bytes_written != 0) {
+                return Err(self.fail(
+                    i,
+                    format!("cost invariant violated: zero ios but bytes {cost:?} ({what:?})"),
+                ));
+            }
+            self.attributed.add(&cost);
+            let buffered = self.dict.buffered_bytes();
+            if buffered > self.cap {
+                return Err(self.fail(
+                    i,
                     format!(
-                        "recovered state is no synced state (sync_ok={sync_ok}, crashed={crashed}): oracle {}, tree {}",
-                        describe_pairs(&oracle.dump()),
-                        describe_pairs(&pairs)
+                        "{buffered} bytes buffered in memory after {what:?}, over the cap of {}",
+                        self.cap
                     ),
                 ));
             }
-            // The reopened tree must be fully usable.
-            let probe_key = vec![0xFEu8; 90];
-            reopened
-                .insert(&probe_key, b"probe")
-                .and_then(|_| reopened.get(&probe_key))
-                .map_err(|e| fail(None, format!("post-recovery write/read failed: {e}")))
-                .and_then(|got| {
-                    if got == Some(b"probe".to_vec()) {
-                        Ok(())
-                    } else {
-                        Err(fail(None, "post-recovery probe readback diverged".into()))
-                    }
-                })?;
-            stats.crash_recoveries += 1;
-            Ok(stats)
+            match result {
+                Err(KvError::Storage(_)) if redrive && attempts <= REDRIVE_CAP => {
+                    self.stats.surfaced_errors += 1;
+                    self.stats.redrives += 1;
+                }
+                r => return Ok(r),
+            }
         }
+    }
+
+    /// Compare `got` with the oracle's answer to `op`, which `op` then
+    /// updates.
+    fn expect(&mut self, i: Option<usize>, op: &Op, got: &ServeAnswer) -> Result<(), Failure> {
+        let want = self.oracle.apply(op);
+        if let Some(why) = divergence(op, &want, got) {
+            return Err(self.fail(i, why));
+        }
+        self.synced |= *op == Op::SyncAll;
+        Ok(())
+    }
+
+    /// `op` must succeed and answer as the oracle does.
+    fn must(&mut self, i: Option<usize>, op: &Op, context: &str) -> Result<(), Failure> {
+        match self.call(i, op, |d| apply_op(d, op))? {
+            Ok(got) => self.expect(i, op, &got),
+            Err(e) => Err(self.fail(i, format!("{context} {op:?} failed: {e}"))),
+        }
+    }
+
+    /// Run trace op `i` under the mode's fault layer and check its answer.
+    fn step(&mut self, i: usize, op: &Op) -> Result<(), Failure> {
+        if self.crashed {
+            return Ok(());
+        }
+        let armed = self.mode == Mode::Persistent { full: false };
+        if armed {
+            self.switch.set(FaultMode::AfterIos(1));
+        }
+        let result = self.call(Some(i), op, |d| apply_op(d, op));
+        if armed {
+            self.switch.set(FaultMode::None);
+        }
+        match (self.mode, result?) {
+            (_, Ok(got)) => self.expect(Some(i), op, &got),
+            (Mode::Crash { .. }, Err(KvError::Storage(_) | KvError::Corrupt(_)))
+                if self.switch.stats().faults_injected > 0 =>
+            {
+                self.crashed = true;
+                Ok(())
+            }
+            (Mode::Persistent { full }, Err(KvError::Storage(_))) => {
+                self.stats.surfaced_errors += 1;
+                self.check_landed(i, op)?;
+                if full {
+                    return Ok(());
+                }
+                // Redrive on the healthy device: it must go through.
+                self.stats.redrives += 1;
+                self.must(Some(i), op, "redrive of")
+            }
+            (_, Err(e)) => Err(self.fail(Some(i), format!("op {op:?} failed: {e}"))),
+        }
+    }
+
+    /// A write that failed landed whole or left no trace: read its key
+    /// back, and count it as applied if it landed.
+    fn check_landed(&mut self, i: usize, op: &Op) -> Result<(), Failure> {
+        let (Op::Put { key, .. } | Op::Del { key }) = op else {
+            return Ok(());
+        };
+        let got = self
+            .dict
+            .get(key)
+            .map_err(|e| self.fail(Some(i), format!("read-back failed: {e}")))?;
+        let landed = match op {
+            Op::Put { value, .. } => got.as_ref() == Some(value),
+            _ => got.is_none(),
+        };
+        if landed {
+            self.stats.landed_writes += 1;
+            self.oracle.apply(op);
+        } else if got != self.oracle.get(key) {
+            return Err(self.fail(Some(i), format!("{op:?} failed half-applied")));
+        }
+        Ok(())
+    }
+
+    /// End of the trace: after a crash, "reboot" (faults clear, the device
+    /// contents survive) and reopen; audit the full state; and check that
+    /// a reopened tree is fully usable.
+    fn finish(mut self) -> Result<ReplayStats, Failure> {
+        let crash = matches!(self.mode, Mode::Crash { .. });
+        if crash {
+            self.switch.set(FaultMode::None);
+            match self
+                .structure
+                .open(self.dev.clone(), &ShardConfig::default())
+            {
+                Ok(reopened) => self.dict = reopened,
+                // No completed sync: nothing durable was promised. A clean
+                // corruption report on open is the documented outcome.
+                Err(KvError::Corrupt(_)) if !self.synced => {
+                    self.stats.crash_corrupt_opens += 1;
+                    return Ok(self.stats);
+                }
+                Err(e) => {
+                    return Err(self.fail(
+                        None,
+                        if self.synced {
+                            format!("durability violated: sync completed but reopen failed: {e}")
+                        } else {
+                            format!("reopen failed with unexpected error kind: {e}")
+                        },
+                    ))
+                }
+            }
+        }
+        self.audit()?;
+        if crash {
+            let key = vec![0xFEu8; 90];
+            let probe = [
+                Op::Put {
+                    key: key.clone(),
+                    value: b"probe".to_vec(),
+                },
+                Op::Get { key },
+            ];
+            for op in &probe {
+                self.must(None, op, "post-recovery")?;
+            }
+            self.stats.crash_recoveries += 1;
+        }
+        self.stats.attributed_ios = self.attributed.ios;
+        Ok(self.stats)
+    }
+
+    /// Full-state comparison: a finite range provably covering every
+    /// oracle key, plus `len` equality to rule out stray keys anywhere
+    /// above. A crash before the final sync may also recover the empty
+    /// state (a structure that persists nothing at create, or the
+    /// checkpoint it wrote there). Then attribution can never exceed what
+    /// the device did (its stats include create-time and retried IOs, so
+    /// `<=`), and span-attributed IO must be a subset of the IO the
+    /// observed device saw.
+    fn audit(&mut self) -> Result<(), Failure> {
+        let ub = self.oracle.exclusive_upper_bound();
+        let dump = self
+            .call(None, &"final dump", |d| d.range(&[], &ub))?
+            .map_err(|e| self.fail(None, format!("final dump failed: {e}")))?;
+        let mut want = self.oracle.dump();
+        if dump.is_empty() && !self.synced && matches!(self.mode, Mode::Crash { .. }) {
+            want.clear();
+        }
+        if dump != want {
+            return Err(self.fail(
+                None,
+                format!(
+                    "final state diverged: oracle {}, tree {}",
+                    describe_pairs(&want),
+                    describe_pairs(&dump)
+                ),
+            ));
+        }
+        let n = match self.call(None, &"final len", |d| d.len())? {
+            Ok(n) => n,
+            // The Bε-trees' `len` drains every buffer, which a full device
+            // may have no room for.
+            Err(KvError::Storage(_)) if self.mode == (Mode::Persistent { full: true }) => {
+                want.len() as u64
+            }
+            Err(e) => return Err(self.fail(None, format!("final len failed: {e}"))),
+        };
+        if n != want.len() as u64 {
+            return Err(self.fail(
+                None,
+                format!("final len diverged: oracle {}, tree {n}", want.len()),
+            ));
+        }
+        let st = self.dev.stats();
+        if self.attributed.ios > st.reads + st.writes
+            || self.attributed.bytes_read > st.bytes_read
+            || self.attributed.bytes_written > st.bytes_written
+        {
+            return Err(self.fail(
+                None,
+                format!(
+                    "cost attribution exceeds device totals: attributed {:?}, device {st:?}",
+                    self.attributed
+                ),
+            ));
+        }
+        if let Some(obs) = &self.obs {
+            let snap = obs.snapshot();
+            if snap.attributed.ios > snap.device.ios
+                || snap.attributed.bytes_read > snap.device.bytes_read
+                || snap.attributed.bytes_written > snap.device.bytes_written
+            {
+                return Err(self.fail(
+                    None,
+                    format!(
+                        "obs invariant violated: attributed {:?} exceeds device {:?}",
+                        snap.attributed, snap.device
+                    ),
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
-/// Replay `trace` under `mode` for the given structures, comparing against
-/// the oracle at every step. This is the entry point shrunk reproducers
-/// and the seed-corpus regression tests call.
-pub fn replay(mode: Mode, structures: &[Structure], trace: &[Op]) -> Result<ReplayStats, Failure> {
-    match mode {
-        Mode::Crash { crash_after } => {
-            let mut stats = ReplayStats::default();
-            for &s in structures {
-                let r = run_crash(s, crash_after, trace)?;
-                stats.ops = r.ops;
-                stats.crash_corrupt_opens += r.crash_corrupt_opens;
-                stats.crash_recoveries += r.crash_recoveries;
-            }
-            Ok(stats)
-        }
-        Mode::Persistent { full } => {
-            let mut stats = ReplayStats::default();
-            for &s in structures {
-                let r = run_persistent(s, full, trace)?;
-                stats.ops = r.ops;
-                stats.surfaced_errors += r.surfaced_errors;
-                stats.redrives += r.redrives;
-                stats.landed_writes += r.landed_writes;
-            }
-            Ok(stats)
-        }
-        _ => run_lockstep(mode, structures, trace),
+/// [`Mode::Concurrent`] for one structure.
+fn run_concurrent(
+    structure: Structure,
+    clients: usize,
+    shards: usize,
+    trace: &[Op],
+) -> Result<ReplayStats, Failure> {
+    assert!(clients >= 1 && shards >= 1);
+    let fail = |op_index: Option<usize>, message: String| Failure {
+        mode: Mode::Concurrent { clients, shards },
+        structure,
+        op_index,
+        message,
+    };
+    let mut per_client = vec![Vec::new(); clients];
+    for (i, op) in trace.iter().enumerate() {
+        per_client[i % clients].push(op.clone());
     }
+    let cfg = ServeConfig {
+        structure,
+        clients,
+        shards,
+        p: 4,
+        preload_keys: 0,
+        ..ServeConfig::default()
+    };
+    let out = run_ops(&cfg, per_client)
+        .map_err(|e| fail(None, format!("concurrent replay failed: {e}")))?;
+    if out.commits.len() != trace.len() {
+        return Err(fail(
+            None,
+            format!(
+                "commit log has {} entries for a {}-op trace",
+                out.commits.len(),
+                trace.len()
+            ),
+        ));
+    }
+    // Commits are in execution order; each client's own ops commit in
+    // its trace order, so a client's n-th commit is trace op
+    // `client + n * clients`.
+    let mut oracle = Oracle::default();
+    let mut committed = vec![0; clients];
+    for (i, c) in out.commits.iter().enumerate() {
+        let at = c.client + committed[c.client] * clients;
+        committed[c.client] += 1;
+        if let Some(why) = divergence(&c.op, &oracle.apply(&c.op), &c.answer) {
+            return Err(fail(
+                Some(at),
+                format!(
+                    "k={clients} S={shards} commit {i} ({:?}) diverged from serial oracle: {why}",
+                    c.op
+                ),
+            ));
+        }
+    }
+    Ok(ReplayStats {
+        steps: out.report.steps,
+        batches: out.report.batches,
+        ..ReplayStats::default()
+    })
+}
+
+/// Prepare a trace for crash mode: mid-trace syncs are stripped and one
+/// final `SyncAll` is appended, so a successful sync is always the last
+/// durable point and "recovered state == a synced state" is exactly
+/// checkable (post-sync in-place writes would otherwise blend states).
+fn crash_ops(trace: &[Op]) -> Vec<Op> {
+    let mid_trace = trace.iter().filter(|o| **o != Op::SyncAll).cloned();
+    mid_trace.chain([Op::SyncAll]).collect()
+}
+
+/// Count the post-create device IOs of a crash trace's run with no crash
+/// point — the denominator crash points are chosen from. The run is
+/// differentially checked like any other.
+fn crash_trace_total_ios(structure: Structure, trace: &[Op]) -> Result<u64, Failure> {
+    let mut f = Fixture::new(
+        Mode::Crash {
+            crash_after: u64::MAX,
+        },
+        structure,
+    )?;
+    for (i, op) in crash_ops(trace).iter().enumerate() {
+        f.step(i, op)?;
+    }
+    Ok(f.switch.stats().ios_seen)
+}
+
+/// Replay `trace` under `mode` for the given structures, comparing against
+/// the oracle at every step. This is the one entry point of every mode:
+/// shrunk reproducers and the seed-corpus regression tests call it.
+pub fn replay(mode: Mode, structures: &[Structure], trace: &[Op]) -> Result<ReplayStats, Failure> {
+    let mut stats = ReplayStats::default();
+    if let Mode::Concurrent { clients, shards } = mode {
+        for &s in structures {
+            stats.add(&run_concurrent(s, clients, shards, trace)?);
+        }
+        return Ok(ReplayStats {
+            ops: trace.len(),
+            ..stats
+        });
+    }
+    let crash_trace;
+    let ops = match mode {
+        Mode::Crash { .. } => {
+            crash_trace = crash_ops(trace);
+            &crash_trace[..]
+        }
+        _ => trace,
+    };
+    let mut fixtures = structures
+        .iter()
+        .map(|&s| Fixture::new(mode, s))
+        .collect::<Result<Vec<_>, _>>()?;
+    for (i, op) in ops.iter().enumerate() {
+        for f in &mut fixtures {
+            f.step(i, op)?;
+        }
+    }
+    for f in fixtures {
+        stats.add(&f.finish()?);
+    }
+    Ok(ReplayStats {
+        ops: ops.len(),
+        ..stats
+    })
 }
 
 /// The most bytes `structure` may hold only in memory in the shard shape
@@ -683,109 +713,6 @@ fn full_disk_bytes(structure: Structure, cfg: &ShardConfig) -> u64 {
         Structure::Lsm => (dam_lsm::MANIFEST_BYTES, 4 * cfg.node_bytes),
     };
     reserved + 24 * slot as u64
-}
-
-fn run_persistent(structure: Structure, full: bool, trace: &[Op]) -> Result<ReplayStats, Failure> {
-    let mode = Mode::Persistent { full };
-    let fail = |op_index: Option<usize>, message: String| Failure {
-        mode,
-        structure,
-        op_index,
-        message,
-    };
-    let cfg = ShardConfig::default();
-    let disk = if full {
-        full_disk_bytes(structure, &cfg)
-    } else {
-        DISK_BYTES
-    };
-    let Fixture {
-        mut dict, switch, ..
-    } = build_fixture(structure, mode, disk)?;
-    let cap = buffer_cap(structure, &cfg);
-    let mut oracle = Oracle::new();
-    let mut stats = ReplayStats {
-        ops: trace.len(),
-        ..ReplayStats::default()
-    };
-    let check_answer = |answer: Answer, op: &Op, oracle: &Oracle| -> Result<(), String> {
-        let ok = match (answer, op) {
-            (Answer::Val(got), Op::Get { key }) => got == oracle.get(key),
-            (Answer::Pairs(got), Op::Range { start, end }) => got == oracle.range(start, end),
-            (Answer::Count(got), Op::Len) => got == oracle.len(),
-            _ => true,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(format!("{op:?} diverged from the oracle"))
-        }
-    };
-    for (i, op) in trace.iter().enumerate() {
-        if !full {
-            switch.set(FaultMode::AfterIos(1));
-        }
-        let result = apply_op(dict.as_mut(), op);
-        switch.set(FaultMode::None);
-        if dict.buffered_bytes() > cap {
-            return Err(fail(
-                Some(i),
-                format!(
-                    "{} bytes buffered in memory after {op:?}, over the cap of {cap}",
-                    dict.buffered_bytes()
-                ),
-            ));
-        }
-        match result {
-            Ok(answer) => {
-                check_answer(answer, op, &oracle).map_err(|m| fail(Some(i), m))?;
-                oracle.apply(op);
-            }
-            Err(KvError::Storage(_)) => {
-                stats.surfaced_errors += 1;
-                // A failed write landed whole or left no trace.
-                if let Op::Insert { key, .. } | Op::Delete { key } = op {
-                    let got = dict
-                        .get(key)
-                        .map_err(|e| fail(Some(i), format!("read-back failed: {e}")))?;
-                    let landed = match op {
-                        Op::Insert { value, .. } => got.as_ref() == Some(value),
-                        _ => got.is_none(),
-                    };
-                    if landed {
-                        stats.landed_writes += 1;
-                        oracle.apply(op);
-                    } else if got != oracle.get(key) {
-                        return Err(fail(Some(i), format!("{op:?} failed half-applied")));
-                    }
-                }
-                if !full {
-                    // Redrive on the healthy device: it must go through.
-                    stats.redrives += 1;
-                    let answer = apply_op(dict.as_mut(), op)
-                        .map_err(|e| fail(Some(i), format!("redrive of {op:?} failed: {e}")))?;
-                    check_answer(answer, op, &oracle).map_err(|m| fail(Some(i), m))?;
-                    oracle.apply(op);
-                }
-            }
-            Err(e) => return Err(fail(Some(i), format!("op {op:?} failed: {e}"))),
-        }
-    }
-    // Every acked write survives: a full scan must match the oracle.
-    let dump = dict
-        .range(&[], &oracle.exclusive_upper_bound())
-        .map_err(|e| fail(None, format!("final dump failed: {e}")))?;
-    if dump != oracle.dump() {
-        return Err(fail(
-            None,
-            format!(
-                "final state diverged: oracle {}, tree {}",
-                describe_pairs(&oracle.dump()),
-                describe_pairs(&dump)
-            ),
-        ));
-    }
-    Ok(stats)
 }
 
 /// Greedy delta-debugging ([`ddmin`]): repeatedly drop chunks of the trace
@@ -819,12 +746,9 @@ pub struct CheckConfig {
     pub crash_points: usize,
     /// Max replay evaluations while shrinking a failure.
     pub shrink_budget: usize,
-    /// Clients for the concurrent serving-engine mode (0 disables it).
-    /// The trace is dealt round-robin to the clients and replayed through
-    /// `dam-serve`'s scheduler; the commit log must match the serial
-    /// oracle.
+    /// Clients for [`Mode::Concurrent`] (0 disables it).
     pub concurrent_clients: usize,
-    /// Shards for the concurrent mode.
+    /// Shards for [`Mode::Concurrent`].
     pub concurrent_shards: usize,
     /// Trace prefix length for the concurrent mode (engine replays are
     /// costlier per op than lockstep).
@@ -886,8 +810,8 @@ fn shrunk_failure(cfg: &CheckConfig, failure: Failure, trace: &[Op]) -> Box<Chec
     let shrunk = shrink(failure.mode, failure.structure, trace, cfg.shrink_budget);
     let rendered = render_test(
         "shrunk_reproducer",
-        &mode_expr(failure.mode),
-        &format!("Structure::{:?}", failure.structure),
+        failure.mode,
+        failure.structure,
         &shrunk,
     );
     Box::new(CheckFailure {
@@ -898,50 +822,45 @@ fn shrunk_failure(cfg: &CheckConfig, failure: Failure, trace: &[Op]) -> Box<Chec
 }
 
 /// Run the full differential check: plain lockstep (with Obs), absorbed
-/// and surfaced fault modes, and a crash-recovery sweep. On failure the
-/// trace is shrunk and rendered as a regression test.
+/// and surfaced fault modes, persistent faults on request, a
+/// crash-recovery sweep, and the concurrent serving-engine mode. On
+/// failure, in any mode, the trace is shrunk and rendered as a regression
+/// test.
 pub fn check(cfg: &CheckConfig) -> Result<CheckReport, Box<CheckFailure>> {
     let trace = generate_trace(cfg.seed, cfg.ops);
+    let prefix = |n: usize| &trace[..n.min(trace.len())];
+    let run = |mode: Mode, structures: &[Structure], trace: &[Op]| {
+        replay(mode, structures, trace).map_err(|f| shrunk_failure(cfg, f, trace))
+    };
+    let n = cfg.structures.len();
     let mut report = CheckReport::default();
     if cfg.plain {
-        let stats = replay(Mode::Plain, &cfg.structures, &trace)
-            .map_err(|f| shrunk_failure(cfg, f, &trace))?;
+        let stats = run(Mode::Plain, &cfg.structures, &trace)?;
         report.lines.push(format!(
-            "plain      : {} structures x {} ops, {} attributed ios — ok",
-            cfg.structures.len(),
-            stats.ops,
-            stats.attributed_ios
+            "plain      : {n} structures x {} ops, {} attributed ios — ok",
+            stats.ops, stats.attributed_ios
         ));
     }
     if cfg.faults {
-        let stats = replay(Mode::FaultsAbsorbed, &cfg.structures, &trace)
-            .map_err(|f| shrunk_failure(cfg, f, &trace))?;
+        let stats = run(Mode::FaultsAbsorbed, &cfg.structures, &trace)?;
         report.lines.push(format!(
-            "absorbed   : {} structures x {} ops under Transient faults, 0 surfaced (retry absorbed all) — ok",
-            cfg.structures.len(),
+            "absorbed   : {n} structures x {} ops under Transient faults, 0 surfaced (retry absorbed all) — ok",
             stats.ops
         ));
         let mode = Mode::FaultsSurfaced {
             seed: cfg.seed ^ 0xFA17,
         };
-        let stats =
-            replay(mode, &cfg.structures, &trace).map_err(|f| shrunk_failure(cfg, f, &trace))?;
+        let stats = run(mode, &cfg.structures, &trace)?;
         report.lines.push(format!(
-            "surfaced   : {} structures x {} ops under Probabilistic faults, {} typed errors surfaced, {} redrives, all converged — ok",
-            cfg.structures.len(),
-            stats.ops,
-            stats.surfaced_errors,
-            stats.redrives
+            "surfaced   : {n} structures x {} ops under Probabilistic faults, {} typed errors surfaced, {} redrives, all converged — ok",
+            stats.ops, stats.surfaced_errors, stats.redrives
         ));
     }
     if cfg.persistent {
-        let armed = replay(Mode::Persistent { full: false }, &cfg.structures, &trace)
-            .map_err(|f| shrunk_failure(cfg, f, &trace))?;
-        let full = replay(Mode::Persistent { full: true }, &cfg.structures, &trace)
-            .map_err(|f| shrunk_failure(cfg, f, &trace))?;
+        let armed = run(Mode::Persistent { full: false }, &cfg.structures, &trace)?;
+        let full = run(Mode::Persistent { full: true }, &cfg.structures, &trace)?;
         report.lines.push(format!(
-            "persistent : {} structures x {} ops, each armed with AfterIos(1): {} failed ({} had landed), {} redrives; on a full device: {} failed ({} had landed); buffers within cap, acked writes kept — ok",
-            cfg.structures.len(),
+            "persistent : {n} structures x {} ops, each armed with AfterIos(1): {} failed ({} had landed), {} redrives; on a full device: {} failed ({} had landed); buffers within cap, acked writes kept — ok",
             armed.ops,
             armed.surfaced_errors,
             armed.landed_writes,
@@ -951,88 +870,37 @@ pub fn check(cfg: &CheckConfig) -> Result<CheckReport, Box<CheckFailure>> {
         ));
     }
     if cfg.crash {
-        let crash_trace: Vec<Op> = trace
-            .iter()
-            .take(cfg.crash_trace_ops.min(trace.len()))
-            .cloned()
-            .collect();
-        let mut corrupt_opens = 0u64;
-        let mut recoveries = 0u64;
+        let crash_trace = prefix(cfg.crash_trace_ops);
+        let points = cfg.crash_points as u64;
+        let mut totals = ReplayStats::default();
         let mut runs = 0usize;
         for &s in &cfg.structures {
-            let total = crash_trace_total_ios(s, &crash_trace)
-                .map_err(|f| shrunk_failure(cfg, f, &crash_trace))?;
-            for j in 0..cfg.crash_points {
-                // Odd fractions spread points away from the endpoints.
-                let k = (total * (2 * j as u64 + 1) / (2 * cfg.crash_points as u64)).max(1);
-                let stats = replay(Mode::Crash { crash_after: k }, &[s], &crash_trace)
-                    .map_err(|f| shrunk_failure(cfg, f, &crash_trace))?;
-                corrupt_opens += stats.crash_corrupt_opens;
-                recoveries += stats.crash_recoveries;
+            let total = crash_trace_total_ios(s, crash_trace)
+                .map_err(|f| shrunk_failure(cfg, f, crash_trace))?;
+            // Odd fractions spread points away from the endpoints; one
+            // point past the end fires no crash (the full recovery path).
+            let spread = (0..points).map(|j| (total * (2 * j + 1) / (2 * points)).max(1));
+            for crash_after in spread.chain([total + 16]) {
+                totals.add(&run(Mode::Crash { crash_after }, &[s], crash_trace)?);
                 runs += 1;
             }
-            // One point past the end: no crash fires, full recovery path.
-            let stats = replay(
-                Mode::Crash {
-                    crash_after: total + 16,
-                },
-                &[s],
-                &crash_trace,
-            )
-            .map_err(|f| shrunk_failure(cfg, f, &crash_trace))?;
-            corrupt_opens += stats.crash_corrupt_opens;
-            recoveries += stats.crash_recoveries;
-            runs += 1;
         }
         report.lines.push(format!(
-            "crash      : {} crash points over {} structures: {} corrupt-on-open, {} synced-state recoveries — ok",
-            runs,
-            cfg.structures.len(),
-            corrupt_opens,
-            recoveries
+            "crash      : {runs} crash points over {n} structures: {} corrupt-on-open, {} synced-state recoveries — ok",
+            totals.crash_corrupt_opens, totals.crash_recoveries
         ));
     }
     if cfg.concurrent_clients > 0 {
-        let concurrent_trace: Vec<Op> = trace
-            .iter()
-            .take(cfg.concurrent_trace_ops.min(trace.len()))
-            .cloned()
-            .collect();
-        let mut steps = 0u64;
-        let mut batches = 0u64;
-        for &s in &cfg.structures {
-            let stats = crate::concurrent::replay_concurrent(
-                s,
-                cfg.concurrent_clients,
-                cfg.concurrent_shards,
-                &concurrent_trace,
-            )
-            .map_err(|failure| {
-                // Shrinking runs the serial harness, which by construction
-                // passes here (a concurrent-only divergence); report the
-                // trace unshrunk with a replay_concurrent reproducer.
-                Box::new(CheckFailure {
-                    rendered: render_test(
-                        "concurrent_reproducer",
-                        "Mode::Plain /* via replay_concurrent */",
-                        &format!("Structure::{:?}", failure.structure),
-                        &concurrent_trace,
-                    ),
-                    shrunk: concurrent_trace.clone(),
-                    failure,
-                })
-            })?;
-            steps += stats.steps;
-            batches += stats.batches;
-        }
+        let (clients, shards) = (cfg.concurrent_clients, cfg.concurrent_shards);
+        let concurrent_trace = prefix(cfg.concurrent_trace_ops);
+        let stats = run(
+            Mode::Concurrent { clients, shards },
+            &cfg.structures,
+            concurrent_trace,
+        )?;
         report.lines.push(format!(
-            "concurrent : {} structures x {} ops as {} clients / {} shards through the serving engine, {} PDAM steps, {} write batches, commit log == serial oracle — ok",
-            cfg.structures.len(),
-            concurrent_trace.len(),
-            cfg.concurrent_clients,
-            cfg.concurrent_shards,
-            steps,
-            batches
+            "concurrent : {n} structures x {} ops as {clients} clients / {shards} shards through the serving engine, {} PDAM steps, {} write batches, commit log == serial oracle — ok",
+            stats.ops, stats.steps, stats.batches
         ));
     }
     Ok(report)
@@ -1051,11 +919,11 @@ mod tests {
     #[test]
     fn degenerate_ranges_are_empty_everywhere() {
         let trace = vec![
-            Op::Insert {
+            Op::Put {
                 key: b"a".to_vec(),
                 value: b"1".to_vec(),
             },
-            Op::Insert {
+            Op::Put {
                 key: b"b".to_vec(),
                 value: b"2".to_vec(),
             },
@@ -1076,14 +944,85 @@ mod tests {
     }
 
     #[test]
-    fn shrink_keeps_failure_minimal_on_synthetic_bug() {
-        // A trace that cannot fail shrinks to itself only if it fails; on
-        // a passing trace shrink is never called. Here we just check the
-        // shrinker's mechanics against a trace that fails for a synthetic
-        // reason: an op the harness cannot fail on — so
-        // instead validate that shrinking a passing trace is a no-op via
-        // the predicate (replay succeeds => shrink unused in check()).
-        let trace = generate_trace(3, 50);
-        assert!(replay(Mode::Plain, &[Structure::BTree], &trace).is_ok());
+    fn adversarial_trace_replays_concurrently_for_all_structures() {
+        let trace = generate_trace(11, 250);
+        for s in Structure::ALL {
+            let mode = Mode::Concurrent {
+                clients: 3,
+                shards: 2,
+            };
+            let stats = replay(mode, &[s], &trace).expect("divergence");
+            assert_eq!(stats.ops, 250, "{s:?}");
+            assert!(stats.steps > 0, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn client_count_never_changes_answers() {
+        let trace = generate_trace(23, 120);
+        for clients in [1, 2, 5] {
+            let mode = Mode::Concurrent { clients, shards: 3 };
+            replay(mode, &[Structure::BeTree], &trace).expect("divergence");
+        }
+    }
+
+    /// A 4 KiB value fits no fixture's 1 KiB node, so every structure
+    /// refuses it with `KvError::Config`: in any mode, shrinking must cut
+    /// the trace down to exactly that insert, and the rendered test must
+    /// replay it under the failing mode.
+    #[test]
+    fn shrink_reduces_a_failing_trace_to_the_refused_insert() {
+        let big = Op::Put {
+            key: b"big".to_vec(),
+            value: vec![7; 4096],
+        };
+        let mut trace = generate_trace(3, 50);
+        trace.insert(20, big.clone());
+        for s in Structure::ALL {
+            let f = replay(Mode::Plain, &[s], &trace).expect_err("4 KiB insert accepted");
+            assert_eq!(f.op_index, Some(20), "{f}");
+            assert!(f.message.contains("configuration error"), "{f}");
+        }
+        let rendered_big = format!(
+            "        Op::Put {{ key: vec![98, 105, 103], value: vec![{}] }},\n",
+            ["7"; 4096].join(", ")
+        );
+        let cfg = CheckConfig::default();
+        for mode in [
+            Mode::Plain,
+            Mode::Concurrent {
+                clients: 3,
+                shards: 2,
+            },
+        ] {
+            let f = replay(mode, &[Structure::BTree], &trace).expect_err("4 KiB insert accepted");
+            assert_eq!(f.mode, mode);
+            let out = shrunk_failure(&cfg, f, &trace);
+            assert_eq!(out.shrunk, vec![big.clone()], "{mode:?}");
+            assert!(out.rendered.contains(&rendered_big), "{}", out.rendered);
+            assert!(
+                out.rendered.contains(&format!(
+                    "replay(Mode::{mode:?}, &[Structure::BTree], &trace)"
+                )),
+                "{}",
+                out.rendered
+            );
+        }
+        let concurrent = shrunk_failure(
+            &cfg,
+            replay(
+                Mode::Concurrent {
+                    clients: 4,
+                    shards: 3,
+                },
+                &[Structure::Lsm],
+                &trace,
+            )
+            .expect_err("4 KiB insert accepted"),
+            &trace,
+        );
+        assert!(concurrent.rendered.contains(
+            "replay(Mode::Concurrent { clients: 4, shards: 3 }, &[Structure::Lsm], &trace)"
+        ));
     }
 }

@@ -1,33 +1,10 @@
-//! Trace model: the operation alphabet, the adversarial generator, and the
-//! reproducer renderer.
+//! Traces of the one op alphabet ([`Op`], dam-serve's `ServeOp`): the
+//! adversarial generator and the reproducer renderer.
 
+use crate::harness::{Mode, Structure};
+use crate::Op;
 use dam_stats::rng::SplitMix64;
-
-/// One dictionary operation. Keys and values are stored inline so a trace
-/// is fully self-contained (shrunk reproducers paste straight into a test).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
-    /// Insert or overwrite.
-    Insert { key: Vec<u8>, value: Vec<u8> },
-    /// Delete (absent keys are a no-op).
-    Delete { key: Vec<u8> },
-    /// Point query.
-    Get { key: Vec<u8> },
-    /// Range query over `[start, end)` — degenerate intervals included on
-    /// purpose.
-    Range { start: Vec<u8>, end: Vec<u8> },
-    /// Durability checkpoint.
-    Sync,
-    /// Live-key count.
-    Len,
-}
-
-impl Op {
-    /// True for operations that change oracle state.
-    pub fn is_mutation(&self) -> bool {
-        matches!(self, Op::Insert { .. } | Op::Delete { .. } | Op::Sync)
-    }
-}
+use std::fmt::Write as _;
 
 /// Shared prefixes that force long common key stems (worst case for pivot
 /// separation and segment boundaries).
@@ -107,11 +84,11 @@ pub fn generate_trace(seed: u64, n: usize) -> Vec<Op> {
     for _ in 0..n {
         let op = match rng.below(100) {
             // Inserts dominate so the trees actually grow and split.
-            0..=39 => Op::Insert {
+            0..=39 => Op::Put {
                 key: gen_key(&mut rng, key_space),
                 value: gen_value(&mut rng),
             },
-            40..=54 => Op::Delete {
+            40..=54 => Op::Del {
                 key: gen_key(&mut rng, key_space),
             },
             55..=75 => Op::Get {
@@ -142,7 +119,7 @@ pub fn generate_trace(seed: u64, n: usize) -> Vec<Op> {
                     }
                 }
             }
-            96..=97 => Op::Sync,
+            96..=97 => Op::SyncAll,
             _ => Op::Len,
         };
         ops.push(op);
@@ -150,53 +127,22 @@ pub fn generate_trace(seed: u64, n: usize) -> Vec<Op> {
     ops
 }
 
-fn fmt_bytes(b: &[u8]) -> String {
-    let inner = b
-        .iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("vec![{inner}]")
-}
-
-fn fmt_op(op: &Op) -> String {
-    match op {
-        Op::Insert { key, value } => format!(
-            "Op::Insert {{ key: {}, value: {} }}",
-            fmt_bytes(key),
-            fmt_bytes(value)
-        ),
-        Op::Delete { key } => format!("Op::Delete {{ key: {} }}", fmt_bytes(key)),
-        Op::Get { key } => format!("Op::Get {{ key: {} }}", fmt_bytes(key)),
-        Op::Range { start, end } => format!(
-            "Op::Range {{ start: {}, end: {} }}",
-            fmt_bytes(start),
-            fmt_bytes(end)
-        ),
-        Op::Sync => "Op::Sync".to_string(),
-        Op::Len => "Op::Len".to_string(),
-    }
-}
-
-/// Render a shrunk trace as a ready-to-paste `#[test]`. `mode_expr` and
-/// `structure_expr` are Rust expressions (e.g. `Mode::Plain`,
-/// `Structure::Lsm`); `name` becomes the test function name.
-pub fn render_test(name: &str, mode_expr: &str, structure_expr: &str, trace: &[Op]) -> String {
-    let mut s = String::new();
-    s.push_str("#[test]\n");
-    s.push_str(&format!("fn {name}() {{\n"));
-    s.push_str("    use dam_check::{replay, Mode, Op, Structure};\n");
-    s.push_str("    let trace: Vec<Op> = vec![\n");
+/// Render a shrunk trace as a ready-to-paste `#[test]` named `name` that
+/// replays it under `mode` against `structure`.
+pub fn render_test(name: &str, mode: Mode, structure: Structure, trace: &[Op]) -> String {
+    let mut s = format!(
+        "#[test]\nfn {name}() {{\n    use dam_check::{{replay, Mode, Op, Structure}};\n    let trace: Vec<Op> = vec![\n"
+    );
     for op in trace {
-        s.push_str(&format!("        {},\n", fmt_op(op)));
+        // Keys and values are byte vectors, the only `[` in an op's Debug.
+        let op = format!("{op:?}").replace('[', "vec![");
+        writeln!(s, "        Op::{op},").unwrap();
     }
-    s.push_str("    ];\n");
-    s.push_str(&format!(
-        "    if let Err(f) = replay({mode_expr}, &[{structure_expr}], &trace) {{\n"
-    ));
-    s.push_str("        panic!(\"divergence: {f}\");\n");
-    s.push_str("    }\n");
-    s.push_str("}\n");
+    write!(
+        s,
+        "    ];\n    if let Err(f) = replay(Mode::{mode:?}, &[Structure::{structure:?}], &trace) {{\n        panic!(\"divergence: {{f}}\");\n    }}\n}}\n"
+    )
+    .unwrap();
     s
 }
 
@@ -220,7 +166,7 @@ mod tests {
         let mut empty_value = false;
         for op in &t {
             match op {
-                Op::Insert { key, value } => {
+                Op::Put { key, value } => {
                     empty_key |= key.is_empty();
                     above_sentinel |= key.as_slice() >= [0xFFu8; 64].as_slice();
                     empty_value |= value.is_empty();
@@ -242,15 +188,19 @@ mod tests {
     #[test]
     fn rendered_test_contains_trace_and_harness_call() {
         let t = vec![
-            Op::Insert {
+            Op::Put {
                 key: vec![1, 2],
                 value: vec![],
             },
-            Op::Len,
+            Op::Del { key: vec![] },
+            Op::SyncAll,
         ];
-        let s = render_test("repro_x", "Mode::Plain", "Structure::Lsm", &t);
+        let s = render_test("repro_x", Mode::Plain, Structure::Lsm, &t);
         assert!(s.contains("fn repro_x()"));
-        assert!(s.contains("Op::Insert { key: vec![1, 2], value: vec![] }"));
+        assert!(s.contains("        Op::Put { key: vec![1, 2], value: vec![] },\n"));
+        assert!(s.contains("        Op::Del { key: vec![] },\n        Op::SyncAll,\n"));
         assert!(s.contains("replay(Mode::Plain, &[Structure::Lsm], &trace)"));
+        let s = render_test("r", Mode::Crash { crash_after: 9 }, Structure::BTree, &t);
+        assert!(s.contains("replay(Mode::Crash { crash_after: 9 }, &[Structure::BTree], &trace)"));
     }
 }

@@ -79,10 +79,6 @@ pub fn help() -> String {
      \x20 experiment <name> [--seed S] [--jobs N]\n\
      \x20                                      regenerate a paper table/figure\n\
      \x20 experiment list                      list experiment names\n\
-     \x20 sweep-bench [--jobs N] [--scale smoke|default] [--out FILE]\n\
-     \x20                                      time grid experiments at jobs=1 vs\n\
-     \x20                                      jobs=N, verify identical rows, write\n\
-     \x20                                      BENCH_sweep_runtime.json\n\
      \x20 stats   --structure <s> --device <d> [--node-kb N] [--keys N] [--ops N]\n\
      \x20         [--format json] [--fault-denom N]\n\
      \x20                                      instrumented run: per-level IO, spans,\n\
@@ -377,157 +373,6 @@ pub fn experiment(args: &Args) -> Result<String, CliError> {
     let _jobs = jobs_override(args)?;
     let out = (exp.render)(&scale);
     dam_bench::metrics::export(exp.name);
-    Ok(out)
-}
-
-/// One grid experiment timed at jobs=1 and jobs=N.
-struct SweepBenchRow {
-    name: &'static str,
-    points: usize,
-    serial_s: f64,
-    parallel_s: f64,
-}
-
-/// Time one experiment both ways and insist the rows are identical — the
-/// sweep engine's determinism contract, checked on every benchmark run.
-fn sweep_bench_one<R: PartialEq>(
-    name: &'static str,
-    jobs: usize,
-    run: impl Fn() -> Vec<R>,
-) -> Result<SweepBenchRow, CliError> {
-    use dam_bench::sweep::set_global_jobs;
-    use std::time::Instant;
-    set_global_jobs(Some(1));
-    let t = Instant::now();
-    let serial = run();
-    let serial_s = t.elapsed().as_secs_f64();
-    set_global_jobs(Some(jobs));
-    let t = Instant::now();
-    let parallel = run();
-    let parallel_s = t.elapsed().as_secs_f64();
-    set_global_jobs(None);
-    if serial != parallel {
-        return Err(CliError::Runtime(format!(
-            "{name}: rows at --jobs {jobs} diverge from serial rows — determinism violation"
-        )));
-    }
-    Ok(SweepBenchRow {
-        name,
-        points: serial.len(),
-        serial_s,
-        parallel_s,
-    })
-}
-
-/// `damlab sweep-bench [--jobs N] [--scale smoke|default] [--keys N]
-/// [--ops N] [--out FILE]`.
-///
-/// Runs the grid experiments serially and at `--jobs N` (default: the
-/// sweep engine's default worker count), verifies both produce identical
-/// rows, and writes per-experiment wall-clock times to a JSON report
-/// (default `BENCH_sweep_runtime.json`). Speedup is wall-clock only —
-/// simulated results never depend on the job count.
-pub fn sweep_bench(args: &Args) -> Result<String, CliError> {
-    let jobs = args.get_u64("jobs", dam_bench::sweep::default_jobs() as u64)? as usize;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be >= 1".into()));
-    }
-    let scale_name = args.get("scale").unwrap_or("smoke");
-    let mut scale = match scale_name {
-        "smoke" => Scale::smoke(),
-        "default" => Scale::default(),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --scale '{other}' (smoke | default)"
-            )))
-        }
-    };
-    if let Some(keys) = args.get("keys") {
-        scale.n_keys = keys
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--keys expects an integer, got '{keys}'")))?;
-    }
-    if let Some(ops) = args.get("ops") {
-        scale.ops = ops
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--ops expects an integer, got '{ops}'")))?;
-    }
-    let out_path = args.get("out").unwrap_or("BENCH_sweep_runtime.json");
-
-    let rows = vec![
-        sweep_bench_one("fig2", jobs, || experiments::fig2(&scale))?,
-        sweep_bench_one("fig3", jobs, || experiments::fig3(&scale))?,
-        sweep_bench_one("lemma13", jobs, || experiments::lemma13(&scale))?,
-        sweep_bench_one("table2", jobs, || experiments::table2(&scale))?,
-    ];
-
-    let total_serial: f64 = rows.iter().map(|r| r.serial_s).sum();
-    let total_parallel: f64 = rows.iter().map(|r| r.parallel_s).sum();
-    let speedup = |s: f64, p: f64| if p > 0.0 { s / p } else { 1.0 };
-
-    // Hand-rolled JSON, matching the workspace's no-serde_json convention.
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"dam.sweep_runtime.v1\",\n");
-    writeln!(json, "  \"scale\": \"{scale_name}\",").unwrap();
-    writeln!(json, "  \"jobs_parallel\": {jobs},").unwrap();
-    writeln!(
-        json,
-        "  \"available_parallelism\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    )
-    .unwrap();
-    json.push_str("  \"experiments\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"points\": {}, \"serial_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.3}}}{comma}",
-            r.name,
-            r.points,
-            r.serial_s,
-            r.parallel_s,
-            speedup(r.serial_s, r.parallel_s)
-        )
-        .unwrap();
-    }
-    json.push_str("  ],\n");
-    writeln!(
-        json,
-        "  \"combined\": {{\"serial_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.3}}}",
-        total_serial,
-        total_parallel,
-        speedup(total_serial, total_parallel)
-    )
-    .unwrap();
-    json.push_str("}\n");
-    std::fs::write(out_path, &json)
-        .map_err(|e| CliError::Runtime(format!("cannot write {out_path}: {e}")))?;
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "sweep runtime at --jobs {jobs} ({scale_name} scale; rows verified identical):"
-    )
-    .unwrap();
-    for r in &rows {
-        writeln!(
-            out,
-            "  {:<8} {:>2} points  serial {:.2}s  parallel {:.2}s  speedup {:.2}x",
-            r.name,
-            r.points,
-            r.serial_s,
-            r.parallel_s,
-            speedup(r.serial_s, r.parallel_s)
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "  combined            serial {total_serial:.2}s  parallel {total_parallel:.2}s  speedup {:.2}x",
-        speedup(total_serial, total_parallel)
-    )
-    .unwrap();
-    writeln!(out, "report written to {out_path}").unwrap();
     Ok(out)
 }
 
@@ -968,34 +813,6 @@ mod tests {
         let parallel = run("experiment lemma13 --jobs 3").unwrap();
         assert_eq!(serial, parallel);
         assert!(serial.lines().any(|l| l.starts_with("8 ")), "{serial}");
-    }
-
-    #[test]
-    fn sweep_bench_writes_runtime_report() {
-        let dir = std::env::temp_dir().join("damlab-sweep-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out_path = dir.join("runtime.json");
-        let out = run(&format!(
-            "sweep-bench --jobs 2 --keys 4000 --ops 20 --out {}",
-            out_path.display()
-        ))
-        .unwrap();
-        assert!(out.contains("rows verified identical"), "{out}");
-        let json = std::fs::read_to_string(&out_path).unwrap();
-        for key in [
-            "\"schema\": \"dam.sweep_runtime.v1\"",
-            "\"jobs_parallel\": 2",
-            "\"name\": \"fig2\"",
-            "\"name\": \"lemma13\"",
-            "\"combined\"",
-            "\"speedup\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(matches!(
-            run("sweep-bench --scale huge"),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

@@ -14,9 +14,6 @@
 //! * `damlab experiment <name> [--jobs N]` — regenerate a paper
 //!   table/figure (`table1`, `table2`, `fig2`, … — see `damlab experiment
 //!   list`); grid experiments fan across `N` workers with identical output,
-//! * `damlab sweep-bench [--jobs N] [--scale smoke|default]` — time the
-//!   grid experiments at jobs=1 vs jobs=N, verify the rows are identical,
-//!   and write `BENCH_sweep_runtime.json`,
 //! * `damlab stats --structure <s> --device <name> [--format json]` — run an
 //!   instrumented workload and render the observability snapshot: per-level
 //!   IO, span tallies, latency percentiles, cache hit rate, read/write
@@ -51,7 +48,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "tune" => commands::tune(&args),
         "run" => commands::run_workload(&args),
         "experiment" => commands::experiment(&args),
-        "sweep-bench" => commands::sweep_bench(&args),
         "stats" => commands::stats(&args),
         "serve" => commands::serve(&args),
         "check" => commands::check(&args),

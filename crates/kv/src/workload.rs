@@ -96,7 +96,6 @@ struct ZipfSampler {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl ZipfSampler {
@@ -115,7 +114,6 @@ impl ZipfSampler {
             alpha,
             zetan,
             eta,
-            zeta2: Self::zeta(2, theta),
         }
     }
 
@@ -143,7 +141,6 @@ impl ZipfSampler {
         if uz < 1.0 + 0.5f64.powf(self.theta) {
             return 1;
         }
-        let _ = self.zeta2;
         let k = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         k.min(self.n - 1)
     }

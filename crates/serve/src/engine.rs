@@ -37,62 +37,17 @@
 //! # Observable equivalence
 //!
 //! The commit log records operations in execution order. Replaying that
-//! log against a serial `BTreeMap` oracle must reproduce every recorded
+//! log against the serial [`Oracle`] must reproduce every recorded
 //! answer — the property `crates/serve/tests/prop_serve.rs` pins. This is
 //! exactly "linearizable with commit order as the witness order".
 
+use crate::oracle::{Oracle, ServeAnswer, ServeOp};
 use crate::shard::{ServeStructure, ShardConfig, ShardSet};
 use dam_kv::{key_from_u64, BatchOp, KvError, KvPair};
 use dam_obs::Obs;
 use dam_stats::rng::SplitMix64;
 use dam_storage::{PdamScheduler, SchedConfig, SchedStats, StepRecord};
 use std::collections::{BTreeMap, VecDeque};
-
-/// One client-visible operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeOp {
-    /// Insert or overwrite.
-    Put {
-        /// Key to insert.
-        key: Vec<u8>,
-        /// Value to store.
-        value: Vec<u8>,
-    },
-    /// Delete (absent keys are a no-op).
-    Del {
-        /// Key to delete.
-        key: Vec<u8>,
-    },
-    /// Point query.
-    Get {
-        /// Key to look up.
-        key: Vec<u8>,
-    },
-    /// Range query over `start ≤ key < end` (fans out to all shards).
-    Range {
-        /// Inclusive lower bound.
-        start: Vec<u8>,
-        /// Exclusive upper bound.
-        end: Vec<u8>,
-    },
-    /// Checkpoint every shard.
-    SyncAll,
-    /// Count live keys across shards.
-    Len,
-}
-
-/// The answer an operation produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeAnswer {
-    /// Writes and syncs.
-    Unit,
-    /// Point-query result.
-    Val(Option<Vec<u8>>),
-    /// Range-query result.
-    Pairs(Vec<KvPair>),
-    /// `Len` result.
-    Count(u64),
-}
 
 /// One entry of the commit log: what executed, for whom, with what answer,
 /// and how long it waited on IO.
@@ -224,41 +179,15 @@ pub fn preload_pairs(cfg: &ServeConfig) -> Vec<KvPair> {
         .collect()
 }
 
-/// Replay the commit log against a serial `BTreeMap` oracle seeded with
-/// the run's preload ([`preload_pairs`]), returning the index and expected
-/// answer of the first divergence (`None` = equivalent). `SyncAll` is a
-/// no-op on the oracle; `Range`/`Len`/`Get` compare answers.
+/// Replay the commit log against the [`Oracle`] seeded with the run's
+/// preload ([`preload_pairs`]), returning the index and expected answer of
+/// the first divergence (`None` = equivalent).
 pub fn oracle_divergence(cfg: &ServeConfig, commits: &[Commit]) -> Option<(usize, String)> {
-    let mut map: BTreeMap<Vec<u8>, Vec<u8>> = preload_pairs(cfg).into_iter().collect();
-    for (i, c) in commits.iter().enumerate() {
-        let want = match &c.op {
-            ServeOp::Put { key, value } => {
-                map.insert(key.clone(), value.clone());
-                ServeAnswer::Unit
-            }
-            ServeOp::Del { key } => {
-                map.remove(key);
-                ServeAnswer::Unit
-            }
-            ServeOp::Get { key } => ServeAnswer::Val(map.get(key).cloned()),
-            ServeOp::Range { start, end } => {
-                let pairs = if start < end {
-                    map.range(start.clone()..end.clone())
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                ServeAnswer::Pairs(pairs)
-            }
-            ServeOp::SyncAll => ServeAnswer::Unit,
-            ServeOp::Len => ServeAnswer::Count(map.len() as u64),
-        };
-        if want != c.answer {
-            return Some((i, format!("oracle {want:?}, engine {:?}", c.answer)));
-        }
-    }
-    None
+    let mut oracle: Oracle = preload_pairs(cfg).into_iter().collect();
+    commits.iter().enumerate().find_map(|(i, c)| {
+        let want = oracle.apply(&c.op);
+        (want != c.answer).then(|| (i, format!("oracle {want:?}, engine {:?}", c.answer)))
+    })
 }
 
 /// Generate each client's op list for [`run`]: uniform keys over the

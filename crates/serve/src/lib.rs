@@ -15,20 +15,25 @@
 //!   instances, each with its own device and pager.
 //! * [`engine`] — admission (per-shard write batching / group commit),
 //!   the closed-loop round structure, the commit log, and metrics.
+//! * [`oracle`] — the op alphabet ([`ServeOp`], [`ServeAnswer`]) and the
+//!   `BTreeMap` reference model ([`Oracle`]) that the commit log and every
+//!   `dam-check` mode are compared against.
 //!
 //! The scheduler itself lives in `dam_storage::sched` (it is a storage-
 //! layer concern); this crate composes it with the trees. Determinism is
 //! absolute: reruns are byte-identical at any host parallelism, which is
-//! what lets `dam-check` replay concurrent traces against a serial oracle
+//! what lets `dam-check` replay concurrent traces against the serial oracle
 //! and lets CI diff whole reports across jobs settings.
 
 pub mod capture;
 pub mod engine;
+pub mod oracle;
 pub mod shard;
 
 pub use capture::{CaptureDevice, CaptureHandle, CapturedIo};
 pub use engine::{
     generate_workload, oracle_divergence, preload_pairs, run, run_ops, run_ops_with_obs,
-    run_with_obs, Commit, ServeAnswer, ServeConfig, ServeOp, ServeOutcome, ServeReport,
+    run_with_obs, Commit, ServeConfig, ServeOutcome, ServeReport,
 };
+pub use oracle::{Oracle, ServeAnswer, ServeOp};
 pub use shard::{ServeStructure, ShardConfig, ShardSet};

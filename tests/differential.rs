@@ -9,9 +9,7 @@
 //! regression tests for fixes whose minimal trigger is a whole fault
 //! schedule rather than a handful of ops.
 
-use dam_check::{
-    check, generate_trace, replay, replay_concurrent, CheckConfig, Mode, Op, Structure,
-};
+use dam_check::{check, generate_trace, replay, CheckConfig, Mode, Op, Structure};
 
 #[test]
 fn seed_corpus_all_modes() {
@@ -89,8 +87,12 @@ fn concurrent_group_commit_reproducer() {
     // routing: a flush of the read's shard must not reorder ops bound for
     // the other shard.
     let trace = generate_trace(42, 900);
+    let mode = Mode::Concurrent {
+        clients: 3,
+        shards: 2,
+    };
     for s in Structure::ALL {
-        if let Err(f) = replay_concurrent(s, 3, 2, &trace) {
+        if let Err(f) = replay(mode, &[s], &trace) {
             panic!("group-commit reproducer regressed: {f}");
         }
     }
@@ -107,8 +109,12 @@ fn concurrent_barrier_ops_reproducer() {
     // carry ops from multiple clients and every contributor must commit
     // exactly once when the shared chain completes.
     let trace = generate_trace(1337, 900);
+    let mode = Mode::Concurrent {
+        clients: 5,
+        shards: 3,
+    };
     for s in Structure::ALL {
-        if let Err(f) = replay_concurrent(s, 5, 3, &trace) {
+        if let Err(f) = replay(mode, &[s], &trace) {
             panic!("barrier reproducer regressed: {f}");
         }
     }
@@ -119,15 +125,15 @@ fn degenerate_ranges_empty_across_structures() {
     // Satellite regression: range(start, end) with start >= end must be
     // empty-and-Ok for every structure, including around live keys.
     let mut trace = vec![
-        Op::Insert {
+        Op::Put {
             key: b"k1".to_vec(),
             value: b"v1".to_vec(),
         },
-        Op::Insert {
+        Op::Put {
             key: b"k3".to_vec(),
             value: b"v3".to_vec(),
         },
-        Op::Sync,
+        Op::SyncAll,
     ];
     for (s, e) in [
         (&b"k1"[..], &b"k1"[..]),

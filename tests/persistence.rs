@@ -175,11 +175,11 @@ fn on_disk_images_are_pinned() {
         let mut dict = structure.create(dev.clone(), &cfg, None).unwrap();
         for op in generate_trace(801, 2_000) {
             match op {
-                Op::Insert { key, value } => dict.insert(&key, &value).unwrap(),
-                Op::Delete { key } => dict.delete(&key).unwrap(),
+                Op::Put { key, value } => dict.insert(&key, &value).unwrap(),
+                Op::Del { key } => dict.delete(&key).unwrap(),
                 Op::Get { key } => drop(dict.get(&key).unwrap()),
                 Op::Range { start, end } => drop(dict.range(&start, &end).unwrap()),
-                Op::Sync => dict.sync().unwrap(),
+                Op::SyncAll => dict.sync().unwrap(),
                 Op::Len => drop(dict.len().unwrap()),
             }
         }
