@@ -135,7 +135,7 @@ impl<L: Layout> Engine<L> {
         cache_bytes: u64,
         merge: Box<dyn MergeOperator>,
     ) -> Result<Self, KvError> {
-        let mut pager = Pager::new(device, cache_bytes, layout.superblock_bytes());
+        let mut pager = Pager::try_new(device, cache_bytes, layout.superblock_bytes())?;
         let addr = pager.alloc(layout.node_bytes() as u64)?;
         let mut tree = Engine {
             pager,
@@ -160,7 +160,7 @@ impl<L: Layout> Engine<L> {
     /// merge operator is taken from the config (it is code, not data).
     pub fn open(device: SharedDevice, cfg: L::Config) -> Result<Self, KvError> {
         let (layout, shell) = L::from_config(cfg)?;
-        let mut pager = Pager::new(device, shell.cache_bytes, layout.superblock_bytes());
+        let mut pager = Pager::try_new(device, shell.cache_bytes, layout.superblock_bytes())?;
         let meta = L::SUPERBLOCK.read(&mut pager, |r| layout.get_meta(r))?;
         Ok(Engine {
             pager,
@@ -1246,6 +1246,7 @@ mod tests {
         cold_query_reads_the_path,
         persist_and_open_roundtrip,
         open_refuses_blank_and_mismatched_devices,
+        device_smaller_than_superblock_is_a_config_error,
         oversized_entry_rejected,
         len_and_failed_ops_follow_cost_contract,
     );
@@ -1667,6 +1668,19 @@ mod tests {
         ));
         let mut t = Engine::<L>::open(dev, L::cfg(1 << 16, false)).unwrap();
         assert_eq!(t.get(b"k").unwrap(), Some(b"v".to_vec()));
+    }
+
+    fn device_smaller_than_superblock_is_a_config_error<L: Case>() {
+        let dev = || SharedDevice::new(Box::new(RamDisk::new(2048, SimDuration(1000))));
+        for r in [
+            Engine::<L>::create(dev(), L::cfg(1 << 16, false)).map(drop),
+            Engine::<L>::open(dev(), L::cfg(1 << 16, false)).map(drop),
+        ] {
+            match r {
+                Err(KvError::Config(msg)) => assert!(msg.contains("2048"), "{msg}"),
+                other => panic!("expected a config error, got {:?}", other.err()),
+            }
+        }
     }
 
     fn oversized_entry_rejected<L: Case>() {

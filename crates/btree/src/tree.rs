@@ -74,7 +74,7 @@ impl BTree {
         if !(0.5..=1.0).contains(&cfg.bulk_fill) {
             return Err(KvError::Config("bulk_fill must be in [0.5, 1.0]".into()));
         }
-        let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
+        let mut pager = Pager::try_new(device, cfg.cache_bytes, SUPERBLOCK_BYTES)?;
         let root = pager.alloc(cfg.node_bytes as u64)?;
         let mut tree = BTree {
             pager,
@@ -105,7 +105,7 @@ impl BTree {
 
     /// Reopen a tree previously [`BTree::persist`]ed on `device`.
     pub fn open(device: SharedDevice, cfg: BTreeConfig) -> Result<Self, KvError> {
-        let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
+        let mut pager = Pager::try_new(device, cfg.cache_bytes, SUPERBLOCK_BYTES)?;
         let (root, height, count) = SUPERBLOCK.read(&mut pager, |r| {
             let fields = (r.get_u64()?, r.get_u32()?, r.get_u64()?);
             let node_bytes = r.get_u64()?;
@@ -953,6 +953,21 @@ mod tests {
     fn tree(node_bytes: usize) -> BTree {
         let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
         BTree::create(dev, BTreeConfig::new(node_bytes, 1 << 20)).unwrap()
+    }
+
+    #[test]
+    fn device_smaller_than_superblock_is_a_config_error() {
+        let dev = || SharedDevice::new(Box::new(RamDisk::new(2048, SimDuration(1000))));
+        let cfg = || BTreeConfig::new(1024, 1 << 16);
+        for r in [
+            BTree::create(dev(), cfg()).map(drop),
+            BTree::open(dev(), cfg()).map(drop),
+        ] {
+            match r {
+                Err(KvError::Config(msg)) => assert!(msg.contains("2048"), "{msg}"),
+                other => panic!("expected a config error, got {:?}", other.err()),
+            }
+        }
     }
 
     fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {

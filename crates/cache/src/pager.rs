@@ -232,6 +232,10 @@ pub struct Pager {
 impl Pager {
     /// A pager over `dev` with a cache budget of `cache_bytes`; the first
     /// `reserved` device bytes are left to the caller (superblock).
+    ///
+    /// # Panics
+    /// If the device is smaller than `reserved`; [`Pager::try_new`]
+    /// reports that as an error instead.
     pub fn new(dev: SharedDevice, cache_bytes: u64, reserved: u64) -> Self {
         let capacity = dev.capacity_bytes();
         Pager {
@@ -247,6 +251,18 @@ impl Pager {
             op_start: PagerCounters::default(),
             last_op: OpCost::default(),
         }
+    }
+
+    /// [`Pager::new`], or [`KvError::Config`] when the device cannot hold
+    /// its `reserved` prefix.
+    pub fn try_new(dev: SharedDevice, cache_bytes: u64, reserved: u64) -> Result<Self, KvError> {
+        let capacity = dev.capacity_bytes();
+        if capacity < reserved {
+            return Err(KvError::Config(format!(
+                "device of {capacity} bytes is smaller than the {reserved}-byte reserved prefix"
+            )));
+        }
+        Ok(Pager::new(dev, cache_bytes, reserved))
     }
 
     /// Current simulated time as seen by this pager's client.

@@ -130,7 +130,7 @@ impl LsmTree {
             return Err(KvError::Config("bad ratio/l0 limit/memtable size".into()));
         }
         Ok(LsmTree {
-            pager: Pager::new(device, cfg.cache_bytes, MANIFEST_BYTES),
+            pager: Pager::try_new(device, cfg.cache_bytes, MANIFEST_BYTES)?,
             cfg,
             mem: BTreeMap::new(),
             mem_bytes: 0,
@@ -148,7 +148,7 @@ impl LsmTree {
     /// and rebuilds the level layout, block indexes and allocator state.
     /// A torn or corrupted manifest surfaces as [`KvError::Corrupt`].
     pub fn open(device: SharedDevice, cfg: LsmConfig) -> Result<Self, KvError> {
-        let mut pager = Pager::new(device, cfg.cache_bytes, MANIFEST_BYTES);
+        let mut pager = Pager::try_new(device, cfg.cache_bytes, MANIFEST_BYTES)?;
         let (next_stamp, l0, levels) = MANIFEST.read(&mut pager, |r| {
             let next_stamp = r.get_u64()?;
             let l0 = decode_tables(r)?;
@@ -637,6 +637,25 @@ mod tests {
         cfg.level_ratio = 4;
         cfg.l0_limit = 2;
         LsmTree::create(dev, cfg).unwrap()
+    }
+
+    #[test]
+    fn device_smaller_than_manifest_is_a_config_error() {
+        let dev = || SharedDevice::new(Box::new(RamDisk::new(2048, SimDuration(1000))));
+        let cfg = || {
+            let mut cfg = LsmConfig::new(4096, 1 << 16);
+            cfg.block_bytes = 512;
+            cfg
+        };
+        for r in [
+            LsmTree::create(dev(), cfg()).map(drop),
+            LsmTree::open(dev(), cfg()).map(drop),
+        ] {
+            match r {
+                Err(KvError::Config(msg)) => assert!(msg.contains("2048"), "{msg}"),
+                other => panic!("expected a config error, got {:?}", other.err()),
+            }
+        }
     }
 
     fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {

@@ -12,7 +12,7 @@
 //! behaviour never depends on timing, only on bytes, so re-timing commutes
 //! with execution.
 
-use dam_storage::{BlockDevice, DeviceStats, IoCompletion, IoError, SimTime};
+use dam_storage::{BlockDevice, DeviceStats, IoChain, IoCompletion, IoError, SimTime};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One recorded IO: `(is_write, offset, len)`.
@@ -25,17 +25,28 @@ pub struct CaptureHandle {
 }
 
 impl CaptureHandle {
-    /// Take all IOs recorded since the previous drain.
-    pub fn drain(&self) -> Vec<CapturedIo> {
-        std::mem::take(&mut *self.log.lock().unwrap_or_else(PoisonError::into_inner))
+    fn log(&self) -> std::sync::MutexGuard<'_, Vec<CapturedIo>> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Drain the IOs recorded since the previous drain into a chain
+    /// ([`IoChain::from_ios`]). The log is cleared in place and keeps its
+    /// capacity, so steady-state draining allocates only the chain.
+    pub fn drain_chain(&self, space: u32, block_bytes: u64) -> IoChain {
+        let mut log = self.log();
+        let chain = IoChain::from_ios(space, block_bytes, &log);
+        log.clear();
+        chain
+    }
+
+    /// Discard the IOs recorded since the previous drain.
+    pub fn clear(&self) {
+        self.log().clear();
     }
 
     /// IOs currently recorded (without draining).
     pub fn pending(&self) -> usize {
-        self.log
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.log().len()
     }
 }
 
@@ -132,9 +143,20 @@ mod tests {
         d.read(1, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(&buf, b"bc");
         assert_eq!(h.pending(), 2);
-        assert_eq!(h.drain(), vec![(true, 0, 4), (false, 1, 2)]);
+        // One-byte blocks: each IO's wave lists the bytes it touched.
+        assert_eq!(
+            h.drain_chain(5, 1),
+            IoChain::from_ios(5, 1, &[(true, 0, 4), (false, 1, 2)])
+        );
         assert_eq!(h.pending(), 0);
         assert_eq!(d.stats().total_ios(), 2);
+        d.write(1000, &[7; 30], SimTime::ZERO).unwrap();
+        let chain = h.drain_chain(5, 512);
+        assert_eq!((chain.depth(), chain.blocks()), (1, 2));
+        assert_eq!(h.pending(), 0);
+        d.write(0, b"x", SimTime::ZERO).unwrap();
+        h.clear();
+        assert_eq!(h.pending(), 0);
         assert!(d.describe().starts_with("capture("));
     }
 

@@ -48,6 +48,7 @@ use dam_obs::Obs;
 use dam_stats::rng::SplitMix64;
 use dam_storage::{PdamScheduler, SchedConfig, SchedStats, StepRecord};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// One entry of the commit log: what executed, for whom, with what answer,
 /// and how long it waited on IO.
@@ -167,6 +168,20 @@ pub struct ServeOutcome {
     pub step_records: Vec<StepRecord>,
 }
 
+/// One shard's buffered writes: who issued each, and its batch entry.
+#[derive(Default)]
+struct Admission {
+    clients: Vec<usize>,
+    batch: Vec<BatchOp>,
+}
+
+impl Admission {
+    fn push(&mut self, client: usize, entry: BatchOp) {
+        self.clients.push(client);
+        self.batch.push(entry);
+    }
+}
+
 /// The deterministic pairs [`run_ops_with_obs`] bulk-loads before the
 /// measured phase — exposed so oracles can start from the same state.
 pub fn preload_pairs(cfg: &ServeConfig) -> Vec<KvPair> {
@@ -177,6 +192,18 @@ pub fn preload_pairs(cfg: &ServeConfig) -> Vec<KvPair> {
             (key_from_u64(i).to_vec(), vec![b; cfg.value_bytes.max(1)])
         })
         .collect()
+}
+
+/// Jain's fairness index of per-client work, `(Σx)² / (k·Σx²)`: 1 when
+/// every client did the same amount, `1/k` when one client did it all.
+/// No work at all counts as fair (1).
+fn jain_index(per_client: &[u64]) -> f64 {
+    let sum: f64 = per_client.iter().map(|&x| x as f64).sum();
+    let squares: f64 = per_client.iter().map(|&x| (x as f64) * (x as f64)).sum();
+    if squares == 0.0 {
+        return 1.0;
+    }
+    sum * sum / (per_client.len() as f64 * squares)
 }
 
 /// Replay the commit log against the [`Oracle`] seeded with the run's
@@ -269,54 +296,59 @@ pub fn run_ops_with_obs(
     let mut queues: Vec<VecDeque<ServeOp>> =
         per_client_ops.into_iter().map(VecDeque::from).collect();
     let mut idle = vec![true; cfg.clients];
-    // chain id -> (submit step, commit indices waiting on it)
-    let mut pending: BTreeMap<u64, (u64, Vec<usize>)> = BTreeMap::new();
+    // chain id -> (submit step, commit indices waiting on it; a group
+    // commit's entries are consecutive in the log)
+    let mut pending: BTreeMap<u64, (u64, Range<usize>)> = BTreeMap::new();
     let mut commits: Vec<Commit> = Vec::new();
     let mut batches = 0u64;
     let mut batched_ops = 0u64;
     let mut round = 0u64;
 
-    // Per-shard admission buffers: (client, op copy, batch entry).
-    let mut buffers: Vec<Vec<(usize, ServeOp, BatchOp)>> = vec![Vec::new(); cfg.shards.max(1)];
+    // Per-shard admission buffers: each buffered write's client and its
+    // batch entry, kept once (the commit log's op is rebuilt from it).
+    let mut buffers: Vec<Admission> = (0..cfg.shards.max(1))
+        .map(|_| Admission::default())
+        .collect();
 
     while queues.iter().any(|q| !q.is_empty()) || !pending.is_empty() {
         // --- Admission: every idle client with work enters one op. ---
         let now = sched.now_steps();
         let flush = |s: usize,
-                     buffers: &mut Vec<Vec<(usize, ServeOp, BatchOp)>>,
+                     buffers: &mut Vec<Admission>,
                      shards: &mut ShardSet,
                      sched: &mut PdamScheduler,
                      commits: &mut Vec<Commit>,
-                     pending: &mut BTreeMap<u64, (u64, Vec<usize>)>,
+                     pending: &mut BTreeMap<u64, (u64, Range<usize>)>,
                      batches: &mut u64,
                      batched_ops: &mut u64|
          -> Result<(), KvError> {
-            let group = std::mem::take(&mut buffers[s]);
-            if group.is_empty() {
+            let group = &mut buffers[s];
+            if group.batch.is_empty() {
                 return Ok(());
             }
-            let batch: Vec<BatchOp> = group.iter().map(|(_, _, b)| b.clone()).collect();
-            let chain = shards.apply_batch(s, &batch)?;
+            let chain = shards.apply_batch(s, &group.batch)?;
             let blocks = chain.blocks() as u64;
             // Group commit: one chain, submitted under the first
             // contributor (it holds the slot-fairness account); every
             // contributor's op completes when the chain does.
-            let id = sched.submit(group[0].0, chain);
-            let mut waiters = Vec::with_capacity(group.len());
-            for (client, op, _) in group {
-                waiters.push(commits.len());
+            let id = sched.submit(group.clients[0], chain);
+            let first = commits.len();
+            for (client, entry) in group.clients.drain(..).zip(group.batch.drain(..)) {
                 commits.push(Commit {
                     round,
                     client,
-                    op,
+                    op: match entry {
+                        BatchOp::Put { key, value } => ServeOp::Put { key, value },
+                        BatchOp::Del { key } => ServeOp::Del { key },
+                    },
                     answer: ServeAnswer::Unit,
                     latency_steps: 0,
                     chain_blocks: blocks,
                 });
             }
-            pending.insert(id, (now, waiters));
             *batches += 1;
-            *batched_ops += pending[&id].1.len() as u64;
+            *batched_ops += (commits.len() - first) as u64;
+            pending.insert(id, (now, first..commits.len()));
             Ok(())
         };
         for c in 0..cfg.clients {
@@ -328,21 +360,11 @@ pub fn run_ops_with_obs(
             };
             idle[c] = false;
             match op {
-                ServeOp::Put { .. } | ServeOp::Del { .. } => {
-                    let (batch_op, shard) = match &op {
-                        ServeOp::Put { key, value } => (
-                            BatchOp::Put {
-                                key: key.clone(),
-                                value: value.clone(),
-                            },
-                            shards.route(key),
-                        ),
-                        ServeOp::Del { key } => {
-                            (BatchOp::Del { key: key.clone() }, shards.route(key))
-                        }
-                        _ => unreachable!(),
-                    };
-                    buffers[shard].push((c, op, batch_op));
+                ServeOp::Put { key, value } => {
+                    buffers[shards.route(&key)].push(c, BatchOp::Put { key, value });
+                }
+                ServeOp::Del { key } => {
+                    buffers[shards.route(&key)].push(c, BatchOp::Del { key });
                 }
                 ServeOp::Get { ref key } => {
                     // Reads see all earlier writes: flush the shard first.
@@ -360,7 +382,7 @@ pub fn run_ops_with_obs(
                     let (v, chain) = shards.get(key)?;
                     let blocks = chain.blocks() as u64;
                     let id = sched.submit(c, chain);
-                    pending.insert(id, (now, vec![commits.len()]));
+                    pending.insert(id, (now, commits.len()..commits.len() + 1));
                     commits.push(Commit {
                         round,
                         client: c,
@@ -399,7 +421,7 @@ pub fn run_ops_with_obs(
                     };
                     let blocks = chain.blocks() as u64;
                     let id = sched.submit(c, chain);
-                    pending.insert(id, (now, vec![commits.len()]));
+                    pending.insert(id, (now, commits.len()..commits.len() + 1));
                     commits.push(Commit {
                         round,
                         client: c,
@@ -497,13 +519,16 @@ pub fn run_ops_with_obs(
             "serve.throughput_ops_per_step",
             report.throughput_ops_per_step,
         );
+        let mut per_client = vec![0u64; cfg.clients];
         for c in &commits {
             o.observe_ns("serve.latency", c.latency_steps * cfg.step_ns);
-            o.observe_ns(
-                &format!("serve.client{}.latency", c.client),
-                c.latency_steps * cfg.step_ns,
-            );
+            per_client[c.client] += 1;
         }
+        let min = per_client.iter().min().copied().unwrap_or(0);
+        let max = per_client.iter().max().copied().unwrap_or(0);
+        o.set_gauge("serve.client_ops_min", min as f64);
+        o.set_gauge("serve.client_ops_max", max as f64);
+        o.set_gauge("serve.client_jain_index", jain_index(&per_client));
     }
     Ok(ServeOutcome {
         report,
@@ -537,6 +562,16 @@ mod tests {
             assert!(out.report.steps > 0);
             assert_eq!(oracle_divergence(&cfg, &out.commits), None, "{structure:?}");
         }
+    }
+
+    #[test]
+    fn jain_index_spans_one_over_k_to_one() {
+        assert_eq!(jain_index(&[7, 7, 7, 7]), 1.0);
+        assert_eq!(jain_index(&[0, 12, 0, 0]), 0.25);
+        assert_eq!(jain_index(&[5]), 1.0);
+        assert_eq!(jain_index(&[0, 0]), 1.0);
+        let mixed = jain_index(&[1, 2, 3]);
+        assert!(mixed > 1.0 / 3.0 && mixed < 1.0, "{mixed}");
     }
 
     #[test]

@@ -152,13 +152,6 @@ struct Shard {
     capture: CaptureHandle,
 }
 
-impl Shard {
-    /// Convert the IOs captured since the last drain into a chain.
-    fn drain_chain(&mut self, space: u32, block_bytes: u64) -> IoChain {
-        IoChain::from_ios(space, block_bytes, &self.capture.drain())
-    }
-}
-
 /// `S` independent tree instances behind a hash router. Every operation
 /// returns its answer (computed immediately — data and timing are split,
 /// see [`crate::capture`]) together with the [`IoChain`] the PDAM
@@ -197,7 +190,7 @@ impl ShardSet {
                 capture,
             };
             // Creation IO is setup, not serving traffic: drop it.
-            shard.capture.drain();
+            shard.capture.clear();
             shards.push(shard);
         }
         Ok(ShardSet { shards, cfg })
@@ -213,16 +206,40 @@ impl ShardSet {
         (shard_hash(key) % self.shards.len() as u64) as usize
     }
 
-    fn chain(&mut self, s: usize) -> IoChain {
-        let block_bytes = self.cfg.block_bytes;
-        self.shards[s].drain_chain(s as u32, block_bytes)
+    /// Run `f` on shard `s` and drain the IO it captured into a chain,
+    /// whether `f` succeeded or not: a failed op's IO is dropped with it,
+    /// never charged to the next op on that shard.
+    fn on_shard<T>(
+        &mut self,
+        s: usize,
+        f: impl FnOnce(&mut dyn Dictionary) -> Result<T, KvError>,
+    ) -> Result<(T, IoChain), KvError> {
+        let shard = &mut self.shards[s];
+        let r = f(shard.dict.as_mut());
+        let chain = shard.capture.drain_chain(s as u32, self.cfg.block_bytes);
+        Ok((r?, chain))
+    }
+
+    /// Run `f` on every shard in turn, stopping at the first error; the
+    /// per-shard chains merge in parallel (shards descend concurrently).
+    fn fan_out<T>(
+        &mut self,
+        mut f: impl FnMut(&mut dyn Dictionary) -> Result<T, KvError>,
+    ) -> Result<(Vec<T>, IoChain), KvError> {
+        let mut out = Vec::with_capacity(self.shards.len());
+        let mut chains = Vec::with_capacity(self.shards.len());
+        for s in 0..self.shards.len() {
+            let (t, chain) = self.on_shard(s, &mut f)?;
+            out.push(t);
+            chains.push(chain);
+        }
+        Ok((out, IoChain::merge_parallel(chains)))
     }
 
     /// Point query on the owning shard.
     pub fn get(&mut self, key: &[u8]) -> Result<(Option<Vec<u8>>, IoChain), KvError> {
         let s = self.route(key);
-        let v = self.shards[s].dict.get(key)?;
-        Ok((v, self.chain(s)))
+        self.on_shard(s, |d| d.get(key))
     }
 
     /// Apply a write batch to one shard (callers route and group; see the
@@ -230,34 +247,23 @@ impl ShardSet {
     /// by `shard`.
     pub fn apply_batch(&mut self, shard: usize, batch: &[BatchOp]) -> Result<IoChain, KvError> {
         debug_assert!(batch.iter().all(|op| self.route(op.key()) == shard));
-        self.shards[shard].dict.apply_batch(batch)?;
-        Ok(self.chain(shard))
+        Ok(self.on_shard(shard, |d| d.apply_batch(batch))?.1)
     }
 
     /// Range query: fan out to every shard, merge the sorted results.
-    /// The chains merge in parallel — shards descend concurrently.
     pub fn range(&mut self, start: &[u8], end: &[u8]) -> Result<(Vec<KvPair>, IoChain), KvError> {
-        let mut pairs: Vec<KvPair> = Vec::new();
-        let mut chains = Vec::with_capacity(self.shards.len());
-        for s in 0..self.shards.len() {
-            pairs.extend(self.shards[s].dict.range(start, end)?);
-            chains.push(self.chain(s));
-        }
+        let (parts, chain) = self.fan_out(|d| d.range(start, end))?;
+        let mut pairs: Vec<KvPair> = parts.into_iter().flatten().collect();
         // Keys are unique across shards (hash routing is a partition), so
         // a sort of the concatenation is a correct k-way merge.
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok((pairs, IoChain::merge_parallel(chains)))
+        Ok((pairs, chain))
     }
 
     /// Total live keys across shards (fan-out, parallel chains).
     pub fn len(&mut self) -> Result<(u64, IoChain), KvError> {
-        let mut n = 0u64;
-        let mut chains = Vec::with_capacity(self.shards.len());
-        for s in 0..self.shards.len() {
-            n += self.shards[s].dict.len()?;
-            chains.push(self.chain(s));
-        }
-        Ok((n, IoChain::merge_parallel(chains)))
+        let (counts, chain) = self.fan_out(|d| d.len())?;
+        Ok((counts.iter().sum(), chain))
     }
 
     /// True when no shard holds live keys.
@@ -268,12 +274,7 @@ impl ShardSet {
 
     /// Checkpoint every shard (fan-out, parallel chains).
     pub fn sync_all(&mut self) -> Result<IoChain, KvError> {
-        let mut chains = Vec::with_capacity(self.shards.len());
-        for s in 0..self.shards.len() {
-            self.shards[s].dict.sync()?;
-            chains.push(self.chain(s));
-        }
-        Ok(IoChain::merge_parallel(chains))
+        Ok(self.fan_out(|d| d.sync())?.1)
     }
 
     /// Untimed bulk load (setup traffic): writes route to their shards and
@@ -286,10 +287,11 @@ impl ShardSet {
                 value: v.clone(),
             });
         }
-        for (s, batch) in per_shard.iter().enumerate() {
+        for (shard, batch) in self.shards.iter_mut().zip(&per_shard) {
             if !batch.is_empty() {
-                self.shards[s].dict.apply_batch(batch)?;
-                self.shards[s].capture.drain();
+                let r = shard.dict.apply_batch(batch);
+                shard.capture.clear();
+                r?;
             }
         }
         Ok(())
@@ -377,6 +379,81 @@ mod tests {
         // A cold read must touch storage unless it fit in cache; either
         // way the chain is bounded by this single descent.
         assert!(chain.depth() <= 8, "chain too deep: {}", chain.depth());
+    }
+
+    #[test]
+    fn a_device_too_small_for_the_tree_is_a_config_error() {
+        for (structure, disk_bytes) in ServeStructure::ALL
+            .into_iter()
+            .map(|s| (s, 2048))
+            .chain([(ServeStructure::Lsm, 1 << 16)])
+        {
+            let r = ShardSet::create(ShardConfig {
+                structure,
+                disk_bytes,
+                ..ShardConfig::default()
+            });
+            assert!(
+                matches!(r, Err(KvError::Config(_))),
+                "{structure:?} on {disk_bytes} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_op_leaves_no_io_for_the_next_one() {
+        for structure in ServeStructure::ALL {
+            let disk_bytes = match structure {
+                ServeStructure::Lsm => (1 << 20) + (1 << 16),
+                _ => 1 << 16,
+            };
+            // A 4 KiB cache makes a failing op read and write back nodes
+            // before it fails, so it has IO to leave behind.
+            let mut s = ShardSet::create(ShardConfig {
+                structure,
+                shards: 2,
+                disk_bytes,
+                cache_bytes: 1 << 12,
+                ..ShardConfig::default()
+            })
+            .unwrap();
+            let mut errors = 0;
+            // Check right after each op: the next op would drain the log.
+            let mut check = |s: &ShardSet, r: Result<(), KvError>| {
+                if let Err(e) = r {
+                    errors += 1;
+                    let left: Vec<usize> = s.shards.iter().map(|sh| sh.capture.pending()).collect();
+                    assert!(
+                        left.iter().all(|&n| n == 0),
+                        "{structure:?}: {e} left IOs {left:?}"
+                    );
+                }
+            };
+            for i in 0..400u64 {
+                let keys: Vec<_> = (0..8).map(|j| key_from_u64(i * 8 + j)).collect();
+                let (lo, hi) = (keys[0], keys[7]);
+                let owner = s.route(&lo);
+                let batch: Vec<BatchOp> = keys
+                    .iter()
+                    .filter(|k| s.route(*k) == owner)
+                    .map(|k| BatchOp::Put {
+                        key: k.to_vec(),
+                        value: vec![i as u8; 64],
+                    })
+                    .collect();
+                let r = s.apply_batch(owner, &batch).map(drop);
+                check(&s, r);
+                let r = s.get(&lo).map(drop);
+                check(&s, r);
+                let r = s.range(&lo, &hi).map(drop);
+                check(&s, r);
+                let r = s.len().map(drop);
+                check(&s, r);
+                let r = s.sync_all().map(drop);
+                check(&s, r);
+            }
+            assert!(errors > 0, "{structure:?}: the device never filled");
+        }
     }
 
     #[test]

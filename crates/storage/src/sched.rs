@@ -27,7 +27,6 @@
 //! than `P` slots per step, no lost or duplicated completions, max-min
 //! fairness under denial).
 
-use std::collections::BTreeSet;
 use std::collections::VecDeque;
 
 /// Address of one block-sized unit of IO. `space` namespaces independent
@@ -55,9 +54,19 @@ pub struct BlockReq {
 /// *waves*. Blocks within a wave are independent (a fat node's blocks, a
 /// batch of sibling writes) and may dispatch in the same step; waves are
 /// strictly ordered (a child node cannot be read before its parent).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Stored flat: every block in one vector, the exclusive end index of each
+/// wave, and a cursor at the first unserved block. Serving blocks advances
+/// the cursor; nothing is copied or moved while a chain is in flight.
+#[derive(Debug, Clone, Default)]
 pub struct IoChain {
-    waves: VecDeque<Vec<BlockReq>>,
+    blocks: Vec<BlockReq>,
+    /// Exclusive end of each wave in `blocks`, strictly increasing.
+    ends: Vec<u32>,
+    /// Index in `ends` of the wave `cursor` is in.
+    wave: usize,
+    /// First unserved block.
+    cursor: u32,
 }
 
 impl IoChain {
@@ -70,8 +79,16 @@ impl IoChain {
 
     /// Append one wave. Empty waves are dropped.
     pub fn push_wave(&mut self, wave: Vec<BlockReq>) {
-        if !wave.is_empty() {
-            self.waves.push_back(wave);
+        self.blocks.extend(wave);
+        self.close_wave();
+    }
+
+    /// End the wave made of the blocks pushed since the previous wave
+    /// ended; nothing happens if there are none.
+    fn close_wave(&mut self) {
+        let end = u32::try_from(self.blocks.len()).expect("IoChain holds at most u32::MAX blocks");
+        if end > self.ends.last().copied().unwrap_or(0) {
+            self.ends.push(end);
         }
     }
 
@@ -82,20 +99,21 @@ impl IoChain {
     /// own wave.
     pub fn from_ios(space: u32, block_bytes: u64, ios: &[(bool, u64, u64)]) -> Self {
         assert!(block_bytes > 0);
-        let mut chain = IoChain::default();
-        for &(write, offset, len) in ios {
-            if len == 0 {
-                continue;
-            }
-            let first = offset / block_bytes;
-            let last = (offset + len - 1) / block_bytes;
-            let wave = (first..=last)
-                .map(|block| BlockReq {
+        let range = |offset: u64, len: u64| offset / block_bytes..=(offset + len - 1) / block_bytes;
+        let ios = || ios.iter().filter(|io| io.2 > 0);
+        let mut chain = IoChain {
+            blocks: Vec::with_capacity(ios().map(|&(_, o, l)| range(o, l).count()).sum()),
+            ends: Vec::with_capacity(ios().count()),
+            ..IoChain::default()
+        };
+        for &(write, offset, len) in ios() {
+            chain
+                .blocks
+                .extend(range(offset, len).map(|block| BlockReq {
                     addr: BlockAddr { space, block },
                     write,
-                })
-                .collect();
-            chain.push_wave(wave);
+                }));
+            chain.close_wave();
         }
         chain
     }
@@ -106,35 +124,77 @@ impl IoChain {
     /// intra-chain dependencies are preserved, cross-chain blocks may share
     /// a step.
     pub fn merge_parallel(chains: impl IntoIterator<Item = IoChain>) -> IoChain {
-        let mut merged = IoChain::default();
-        for chain in chains {
-            for (i, wave) in chain.waves.into_iter().enumerate() {
-                if i < merged.waves.len() {
-                    merged.waves[i].extend(wave);
-                } else {
-                    merged.waves.push_back(wave);
-                }
+        let chains: Vec<IoChain> = chains.into_iter().collect();
+        let depth = chains.iter().map(IoChain::depth).max().unwrap_or(0);
+        let mut merged = IoChain {
+            blocks: Vec::with_capacity(chains.iter().map(IoChain::blocks).sum()),
+            ends: Vec::with_capacity(depth),
+            ..IoChain::default()
+        };
+        let mut waves: Vec<_> = chains.iter().map(IoChain::waves).collect();
+        for _ in 0..depth {
+            for wave in waves.iter_mut().filter_map(Iterator::next) {
+                merged.blocks.extend_from_slice(wave);
             }
+            merged.close_wave();
         }
         merged
     }
 
-    /// Total blocks across all waves.
-    pub fn blocks(&self) -> usize {
-        self.waves.iter().map(Vec::len).sum()
+    /// The unserved waves, in order; the first may be partly served.
+    fn waves(&self) -> impl Iterator<Item = &[BlockReq]> + '_ {
+        let mut start = self.cursor as usize;
+        self.ends[self.wave..].iter().map(move |&end| {
+            let wave = &self.blocks[start..end as usize];
+            start = end as usize;
+            wave
+        })
     }
 
-    /// Number of waves (the chain's critical-path length in steps, absent
-    /// contention).
+    /// The unserved blocks of the current wave (empty when the chain is).
+    fn ready(&self) -> &[BlockReq] {
+        match self.ends.get(self.wave) {
+            Some(&end) => &self.blocks[self.cursor as usize..end as usize],
+            None => &[],
+        }
+    }
+
+    /// Mark the first `n` blocks of the current wave served.
+    fn advance(&mut self, n: usize) {
+        let end = self.ends[self.wave];
+        let cursor = self.cursor + u32::try_from(n).expect("a wave holds at most u32::MAX blocks");
+        assert!(cursor <= end, "served past the end of the wave");
+        self.cursor = cursor;
+        if cursor == end {
+            self.wave += 1;
+        }
+    }
+
+    /// Total unserved blocks across all waves.
+    pub fn blocks(&self) -> usize {
+        self.blocks.len() - self.cursor as usize
+    }
+
+    /// Number of unserved waves (the chain's critical-path length in
+    /// steps, absent contention).
     pub fn depth(&self) -> usize {
-        self.waves.len()
+        self.ends.len() - self.wave
     }
 
     /// True when no blocks remain.
     pub fn is_empty(&self) -> bool {
-        self.waves.is_empty()
+        self.wave == self.ends.len()
     }
 }
+
+/// Chains are equal when their unserved waves are.
+impl PartialEq for IoChain {
+    fn eq(&self, other: &Self) -> bool {
+        self.waves().eq(other.waves())
+    }
+}
+
+impl Eq for IoChain {}
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,15 +281,70 @@ struct Flight {
     chain: IoChain,
 }
 
+/// One client's part of a step.
+#[derive(Debug, Clone, Copy, Default)]
+struct Visit {
+    /// Unserved blocks of the current wave at the start of the step.
+    ready: usize,
+    /// Blocks of the current wave served (slot-consuming + coalesced).
+    served: usize,
+    /// Slot-consuming grants.
+    granted: usize,
+    /// Denied a slot, and so blocked until the step ends.
+    denied: bool,
+}
+
+/// Per-step working state, kept between steps so a step allocates nothing
+/// (each step starts by clearing it).
+#[derive(Default)]
+struct Scratch {
+    /// Indexed by client.
+    visits: Vec<Visit>,
+    /// Slot-consuming dispatches this step: at most `P`. Its reads are the
+    /// step's read set.
+    dispatch: Vec<BlockReq>,
+}
+
+/// Where a block request sits against the blocks already dispatched this
+/// step in its space and direction.
+#[derive(Default)]
+struct Neighbours {
+    /// The same block was dispatched.
+    same: bool,
+    /// The block just before it was dispatched.
+    before: bool,
+    /// The block just after it was dispatched.
+    after: bool,
+}
+
+impl Neighbours {
+    fn of(req: BlockReq, dispatched: &[BlockReq]) -> Self {
+        let mut n = Neighbours::default();
+        for d in dispatched {
+            if d.write == req.write && d.addr.space == req.addr.space {
+                n.same |= d.addr.block == req.addr.block;
+                n.before |= d.addr.block.checked_add(1) == Some(req.addr.block);
+                n.after |= req.addr.block.checked_add(1) == Some(d.addr.block);
+            }
+        }
+        n
+    }
+}
+
 /// The step-based PDAM dispatcher. See the module docs.
 pub struct PdamScheduler {
     cfg: SchedConfig,
-    queues: Vec<VecDeque<Flight>>,
+    /// Per client: the chain in flight. Kept apart from the chains queued
+    /// behind it, so a step reads one contiguous array.
+    heads: Vec<Option<Flight>>,
+    /// Per client: chains submitted while one was in flight, in order.
+    queued: Vec<VecDeque<Flight>>,
     next_id: u64,
     step: u64,
     rr: usize,
     stats: SchedStats,
     records: Vec<StepRecord>,
+    scratch: Scratch,
 }
 
 impl PdamScheduler {
@@ -238,13 +353,15 @@ impl PdamScheduler {
         assert!(cfg.p >= 1, "PDAM needs at least one IO slot");
         assert!(cfg.clients >= 1, "need at least one client");
         PdamScheduler {
-            queues: (0..cfg.clients).map(|_| VecDeque::new()).collect(),
+            heads: (0..cfg.clients).map(|_| None).collect(),
+            queued: (0..cfg.clients).map(|_| VecDeque::new()).collect(),
             cfg,
             next_id: 0,
             step: 0,
             rr: 0,
             stats: SchedStats::default(),
             records: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -255,18 +372,22 @@ impl PdamScheduler {
         assert!(client < self.cfg.clients, "client out of range");
         let id = self.next_id;
         self.next_id += 1;
-        self.queues[client].push_back(Flight { id, chain });
+        let flight = Flight { id, chain };
+        match &self.heads[client] {
+            None => self.heads[client] = Some(flight),
+            Some(_) => self.queued[client].push_back(flight),
+        }
         id
     }
 
     /// Chains queued (including in-flight) for `client`.
     pub fn pending(&self, client: usize) -> usize {
-        self.queues[client].len()
+        usize::from(self.heads[client].is_some()) + self.queued[client].len()
     }
 
     /// True when no client has queued work.
     pub fn is_idle(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
+        self.heads.iter().all(Option::is_none)
     }
 
     /// Current step count.
@@ -295,17 +416,23 @@ impl PdamScheduler {
                 idle: true,
             };
         }
-
-        // Ready blocks per client: the current wave of the head flight.
+        let PdamScheduler {
+            cfg,
+            heads,
+            queued,
+            stats,
+            scratch: sc,
+            ..
+        } = self;
+        // Ready blocks per client: the current wave of its chain in flight.
         // (An empty chain has no ready blocks and completes this step.)
-        let ready: Vec<Vec<BlockReq>> = (0..k)
-            .map(|c| {
-                self.queues[c]
-                    .front()
-                    .and_then(|f| f.chain.waves.front().cloned())
-                    .unwrap_or_default()
-            })
-            .collect();
+        let ready = |c: usize| heads[c].as_ref().map_or(&[][..], |f| f.chain.ready());
+        sc.visits.clear();
+        sc.visits.extend((0..k).map(|c| Visit {
+            ready: ready(c).len(),
+            ..Visit::default()
+        }));
+        sc.dispatch.clear();
 
         // Max-min fair allocation: strict round-robin cycles from a
         // rotating cursor. A visit serves the client's next in-order block
@@ -315,107 +442,92 @@ impl PdamScheduler {
         // a wave are served in order, so later dup chances are forfeited;
         // this keeps the schedule deterministic and the fairness proof
         // simple).
-        let mut pos = vec![0usize; k];
-        let mut served = vec![0usize; k];
-        let mut slot_granted = vec![0usize; k];
-        let mut denied = vec![false; k];
-        let mut blocked = vec![false; k];
-        let mut slots_used = 0usize;
-        let mut dispatched_reads: BTreeSet<BlockAddr> = BTreeSet::new();
-        let mut dispatch_list: Vec<BlockReq> = Vec::new();
-        loop {
-            let mut progress = false;
-            for i in 0..k {
-                let c = (self.rr + i) % k;
-                if blocked[c] || pos[c] >= ready[c].len() {
-                    continue;
-                }
-                let req = ready[c][pos[c]];
-                if !req.write && dispatched_reads.contains(&req.addr) {
-                    // Coalesced join: another client already pays the slot.
-                    pos[c] += 1;
-                    served[c] += 1;
-                    self.stats.coalesced_blocks += 1;
-                    progress = true;
-                } else if slots_used < self.cfg.p {
-                    slots_used += 1;
-                    pos[c] += 1;
-                    served[c] += 1;
-                    slot_granted[c] += 1;
-                    if !req.write {
-                        dispatched_reads.insert(req.addr);
-                    }
-                    dispatch_list.push(req);
-                    progress = true;
-                } else {
-                    denied[c] = true;
-                    blocked[c] = true;
-                }
-            }
-            if !progress {
-                break;
-            }
-        }
-
+        //
+        // `live` counts the clients a visit can still serve: neither denied
+        // nor through their wave. Once it reaches zero every further visit
+        // is a no-op, so the cycle stops there.
+        //
         // Adjacent same-direction blocks in the same space merge into one
-        // dispatch unit (a single larger IO on the wire).
-        dispatch_list.sort_by_key(|r| (r.addr.space, r.write, r.addr.block));
-        let mut dispatches = 0u64;
-        let mut prev: Option<BlockReq> = None;
-        for r in &dispatch_list {
-            let adjacent = prev.is_some_and(|p| {
-                p.write == r.write
-                    && p.addr.space == r.addr.space
-                    && p.addr.block + 1 == r.addr.block
-            });
-            if !adjacent {
-                dispatches += 1;
-            }
-            prev = Some(*r);
-        }
-
-        // Deliver completions: served blocks leave their wave; empty waves
-        // pop; empty chains complete.
-        let mut completed = Vec::new();
-        for (c, queue) in self.queues.iter_mut().enumerate() {
-            if let Some(flight) = queue.front_mut() {
-                if pos[c] > 0 {
-                    let wave = flight
-                        .chain
-                        .waves
-                        .front_mut()
-                        .expect("served blocks imply a wave");
-                    wave.drain(..pos[c]);
-                    if wave.is_empty() {
-                        flight.chain.waves.pop_front();
+        // dispatch unit (a single larger IO on the wire): `merged` counts
+        // the distinct dispatched blocks whose predecessor was dispatched
+        // too, so the step makes `slots_used - merged` dispatches.
+        let mut slots_used = 0usize;
+        let mut merged = 0usize;
+        let mut blocks_served = 0u64;
+        let mut live = sc.visits.iter().filter(|v| v.ready > 0).count();
+        let mut c = self.rr;
+        while live > 0 {
+            let v = &mut sc.visits[c];
+            if !v.denied && v.served < v.ready {
+                let req = ready(c)[v.served];
+                let near = Neighbours::of(req, &sc.dispatch);
+                if !req.write && near.same {
+                    // Coalesced join: another client already pays the slot.
+                    stats.coalesced_blocks += 1;
+                } else if slots_used < cfg.p {
+                    slots_used += 1;
+                    v.granted += 1;
+                    if !near.same {
+                        merged += usize::from(near.before) + usize::from(near.after);
+                    }
+                    sc.dispatch.push(req);
+                } else {
+                    v.denied = true;
+                    live -= 1;
+                }
+                if !v.denied {
+                    v.served += 1;
+                    blocks_served += 1;
+                    if v.served == v.ready {
+                        live -= 1;
                     }
                 }
-                if flight.chain.is_empty() {
-                    completed.push((c, flight.id));
-                    queue.pop_front();
-                    self.stats.chains_completed += 1;
-                }
+            }
+            c += 1;
+            if c == k {
+                c = 0;
             }
         }
 
-        let blocks_served: u64 = served.iter().map(|&s| s as u64).sum();
-        self.stats.steps += 1;
-        self.stats.blocks_served += blocks_served;
-        self.stats.slots_used += slots_used as u64;
-        self.stats.io_dispatches += dispatches;
-        self.stats.max_slots_in_step = self.stats.max_slots_in_step.max(slots_used as u64);
-        if self.cfg.record_steps {
+        let dispatches = (slots_used - merged) as u64;
+
+        if cfg.record_steps {
             self.records.push(StepRecord {
                 step: self.step,
                 slots_used,
-                ready: ready.iter().map(Vec::len).collect(),
-                served,
-                slot_granted,
-                denied,
+                ready: sc.visits.iter().map(|v| v.ready).collect(),
+                served: sc.visits.iter().map(|v| v.served).collect(),
+                slot_granted: sc.visits.iter().map(|v| v.granted).collect(),
+                denied: sc.visits.iter().map(|v| v.denied).collect(),
             });
         }
+
+        // Deliver completions: served blocks advance their chain's cursor;
+        // an empty chain completes and the client's next one takes over.
+        let mut completed = Vec::new();
+        for (c, head) in heads.iter_mut().enumerate() {
+            if let Some(flight) = head {
+                if sc.visits[c].served > 0 {
+                    flight.chain.advance(sc.visits[c].served);
+                }
+                if flight.chain.is_empty() {
+                    completed.push((c, flight.id));
+                    *head = queued[c].pop_front();
+                    stats.chains_completed += 1;
+                }
+            }
+        }
+
+        stats.steps += 1;
+        stats.blocks_served += blocks_served;
+        stats.slots_used += slots_used as u64;
+        stats.io_dispatches += dispatches;
+        stats.max_slots_in_step = stats.max_slots_in_step.max(slots_used as u64);
         self.step += 1;
-        self.rr = (self.rr + 1) % k;
+        self.rr += 1;
+        if self.rr == k {
+            self.rr = 0;
+        }
         StepOutcome {
             completed,
             slots_used,
@@ -603,12 +715,13 @@ mod tests {
         let c = IoChain::from_ios(3, 512, &[(false, 0, 1536), (true, 1000, 24), (false, 0, 0)]);
         assert_eq!(c.depth(), 2);
         assert_eq!(c.blocks(), 4); // 3 read blocks + 1 write block
-        let waves: Vec<_> = c.waves.iter().collect();
+        let waves: Vec<_> = c.waves().collect();
         assert_eq!(waves[0].len(), 3);
         assert!(waves[0].iter().all(|r| !r.write && r.addr.space == 3));
         assert_eq!(waves[1].len(), 1);
         assert!(waves[1][0].write);
         assert_eq!(waves[1][0].addr.block, 1);
+        assert_eq!(c.ends, vec![3, 4]);
     }
 
     #[test]
@@ -618,8 +731,9 @@ mod tests {
         let m = IoChain::merge_parallel([a, b]);
         assert_eq!(m.depth(), 3);
         assert_eq!(m.blocks(), 5);
-        let waves: Vec<_> = m.waves.iter().map(Vec::len).collect();
+        let waves: Vec<_> = m.waves().map(<[BlockReq]>::len).collect();
         assert_eq!(waves, vec![2, 2, 1]);
+        assert_eq!(m.ends, vec![2, 4, 5]);
         // A merged fan-out over ample slots takes max(depth), not sum.
         let mut s = PdamScheduler::new(SchedConfig {
             p: 4,
@@ -631,6 +745,30 @@ mod tests {
             IoChain::merge_parallel([chain_of(&[1, 2, 3]), chain_of(&[10, 11])]),
         );
         assert_eq!(s.run_to_idle(), 3);
+    }
+
+    #[test]
+    fn partly_served_chain_counts_only_what_is_left() {
+        let mut c = IoChain::empty();
+        c.push_wave((0..3).map(|b| req(0, b)).collect());
+        c.push_wave(vec![req(0, 9)]);
+        c.advance(2);
+        assert_eq!((c.blocks(), c.depth()), (2, 2));
+        assert_eq!(c.ready(), &[req(0, 2)]);
+        c.advance(1);
+        assert_eq!((c.blocks(), c.depth()), (1, 1));
+        assert_eq!(c, chain_of(&[9]));
+        // A wave pushed after serving starts at the cursor.
+        c.push_wave(vec![req(0, 4), req(0, 5)]);
+        assert_eq!((c.blocks(), c.depth()), (3, 2));
+        c.advance(1);
+        assert!(!c.is_empty());
+        assert_eq!(c.ready(), &[req(0, 4), req(0, 5)]);
+        c.advance(2);
+        assert!(c.is_empty());
+        assert_eq!((c.blocks(), c.depth()), (0, 0));
+        assert_eq!(c, IoChain::empty());
+        assert_eq!(c.ready(), &[]);
     }
 
     #[test]

@@ -2,10 +2,16 @@
 //! isolation (no trees): for arbitrary chain sets the scheduler must obey
 //! the Definition-1 slot budget, deliver every block exactly once (no lost
 //! or duplicated completions even when duplicate/adjacent reads merge),
-//! stay max-min fair under denial, and schedule deterministically.
+//! stay max-min fair under denial, and schedule deterministically. A plain
+//! reference model of the step (cloned waves, an ordered read set) pins
+//! every outcome, audit record and counter of the scheduler on closed-loop
+//! workloads.
 
 use dam_stats::prop::*;
-use dam_storage::{BlockAddr, BlockReq, IoChain, PdamScheduler, SchedConfig};
+use dam_storage::{
+    BlockAddr, BlockReq, IoChain, PdamScheduler, SchedConfig, SchedStats, StepOutcome, StepRecord,
+};
+use std::collections::{BTreeSet, VecDeque};
 
 /// A compact chain description: waves of (block, write) pairs drawn from a
 /// small block universe so duplicates and adjacencies actually occur.
@@ -15,22 +21,172 @@ fn chain_strategy() -> impl Gen<Value = ChainSpec> {
     vec(vec((any::<u8>(), any::<bool>()), 1..5), 0..5)
 }
 
+fn wave_reqs(wave: &[(u8, bool)], space: u32) -> Vec<BlockReq> {
+    wave.iter()
+        .map(|&(b, w)| BlockReq {
+            addr: BlockAddr {
+                space,
+                block: (b % 24) as u64,
+            },
+            write: w,
+        })
+        .collect()
+}
+
 fn build(spec: &ChainSpec, space: u32) -> IoChain {
     let mut chain = IoChain::empty();
     for wave in spec {
-        chain.push_wave(
-            wave.iter()
-                .map(|&(b, w)| BlockReq {
-                    addr: BlockAddr {
-                        space,
-                        block: (b % 24) as u64,
-                    },
-                    write: w,
-                })
-                .collect(),
-        );
+        chain.push_wave(wave_reqs(wave, space));
     }
     chain
+}
+
+/// The scheduler's step as first written: each step clones every client's
+/// ready wave, keeps the step's reads in a `BTreeSet`, and drains served
+/// blocks off the front of their wave. Kept only as the reference the
+/// scheduler is compared with.
+struct RefSched {
+    p: usize,
+    queues: Vec<VecDeque<(u64, VecDeque<Vec<BlockReq>>)>>,
+    next_id: u64,
+    step: u64,
+    rr: usize,
+    stats: SchedStats,
+    records: Vec<StepRecord>,
+}
+
+impl RefSched {
+    fn new(p: usize, clients: usize) -> Self {
+        RefSched {
+            p,
+            queues: vec![VecDeque::new(); clients],
+            next_id: 0,
+            step: 0,
+            rr: 0,
+            stats: SchedStats::default(),
+            records: Vec::new(),
+        }
+    }
+
+    fn submit(&mut self, client: usize, waves: Vec<Vec<BlockReq>>) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        let waves = waves.into_iter().filter(|w| !w.is_empty()).collect();
+        self.queues[client].push_back((id, waves));
+        id
+    }
+
+    fn step(&mut self) -> StepOutcome {
+        let k = self.queues.len();
+        if self.queues.iter().all(VecDeque::is_empty) {
+            return StepOutcome {
+                completed: Vec::new(),
+                slots_used: 0,
+                idle: true,
+            };
+        }
+        let ready: Vec<Vec<BlockReq>> = (0..k)
+            .map(|c| {
+                self.queues[c]
+                    .front()
+                    .and_then(|(_, waves)| waves.front().cloned())
+                    .unwrap_or_default()
+            })
+            .collect();
+        let mut pos = vec![0usize; k];
+        let mut slot_granted = vec![0usize; k];
+        let mut denied = vec![false; k];
+        let mut slots_used = 0usize;
+        let mut reads: BTreeSet<BlockAddr> = BTreeSet::new();
+        let mut dispatch: Vec<BlockReq> = Vec::new();
+        loop {
+            let mut progress = false;
+            for i in 0..k {
+                let c = (self.rr + i) % k;
+                if denied[c] || pos[c] >= ready[c].len() {
+                    continue;
+                }
+                let req = ready[c][pos[c]];
+                if !req.write && reads.contains(&req.addr) {
+                    pos[c] += 1;
+                    self.stats.coalesced_blocks += 1;
+                    progress = true;
+                } else if slots_used < self.p {
+                    slots_used += 1;
+                    pos[c] += 1;
+                    slot_granted[c] += 1;
+                    if !req.write {
+                        reads.insert(req.addr);
+                    }
+                    dispatch.push(req);
+                    progress = true;
+                } else {
+                    denied[c] = true;
+                }
+            }
+            if !progress {
+                break;
+            }
+        }
+        dispatch.sort_by_key(|r| (r.addr.space, r.write, r.addr.block));
+        let mut dispatches = 0u64;
+        let mut prev: Option<BlockReq> = None;
+        for r in &dispatch {
+            let adjacent = prev.is_some_and(|p| {
+                p.write == r.write
+                    && p.addr.space == r.addr.space
+                    && p.addr.block + 1 == r.addr.block
+            });
+            if !adjacent {
+                dispatches += 1;
+            }
+            prev = Some(*r);
+        }
+        let mut completed = Vec::new();
+        for (c, queue) in self.queues.iter_mut().enumerate() {
+            if let Some((id, waves)) = queue.front_mut() {
+                if pos[c] > 0 {
+                    let wave = waves.front_mut().expect("served blocks imply a wave");
+                    wave.drain(..pos[c]);
+                    if wave.is_empty() {
+                        waves.pop_front();
+                    }
+                }
+                if waves.is_empty() {
+                    completed.push((c, *id));
+                    queue.pop_front();
+                    self.stats.chains_completed += 1;
+                }
+            }
+        }
+        self.stats.steps += 1;
+        self.stats.blocks_served += pos.iter().map(|&s| s as u64).sum::<u64>();
+        self.stats.slots_used += slots_used as u64;
+        self.stats.io_dispatches += dispatches;
+        self.stats.max_slots_in_step = self.stats.max_slots_in_step.max(slots_used as u64);
+        self.records.push(StepRecord {
+            step: self.step,
+            slots_used,
+            ready: ready.iter().map(Vec::len).collect(),
+            served: pos,
+            slot_granted,
+            denied,
+        });
+        self.step += 1;
+        self.rr = (self.rr + 1) % k;
+        StepOutcome {
+            completed,
+            slots_used,
+            idle: false,
+        }
+    }
+}
+
+/// Waves of up to 12 blocks (longer than any `P` drawn), over the same
+/// 24-block universe, so a wave can need several steps; zero waves make an
+/// empty chain.
+fn long_chain_strategy() -> impl Gen<Value = ChainSpec> {
+    vec(vec((any::<u8>(), any::<bool>()), 1..13), 0..5)
 }
 
 fn run_case(
@@ -174,6 +330,61 @@ props! {
         let (mut sched, _) = run_case(p, &[spec], false, false);
         let steps = sched.run_to_idle();
         prop_assert_eq!(steps, blocks.len() as u64);
+    }
+}
+
+props! {
+    cases = 96;
+
+    /// The scheduler and the reference model, fed the same closed-loop
+    /// workload (each client submits its next chain when one completes, so
+    /// chains arrive between steps; a client drawn `true` also keeps a
+    /// second chain queued behind the one in flight), agree on every step
+    /// outcome, every audit record and the final counters.
+    #[test]
+    fn step_matches_reference_model(
+        p in 1usize..9,
+        clients in vec((vec(long_chain_strategy(), 1..5), any::<bool>()), 1..9),
+        shared in any::<bool>(),
+    ) {
+        let k = clients.len();
+        let mut sched = PdamScheduler::new(SchedConfig { p, clients: k, record_steps: true });
+        let mut model = RefSched::new(p, k);
+        let mut next: Vec<usize> = vec![0; k];
+        // Submit client `c`'s next chain, if it has one left.
+        let submit = |c: usize, next: &mut Vec<usize>, sched: &mut PdamScheduler, model: &mut RefSched| {
+            if let Some(spec) = clients[c].0.get(next[c]) {
+                let space = if shared { 0 } else { c as u32 };
+                let a = sched.submit(c, build(spec, space));
+                let b = model.submit(c, spec.iter().map(|w| wave_reqs(w, space)).collect());
+                assert_eq!(a, b, "chain ids diverged");
+                next[c] += 1;
+            }
+        };
+        for (c, &(_, queue_two)) in clients.iter().enumerate() {
+            submit(c, &mut next, &mut sched, &mut model);
+            if queue_two {
+                submit(c, &mut next, &mut sched, &mut model);
+            }
+        }
+        loop {
+            let got = sched.step();
+            let want = model.step();
+            prop_assert_eq!(&got, &want, "step {} outcome", model.step);
+            if got.idle {
+                break;
+            }
+            for &(c, _) in &got.completed {
+                submit(c, &mut next, &mut sched, &mut model);
+            }
+            prop_assert!(
+                (0..k).all(|c| sched.pending(c) == model.queues[c].len()),
+                "queued chains diverged after step {}", model.step
+            );
+        }
+        prop_assert!(next.iter().zip(&clients).all(|(&n, (chains, _))| n == chains.len()));
+        prop_assert_eq!(sched.step_records(), &model.records[..]);
+        prop_assert_eq!(sched.stats(), model.stats);
     }
 }
 
