@@ -153,11 +153,16 @@ pub trait Layout: Sized {
     fn fetch(&self, pager: &mut Pager, desc: &ChildDesc) -> Result<Page, KvError>;
     /// Decode a node read by [`Layout::fetch`].
     fn decode(&self, page: &Page, desc: &ChildDesc) -> Result<Node, KvError>;
-    /// The image of node `page` with `msg` added in place, if the layout
-    /// can edit an image and the node then needs no flush or split. It is
-    /// the image [`Layout::write`] would write for the decoded node with
-    /// the message delivered.
-    fn absorb(&self, _page: &Page, _addr: u64, _msg: &Message) -> Result<Option<Vec<u8>>, KvError> {
+    /// The edit that adds `msg` to node `page` in place, if the layout can
+    /// edit an image and the node then needs no flush or split. The edited
+    /// image is the one [`Layout::write`] would write for the decoded node
+    /// with the message delivered.
+    fn absorb(
+        &self,
+        _page: &Page,
+        _addr: u64,
+        _msg: &Message,
+    ) -> Result<Option<BufferEdit>, KvError> {
         Ok(None)
     }
     /// Write `node` to `desc.addr` (the image lands in the cache even when
@@ -391,19 +396,14 @@ impl Layout for WholeNode {
     }
 
     /// The common write: an internal node absorbs one message with no
-    /// flush or split, so it is spliced into a copy of the cached image.
-    fn absorb(&self, page: &Page, addr: u64, msg: &Message) -> Result<Option<Vec<u8>>, KvError> {
+    /// flush or split, so it is spliced into the cached image.
+    fn absorb(&self, page: &Page, addr: u64, msg: &Message) -> Result<Option<BufferEdit>, KvError> {
         let view = BeNodeView::parse(page).map_err(|e| corrupt(addr, e))?;
         if let BeNodeView::Leaf(_) = view {
             return Ok(None);
         }
         let edit = BufferEdit::new(page, view, msg).map_err(|e| corrupt(addr, e))?;
-        if !edit.fits(self.node_bytes, self.max_fanout) {
-            return Ok(None);
-        }
-        let mut image = page.to_vec();
-        edit.apply(&mut image);
-        Ok(Some(image))
+        Ok(edit.fits(self.node_bytes, self.max_fanout).then_some(edit))
     }
 
     fn write(&self, pager: &mut Pager, desc: &mut ChildDesc, node: &Node) -> Result<(), KvError> {

@@ -343,10 +343,13 @@ impl<L: Layout> Engine<L> {
     ) -> Result<(), KvError> {
         let page = self.layout.fetch(&mut self.pager, desc)?;
         if let [msg] = desc.msgs.as_slice() {
-            if let Some(image) = self.layout.absorb(&page, desc.addr, msg)? {
+            if let Some(edit) = self.layout.absorb(&page, desc.addr, msg)? {
                 desc.msgs.clear();
                 *committed = true;
-                return self.pager.write(desc.addr, image).map_err(KvError::from);
+                return self
+                    .pager
+                    .edit(page, |image| edit.apply(image))
+                    .map_err(KvError::from);
             }
         }
         let mut node = self.layout.decode(&page, desc)?;

@@ -252,9 +252,9 @@ impl BTree {
         let page = self.read_page(id)?;
         let (pivots, children) = match parse_node(id, &page)? {
             NodeView::Leaf(entries) => {
-                // A leaf that still fits takes the entry spliced into a copy
-                // of its cached image; one that overflows is decoded and
-                // split.
+                // A leaf that still fits takes the entry spliced into its
+                // cached image (into a copy while the image is shared); one
+                // that overflows is decoded and split.
                 let edit = LeafEdit::new(&page, entries, key, Some(value))
                     .map_err(|e| corrupt_node(id, e))?;
                 // The key is counted once its leaf image landed, so a fault
@@ -265,9 +265,10 @@ impl BTree {
                     self.count += new_key;
                     return Ok(Some(split));
                 }
-                let mut image = page.to_vec();
-                edit.apply(&mut image);
-                let written = self.pager.write(id, image).map_err(KvError::from);
+                let written = self
+                    .pager
+                    .edit(page, |image| edit.apply(image))
+                    .map_err(KvError::from);
                 self.landed(written)?;
                 self.count += new_key;
                 return Ok(None);
@@ -374,9 +375,10 @@ impl BTree {
                     return Ok((false, false));
                 }
                 let under = self.underfull(edit.serialized_size());
-                let mut image = page.to_vec();
-                edit.apply(&mut image);
-                let written = self.pager.write(id, image).map_err(KvError::from);
+                let written = self
+                    .pager
+                    .edit(page, |image| edit.apply(image))
+                    .map_err(KvError::from);
                 self.landed(written)?;
                 self.count -= 1;
                 return Ok((true, under));

@@ -17,7 +17,9 @@
 //! ([`BlockDevice::read_image`](dam_storage::BlockDevice::read_image)). On
 //! the simulated HDD, SSD and RAM disk a miss on an object the pager wrote
 //! there is the written image itself, with no byte copied either way.
-//! Images are immutable once shared; an update replaces an entry's image.
+//! Images are never mutated while shared: an update replaces an entry's
+//! image, and an in-place edit ([`Pager::edit`]) splices the entry's image
+//! only when the cache holds its one handle, and otherwise edits a copy.
 //!
 //! Each entry also records whether its bytes are *verified*, so a client
 //! checks an object's frame once, when it arrives, rather than on every
@@ -29,10 +31,14 @@
 //! marked, and every later hit on the poisoned entry fails the same way
 //! until the entry is dropped. Shared images keep this true. A miss makes a
 //! new, unverified entry even when its image is one the pager wrote, so its
-//! check still runs. And a fault never lands in a shared image: the fault
-//! injector keeps the provided image methods, which go through its own
-//! `read` and `write`, so a flipped bit lands in the miss's private buffer
-//! and a torn write reaches the device as a copied prefix.
+//! check still runs, and a check marks an entry only through a page that
+//! carries the entry's current *generation*: a handle on the image a
+//! dropped entry held cannot vouch for the entry that replaced it, even
+//! when the device hands the replacement the very same image. And a fault
+//! never lands in a shared image: the fault injector keeps the provided
+//! image methods, which go through its own `read` and `write`, so a
+//! flipped bit lands in the miss's private buffer and a torn write reaches
+//! the device as a copied prefix.
 
 use crate::alloc::Allocator;
 use crate::lru::LruList;
@@ -157,19 +163,29 @@ pub struct Page {
     len: usize,
     /// Offset of the cache entry the page was served from.
     entry: u64,
+    /// Generation of the entry's bytes when the page was served (see
+    /// [`Pager::mark_verified`]).
+    gen: u64,
     verified: bool,
 }
 
 impl Page {
-    fn whole(entry: u64, bytes: Arc<Vec<u8>>, verified: bool) -> Page {
+    fn whole(entry: u64, gen: u64, bytes: Arc<Vec<u8>>, verified: bool) -> Page {
         let len = bytes.len();
         Page {
             bytes,
             start: 0,
             len,
             entry,
+            gen,
             verified,
         }
+    }
+
+    /// Whether the page is the whole of the entry `gen` names, not a
+    /// sub-range of it.
+    fn is_whole(&self, gen: u64) -> bool {
+        self.gen == gen && self.start == 0 && self.len == self.bytes.len()
     }
 
     /// Whether the pager already trusts these bytes: the client wrote
@@ -205,6 +221,8 @@ impl PartialEq<Vec<u8>> for Page {
 struct PageEntry {
     offset: u64,
     data: Arc<Vec<u8>>,
+    /// Set anew, from [`Pager::next_gen`], whenever `data` is.
+    gen: u64,
     dirty: bool,
     /// See the module docs: set by client writes and passed checks only.
     verified: bool,
@@ -227,6 +245,9 @@ pub struct Pager {
     op_start: PagerCounters,
     /// Cost of the last operation, frozen by [`Pager::end_window`].
     last_op: OpCost,
+    /// Generations handed out so far: every image the pager caches or
+    /// serves uncached takes a new one.
+    gens: u64,
 }
 
 impl Pager {
@@ -250,7 +271,14 @@ impl Pager {
             counters: PagerCounters::default(),
             op_start: PagerCounters::default(),
             last_op: OpCost::default(),
+            gens: 0,
         }
+    }
+
+    /// A generation no page or entry has had yet.
+    fn next_gen(&mut self) -> u64 {
+        self.gens += 1;
+        self.gens
     }
 
     /// [`Pager::new`], or [`KvError::Config`] when the device cannot hold
@@ -455,6 +483,7 @@ impl Pager {
         &mut self,
         offset: u64,
         data: Arc<Vec<u8>>,
+        gen: u64,
         dirty: bool,
         verified: bool,
     ) -> Result<(), PagerError> {
@@ -469,6 +498,7 @@ impl Pager {
         self.slots[slot as usize] = Some(PageEntry {
             offset,
             data,
+            gen,
             dirty,
             verified,
             pins: 0,
@@ -515,18 +545,24 @@ impl Pager {
             } else {
                 self.counters.hits += 1;
                 self.lru.touch(slot);
-                return Ok(Page::whole(offset, entry.data.clone(), entry.verified));
+                return Ok(Page::whole(
+                    offset,
+                    entry.gen,
+                    entry.data.clone(),
+                    entry.verified,
+                ));
             }
         }
         let data = self.read_image(offset, len)?;
         self.counters.misses += 1;
+        let gen = self.next_gen();
         if (len as u64) <= self.budget {
             // Any cached sub-objects inside this range are clean copies of
             // device state; the whole object supersedes them.
             self.discard_range_contained(offset, len as u64);
-            self.insert_entry(offset, data.clone(), false, false)?;
+            self.insert_entry(offset, data.clone(), gen, false, false)?;
         }
-        Ok(Page::whole(offset, data, false))
+        Ok(Page::whole(offset, gen, data, false))
     }
 
     /// Read a sub-range `[sub_off, sub_off + sub_len)` of a larger object of
@@ -566,6 +602,7 @@ impl Pager {
                     start: sub_off,
                     len: sub_len,
                     entry: base,
+                    gen: entry.gen,
                     verified: entry.verified,
                 });
             }
@@ -579,16 +616,22 @@ impl Pager {
             if entry.data.len() == sub_len && !entry.dirty {
                 self.counters.hits += 1;
                 self.lru.touch(slot);
-                return Ok(Page::whole(abs, entry.data.clone(), entry.verified));
+                return Ok(Page::whole(
+                    abs,
+                    entry.gen,
+                    entry.data.clone(),
+                    entry.verified,
+                ));
             }
         }
         // Miss: fetch only the sub-range.
         let data = self.read_image(abs, sub_len)?;
         self.counters.misses += 1;
+        let gen = self.next_gen();
         if (sub_len as u64) <= self.budget && !self.map.contains_key(&abs) {
-            self.insert_entry(abs, data.clone(), false, false)?;
+            self.insert_entry(abs, data.clone(), gen, false, false)?;
         }
-        Ok(Page::whole(abs, data, false))
+        Ok(Page::whole(abs, gen, data, false))
     }
 
     /// Record that a check of `page`'s bytes passed (see
@@ -598,16 +641,15 @@ impl Pager {
     /// Marks nothing when `page` no longer matches its entry (the entry
     /// was rewritten, re-read, or dropped since the page was handed out)
     /// or covers only part of it (a sub-range of a whole object checks
-    /// only that sub-range).
+    /// only that sub-range). The match is by generation, not by image: a
+    /// re-read after a drop can hand the new entry the very image the
+    /// stale page holds.
     fn mark_verified(&mut self, page: &Page) {
         if let Some(&slot) = self.map.get(&page.entry) {
             let entry = self.slots[slot as usize]
                 .as_mut()
                 .expect("mapped slot must be live");
-            if Arc::ptr_eq(&entry.data, &page.bytes)
-                && page.start == 0
-                && page.len == entry.data.len()
-            {
+            if page.is_whole(entry.gen) {
                 entry.verified = true;
             }
         }
@@ -636,12 +678,14 @@ impl Pager {
     /// discarded.
     pub fn write(&mut self, offset: u64, data: Vec<u8>) -> Result<(), PagerError> {
         self.discard_range_contained(offset, data.len() as u64);
+        let gen = self.next_gen();
         if let Some(&slot) = self.map.get(&offset) {
             let entry = self.slots[slot as usize]
                 .as_mut()
                 .expect("mapped slot must be live");
             self.used = self.used - entry.data.len() as u64 + data.len() as u64;
             entry.data = Arc::new(data);
+            entry.gen = gen;
             entry.dirty = true;
             entry.verified = true;
             self.lru.touch(slot);
@@ -653,7 +697,48 @@ impl Pager {
         if data.len() as u64 > self.budget {
             return self.write_image(offset, &Arc::new(data));
         }
-        self.insert_entry(offset, Arc::new(data), true, true)
+        self.insert_entry(offset, Arc::new(data), gen, true, true)
+    }
+
+    /// Write back `page`'s object with `edit` applied to its bytes: the
+    /// same as [`Pager::write`] of an edited copy at the offset the page
+    /// was read from, but without the copy when it is safe to skip.
+    ///
+    /// Taking the page by value drops its handle. When it was the whole of
+    /// its cache entry and the cache now holds the image's only handle (no
+    /// other page, and no device that keeps shared images, has it), `edit`
+    /// splices the entry's image in place. Otherwise `edit` runs on a copy,
+    /// so no image is mutated while shared. Either way the entry becomes
+    /// dirty and verified, and cached sub-objects inside it are discarded,
+    /// as after a write.
+    pub fn edit(&mut self, page: Page, edit: impl FnOnce(&mut [u8])) -> Result<(), PagerError> {
+        let offset = page.entry + page.start as u64;
+        let whole = self.map.get(&offset).copied().filter(|&slot| {
+            let entry = self.slots[slot as usize]
+                .as_ref()
+                .expect("mapped slot must be live");
+            page.is_whole(entry.gen)
+        });
+        let Some(slot) = whole else {
+            let mut image = page.to_vec();
+            edit(&mut image);
+            return self.write(offset, image);
+        };
+        drop(page);
+        let gen = self.next_gen();
+        let entry = self.slots[slot as usize]
+            .as_mut()
+            .expect("mapped slot must be live");
+        // Copy-on-write: copies only when another handle remains.
+        let image = Arc::make_mut(&mut entry.data);
+        edit(image);
+        let len = image.len() as u64;
+        entry.gen = gen;
+        entry.dirty = true;
+        entry.verified = true;
+        self.lru.touch(slot);
+        self.discard_range_contained(offset, len);
+        self.make_room(0)
     }
 
     /// Write an object straight to the device (charging the IO now) and
@@ -665,12 +750,14 @@ impl Pager {
         // One image for the device and the cache.
         let data = Arc::new(data);
         self.write_image(offset, &data)?;
+        let gen = self.next_gen();
         if let Some(&slot) = self.map.get(&offset) {
             let entry = self.slots[slot as usize]
                 .as_mut()
                 .expect("mapped slot must be live");
             self.used = self.used - entry.data.len() as u64 + data.len() as u64;
             entry.data = data;
+            entry.gen = gen;
             entry.dirty = false;
             entry.verified = true;
             self.lru.touch(slot);
@@ -678,7 +765,7 @@ impl Pager {
             return Ok(());
         }
         if data.len() as u64 <= self.budget {
-            self.insert_entry(offset, data, false, true)?;
+            self.insert_entry(offset, data, gen, false, true)?;
         }
         Ok(())
     }
@@ -1228,9 +1315,9 @@ mod tests {
 
     #[test]
     fn a_miss_gets_back_the_image_written_back_unverified() {
-        // A page-aligned object written back to a simulated device comes
-        // back on the next miss as the very image the cache held, but the
-        // new entry is still unverified: the flag belongs to the entry.
+        // An object written back to a simulated device comes back on the
+        // next miss as the very image the cache held, but the new entry is
+        // still unverified: the flag belongs to the entry.
         let mut p = pager(1 << 16);
         let a = p.alloc(8192).unwrap();
         assert_eq!(a % 4096, 0);
@@ -1249,6 +1336,78 @@ mod tests {
         })
         .unwrap();
         assert_eq!(calls, 1, "a miss is checked even when its image is shared");
+    }
+
+    /// The `len` bytes at `offset` as the device holds them, read past the
+    /// cache.
+    fn on_device(p: &Pager, offset: u64, len: usize) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        p.device().read(offset, &mut buf, SimTime::ZERO).unwrap();
+        buf
+    }
+
+    #[test]
+    fn an_edit_of_an_unshared_entry_splices_it_in_place() {
+        let mut p = pager(10_000);
+        let a = p.alloc(400).unwrap();
+        p.write(a, vec![1; 400]).unwrap();
+        let page = p.read(a, 400).unwrap();
+        let image = page.as_ptr();
+        p.edit(page, |b| b[7] = 9).unwrap();
+        let after = p.read(a, 400).unwrap();
+        assert_eq!(after.as_ptr(), image, "no copy");
+        assert_eq!((after[6], after[7]), (1, 9));
+        assert!(after.is_verified());
+        assert_eq!(p.counters().ios, 0, "still only in the cache");
+
+        // Another handle on the image: the edit goes to a copy, and the
+        // handle keeps its bytes.
+        let page = p.read(a, 400).unwrap();
+        p.edit(page, |b| b[8] = 9).unwrap();
+        assert_ne!(p.read(a, 400).unwrap().as_ptr(), image);
+        assert_eq!((after[7], after[8]), (9, 1));
+        p.flush().unwrap();
+        assert_eq!(p.counters().writebacks, 1, "the edits left the entry dirty");
+        assert_eq!(&on_device(&p, a, 10)[6..], &[1, 9, 9, 1]);
+    }
+
+    #[test]
+    fn an_edit_of_an_image_the_device_holds_leaves_the_device_bytes_until_write_back() {
+        // A 400-byte object shares no whole store page; the RAM disk keeps
+        // its image all the same, and the clean entry holds it too.
+        let mut p = pager(10_000);
+        let a = p.alloc(400).unwrap();
+        p.write(a, vec![1; 400]).unwrap();
+        p.flush().unwrap();
+        let page = p.read(a, 400).unwrap();
+        let shared = page.as_ptr();
+        p.edit(page, |b| b[0] = 2).unwrap();
+        let edited = p.read(a, 400).unwrap();
+        assert_ne!(edited.as_ptr(), shared, "the shared image was copied");
+        assert_eq!(edited[0], 2);
+        assert_eq!(on_device(&p, a, 400), vec![1; 400], "the device's bytes");
+        // The copy is the cache's alone: the next edit is in place.
+        let copy = edited.as_ptr();
+        p.edit(edited, |b| b[1] = 2).unwrap();
+        assert_eq!(p.read(a, 400).unwrap().as_ptr(), copy);
+        assert_eq!(on_device(&p, a, 400), vec![1; 400]);
+        p.flush().unwrap();
+        assert_eq!(&on_device(&p, a, 400)[..3], &[2, 2, 1]);
+    }
+
+    #[test]
+    fn an_edit_through_a_stale_page_writes_the_edited_copy() {
+        let mut p = pager(10_000);
+        let a = p.alloc(100).unwrap();
+        p.write(a, vec![1; 100]).unwrap();
+        let stale = p.read(a, 100).unwrap();
+        p.write(a, vec![2; 100]).unwrap();
+        // As a write of the stale bytes, edited: the edit applies to the
+        // bytes the page shows, never to the image it does not name.
+        p.edit(stale, |b| b[0] = 3).unwrap();
+        let mut want = vec![1; 100];
+        want[0] = 3;
+        assert_eq!(p.read(a, 100).unwrap(), want);
     }
 
     #[test]

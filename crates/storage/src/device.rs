@@ -138,7 +138,8 @@ pub trait BlockDevice: Send {
     /// [`read`](BlockDevice::read). The default reads into a fresh zeroed
     /// buffer; [`SimDevice`](crate::SimDevice) overrides it to return the
     /// very image that a [`write_image`](BlockDevice::write_image) of the
-    /// same range stored, without copying it.
+    /// same range stored, without copying it, and a copy of just the bytes
+    /// read when they lie inside one such image (see [`crate::store`]).
     fn read_image(
         &mut self,
         offset: u64,
@@ -156,8 +157,11 @@ pub trait BlockDevice: Send {
     /// Write the immutable shared `image` at `offset`: the same checks,
     /// timing, statistics and fault decisions as
     /// [`write`](BlockDevice::write). The default writes the image's bytes;
-    /// [`SimDevice`](crate::SimDevice) overrides it to keep the image itself
-    /// when it spans whole store pages (see [`crate::store`]).
+    /// [`SimDevice`](crate::SimDevice) overrides it to keep the image itself,
+    /// at any offset and length (see [`crate::store`]). A device may hold
+    /// the image for as long as no later write covers it, so nobody mutates
+    /// an image while it is shared: a caller that edits one edits a copy
+    /// unless it holds the only handle.
     fn write_image(
         &mut self,
         offset: u64,

@@ -427,6 +427,56 @@ mod tests {
     }
 
     #[test]
+    fn faults_on_a_sub_page_extent_land_in_private_copies() {
+        // Two 1 KiB images share one store page of the device below the
+        // injector, each kept as an extent.
+        let mut disk = RamDisk::new(1 << 16, SimDuration(10));
+        let node: Arc<Vec<u8>> = Arc::new((0..1024).map(|i| (i % 251) as u8).collect());
+        let next = Arc::new(vec![0x5Au8; 1024]);
+        disk.write_image(1024, &node, SimTime::ZERO).unwrap();
+        disk.write_image(2048, &next, SimTime::ZERO).unwrap();
+        let (mut d, sw) = FaultInjector::new(disk);
+
+        // A flipped bit, in a whole read and in a sub-range read of the
+        // extent, lands in the read's own buffer.
+        sw.set(FaultMode::BitFlip { seed: 3, every: 1 });
+        for (offset, len) in [(1024, 1024), (1100, 300)] {
+            let (rotten, _) = d.read_image(offset, len, SimTime::ZERO).unwrap();
+            assert_eq!(Arc::strong_count(&rotten), 1, "a private copy");
+            let at = (offset - 1024) as usize;
+            let flipped: u32 = rotten
+                .iter()
+                .zip(&node[at..at + len])
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert_eq!(flipped, 1, "{offset}+{len}");
+        }
+        sw.set(FaultMode::None);
+        let (clean, _) = d.read_image(1024, 1024, SimTime::ZERO).unwrap();
+        assert_eq!(clean, node);
+
+        // A torn write over the extent persists its prefix as a copy: the
+        // image the caller holds keeps its bytes, and the device keeps the
+        // extent's bytes past the prefix and the neighbouring image.
+        sw.set(FaultMode::TornWrite);
+        let torn = Arc::new(vec![0xEEu8; 1024]);
+        assert_eq!(
+            d.write_image(1024, &torn, SimTime::ZERO),
+            Err(IoError::Faulted)
+        );
+        sw.set(FaultMode::None);
+        assert_eq!(Arc::strong_count(&torn), 1, "the device kept no handle");
+        let (after, _) = d.read_image(1024, 2048, SimTime::ZERO).unwrap();
+        assert_eq!(&after[..512], &[0xEE; 512][..]);
+        assert_eq!(&after[512..1024], &node[512..]);
+        assert_eq!(&after[1024..], &next[..]);
+        assert_eq!(
+            node[..],
+            (0..1024).map(|i| (i % 251) as u8).collect::<Vec<u8>>()[..]
+        );
+    }
+
+    #[test]
     fn crash_tears_then_fails_forever() {
         let (mut d, sw) = dev();
         sw.set(FaultMode::CrashAfterIos(2));

@@ -6,14 +6,27 @@
 //! drive, so writing zeros to them materializes nothing.
 //!
 //! A whole-object write can also hand the store a shared image
-//! ([`SparseStore::write_image`]). An image that starts and ends on a page
-//! boundary is kept as an *extent*, the `Arc` itself, instead of being
-//! copied into pages, and a read of exactly that object
-//! ([`SparseStore::read_image`]) returns the same `Arc`. Each byte is served
-//! by at most one of the two maps: extents never overlap one another, and no
-//! page lies inside an extent. Images are never mutated. A write over part
-//! of an extent copies the extent's bytes outside the write into pages and
-//! drops the extent; the bytes the write covers are never copied.
+//! ([`SparseStore::write_image`]). The store keeps such an image as an
+//! *extent*, the `Arc` itself, at any offset and of any length, instead of
+//! copying it into pages; the one exception is below. A read inside one
+//! extent is served from it ([`SparseStore::read_image`]): a read of
+//! exactly that range returns the same `Arc`, and a read of part of it
+//! copies just those bytes. Extents never overlap one another, and a byte
+//! inside an extent is always served by the extent: page bytes under an
+//! extent are dead and never read, and a page that lies wholly inside an
+//! extent is dropped. Images are never mutated while the store holds them.
+//! A slice write over part of an extent copies the extent's bytes outside
+//! the write into pages and drops the extent; the bytes the write covers
+//! are never copied. Slice writes ([`SparseStore::write`]) always go to
+//! pages.
+//!
+//! The exception: an image that starts or ends inside a page and whose
+//! last page's worth of bytes is all zero is copied into pages. Such images
+//! are nodes padded to a slot that is no whole number of pages (the Thm-9
+//! tree's), read back mostly a segment at a time. Pages keep none of their
+//! zero padding, and an extent would keep all of it resident while saving
+//! no copy on a segment read. Page-aligned images are kept whatever their
+//! padding: whole-node reads of them return the stored `Arc`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -79,11 +92,17 @@ impl SparseStore {
     }
 
     /// The `len` bytes at `offset` as a shared image: the stored `Arc` when
-    /// an extent is exactly that range, otherwise a fresh copy.
+    /// an extent is exactly that range, a copy of the extent's bytes when
+    /// one extent holds the whole range, and otherwise a buffer assembled
+    /// from extents and pages.
     pub fn read_image(&self, offset: u64, len: usize) -> Arc<Vec<u8>> {
-        if let Some(image) = self.extents.get(&offset) {
-            if image.len() == len {
+        if let Some((&start, image)) = self.extents.range(..=offset).next_back() {
+            let at = (offset - start) as usize;
+            if at == 0 && image.len() == len {
                 return image.clone();
+            }
+            if let Some(bytes) = image.get(at..at.saturating_add(len)) {
+                return Arc::new(bytes.to_vec());
             }
         }
         let mut buf = vec![0u8; len];
@@ -98,11 +117,15 @@ impl SparseStore {
     }
 
     /// Write `image` at `offset`, keeping the image itself as an extent
-    /// when it starts and ends on a page boundary; any other image is
-    /// copied as by [`SparseStore::write`].
+    /// unless it is a padded unaligned image (see the module docs).
     pub fn write_image(&mut self, offset: u64, image: &Arc<Vec<u8>>) {
         let len = image.len() as u64;
-        if len == 0 || (offset | len) & PAGE_MASK != 0 {
+        let padded_unaligned = || {
+            (offset | len) & PAGE_MASK != 0
+                && image.len() >= STORE_PAGE_BYTES
+                && all_zero(&image[image.len() - STORE_PAGE_BYTES..])
+        };
+        if len == 0 || padded_unaligned() {
             return self.write(offset, image);
         }
         if let Some(old) = self.extents.get_mut(&offset) {
@@ -114,7 +137,9 @@ impl SparseStore {
         let end = offset + len;
         self.evict_extents(offset, end);
         if !self.pages.is_empty() {
-            for page_no in offset >> PAGE_SHIFT..end >> PAGE_SHIFT {
+            // Pages wholly inside the image; the bytes of a page it only
+            // partly covers are dead under the extent.
+            for page_no in offset.div_ceil(STORE_PAGE_BYTES as u64)..end >> PAGE_SHIFT {
                 self.pages.remove(&page_no);
             }
         }

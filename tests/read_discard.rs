@@ -9,13 +9,17 @@
 //! completions and errors, read the same bytes, and end with the same
 //! device statistics. Wrappers keep the provided methods, which call their
 //! `read` and `write`. The sequence includes out-of-range and zero-length
-//! reads, so the error paths are compared too.
+//! reads, so the error paths are compared too. A second sequence writes
+//! 1 KiB nodes, as the serving engine's trees do, and reads them back
+//! whole, in part and across their ends: every such image is kept shared
+//! although it fills only part of a 4 KiB store page.
 //!
 //! The generator is `dam_stats::rng::SplitMix64`, whose modulo `below` the
 //! sequence is pinned to.
 
 use dam_stats::rng::SplitMix64;
 use dam_storage::profiles;
+use dam_storage::store::STORE_PAGE_BYTES;
 use dam_storage::{
     BlockDevice, DeviceStats, HddDevice, IoCompletion, IoError, RamDisk, SimDuration, SimTime,
     SsdDevice,
@@ -80,6 +84,57 @@ fn rereading_sequence(seed: u64, capacity: u64, n: usize) -> Vec<Io> {
         .collect()
 }
 
+/// `n` IOs over a device of `capacity` bytes that write one to three 1 KiB
+/// nodes at 1 KiB offsets within the first 256 KiB, and read back the
+/// latest write's exact range, a sub-range inside it, or any range (which
+/// may straddle several images and unwritten bytes); plus reads that run
+/// past the end.
+fn node_sequence(seed: u64, capacity: u64, n: usize) -> Vec<Io> {
+    const NODE: u64 = 1024;
+    let mut rng = SplitMix64::new(seed);
+    let mut last = (0, NODE);
+    (0..n)
+        .map(|_| match rng.below(10) {
+            0 => Io::Read {
+                offset: capacity - NODE / 2,
+                len: NODE,
+            },
+            1..=3 => Io::Read {
+                offset: last.0,
+                len: last.1,
+            },
+            4 | 5 => {
+                let at = rng.below(last.1);
+                let len = 1 + rng.below(last.1 - at);
+                Io::Read {
+                    offset: last.0 + at,
+                    len,
+                }
+            }
+            6 => Io::Read {
+                offset: rng.below(256 * NODE),
+                len: 1 + rng.below(3 * NODE),
+            },
+            _ => {
+                last = (rng.below(256) * NODE, NODE * (1 + rng.below(3)));
+                Io::Write {
+                    offset: last.0,
+                    len: last.1,
+                    fill: rng.next_u64() as u8 | 1,
+                }
+            }
+        })
+        .collect()
+}
+
+/// The bytes a write with `fill` carries: a pattern that differs between
+/// neighbouring bytes, so a read of a misplaced range shows.
+fn pattern(fill: u8, len: u64) -> Vec<u8> {
+    (0..len)
+        .map(|i| fill ^ (i as u8).wrapping_mul(31))
+        .collect()
+}
+
 /// Which `BlockDevice` methods a replica moves its bytes through.
 #[derive(Debug, Clone, Copy)]
 enum Path {
@@ -98,11 +153,13 @@ struct Report {
 }
 
 /// What a replica's successful reads returned (nothing through
-/// `read_discard`), and how many of them were images the device shared.
+/// `read_discard`), how many of them were images the device shared, and
+/// how many of those do not span whole store pages.
 #[derive(Debug, Default, PartialEq)]
 struct ReadBytes {
     bytes: Vec<Vec<u8>>,
     shared: usize,
+    shared_sub_page: usize,
 }
 
 /// Run `ios` against `dev` through `path`, each IO submitted when the
@@ -126,17 +183,18 @@ fn drive(mut dev: Box<dyn BlockDevice>, ios: &[Io], path: Path) -> (Report, Read
                 (Io::Read { offset, len }, Path::Image) => {
                     dev.read_image(offset, len as usize, now).map(|(image, c)| {
                         // The device keeps a reference to an image it shares.
-                        read.shared += usize::from(Arc::strong_count(&image) > 1);
+                        let shared = Arc::strong_count(&image) > 1;
+                        let sub_page = (offset | len) % STORE_PAGE_BYTES as u64 != 0;
+                        read.shared += usize::from(shared);
+                        read.shared_sub_page += usize::from(shared && sub_page);
                         read.bytes.push(image.to_vec());
                         c
                     })
                 }
                 (Io::Write { offset, len, fill }, Path::Image) => {
-                    dev.write_image(offset, &Arc::new(vec![fill; len as usize]), now)
+                    dev.write_image(offset, &Arc::new(pattern(fill, len)), now)
                 }
-                (Io::Write { offset, len, fill }, _) => {
-                    dev.write(offset, &vec![fill; len as usize], now)
-                }
+                (Io::Write { offset, len, fill }, _) => dev.write(offset, &pattern(fill, len), now),
             };
             now = match &done {
                 Ok(c) => c.complete,
@@ -183,15 +241,21 @@ fn read_discard_matches_read_on_every_device() {
 #[test]
 fn image_paths_match_read_and_write_on_every_device() {
     for (name, base) in bases() {
-        let ios = rereading_sequence(0x1AA6_E5ED, base().capacity_bytes(), 300);
-        let (copied, copied_bytes) = drive(base(), &ios, Path::Copy);
-        let (shared, shared_bytes) = drive(base(), &ios, Path::Image);
-        assert_eq!(copied, shared, "{name}");
-        assert_eq!(copied_bytes.bytes, shared_bytes.bytes, "{name}");
-        // The image replica did take the shared path, and no read of the
-        // copying replica shares anything.
-        assert!(shared_bytes.shared > 0, "{name}");
-        assert_eq!(copied_bytes.shared, 0, "{name}");
+        let capacity = base().capacity_bytes();
+        for (kind, ios) in [
+            ("mixed", rereading_sequence(0x1AA6_E5ED, capacity, 300)),
+            ("nodes", node_sequence(0x1AA6_E5ED, capacity, 300)),
+        ] {
+            let (copied, copied_bytes) = drive(base(), &ios, Path::Copy);
+            let (shared, shared_bytes) = drive(base(), &ios, Path::Image);
+            assert_eq!(copied, shared, "{name} {kind}");
+            assert_eq!(copied_bytes.bytes, shared_bytes.bytes, "{name} {kind}");
+            // The image replica did take the shared path, sub-page images
+            // included, and no read of the copying replica shares anything.
+            assert!(shared_bytes.shared > 0, "{name} {kind}");
+            assert!(shared_bytes.shared_sub_page > 0, "{name} {kind}");
+            assert_eq!(copied_bytes.shared, 0, "{name} {kind}");
+        }
     }
 }
 
