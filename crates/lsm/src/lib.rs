@@ -22,6 +22,7 @@
 //! amortized over the whole table, which is exactly why big SSTables win);
 //! point queries read **one block** via the pager's sub-range reads.
 
+mod memkey;
 pub mod sstable;
 pub mod tree;
 

@@ -1,6 +1,7 @@
 //! The leveled LSM-tree: memtable → L0 runs → exponentially larger,
 //! non-overlapping levels, with size-triggered compaction.
 
+use crate::memkey::MemKey;
 use crate::sstable::{write_merged, BlockMeta, BlockView, SsTable, TableWriter};
 use dam_cache::{Page, Pager, Superblock, SuperblockIo};
 use dam_kv::codec::{CodecError, Reader, Writer};
@@ -57,7 +58,7 @@ impl LsmConfig {
 pub struct LsmTree {
     pager: Pager,
     cfg: LsmConfig,
-    mem: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    mem: BTreeMap<MemKey, Option<Vec<u8>>>,
     mem_bytes: usize,
     /// L0 runs; **later entries are newer**.
     l0: Vec<SsTable>,
@@ -230,8 +231,8 @@ impl LsmTree {
     // Writes
     // ------------------------------------------------------------------
 
-    fn update(&mut self, key: &[u8], value: Option<Vec<u8>>) -> Result<(), KvError> {
-        let add = SsTable::entry_bytes(key, value.as_deref());
+    fn update(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<(), KvError> {
+        let add = SsTable::entry_bytes(key, value);
         if add > self.cfg.block_bytes {
             return Err(KvError::Config(format!(
                 "entry of {add} bytes exceeds block_bytes {}",
@@ -239,7 +240,7 @@ impl LsmTree {
             )));
         }
         let bytes_before = self.mem_bytes;
-        let old = self.mem.insert(key.to_vec(), value);
+        let old = self.mem.insert(MemKey::new(key), value.map(<[u8]>::to_vec));
         if let Some(old) = &old {
             self.mem_bytes = self
                 .mem_bytes
@@ -255,8 +256,8 @@ impl LsmTree {
                     // contract). A compaction that failed after the flush
                     // keeps the write; it is retried at the next flush.
                     match old {
-                        Some(old) => self.mem.insert(key.to_vec(), old),
-                        None => self.mem.remove(key),
+                        Some(old) => self.mem.insert(MemKey::new(key), old),
+                        None => self.mem.remove(&MemKey::new(key)),
                     };
                     self.mem_bytes = bytes_before;
                 }
@@ -277,7 +278,7 @@ impl LsmTree {
             let stamp = self.stamp();
             let mut writer = TableWriter::new(self.cfg.block_bytes, self.mem_bytes);
             for (k, v) in &self.mem {
-                writer.push(k, v.as_deref());
+                writer.push(k.as_slice(), v.as_deref());
             }
             let table = writer.finish(&mut self.pager, stamp)?;
             self.mem.clear();
@@ -459,7 +460,7 @@ impl LsmTree {
     // ------------------------------------------------------------------
 
     fn get_inner(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        if let Some(v) = self.mem.get(key) {
+        if let Some(v) = self.mem.get(&MemKey::new(key)) {
             return Ok(v.clone());
         }
         // L0: newest run wins.
@@ -522,8 +523,8 @@ impl LsmTree {
             let block = BlockView::parse(page).map_err(|e| KvError::Corrupt(e.to_string()))?;
             merged.extend(block.iter().filter(|(k, _)| in_range(k)));
         }
-        let upper = end.map_or(Bound::Unbounded, Bound::Excluded);
-        let mem = self.mem.range::<[u8], _>((Bound::Included(start), upper));
+        let upper = end.map_or(Bound::Unbounded, |e| Bound::Excluded(MemKey::new(e)));
+        let mem = self.mem.range((Bound::Included(MemKey::new(start)), upper));
         merged.extend(mem.map(|(k, v)| (k.as_slice(), v.as_deref())));
         Ok(merged
             .into_iter()
@@ -569,7 +570,7 @@ impl PagedDict for LsmTree {
 
 impl Dictionary for LsmTree {
     fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-        self.in_op(|t| t.update(key, Some(value.to_vec())))
+        self.in_op(|t| t.update(key, Some(value)))
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
@@ -582,7 +583,7 @@ impl Dictionary for LsmTree {
         // the batch, matching the group-commit accounting in `dam-serve`.
         self.in_op(|t| {
             batch.iter().try_for_each(|op| match op {
-                BatchOp::Put { key, value } => t.update(key, Some(value.clone())),
+                BatchOp::Put { key, value } => t.update(key, Some(value)),
                 BatchOp::Del { key } => t.update(key, None),
             })
         })
@@ -761,6 +762,59 @@ mod tests {
             if (100..110).contains(&i) {
                 assert_eq!(v, b"fresh");
             }
+        }
+    }
+
+    /// Keys of 1, 23, 24, 25 and 40 bytes around a shared zero-filled
+    /// prefix, so memtable keys stored inline (up to 24 bytes) and on the
+    /// heap meet, and keys that differ only by trailing zeros coexist.
+    #[test]
+    fn mixed_length_keys_match_a_btreemap() {
+        fn key(i: u64) -> Vec<u8> {
+            let mut k = [0u8; 40];
+            k[0] = (i % 3) as u8;
+            k[20..22].copy_from_slice(&((i / 5) as u16).to_be_bytes());
+            k[39] = 0xFF;
+            k[..[1, 23, 24, 25, 40][i as usize % 5]].to_vec()
+        }
+        let mut t = tree(1024);
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut rng = dam_stats::rng::Rng::seed_from_u64(24);
+        for round in 0..4000u64 {
+            let k = key(rng.gen_range(0..400));
+            match rng.gen_range(0..20) {
+                0..=11 => {
+                    let v = vec![round as u8; 8 + (round % 33) as usize];
+                    t.insert(&k, &v).unwrap();
+                    model.insert(k, v);
+                }
+                12..=14 => {
+                    t.delete(&k).unwrap();
+                    model.remove(&k);
+                }
+                15..=17 => assert_eq!(t.get(&k).unwrap().as_ref(), model.get(&k), "{k:?}"),
+                _ => {
+                    let end = key(rng.gen_range(0..400));
+                    let expect: Vec<_> = if k < end {
+                        model
+                            .range(k.clone()..end.clone())
+                            .map(|(k, v)| (k.clone(), v.clone()))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(t.range(&k, &end).unwrap(), expect, "{k:?}..{end:?}");
+                }
+            }
+        }
+        let counts = t.level_table_counts();
+        assert!(
+            counts.iter().skip(1).any(|&c| c > 0),
+            "no compaction: {counts:?}"
+        );
+        assert_eq!(t.check_invariants().unwrap(), model.len() as u64);
+        for (k, v) in &model {
+            assert_eq!(t.get(k).unwrap().as_ref(), Some(v), "{k:?}");
         }
     }
 

@@ -11,9 +11,11 @@
 //!   scattered blocks that read-ahead cannot anticipate.
 //!
 //! The keys are abstract `u64`s; a node routes a key to one of
-//! `2^(height)` child slots.
+//! `2^(height)` child slots. Pivots are implicit: the pivot of in-order
+//! rank `r` is child boundary `r + 1`, computed when a search probes it, so
+//! a search costs `O(height)` and no pivot array is ever built.
 
-use crate::layout::{bfs_left, bfs_right, veb_position};
+use crate::layout::veb_position;
 
 /// Physical ordering of pivots inside a fat node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,101 +27,50 @@ pub enum NodeLayout {
 }
 
 /// A fat pivot node: a complete binary tree of `height` levels of pivots
-/// routing to `2^height` children, stored in one of two layouts.
-#[derive(Debug, Clone)]
+/// routing `[lo, hi)` evenly to `2^height` children, stored in one of two
+/// layouts.
+#[derive(Debug, Clone, Copy)]
 pub struct IntraNode {
+    lo: u64,
+    hi: u64,
     height: u32,
     layout: NodeLayout,
-    /// Pivot at each *storage position* (depends on layout).
-    keys: Vec<u64>,
 }
 
 impl IntraNode {
-    /// Build a node routing `[lo, hi)` evenly among `2^height` children.
-    ///
-    /// The pivot for BFS slot `i` is chosen as in a perfectly balanced
-    /// search tree over the child boundaries.
+    /// A node routing `[lo, hi)` evenly among `2^height` children.
     pub fn build(lo: u64, hi: u64, height: u32, layout: NodeLayout) -> Self {
         assert!((1..48).contains(&height));
         assert!(hi > lo);
-        let n = (1u64 << height) - 1;
-        let mut keys = vec![0u64; n as usize];
-        // In-order traversal assigns sorted boundary keys to BFS slots.
-        // Boundary i (1-based) = lo + i * width / 2^height.
-        let children = 1u64 << height;
-        let width = hi - lo;
-        let boundary = |i: u64| lo + (width * i) / children;
-        // Iterative in-order over the complete tree.
-        let mut stack: Vec<(u64, bool)> = vec![(0, false)];
-        let mut next = 1u64;
-        while let Some((bfs, expanded)) = stack.pop() {
-            let depth = (bfs + 1).ilog2();
-            if !expanded {
-                if depth + 1 < height {
-                    stack.push((bfs_right(bfs), false));
-                    stack.push((bfs, true));
-                    stack.push((bfs_left(bfs), false));
-                } else {
-                    // Leaf level of the pivot tree.
-                    let pos = Self::position_of(layout, height, bfs);
-                    keys[pos as usize] = boundary(next);
-                    next += 1;
-                }
-            } else {
-                let pos = Self::position_of(layout, height, bfs);
-                keys[pos as usize] = boundary(next);
-                next += 1;
-            }
-        }
-        debug_assert_eq!(next, n + 1);
         IntraNode {
+            lo,
+            hi,
             height,
             layout,
-            keys,
         }
     }
 
-    fn position_of(layout: NodeLayout, height: u32, bfs: u64) -> u64 {
-        match layout {
-            NodeLayout::Veb => veb_position(height, bfs),
-            NodeLayout::Sorted => {
-                // Sorted order = in-order rank. Compute the in-order index
-                // of a BFS node in a complete tree.
-                Self::inorder_rank(height, bfs)
-            }
-        }
+    /// Child boundary `i` (`0..=2^height`): `lo + ⌊(hi − lo)·i / 2^height⌋`.
+    /// The product is taken in `u128`: it exceeds `u64` for wide spans.
+    fn boundary(&self, i: u64) -> u64 {
+        debug_assert!(i <= 1 << self.height);
+        let offset = (u128::from(self.hi - self.lo) * u128::from(i)) >> self.height;
+        self.lo + offset as u64
     }
 
-    /// In-order rank of BFS node `bfs` in a complete tree of `height`
-    /// levels.
-    fn inorder_rank(height: u32, bfs: u64) -> u64 {
-        // Walk down from the root tracking the in-order interval.
-        let depth = (bfs + 1).ilog2();
-        // Path bits from root to node: the bits of (bfs+1) below the MSB.
-        let path = (bfs + 1) - (1u64 << depth);
-        let mut lo = 0u64;
-        let mut size = (1u64 << height) - 1;
-        for d in 0..depth {
-            let half = size / 2;
-            let bit = (path >> (depth - 1 - d)) & 1;
-            if bit == 0 {
-                size = half;
-            } else {
-                lo = lo + half + 1;
-                size = half;
-            }
-        }
-        lo + size / 2
+    /// The keys `[start, end)` that route to `child`.
+    pub fn child_range(&self, child: u64) -> (u64, u64) {
+        (self.boundary(child), self.boundary(child + 1))
     }
 
     /// Number of pivots.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        ((1u64 << self.height) - 1) as usize
     }
 
     /// True when the node holds no pivots (cannot happen via `build`).
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 
     /// Levels of pivots.
@@ -127,58 +78,61 @@ impl IntraNode {
         self.height
     }
 
-    /// Route `key`: returns `(child_index, block_demands)` where
-    /// `block_demands` is the ordered list of *storage positions* probed.
-    /// Callers map positions to blocks by dividing by entries-per-block.
-    pub fn search(&self, key: u64) -> (u64, Vec<u64>) {
+    /// Route `key` down the pivot tree, passing the storage position of
+    /// each pivot compared to `probe`; returns the child index.
+    fn route(&self, key: u64, mut probe: impl FnMut(u64)) -> u64 {
+        let h = self.height;
         match self.layout {
             NodeLayout::Veb => {
-                let mut bfs = 0u64;
-                let mut probes = Vec::with_capacity(self.height as usize);
+                // At depth `d`, with the path so far spelled by the `d` bits
+                // of `child`, the pivot has BFS index `2^d − 1 + child` and
+                // in-order rank `(2·child + 1)·2^(h−d−1) − 1`.
                 let mut child = 0u64;
-                for d in 0..self.height {
-                    let pos = veb_position(self.height, bfs);
-                    probes.push(pos);
-                    let pivot = self.keys[pos as usize];
-                    let right = key >= pivot;
+                for d in 0..h {
+                    probe(veb_position(h, (1 << d) - 1 + child));
+                    let right = key >= self.boundary((2 * child + 1) << (h - d - 1));
                     child = (child << 1) | right as u64;
-                    if d + 1 < self.height {
-                        bfs = if right { bfs_right(bfs) } else { bfs_left(bfs) };
-                    }
                 }
-                (child, probes)
+                child
             }
             NodeLayout::Sorted => {
-                // Binary search over the sorted position array.
-                let mut lo = 0usize;
-                let mut hi = self.keys.len();
-                let mut probes = Vec::new();
+                // Binary search over positions; position `r` holds the pivot
+                // of in-order rank `r`.
+                let (mut lo, mut hi) = (0u64, (1u64 << h) - 1);
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;
-                    probes.push(mid as u64);
-                    if key >= self.keys[mid] {
+                    probe(mid);
+                    if key >= self.boundary(mid + 1) {
                         lo = mid + 1;
                     } else {
                         hi = mid;
                     }
                 }
-                (lo as u64, probes)
+                lo
             }
         }
+    }
+
+    /// Route `key`: returns `(child_index, block_demands)` where
+    /// `block_demands` is the ordered list of *storage positions* probed.
+    /// Callers map positions to blocks by dividing by entries-per-block.
+    pub fn search(&self, key: u64) -> (u64, Vec<u64>) {
+        let mut probes = Vec::with_capacity(self.height as usize);
+        let child = self.route(key, |p| probes.push(p));
+        (child, probes)
     }
 
     /// The blocks (of `positions_per_block` storage positions each) a search
     /// for `key` demands, deduplicated but order-preserving.
     pub fn block_demands(&self, key: u64, positions_per_block: u64) -> (u64, Vec<u64>) {
         assert!(positions_per_block >= 1);
-        let (child, probes) = self.search(key);
         let mut blocks = Vec::new();
-        for p in probes {
+        let child = self.route(key, |p| {
             let b = p / positions_per_block;
             if !blocks.contains(&b) {
                 blocks.push(b);
             }
-        }
+        });
         (child, blocks)
     }
 }
@@ -209,20 +163,39 @@ mod tests {
     }
 
     #[test]
-    fn inorder_rank_is_sorted_order() {
-        // For a height-3 tree, in-order ranks of BFS nodes 0..7:
-        // BFS:      0  1  2  3  4  5  6
-        // in-order: 3  1  5  0  2  4  6
-        let expect = [3u64, 1, 5, 0, 2, 4, 6];
-        for (bfs, &e) in expect.iter().enumerate() {
-            assert_eq!(IntraNode::inorder_rank(3, bfs as u64), e, "bfs {bfs}");
+    fn child_ranges_tile_the_node_range() {
+        for layout in [NodeLayout::Veb, NodeLayout::Sorted] {
+            let node = IntraNode::build(7, 4103, 6, layout);
+            assert_eq!(node.child_range(0).0, 7);
+            assert_eq!(node.child_range(63).1, 4103);
+            for child in 0..63 {
+                let (start, end) = node.child_range(child);
+                assert!(start <= end, "child {child}");
+                assert_eq!(end, node.child_range(child + 1).0, "child {child}");
+            }
         }
     }
 
     #[test]
-    fn sorted_layout_keys_are_ascending() {
-        let node = IntraNode::build(0, 4096, 6, NodeLayout::Sorted);
-        assert!(node.keys.windows(2).all(|w| w[0] <= w[1]));
+    fn the_widest_span_routes_every_key_into_its_child_range() {
+        // (hi − lo)·2^40 overflows u64: boundaries must be computed wider.
+        let mut rng = dam_stats::rng::Rng::seed_from_u64(40);
+        for layout in [NodeLayout::Veb, NodeLayout::Sorted] {
+            let node = IntraNode::build(0, u64::MAX, 40, layout);
+            let keys = [0, 1, u64::MAX / 2, u64::MAX - 1];
+            for key in keys
+                .into_iter()
+                .chain((0..2000).map(|_| rng.gen_range(0..u64::MAX)))
+            {
+                let (child, probes) = node.search(key);
+                let (start, end) = node.child_range(child);
+                assert!(
+                    start <= key && key < end,
+                    "{layout:?} key {key} child {child}"
+                );
+                assert_eq!(probes.len(), 40);
+            }
+        }
     }
 
     #[test]

@@ -90,6 +90,8 @@ struct ClientState {
     lo: u64,
     hi: u64,
     node_height: u32,
+    /// The key range of the child the current node's search routes to.
+    child: (u64, u64),
     demands: Vec<u64>,
     resident: HashSet<u64>,
     steps: u64,
@@ -105,6 +107,7 @@ impl ClientState {
             lo: 0,
             hi: cfg.n_items,
             node_height: 1,
+            child: (0, 0),
             demands: Vec::new(),
             resident: HashSet::new(),
             steps: 0,
@@ -149,7 +152,8 @@ impl ClientState {
         }
         self.node_height = h;
         let node = IntraNode::build(self.lo, self.hi, h, layout);
-        let (_, blocks) = node.block_demands(self.key, cfg.block_pivots);
+        let (child, blocks) = node.block_demands(self.key, cfg.block_pivots);
+        self.child = node.child_range(child);
         self.demands = blocks;
     }
 
@@ -175,14 +179,8 @@ impl ClientState {
                 self.start_query(cfg);
                 continue;
             }
-            // Descend: recompute the child range.
-            let (_, layout) = Self::design_params(cfg);
-            let node = IntraNode::build(self.lo, self.hi, self.node_height, layout);
-            let (child, _) = node.search(self.key);
-            let children = 1u64 << self.node_height;
-            let width = self.hi - self.lo;
-            let new_lo = self.lo + (width * child) / children;
-            let new_hi = self.lo + (width * (child + 1)) / children;
+            // Descend into the child the node's search routed to.
+            let (new_lo, new_hi) = self.child;
             self.lo = new_lo;
             self.hi = new_hi.max(new_lo + 1);
             self.enter_node(cfg);
