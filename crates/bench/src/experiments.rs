@@ -164,8 +164,7 @@ pub fn table3() -> Table3Result {
     let profile = profiles::toshiba_dt01aca050();
     let affine = Affine::new(profile.alpha_per_byte());
     let shape = DictShape::new(2e9, 1e4, 116.0, 24.0);
-    // Same grid as `sensitivity::sweep(lo=4 KiB, hi=64 MiB, step=2)`, one
-    // analytic evaluation per sweep point.
+    // 4 KiB to 64 MiB, doubling; one analytic evaluation per sweep point.
     let mut sizes = Vec::new();
     let (hi, step) = (64.0 * 1024.0 * 1024.0, 2.0);
     let mut b = 4096.0f64;
@@ -1124,56 +1123,83 @@ pub struct ServeSweepRow {
     pub p99_latency_steps: u64,
 }
 
+/// Slot budget `P` of the registry's serving sweep (and `damlab serve`'s
+/// default).
+pub const SERVE_P: usize = 8;
+/// Hash shards of the registry's serving sweep (and `damlab serve`'s
+/// default).
+pub const SERVE_SHARDS: usize = 4;
+
+/// One serving-sweep point: `(structure, k clients, ops per client)`.
+pub type ServePoint = (dam_serve::ServeStructure, usize, usize);
+
 /// Sweep client counts through the `dam-serve` engine for all four
-/// dictionaries: `k` closed-loop clients over hash shards, one PDAM device
-/// with slot budget `P`, read-heavy point ops. Unlike [`lemma13`] (which
-/// drives the §8 layout *simulator*), every op here executes against a
-/// real tree; the scheduler re-times the captured block IOs. Total op
+/// dictionaries at `P =` [`SERVE_P`] and [`SERVE_SHARDS`] shards. Total op
 /// count is held roughly constant across `k` so runtime stays flat and
 /// `ops/steps` is comparable down a column.
 pub fn serve_sweep(scale: &Scale) -> Vec<ServeSweepRow> {
-    use dam_serve::{run_with_obs, ServeConfig, ServeStructure};
-    let p = 8usize;
-    let shards = 4usize;
     // IO-bound on purpose: the preload must dwarf the per-shard cache or
     // every op is a cache hit and the sweep degenerates to ops/step = k.
     let preload = (scale.n_keys / 100).clamp(2_000, 8_000);
     let total_ops = (scale.ops as usize * 8).max(160);
-    let points: Vec<(ServeStructure, usize)> = ServeStructure::ALL
+    let points = dam_serve::ServeStructure::ALL
         .iter()
-        .flat_map(|&s| [1usize, 2, 4, 8, 16].into_iter().map(move |k| (s, k)))
+        .flat_map(|&s| [1usize, 2, 4, 8, 16].map(|k| (s, k, (total_ops / k).max(20))))
         .collect();
-    Sweep::new(scale.seed, points).run(|ctx| {
-        let (structure, k) = *ctx.point;
-        let cfg = ServeConfig {
-            structure,
-            clients: k,
-            shards,
-            p,
-            seed: ctx.seed,
-            preload_keys: preload,
-            ops_per_client: (total_ops / k).max(20),
-            cache_bytes: 1 << 14,
-            value_bytes: 32,
-            ..ServeConfig::default()
-        };
-        let obs = crate::metrics::obs();
-        let out = run_with_obs(&cfg, obs.as_ref()).expect("serve run failed");
-        let pdam = refined_dam::models::Pdam::new(p as f64, cfg.block_bytes as f64);
-        let entry_bytes = (16 + cfg.value_bytes) as f64;
-        let r = out.report;
-        ServeSweepRow {
-            structure: structure.name().to_string(),
-            clients: k,
-            shards,
-            ops: r.ops,
-            steps: r.steps,
-            throughput_ops_per_step: r.throughput_ops_per_step,
-            predicted_veb: pdam.veb_tree_throughput(k as f64, preload.max(2) as f64, entry_bytes),
-            slot_utilization: r.slot_utilization,
-            coalesce_rate: r.coalesce_rate,
-            p50_latency_steps: r.p50_latency_steps,
-            p99_latency_steps: r.p99_latency_steps,
-        }
-    })
+    serve_sweep_with(points, SERVE_P, SERVE_SHARDS, preload, scale.seed).expect("serve run failed")
+}
+
+/// Run each point through the `dam-serve` engine: `k` closed-loop clients
+/// over `shards` hash shards, one PDAM device with slot budget `p`,
+/// read-heavy point ops after `preload` keys. Unlike [`lemma13`] (which
+/// drives the §8 layout *simulator*), every op here executes against a
+/// real tree; the scheduler re-times the captured block IOs. Rows come
+/// back in point order, identical at any worker count.
+pub fn serve_sweep_with(
+    points: Vec<ServePoint>,
+    p: usize,
+    shards: usize,
+    preload: u64,
+    seed: u64,
+) -> Result<Vec<ServeSweepRow>, refined_dam::kv::KvError> {
+    use dam_serve::{run_with_obs, ServeConfig};
+    Sweep::new(seed, points)
+        .run(|ctx| {
+            let (structure, k, ops_per_client) = *ctx.point;
+            let cfg = ServeConfig {
+                structure,
+                clients: k,
+                shards,
+                p,
+                seed: ctx.seed,
+                preload_keys: preload,
+                ops_per_client,
+                cache_bytes: 1 << 14,
+                value_bytes: 32,
+                ..ServeConfig::default()
+            };
+            let obs = crate::metrics::obs();
+            let r = run_with_obs(&cfg, obs.as_ref())?.report;
+            let pdam = refined_dam::models::Pdam::new(p as f64, cfg.block_bytes as f64);
+            let entry_bytes = (16 + cfg.value_bytes) as f64;
+            Ok(ServeSweepRow {
+                structure: structure.name().to_string(),
+                clients: k,
+                shards,
+                ops: r.ops,
+                steps: r.steps,
+                throughput_ops_per_step: r.throughput_ops_per_step,
+                predicted_veb: pdam.veb_tree_throughput(
+                    k as f64,
+                    preload.max(2) as f64,
+                    entry_bytes,
+                ),
+                slot_utilization: r.slot_utilization,
+                coalesce_rate: r.coalesce_rate,
+                p50_latency_steps: r.p50_latency_steps,
+                p99_latency_steps: r.p99_latency_steps,
+            })
+        })
+        .into_iter()
+        .collect()
 }

@@ -15,7 +15,7 @@ use crate::experiments::{
     lsm_sstable_size, oltp_olap, serve_sweep, table2, table3, thm9_ablation, wod_comparison,
     write_amp, AffineFitRow, AgingRow, Lemma13Row, Lemma1Row, LsmSizePoint, NodeSizePoint,
     OltpOlapRow, OptimaRow, ServeSweepRow, SkewRow, SsdScalingRow, Table3Result, Thm9Row, WodRow,
-    WriteAmpRow,
+    WriteAmpRow, SERVE_P, SERVE_SHARDS,
 };
 use crate::sweep::describe_jobs;
 use crate::table::{self, fmt_bytes};
@@ -804,13 +804,15 @@ pub fn cache_skew_text(rows: &[SkewRow]) -> String {
 /// column, not absolute values.
 fn render_serve_sweep(scale: &Scale) -> String {
     eprintln!("{}", describe_jobs());
-    serve_sweep_text(&serve_sweep(scale))
+    serve_sweep_text(&serve_sweep(scale), SERVE_P, SERVE_SHARDS)
 }
 
-/// The text of `render_serve_sweep`, laid out from rows already computed.
-pub fn serve_sweep_text(rows: &[ServeSweepRow]) -> String {
-    let mut out =
-        "Lemma 13 through real trees — ops per PDAM step, P = 8, S = 4 shards\n\n".to_string();
+/// The text of `render_serve_sweep` (and of `damlab serve`), laid out from
+/// rows already computed at slot budget `p` over `shards` shards.
+pub fn serve_sweep_text(rows: &[ServeSweepRow], p: usize, shards: usize) -> String {
+    let mut out = format!(
+        "Lemma 13 through real trees — ops per PDAM step, P = {p}, S = {shards} shards\n\n"
+    );
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

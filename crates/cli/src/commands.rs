@@ -2,8 +2,9 @@
 //! suite can drive the whole CLI in-process.
 
 use crate::args::{Args, CliError};
-use dam_bench::registry::EXPERIMENTS;
+use dam_bench::registry::{serve_sweep_text, EXPERIMENTS};
 use dam_bench::{experiments, Scale};
+use dam_serve::ServeStructure;
 use refined_dam::prelude::*;
 use refined_dam::profiler::{fig1_thread_counts, table2_io_sizes};
 use refined_dam::storage::profiles;
@@ -65,48 +66,67 @@ fn find_device(name: &str) -> Result<Device, CliError> {
         })
 }
 
+/// The dictionaries `run`, `stats`, `serve` and `check` accept, as
+/// `btree | betree | ...`.
+fn structure_names() -> String {
+    ServeStructure::ALL.map(|s| s.name()).join(" | ")
+}
+
+/// Parse a `--structure` value; `extra` lists any further values the
+/// command accepts, for the error text.
+fn parse_structure(name: &str, extra: &str) -> Result<ServeStructure, CliError> {
+    ServeStructure::parse(name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown structure '{name}' ({}{extra})",
+            structure_names()
+        ))
+    })
+}
+
 /// `damlab help`.
 pub fn help() -> String {
-    "damlab — the refined-DAM toolkit (SPAA '19 reproduction)\n\
-     \n\
-     commands:\n\
-     \x20 devices                              list simulated device profiles\n\
-     \x20 profile --device <name>              run the §4 microbenchmark + model fit\n\
-     \x20 tune    --device <name> | --alpha-4k <a>   node-size/fanout recommendations\n\
-     \x20 run     --structure <s> --device <d> [--node-kb N] [--keys N] [--ops N]\n\
-     \x20                                      load a dictionary, measure per-op costs\n\
-     \x20         structures: btree | betree | optbetree | lsm\n\
-     \x20 experiment <name> [--seed S] [--jobs N]\n\
-     \x20                                      regenerate a paper table/figure\n\
-     \x20 experiment list                      list experiment names\n\
-     \x20 stats   --structure <s> --device <d> [--node-kb N] [--keys N] [--ops N]\n\
-     \x20         [--format json] [--fault-denom N]\n\
-     \x20                                      instrumented run: per-level IO, spans,\n\
-     \x20                                      latency percentiles, cache hit rate,\n\
-     \x20                                      read/write amp, model residuals\n\
-     \x20 serve   [--structure s|all] [--clients K] [--shards S] [--ops N]\n\
-     \x20         [--p P] [--preload N] [--seed S] [--smoke] [--jobs N]\n\
-     \x20                                      closed-loop multi-client serving:\n\
-     \x20                                      k clients over S hash shards on one\n\
-     \x20                                      PDAM device (slot budget P); without\n\
-     \x20                                      --clients, sweeps k in {1,2,4,8,16}\n\
-     \x20                                      and prints measured ops/step next to\n\
-     \x20                                      Lemma 13's k / log_{PB/k} N\n\
-     \x20 check   [--ops N] [--seed S] [--structure <s>] [--mode <m>]\n\
-     \x20         [--crash-points N] [--crash-ops N] [--shrink-budget N]\n\
-     \x20         [--clients K] [--shards S]\n\
-     \x20                                      differential harness: lockstep replay\n\
-     \x20                                      of an adversarial trace against all\n\
-     \x20                                      four dictionaries + a BTreeMap oracle,\n\
-     \x20                                      with fault and crash-recovery modes,\n\
-     \x20                                      plus a concurrent mode replaying the\n\
-     \x20                                      trace as K clients through the serving\n\
-     \x20                                      engine; prints a repro on divergence\n\
-     \x20         modes: all | plain | faults | crash | concurrent |\n\
-     \x20         persistent (every op armed with a lasting fault, and a\n\
-     \x20         device that fills; not part of all)\n\
-     \x20 check-metrics --snapshot <f> --schema <f>   validate a metrics snapshot\n"
-        .to_string()
+    format!(
+        "damlab — the refined-DAM toolkit (SPAA '19 reproduction)\n\
+         \n\
+         commands:\n\
+         \x20 devices                              list simulated device profiles\n\
+         \x20 profile --device <name>              run the §4 microbenchmark + model fit\n\
+         \x20 tune    --device <name> | --alpha-4k <a>   node-size/fanout recommendations\n\
+         \x20 run     --structure <s> --device <d> [--node-kb N] [--keys N] [--ops N]\n\
+         \x20                                      load a dictionary, measure per-op costs\n\
+         \x20         structures: {}\n\
+         \x20 experiment <name> [--seed S] [--jobs N]\n\
+         \x20                                      regenerate a paper table/figure\n\
+         \x20 experiment list                      list experiment names\n\
+         \x20 stats   --structure <s> --device <d> [--node-kb N] [--keys N] [--ops N]\n\
+         \x20         [--format json] [--fault-denom N]\n\
+         \x20                                      instrumented run: per-level IO, spans,\n\
+         \x20                                      latency percentiles, cache hit rate,\n\
+         \x20                                      read/write amp, model residuals\n\
+         \x20 serve   [--structure s|all] [--clients K] [--shards S] [--ops N]\n\
+         \x20         [--p P] [--preload N] [--seed S] [--smoke] [--jobs N]\n\
+         \x20                                      closed-loop multi-client serving:\n\
+         \x20                                      k clients over S hash shards on one\n\
+         \x20                                      PDAM device (slot budget P); without\n\
+         \x20                                      --clients, sweeps k in {{1,2,4,8,16}}\n\
+         \x20                                      and prints measured ops/step next to\n\
+         \x20                                      Lemma 13's k / log_{{PB/k}} N\n\
+         \x20 check   [--ops N] [--seed S] [--structure <s>] [--mode <m>]\n\
+         \x20         [--crash-points N] [--crash-ops N] [--shrink-budget N]\n\
+         \x20         [--clients K] [--shards S]\n\
+         \x20                                      differential harness: lockstep replay\n\
+         \x20                                      of an adversarial trace against all\n\
+         \x20                                      four dictionaries + a BTreeMap oracle,\n\
+         \x20                                      with fault and crash-recovery modes,\n\
+         \x20                                      plus a concurrent mode replaying the\n\
+         \x20                                      trace as K clients through the serving\n\
+         \x20                                      engine; prints a repro on divergence\n\
+         \x20         modes: all | plain | faults | crash | concurrent |\n\
+         \x20         persistent (every op armed with a lasting fault, and a\n\
+         \x20         device that fills; not part of all)\n\
+         \x20 check-metrics --snapshot <f> --schema <f>   validate a metrics snapshot\n",
+        structure_names()
+    )
 }
 
 /// `damlab devices`.
@@ -255,24 +275,26 @@ fn bulk_load(
         }};
     }
     let map_err = |e: KvError| CliError::Runtime(e.to_string());
-    Ok(match structure {
-        "btree" => attach!(
-            BTree::bulk_load(device, BTreeConfig::new(node_bytes, cache), pairs)
-                .map_err(map_err)?
-        ),
-        "betree" => attach!(BeTree::bulk_load(
+    Ok(match parse_structure(structure, "")? {
+        ServeStructure::BTree => {
+            attach!(
+                BTree::bulk_load(device, BTreeConfig::new(node_bytes, cache), pairs)
+                    .map_err(map_err)?
+            )
+        }
+        ServeStructure::BeTree => attach!(BeTree::bulk_load(
             device,
             BeTreeConfig::sqrt_fanout(node_bytes, 124, cache),
             pairs,
         )
         .map_err(map_err)?),
-        "optbetree" => attach!(OptBeTree::bulk_load(
+        ServeStructure::OptBeTree => attach!(OptBeTree::bulk_load(
             device,
             OptConfig::balanced(node_bytes, 124, cache),
             pairs
         )
         .map_err(map_err)?),
-        "lsm" => {
+        ServeStructure::Lsm => {
             let mut t =
                 LsmTree::create(device, LsmConfig::new(node_bytes, cache)).map_err(map_err)?;
             let n = pairs.len() as u64;
@@ -283,11 +305,6 @@ fn bulk_load(
             }
             t.sync().map_err(map_err)?;
             attach!(t)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown structure '{other}' (btree | betree | optbetree | lsm)"
-            )))
         }
     })
 }
@@ -504,34 +521,25 @@ pub fn check_metrics(args: &Args) -> Result<String, CliError> {
 /// `damlab serve [--structure s|all] [--clients K] [--shards S] [--ops N]
 /// [--p P] [--preload N] [--seed S] [--smoke] [--jobs N]`.
 ///
-/// Closed-loop multi-client serving through the `dam-serve` engine: `k`
+/// The registry's `serve-sweep` table at the given flags: `k` closed-loop
 /// clients over `S` hash shards on one PDAM device with slot budget `P`,
-/// read-heavy point ops against a real tree. Without `--clients` the
-/// command sweeps k over {1, 2, 4, 8, 16} (Lemma 13's client axis); the
-/// `Lemma13 pred` column is the analytic `k / log_{PB/k} N` at the same
-/// parameters — compare shapes, not absolute values. The grid fans across
+/// `--ops` ops per client. Without `--clients` it sweeps k over
+/// {1, 2, 4, 8, 16} (Lemma 13's client axis). The grid fans across
 /// `--jobs` workers with byte-identical output.
 pub fn serve(args: &Args) -> Result<String, CliError> {
-    use dam_bench::sweep::Sweep;
-    use dam_serve::{run, ServeConfig, ServeStructure};
-
     let _jobs = jobs_override(args)?;
     let smoke = args.get_bool("smoke");
-    let structures: Vec<ServeStructure> = match args.get("structure").unwrap_or("all") {
+    let structures = match args.get("structure").unwrap_or("all") {
         "all" => ServeStructure::ALL.to_vec(),
-        s => vec![ServeStructure::parse(s).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown structure '{s}' (btree | betree | optbetree | lsm | all)"
-            ))
-        })?],
+        s => vec![parse_structure(s, " | all")?],
     };
     let ks: Vec<usize> = match args.get_u64("clients", 0)? {
         0 if smoke => vec![1, 4],
         0 => vec![1, 2, 4, 8, 16],
         k => vec![k as usize],
     };
-    let p = args.get_u64("p", 8)? as usize;
-    let shards = args.get_u64("shards", 4)? as usize;
+    let p = args.get_u64("p", experiments::SERVE_P as u64)? as usize;
+    let shards = args.get_u64("shards", experiments::SERVE_SHARDS as u64)? as usize;
     if p == 0 || shards == 0 {
         return Err(CliError::Usage("--p and --shards must be >= 1".into()));
     }
@@ -539,75 +547,16 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
     let preload = args.get_u64("preload", if smoke { 2_000 } else { 4_000 })?;
     let seed = args.get_u64("seed", 0xDA4)?;
 
-    let points: Vec<(ServeStructure, usize)> = structures
+    let points = structures
         .iter()
-        .flat_map(|&s| ks.iter().map(move |&k| (s, k)))
+        .flat_map(|&s| ks.iter().map(move |&k| (s, k, ops)))
         .collect();
-    // The small cache is deliberate: the preload must not fit, or every op
-    // is a hit and the sweep degenerates to ops/step = k.
-    let outcomes = Sweep::new(seed, points).run(|ctx| {
-        let (structure, k) = *ctx.point;
-        let cfg = ServeConfig {
-            structure,
-            clients: k,
-            shards,
-            p,
-            seed: ctx.seed,
-            preload_keys: preload,
-            ops_per_client: ops,
-            cache_bytes: 1 << 14,
-            value_bytes: 32,
-            ..ServeConfig::default()
-        };
-        run(&cfg).map(|o| (cfg.block_bytes, cfg.value_bytes, o.report))
-    });
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "closed-loop serving: P={p} S={shards} preload={preload} ops/client={ops} seed={seed}"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{:<10} {:>3} {:>6} {:>7} {:>9} {:>13} {:>9} {:>8} {:>5} {:>5}",
-        "structure",
-        "k",
-        "ops",
-        "steps",
-        "ops/step",
-        "Lemma13 pred",
-        "slot util",
-        "coalesce",
-        "p50",
-        "p99"
-    )
-    .unwrap();
-    for res in outcomes {
-        let (block_bytes, value_bytes, r) = res.map_err(|e| CliError::Runtime(e.to_string()))?;
-        let pdam = refined_dam::models::Pdam::new(p as f64, block_bytes as f64);
-        let predicted = pdam.veb_tree_throughput(
-            r.clients as f64,
-            preload.max(2) as f64,
-            (16 + value_bytes) as f64,
-        );
-        writeln!(
-            out,
-            "{:<10} {:>3} {:>6} {:>7} {:>9.4} {:>13.4} {:>9.2} {:>8.2} {:>5} {:>5}",
-            r.structure,
-            r.clients,
-            r.ops,
-            r.steps,
-            r.throughput_ops_per_step,
-            predicted,
-            r.slot_utilization,
-            r.coalesce_rate,
-            r.p50_latency_steps,
-            r.p99_latency_steps
-        )
-        .unwrap();
-    }
-    Ok(out)
+    let rows = experiments::serve_sweep_with(points, p, shards, preload, seed)
+        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    Ok(format!(
+        "closed-loop serving: P={p} S={shards} preload={preload} ops/client={ops} seed={seed}\n{}",
+        serve_sweep_text(&rows, p, shards)
+    ))
 }
 
 /// `damlab check`: run the differential correctness harness.
@@ -626,12 +575,7 @@ pub fn check(args: &Args) -> Result<String, CliError> {
         return Err(CliError::Usage("--shards must be >= 1".into()));
     }
     if let Some(s) = args.get("structure") {
-        let st = dam_check::Structure::parse(s).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown structure '{s}'; expected btree|betree|optbetree|lsm"
-            ))
-        })?;
-        cfg.structures = vec![st];
+        cfg.structures = vec![parse_structure(s, "")?];
     }
     match args.get("mode").unwrap_or("all") {
         "all" => {}
@@ -759,7 +703,7 @@ mod tests {
 
     #[test]
     fn run_workload_all_structures() {
-        for s in ["btree", "betree", "optbetree", "lsm"] {
+        for s in ServeStructure::ALL.map(|s| s.name()) {
             let out = run(&format!(
                 "run --structure {s} --device toshiba-dt01aca050 --keys 5000 --ops 20 --node-kb 64"
             ))
@@ -817,7 +761,7 @@ mod tests {
 
     #[test]
     fn stats_all_structures_render_every_section() {
-        for s in ["btree", "betree", "optbetree", "lsm"] {
+        for s in ServeStructure::ALL.map(|s| s.name()) {
             let out = run(&format!(
                 "stats --structure {s} --device toshiba-dt01aca050 --keys 20000 --ops 40 --node-kb 64 --cache-mb 1"
             ))
@@ -879,10 +823,10 @@ mod tests {
     #[test]
     fn serve_smoke_sweep_renders_rows() {
         let out = run("serve --smoke").unwrap();
-        for s in ["btree", "betree", "optbetree", "lsm"] {
+        for s in ServeStructure::ALL.map(|s| s.name()) {
             assert!(out.contains(s), "missing {s}: {out}");
         }
-        assert!(out.contains("Lemma13 pred"), "{out}");
+        assert!(out.contains("Lemma 13 pred"), "{out}");
         // Smoke sweeps k in {1, 4} for every structure.
         assert_eq!(out.matches("\nbtree").count(), 2, "{out}");
     }

@@ -8,9 +8,9 @@
 //! * `damlab tune --device <name> [--keys N] [--cache-mb M]` — turn a
 //!   fitted `α` into node-size / fanout recommendations (Corollaries 6, 7,
 //!   12),
-//! * `damlab run --structure <btree|betree|optbetree|lsm> --device <name>
-//!   [--node-kb N] [--keys N] [--ops N]` — load a dictionary and measure
-//!   per-op costs,
+//! * `damlab run --structure <s> --device <name> [--node-kb N] [--keys N]
+//!   [--ops N]` — load a dictionary (any `dam_serve::ServeStructure` name)
+//!   and measure per-op costs,
 //! * `damlab experiment <name> [--jobs N]` — regenerate a paper
 //!   table/figure (`table1`, `table2`, `fig2`, … — see `damlab experiment
 //!   list`); grid experiments fan across `N` workers with identical output,
@@ -21,8 +21,9 @@
 //! * `damlab serve [--structure s|all] [--clients K] [--shards S] [--p P]
 //!   [--smoke] [--jobs N]` — closed-loop multi-client serving through the
 //!   `dam-serve` engine: `k` clients over hash shards on one PDAM device;
-//!   without `--clients` it sweeps k over {1, 2, 4, 8, 16} and prints
-//!   measured ops/step next to Lemma 13's `k / log_{PB/k} N`,
+//!   without `--clients` it sweeps k over {1, 2, 4, 8, 16} and prints the
+//!   `serve-sweep` table (measured ops/step next to Lemma 13's
+//!   `k / log_{PB/k} N`) at those flags,
 //! * `damlab check [--ops N] [--seed S] [--structure <s>] [--mode <m>]
 //!   [--clients K]` — differential correctness harness: replay an
 //!   adversarial op trace in lockstep against all four dictionaries and a

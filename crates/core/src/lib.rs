@@ -9,13 +9,15 @@
 //!    (§4.1, Table 1); a size-scaling random-read sweep fits the affine
 //!    model's setup cost `s`, bandwidth cost `t`, and `α = t/s` (§4.2,
 //!    Table 2).
-//! 2. **Tune** data-structure parameters from the fitted models
+//! 2. **Tune** data-structure parameters from the fitted affine model
 //!    ([`tuner`]): B-tree node sizes (Corollaries 6–7), Bε-tree fanout and
-//!    node size (Corollaries 11–12), PDAM node sizing (§8).
+//!    node size (Corollaries 11–12).
 //! 3. **Run** the tuned structures — [`dam_btree::BTree`],
-//!    [`dam_betree::BeTree`], [`dam_betree::OptBeTree`], and the
-//!    [`dam_veb`] PDAM tree — on the simulated devices and compare measured
-//!    costs against the analytic predictions in [`dam_models`].
+//!    [`dam_betree::BeTree`], [`dam_betree::OptBeTree`] — on the simulated
+//!    devices and compare measured costs against the analytic predictions
+//!    in [`dam_models`]. §8's PDAM tree designs are modelled separately by
+//!    [`dam_veb`], an abstract step simulator that counts the blocks each
+//!    query reads per PDAM step, with no device and no stored data.
 //!
 //! Substrate crates are re-exported under short names: [`models`],
 //! [`stats`], [`storage`], [`cache`], [`kv`], [`btree`], [`betree`],
@@ -52,12 +54,12 @@ pub use dam_storage as storage;
 pub use dam_veb as veb;
 
 pub use profiler::{profile_affine, profile_pdam, AffineProfile, PdamProfile, ProfileError};
-pub use tuner::{tune_for_affine, tune_for_pdam, AffineTuning, PdamTuning};
+pub use tuner::{tune_for_affine, AffineTuning};
 
 /// One-stop imports for examples and experiments.
 pub mod prelude {
     pub use crate::profiler::{profile_affine, profile_pdam, AffineProfile, PdamProfile};
-    pub use crate::tuner::{tune_for_affine, tune_for_pdam, AffineTuning, PdamTuning};
+    pub use crate::tuner::{tune_for_affine, AffineTuning};
     pub use dam_betree::{BeTree, BeTreeConfig, OptBeTree, OptConfig};
     pub use dam_btree::{BTree, BTreeConfig};
     pub use dam_kv::{Dictionary, KvError, OpCost, WorkloadConfig, WorkloadGen};

@@ -3,7 +3,7 @@
 //! argues the refined models enable.
 
 use dam_models::betree_costs::{self, BetreeConfig};
-use dam_models::{btree_costs, optimal, Affine, DictShape, Pdam};
+use dam_models::{btree_costs, optimal, Affine, DictShape};
 
 /// Recommended parameters for an affine device (a hard disk).
 #[derive(Debug, Clone, PartialEq)]
@@ -63,34 +63,6 @@ pub fn tune_for_affine(affine: &Affine, shape: &DictShape) -> AffineTuning {
     }
 }
 
-/// Recommended parameters for a PDAM device (an SSD).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PdamTuning {
-    /// Fitted parallelism `P`.
-    pub p: f64,
-    /// Block bytes `B` used for the tuning.
-    pub block_bytes: f64,
-    /// §8: size the B-tree nodes at `P·B` and lay them out in vEB order.
-    pub node_bytes: f64,
-    /// Predicted query throughput (queries/step) for each `k = 1..⌈P⌉`
-    /// concurrent clients under Lemma 13.
-    pub throughput_by_clients: Vec<(u32, f64)>,
-}
-
-/// Derive PDAM tuning from fitted `P` and a workload shape.
-pub fn tune_for_pdam(pdam: &Pdam, n_items: f64, entry_bytes: f64) -> PdamTuning {
-    let p_ceil = pdam.p.ceil() as u32;
-    let throughput_by_clients = (1..=p_ceil.max(1))
-        .map(|k| (k, pdam.veb_tree_throughput(k as f64, n_items, entry_bytes)))
-        .collect();
-    PdamTuning {
-        p: pdam.p,
-        block_bytes: pdam.block_bytes,
-        node_bytes: pdam.p * pdam.block_bytes,
-        throughput_by_clients,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,15 +100,5 @@ mod tests {
         let t = tune_for_affine(&a, &s);
         assert!(t.predicted_betree_query_cost < 2.0 * t.predicted_btree_point_cost);
         assert!(t.insert_speedup > 3.0, "speedup {}", t.insert_speedup);
-    }
-
-    #[test]
-    fn pdam_tuning_scales_node_to_pb() {
-        let p = Pdam::new(5.5, 65536.0);
-        let t = tune_for_pdam(&p, 1e9, 116.0);
-        assert!((t.node_bytes - 5.5 * 65536.0).abs() < 1e-6);
-        assert_eq!(t.throughput_by_clients.len(), 6);
-        // Throughput rises with k.
-        assert!(t.throughput_by_clients.windows(2).all(|w| w[1].1 > w[0].1));
     }
 }

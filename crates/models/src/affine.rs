@@ -23,15 +23,6 @@ impl Affine {
         Affine { alpha }
     }
 
-    /// Build from hardware constants: setup time `s` (seconds) and transfer
-    /// time `t` (seconds per byte); `α = t/s` (§2.3).
-    pub fn from_hardware(setup_seconds: f64, seconds_per_byte: f64) -> Self {
-        assert!(setup_seconds > 0.0 && seconds_per_byte > 0.0);
-        Affine {
-            alpha: seconds_per_byte / setup_seconds,
-        }
-    }
-
     /// Cost of one IO of `bytes` bytes, in setup-cost units.
     #[inline]
     pub fn io_cost(&self, bytes: f64) -> f64 {
@@ -62,13 +53,6 @@ impl Affine {
         let t = self.alpha * bytes;
         t / (1.0 + t)
     }
-
-    /// Cost of reading `total_bytes` sequentially using IOs of `io_bytes`:
-    /// `ceil(total/io) · (1 + α·io)`.
-    pub fn scan_cost(&self, total_bytes: f64, io_bytes: f64) -> f64 {
-        let ios = (total_bytes / io_bytes).ceil().max(1.0);
-        ios * self.io_cost(io_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -81,19 +65,6 @@ mod tests {
         assert!((m.io_cost(0.0) - 1.0).abs() < 1e-12);
         assert!((m.io_cost(1000.0) - 2.0).abs() < 1e-12);
         assert!((m.io_cost(2000.0) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_hardware_matches_table2() {
-        // 2018 WD Red: s = 0.016 s, t = 0.000026 s per 4 KiB block.
-        let t_per_byte = 0.000026 / 4096.0;
-        let m = Affine::from_hardware(0.016, t_per_byte);
-        // Table 2 reports alpha = 0.0017 per 4 KiB block.
-        let alpha_per_4k = m.alpha * 4096.0;
-        assert!(
-            (alpha_per_4k - 0.0017).abs() < 2e-4,
-            "alpha per 4k = {alpha_per_4k}"
-        );
     }
 
     #[test]
@@ -115,20 +86,6 @@ mod tests {
             last = u;
         }
         assert!(m.bandwidth_utilization(1e12) > 0.999);
-    }
-
-    #[test]
-    fn scan_cost_prefers_large_ios() {
-        let m = Affine::new(1e-6);
-        let small = m.scan_cost(1e9, 4096.0);
-        let large = m.scan_cost(1e9, 1.0 / m.alpha);
-        assert!(
-            small > large,
-            "small-IO scan should cost more: {small} vs {large}"
-        );
-        // With huge IOs the cost approaches alpha * total (pure bandwidth).
-        let huge = m.scan_cost(1e9, 1e9);
-        assert!((huge - (1.0 + 1e-6 * 1e9)).abs() < 1.0);
     }
 
     #[test]

@@ -32,16 +32,6 @@ impl AsymmetricAffine {
         }
     }
 
-    /// Cost of one read IO of `bytes`.
-    pub fn read_cost(&self, bytes: f64) -> f64 {
-        self.affine.io_cost(bytes)
-    }
-
-    /// Cost of one write IO of `bytes`.
-    pub fn write_cost(&self, bytes: f64) -> f64 {
-        self.omega * self.affine.io_cost(bytes)
-    }
-
     /// B-tree update cost: read the root-to-leaf path, write the leaf back
     /// — `(1 + ω·/height share)`. Each level is read once; amortized one
     /// node write per update (Lemma 3's regime).
@@ -134,18 +124,6 @@ mod tests {
             AsymmetricAffine::new(7.1e-7, 4.0),
             DictShape::new(2e9, 1e4, 116.0, 24.0),
         )
-    }
-
-    #[test]
-    fn write_cost_scales_by_omega() {
-        let (m, _) = setup();
-        assert!((m.write_cost(1000.0) / m.read_cost(1000.0) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn symmetric_case_reduces_to_affine() {
-        let m = AsymmetricAffine::new(1e-6, 1.0);
-        assert_eq!(m.read_cost(500.0), m.write_cost(500.0));
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! Corollary 11: when `B = Ω(F²)` and `B = o(F/α)`, reading a node costs
 //! `1 + o(1)` and search is `(1 + o(1))·log_F(N/M)`.
 
-use crate::optimal::golden_section_min;
 use crate::{Affine, DictShape};
 
 /// Bε-tree configuration under analysis: node size in bytes and target
@@ -72,19 +71,6 @@ pub fn query_cost_optimized(affine: &Affine, shape: &DictShape, cfg: &BetreeConf
     affine.io_cost(per_node_bytes) * height * slack
 }
 
-/// Range query returning `l_items` (leaf scan only): `ceil(l·entry/B)` IOs
-/// of `B` bytes.
-pub fn range_scan_cost(
-    affine: &Affine,
-    shape: &DictShape,
-    cfg: &BetreeConfig,
-    l_items: f64,
-) -> f64 {
-    let per_leaf = shape.entries_per_node(cfg.node_bytes);
-    let leaves = (l_items / per_leaf).ceil().max(1.0);
-    leaves * affine.io_cost(cfg.node_bytes)
-}
-
 /// Affine write amplification: each entry is rewritten as part of whole-node
 /// flushes `F` times per level over `log_F(N/M)` levels (Theorem 4(4)
 /// carried into the affine model).
@@ -92,42 +78,10 @@ pub fn write_amp(shape: &DictShape, cfg: &BetreeConfig) -> f64 {
     cfg.fanout * shape.uncached_height(cfg.fanout)
 }
 
-/// Corollary 11 feasibility: node read cost is `1 + o(1)` when `B = Ω(F²)`
-/// (pivots fit) and `B = o(F/α)` (segment transfer is cheap). Returns the
-/// per-node read cost `1 + αB/F + αF·key_bytes` so callers can check how
-/// close to 1 it is.
-pub fn per_node_read_cost(affine: &Affine, shape: &DictShape, cfg: &BetreeConfig) -> f64 {
-    affine.io_cost(cfg.node_bytes / cfg.fanout + cfg.fanout * shape.key_bytes)
-}
-
-/// Node size (bytes) minimizing the optimized-variant query cost for a fixed
-/// fanout — used by the tuner.
-pub fn optimal_node_bytes_for_query(affine: &Affine, shape: &DictShape, fanout: f64) -> f64 {
-    let (x, _) = golden_section_min(2.0 * shape.entry_bytes, 1e3 / affine.alpha, |b| {
-        query_cost_optimized(
-            affine,
-            shape,
-            &BetreeConfig {
-                node_bytes: b,
-                fanout,
-            },
-        )
-    });
-    x
-}
-
-/// Node size (bytes) minimizing insert cost for the `F = √B` family — the
-/// analogue of Fig 3's "optimal node size ~4 MiB for inserts".
-pub fn optimal_node_bytes_for_insert_sqrt(affine: &Affine, shape: &DictShape) -> f64 {
-    let (x, _) = golden_section_min(4.0 * shape.entry_bytes, 1e4 / affine.alpha, |b| {
-        insert_cost(affine, shape, &BetreeConfig::sqrt_fanout(shape, b))
-    });
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimal::golden_section_min;
 
     fn setup() -> (Affine, DictShape) {
         let affine = Affine::new(7.1e-7); // ~2011 WD Black
@@ -184,8 +138,8 @@ mod tests {
     #[test]
     fn insert_cost_has_interior_optimum() {
         let (a, s) = setup();
-        let opt = optimal_node_bytes_for_insert_sqrt(&a, &s);
         let c = |b| insert_cost(&a, &s, &BetreeConfig::sqrt_fanout(&s, b));
+        let (opt, _) = golden_section_min(4.0 * s.entry_bytes, 1e4 / a.alpha, c);
         assert!(c(opt / 16.0) > c(opt));
         assert!(c(opt * 16.0) > c(opt));
         // The insert optimum sits at (or above) the half-bandwidth point —
@@ -209,7 +163,9 @@ mod tests {
         // optimum (~4 MiB). TokuDB reads whole nodes on a cold query, so the
         // relevant query curve is the standard (Lemma 8) one.
         let (a, s) = setup();
-        let insert_opt = optimal_node_bytes_for_insert_sqrt(&a, &s);
+        let (insert_opt, _) = golden_section_min(4.0 * s.entry_bytes, 1e4 / a.alpha, |b| {
+            insert_cost(&a, &s, &BetreeConfig::sqrt_fanout(&s, b))
+        });
         let (query_opt, _) = golden_section_min(4.0 * s.entry_bytes, 1e3 / a.alpha, |b| {
             query_cost_standard(&a, &s, &BetreeConfig::sqrt_fanout(&s, b))
         });
@@ -229,7 +185,8 @@ mod tests {
             node_bytes: b_entries * s.entry_bytes,
             fanout: f,
         };
-        let cost = per_node_read_cost(&a, &s, &cfg);
+        // One segment of B/F bytes plus F pivots, as Theorem 9 reads a node.
+        let cost = a.io_cost(cfg.node_bytes / cfg.fanout + cfg.fanout * s.key_bytes);
         assert!(cost < 1.5, "per-node read cost should be 1 + o(1): {cost}");
     }
 

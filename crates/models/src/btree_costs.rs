@@ -70,13 +70,6 @@ pub fn point_op_optimal_node_bytes_numeric(affine: &Affine, shape: &DictShape) -
     x
 }
 
-/// Bandwidth utilization of a range scan with the given node size: fraction
-/// of scan time spent transferring (vs. seeking). The paper: 16 KiB B-tree
-/// nodes "run slowly, under-utilizing disk bandwidth."
-pub fn range_scan_bandwidth_utilization(affine: &Affine, node_bytes: f64) -> f64 {
-    affine.bandwidth_utilization(node_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,9 +132,9 @@ mod tests {
     fn range_scan_at_small_nodes_underutilizes_bandwidth() {
         let (a, _) = setup();
         // 16 KiB nodes on this disk: well under half bandwidth.
-        let util = range_scan_bandwidth_utilization(&a, 16.0 * 1024.0);
+        let util = a.bandwidth_utilization(16.0 * 1024.0);
         assert!(util < 0.05, "utilization {util}");
-        let util_big = range_scan_bandwidth_utilization(&a, 4.0 * 1024.0 * 1024.0);
+        let util_big = a.bandwidth_utilization(4.0 * 1024.0 * 1024.0);
         assert!(util_big > 0.7, "utilization {util_big}");
     }
 

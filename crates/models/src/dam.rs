@@ -2,8 +2,7 @@
 //! `B` bytes, every transfer costs 1 (§2.1).
 //!
 //! Includes the classic DAM dictionary bounds the paper builds on: B-tree
-//! operation costs (Lemma 2), B-tree write amplification (Lemma 3), and the
-//! Bε-tree bounds (Theorem 4).
+//! operation costs (Lemma 2) and the Bε-tree bounds (Theorem 4).
 
 use crate::DictShape;
 
@@ -41,12 +40,6 @@ impl Dam {
         (l_items / per_leaf).ceil().max(1.0) + self.btree_op_ios(shape)
     }
 
-    /// Lemma 3: worst-case write amplification of a B-tree is `Θ(B)` — a
-    /// whole node is rewritten per modified entry.
-    pub fn btree_write_amp(&self, shape: &DictShape) -> f64 {
-        shape.entries_per_node(self.block_bytes)
-    }
-
     /// Theorem 4(1): Bε-tree insert cost with fanout `F = B^ε`:
     /// `F / (B·log F) · log(N/M)` IOs — i.e. `O(log_F(N/M) / B^{1−ε})` with
     /// `B` in entries.
@@ -61,13 +54,6 @@ impl Dam {
         let b_items = shape.entries_per_node(self.block_bytes);
         let fanout = b_items.powf(epsilon).max(2.0);
         shape.uncached_height(fanout + 1.0)
-    }
-
-    /// Theorem 4(4): Bε-tree write amplification `O(B^ε · log_{B^ε}(N/M))`.
-    pub fn betree_write_amp(&self, shape: &DictShape, epsilon: f64) -> f64 {
-        let b_items = shape.entries_per_node(self.block_bytes);
-        let fanout = b_items.powf(epsilon).max(2.0);
-        fanout * shape.uncached_height(fanout)
     }
 }
 
@@ -98,14 +84,6 @@ mod tests {
             large < small,
             "bigger DAM nodes mean fewer levels: {large} vs {small}"
         );
-    }
-
-    #[test]
-    fn btree_write_amp_linear_in_b() {
-        let s = shape();
-        let w1 = Dam::new(4096.0).btree_write_amp(&s);
-        let w2 = Dam::new(8192.0).btree_write_amp(&s);
-        assert!((w2 / w1 - 2.0).abs() < 1e-9);
     }
 
     #[test]

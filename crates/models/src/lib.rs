@@ -75,11 +75,6 @@ impl DictShape {
         (node_bytes / self.entry_bytes).max(2.0)
     }
 
-    /// Number of pivot keys a node of `node_bytes` holds (≥ 2).
-    pub fn pivots_per_node(&self, node_bytes: f64) -> f64 {
-        (node_bytes / self.key_bytes).max(2.0)
-    }
-
     /// Height of a search tree with the given fanout over the uncached part
     /// of the data: `log_fanout(N/M)`, at least 1.
     pub fn uncached_height(&self, fanout: f64) -> f64 {

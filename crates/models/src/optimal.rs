@@ -83,33 +83,6 @@ pub fn optimal_betree_params(alpha_entry: f64) -> (f64, f64) {
     (f, f * f)
 }
 
-/// Solve `x·ln(x) = c` for `x > 1` by Newton's method.
-///
-/// This is the stationary-point equation of Corollary 7's derivation
-/// (`x ln x = Θ(1/α)`).
-pub fn solve_x_ln_x(c: f64) -> f64 {
-    assert!(c > 0.0);
-    // Initial guess: c / ln(c) for c > e, else e.
-    let mut x = if c > std::f64::consts::E {
-        (c / c.ln()).max(1.1)
-    } else {
-        std::f64::consts::E
-    };
-    for _ in 0..100 {
-        let fx = x * x.ln() - c;
-        let dfx = x.ln() + 1.0;
-        let next = x - fx / dfx;
-        if !next.is_finite() || next <= 1.0 {
-            break;
-        }
-        if (next - x).abs() <= 1e-12 * x {
-            return next;
-        }
-        x = next;
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,14 +160,5 @@ mod tests {
             b > 10.0 * btree_opt,
             "betree node {b} vs btree node {btree_opt}"
         );
-    }
-
-    #[test]
-    fn x_ln_x_solver_inverts() {
-        for &x in &[2.0f64, 10.0, 1e3, 1e6] {
-            let c = x * x.ln();
-            let got = solve_x_ln_x(c);
-            assert!((got - x).abs() / x < 1e-9, "x={x}, got {got}");
-        }
     }
 }

@@ -34,17 +34,6 @@ impl Pdam {
         ios_per_thread * (threads / self.p).max(1.0)
     }
 
-    /// Time steps for a sequential scan of `total_bytes`: `N/(PB)` (§2.2) —
-    /// the scan presents `P` IOs per step.
-    pub fn scan_steps(&self, total_bytes: f64) -> f64 {
-        (total_bytes / (self.p * self.block_bytes)).max(1.0)
-    }
-
-    /// Saturated device throughput in bytes per step: `P·B`.
-    pub fn saturation_bytes_per_step(&self) -> f64 {
-        self.p * self.block_bytes
-    }
-
     /// Steps per query for a plain B-tree with nodes of `node_bytes` when a
     /// single client runs alone: one node (possibly several blocks, which the
     /// device can fetch in parallel up to `P`) per level.
@@ -113,13 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_uses_full_parallelism() {
-        let m = Pdam::new(4.0, 65536.0);
-        let steps = m.scan_steps(4.0 * 65536.0 * 100.0);
-        assert!((steps - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn veb_throughput_increases_with_k() {
         let m = Pdam::new(16.0, 4096.0);
         let t1 = m.veb_tree_throughput(1.0, 1e9, 100.0);
@@ -172,11 +154,5 @@ mod tests {
             big < small,
             "PB nodes should win for one client: {big} vs {small}"
         );
-    }
-
-    #[test]
-    fn saturation_is_pb() {
-        let m = Pdam::new(3.3, 65536.0);
-        assert!((m.saturation_bytes_per_step() - 3.3 * 65536.0).abs() < 1e-6);
     }
 }

@@ -8,9 +8,10 @@
 //! | Bε-tree (F = √B)     | `(1+αB)/(√B·log B)`           | `(1+α√B)/log B`                |
 //! | Bε-tree (general F)  | `F(1+αB)/(B·log F)`           | `(F + αF² + αB)/(F·log F)`     |
 //!
-//! This module evaluates those expressions and generates the cost-vs-node-
-//! size series used by `damlab experiment table3` and the Fig 2/Fig 3
-//! overlays.
+//! This module evaluates those expressions at one node size ([`evaluate`])
+//! and across fanout exponents at a fixed node size ([`epsilon_sweep`]) for
+//! `damlab experiment table3`, and summarizes their growth past the
+//! half-bandwidth point ([`summarize`]).
 
 use crate::betree_costs::{self, BetreeConfig};
 use crate::{btree_costs, Affine, DictShape};
@@ -40,25 +41,6 @@ pub fn evaluate(affine: &Affine, shape: &DictShape, node_bytes: f64) -> Sensitiv
         betree_sqrt_query: betree_costs::query_cost_optimized(affine, shape, &cfg),
         betree_sqrt_query_naive: betree_costs::query_cost_standard(affine, shape, &cfg),
     }
-}
-
-/// Sweep node sizes `lo..=hi` bytes multiplying by `step` each time
-/// (typically 2), evaluating every Table-3 expression.
-pub fn sweep(
-    affine: &Affine,
-    shape: &DictShape,
-    lo_bytes: f64,
-    hi_bytes: f64,
-    step: f64,
-) -> Vec<SensitivityPoint> {
-    assert!(step > 1.0 && lo_bytes > 0.0 && hi_bytes >= lo_bytes);
-    let mut out = Vec::new();
-    let mut b = lo_bytes;
-    while b <= hi_bytes * 1.0000001 {
-        out.push(evaluate(affine, shape, b));
-        b *= step;
-    }
-    out
 }
 
 /// One point of the general-ε row of Table 3: costs at a fixed node size
@@ -170,15 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_produces_geometric_grid() {
-        let (a, s) = setup();
-        let pts = sweep(&a, &s, 4096.0, 1048576.0, 2.0);
-        assert_eq!(pts.len(), 9); // 4K..1M doubling
-        assert_eq!(pts[0].node_bytes, 4096.0);
-        assert!((pts[8].node_bytes - 1048576.0).abs() < 1.0);
-    }
-
-    #[test]
     fn btree_more_sensitive_than_betree() {
         // The paper's headline prediction (borne out by Figs 2 & 3).
         let (a, s) = setup();
@@ -200,7 +173,8 @@ mod tests {
     #[test]
     fn all_costs_positive_across_sweep() {
         let (a, s) = setup();
-        for p in sweep(&a, &s, 1024.0, 64.0 * 1024.0 * 1024.0, 4.0) {
+        // 1 KiB to 64 MiB, quadrupling.
+        for p in (0..=8).map(|i| evaluate(&a, &s, 1024.0 * 4f64.powi(i))) {
             assert!(p.btree_op > 0.0);
             assert!(p.betree_sqrt_insert > 0.0);
             assert!(p.betree_sqrt_query > 0.0);
@@ -211,7 +185,7 @@ mod tests {
     #[test]
     fn optimized_never_worse_than_naive_for_big_nodes() {
         let (a, s) = setup();
-        for p in sweep(&a, &s, 1.0 / a.alpha, 64.0 / a.alpha, 2.0) {
+        for p in (0..=6).map(|i| evaluate(&a, &s, 2f64.powi(i) / a.alpha)) {
             assert!(
                 p.betree_sqrt_query <= p.betree_sqrt_query_naive * 1.05,
                 "optimized {} vs naive {} at B={}",

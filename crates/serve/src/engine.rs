@@ -83,7 +83,7 @@ pub struct ServeConfig {
     pub block_bytes: u64,
     /// Simulated nanoseconds one step represents (reporting only).
     pub step_ns: u64,
-    /// Workload seed ([`run`]; ignored by [`run_ops`]).
+    /// Workload seed ([`run_with_obs`]; ignored by [`run_ops`]).
     pub seed: u64,
     /// Per-shard buffer-pool budget in bytes.
     pub cache_bytes: u64,
@@ -217,7 +217,7 @@ pub fn oracle_divergence(cfg: &ServeConfig, commits: &[Commit]) -> Option<(usize
     })
 }
 
-/// Generate each client's op list for [`run`]: uniform keys over the
+/// Generate each client's op list for [`run_with_obs`]: uniform keys over the
 /// preloaded keyspace, `read_permille`/1000 gets, the rest puts.
 pub fn generate_workload(cfg: &ServeConfig) -> Vec<Vec<ServeOp>> {
     let keyspace = cfg.preload_keys.max(1);
@@ -242,12 +242,8 @@ pub fn generate_workload(cfg: &ServeConfig) -> Vec<Vec<ServeOp>> {
         .collect()
 }
 
-/// Run a generated closed-loop workload: preload, then serve. See [`run_ops`].
-pub fn run(cfg: &ServeConfig) -> Result<ServeOutcome, KvError> {
-    run_with_obs(cfg, None)
-}
-
-/// [`run`] with metrics recorded into `obs`.
+/// Run a generated closed-loop workload: preload, then serve, with metrics
+/// recorded into `obs`. See [`run_ops`].
 pub fn run_with_obs(cfg: &ServeConfig, obs: Option<&Obs>) -> Result<ServeOutcome, KvError> {
     let ops = generate_workload(cfg);
     run_ops_with_obs(cfg, ops, obs)
@@ -557,7 +553,7 @@ mod tests {
     fn engine_commits_every_op_and_matches_oracle() {
         for structure in ServeStructure::ALL {
             let cfg = small_cfg(structure, 3, 2);
-            let out = run(&cfg).unwrap();
+            let out = run_with_obs(&cfg, None).unwrap();
             assert_eq!(out.report.ops, (3 * 40) as u64, "{structure:?}");
             assert!(out.report.steps > 0);
             assert_eq!(oracle_divergence(&cfg, &out.commits), None, "{structure:?}");
@@ -577,8 +573,8 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         let cfg = small_cfg(ServeStructure::BeTree, 4, 2);
-        let a = run(&cfg).unwrap();
-        let b = run(&cfg).unwrap();
+        let a = run_with_obs(&cfg, None).unwrap();
+        let b = run_with_obs(&cfg, None).unwrap();
         assert_eq!(a.report, b.report);
         assert_eq!(a.commits, b.commits);
     }
@@ -666,7 +662,7 @@ mod tests {
             read_permille: 500,
             ..ServeConfig::default()
         };
-        let out = run(&cfg).unwrap();
+        let out = run_with_obs(&cfg, None).unwrap();
         assert!(!out.step_records.is_empty());
         for r in &out.step_records {
             assert!(

@@ -32,8 +32,8 @@ pub mod shard;
 
 pub use capture::{CaptureDevice, CaptureHandle, CapturedIo};
 pub use engine::{
-    generate_workload, oracle_divergence, preload_pairs, run, run_ops, run_ops_with_obs,
-    run_with_obs, Commit, ServeConfig, ServeOutcome, ServeReport,
+    generate_workload, oracle_divergence, preload_pairs, run_ops, run_ops_with_obs, run_with_obs,
+    Commit, ServeConfig, ServeOutcome, ServeReport,
 };
 pub use oracle::{Oracle, ServeAnswer, ServeOp};
 pub use shard::{ServeStructure, ShardConfig, ShardSet};
