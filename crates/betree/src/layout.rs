@@ -24,7 +24,7 @@ use dam_cache::{Page, Pager, Superblock, SuperblockIo};
 use dam_kv::codec::{
     frame_into_slot, unframe, CodecError, PairsView, Reader, StrsView, Writer, FRAME_OVERHEAD,
 };
-use dam_kv::msg::{LastWriteWins, MergeOperator, Message, MsgsView};
+use dam_kv::msg::{Message, MsgsView};
 use dam_kv::KvError;
 
 /// Sorted key-value pairs.
@@ -76,16 +76,6 @@ pub enum PartView<'a> {
     },
 }
 
-/// The settings every configuration carries besides its layout's shape.
-pub struct Shell {
-    /// Buffer-pool budget in bytes.
-    pub cache_bytes: u64,
-    /// Upsert merge semantics.
-    pub merge: Box<dyn MergeOperator>,
-    /// Fill fraction for bulk-loaded leaf chunks.
-    pub bulk_fill: f64,
-}
-
 /// Tree metadata kept in the superblock.
 pub struct Meta {
     /// The root's descriptor.
@@ -100,13 +90,6 @@ pub struct Meta {
 
 fn corrupt(addr: u64, e: CodecError) -> KvError {
     KvError::Corrupt(format!("node {addr}: {e}"))
-}
-
-fn check_bulk_fill(fill: f64) -> Result<(), KvError> {
-    if !(0.5..=1.0).contains(&fill) {
-        return Err(KvError::Config("bulk_fill must be in [0.5, 1.0]".into()));
-    }
-    Ok(())
 }
 
 /// A node layout: the policy half of the engine (see the module docs).
@@ -132,9 +115,12 @@ pub trait Layout: Sized {
     /// built. Either way the tree is laid out in key order; the choice only
     /// shifts every address by one slot.
     const BULK_REUSES_ROOT: bool;
+    /// Fill fraction of a bulk-loaded leaf chunk.
+    const BULK_FILL: f64;
 
-    /// Check `cfg` and split it into the layout's shape and the rest.
-    fn from_config(cfg: Self::Config) -> Result<(Self, Shell), KvError>;
+    /// Check `cfg` and split it into the layout's shape and the
+    /// buffer-pool budget in bytes.
+    fn from_config(cfg: Self::Config) -> Result<(Self, u64), KvError>;
     /// Node slot size in bytes.
     fn node_bytes(&self) -> usize;
     /// Bytes reserved at device offset 0 for the superblock.
@@ -227,6 +213,7 @@ pub trait Layout: Sized {
 // ----------------------------------------------------------------------
 
 /// Standard Bε-tree configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BeTreeConfig {
     /// Node (and IO) size in bytes — the `B` of §6.
     pub node_bytes: usize,
@@ -235,21 +222,15 @@ pub struct BeTreeConfig {
     pub fanout: usize,
     /// Buffer-pool budget in bytes.
     pub cache_bytes: u64,
-    /// Fill fraction for bulk-loaded nodes.
-    pub bulk_fill: f64,
-    /// Upsert merge semantics.
-    pub merge: Box<dyn MergeOperator>,
 }
 
 impl BeTreeConfig {
-    /// Config with explicit fanout and last-write-wins upserts.
+    /// Config with explicit fanout.
     pub fn new(node_bytes: usize, fanout: usize, cache_bytes: u64) -> Self {
         BeTreeConfig {
             node_bytes,
             fanout,
             cache_bytes,
-            bulk_fill: 0.85,
-            merge: Box::new(LastWriteWins),
         }
     }
 
@@ -302,8 +283,9 @@ impl Layout for WholeNode {
     const DRAIN_SPAN: &'static str = "betree.drain";
     const PIVOTS_IN_PARENT: bool = false;
     const BULK_REUSES_ROOT: bool = false;
+    const BULK_FILL: f64 = 0.85;
 
-    fn from_config(cfg: BeTreeConfig) -> Result<(Self, Shell), KvError> {
+    fn from_config(cfg: BeTreeConfig) -> Result<(Self, u64), KvError> {
         if cfg.node_bytes < NODE_HEADER_BYTES + 128 {
             return Err(KvError::Config(format!(
                 "node_bytes {} too small",
@@ -313,18 +295,12 @@ impl Layout for WholeNode {
         if cfg.fanout < 2 {
             return Err(KvError::Config("fanout must be at least 2".into()));
         }
-        check_bulk_fill(cfg.bulk_fill)?;
         let layout = WholeNode {
             node_bytes: cfg.node_bytes,
             fanout: cfg.fanout,
             max_fanout: (2 * cfg.fanout).max(4),
         };
-        let shell = Shell {
-            cache_bytes: cfg.cache_bytes,
-            merge: cfg.merge,
-            bulk_fill: cfg.bulk_fill,
-        };
-        Ok((layout, shell))
+        Ok((layout, cfg.cache_bytes))
     }
 
     fn node_bytes(&self) -> usize {
@@ -583,6 +559,7 @@ impl Layout for WholeNode {
 // ----------------------------------------------------------------------
 
 /// Configuration of the Theorem-9 tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
     /// Target fanout `F`. Nodes hold up to `2F` segments.
     pub fanout: usize,
@@ -591,21 +568,15 @@ pub struct OptConfig {
     pub seg_bytes: usize,
     /// Buffer-pool budget in bytes.
     pub cache_bytes: u64,
-    /// Upsert merge semantics.
-    pub merge: Box<dyn MergeOperator>,
-    /// Fill fraction for bulk-loaded subleaves.
-    pub bulk_fill: f64,
 }
 
 impl OptConfig {
-    /// Explicit configuration with last-write-wins upserts.
+    /// Explicit configuration.
     pub fn new(fanout: usize, seg_bytes: usize, cache_bytes: u64) -> Self {
         OptConfig {
             fanout,
             seg_bytes,
             cache_bytes,
-            merge: Box::new(LastWriteWins),
-            bulk_fill: 0.8,
         }
     }
 
@@ -674,8 +645,9 @@ impl Layout for Segmented {
     const DRAIN_SPAN: &'static str = "optbetree.drain";
     const PIVOTS_IN_PARENT: bool = true;
     const BULK_REUSES_ROOT: bool = true;
+    const BULK_FILL: f64 = 0.8;
 
-    fn from_config(cfg: OptConfig) -> Result<(Self, Shell), KvError> {
+    fn from_config(cfg: OptConfig) -> Result<(Self, u64), KvError> {
         if cfg.fanout < 2 {
             return Err(KvError::Config("fanout must be at least 2".into()));
         }
@@ -685,19 +657,13 @@ impl Layout for Segmented {
                 cfg.seg_bytes
             )));
         }
-        check_bulk_fill(cfg.bulk_fill)?;
         let layout = Segmented {
             fanout: cfg.fanout,
             seg_bytes: cfg.seg_bytes,
             cap: cfg.cap(),
             superblock_bytes: cfg.superblock_bytes(),
         };
-        let shell = Shell {
-            cache_bytes: cfg.cache_bytes,
-            merge: cfg.merge,
-            bulk_fill: cfg.bulk_fill,
-        };
-        Ok((layout, shell))
+        Ok((layout, cfg.cache_bytes))
     }
 
     fn node_bytes(&self) -> usize {

@@ -306,11 +306,7 @@ impl BufferEdit {
 /// Apply `(key, seq)`-sorted messages over sorted entries in one merge pass;
 /// returns the change in live-key count. Used by flushes into leaves and
 /// by range queries over a leaf window.
-pub fn apply_msgs_to_entries(
-    entries: &mut Vec<(Vec<u8>, Vec<u8>)>,
-    msgs: &[Message],
-    merge: &dyn dam_kv::msg::MergeOperator,
-) -> i64 {
+pub fn apply_msgs_to_entries(entries: &mut Vec<(Vec<u8>, Vec<u8>)>, msgs: &[Message]) -> i64 {
     use dam_kv::msg::replay;
     if msgs.is_empty() {
         return 0;
@@ -336,7 +332,7 @@ pub fn apply_msgs_to_entries(
             None
         };
         let had = base.is_some();
-        match replay(base.as_deref(), group, merge) {
+        match replay(base.as_deref(), group) {
             Some(v) => {
                 if !had {
                     delta += 1;
@@ -387,7 +383,7 @@ pub fn buffer_merge(a: Vec<Message>, b: Vec<Message>) -> Vec<Message> {
 mod tests {
     use super::*;
     use dam_kv::codec::unframe;
-    use dam_kv::msg::{LastWriteWins, Operation};
+    use dam_kv::msg::Operation;
 
     fn m(seq: u64, key: &[u8]) -> Message {
         Message {
@@ -439,19 +435,19 @@ mod tests {
         let pivots = vec![b"m".to_vec()];
         let mut buffers = vec![vec![m(1, b"b"), m(5, b"b"), del(2, b"d")], vec![]];
         let node_bytes = 512;
-        let upsert = |seq, key: &[u8]| Message {
+        let put = |seq, key: &[u8]| Message {
             seq,
             key: key.to_vec(),
-            op: Operation::Upsert(vec![7; 3]),
+            op: Operation::Put(vec![7; 3]),
         };
         // Front, between two seqs of a repeated key, after it, at the end
         // of a buffer, into an empty buffer, and a repeated (key, seq).
         let msgs = [
             m(9, b"a"),
-            upsert(3, b"b"),
+            put(3, b"b"),
             del(6, b"b"),
             m(7, b"e"),
-            upsert(8, b"z"),
+            put(8, b"z"),
             del(9, b"a"),
         ];
         let mut img = internal(&pivots, &buffers, node_bytes);
@@ -475,7 +471,7 @@ mod tests {
     fn apply_messages_merge_pass() {
         let mut entries = vec![(b"b".to_vec(), b"old".to_vec())];
         let msgs = vec![m(1, b"a"), del(2, b"b"), m(3, b"c")];
-        let delta = apply_msgs_to_entries(&mut entries, &msgs, &LastWriteWins);
+        let delta = apply_msgs_to_entries(&mut entries, &msgs);
         assert_eq!(delta, 1); // +a, -b, +c
         let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
         assert_eq!(keys, [b"a", b"c"]);

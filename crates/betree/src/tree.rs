@@ -27,7 +27,7 @@ use crate::layout::{Body, Entries, Layout, Node, PartView, Segmented, WholeNode}
 use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge, NODE_HEADER_BYTES};
 use crate::segment::ChildDesc;
 use dam_cache::{Pager, PagerError};
-use dam_kv::msg::{replay, MergeOperator, Message, Operation};
+use dam_kv::msg::{replay, Message, Operation};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
 use dam_obs::{Obs, PagedDict};
 use dam_storage::SharedDevice;
@@ -46,7 +46,6 @@ type Siblings = Vec<(Vec<u8>, ChildDesc)>;
 pub struct Engine<L: Layout> {
     pager: Pager,
     layout: L,
-    merge: Box<dyn MergeOperator>,
     /// The root's descriptor: its slot and, in a layout that keeps pivots
     /// in the parent, its pivots and the buffer above it (held in memory
     /// and written to the superblock).
@@ -125,22 +124,16 @@ impl Chunker {
 impl<L: Layout> Engine<L> {
     /// Create an empty tree on `device`.
     pub fn create(device: SharedDevice, cfg: L::Config) -> Result<Self, KvError> {
-        let (layout, shell) = L::from_config(cfg)?;
-        Self::with_layout(device, layout, shell.cache_bytes, shell.merge)
+        let (layout, cache_bytes) = L::from_config(cfg)?;
+        Self::with_layout(device, layout, cache_bytes)
     }
 
-    fn with_layout(
-        device: SharedDevice,
-        layout: L,
-        cache_bytes: u64,
-        merge: Box<dyn MergeOperator>,
-    ) -> Result<Self, KvError> {
+    fn with_layout(device: SharedDevice, layout: L, cache_bytes: u64) -> Result<Self, KvError> {
         let mut pager = Pager::try_new(device, cache_bytes, layout.superblock_bytes())?;
         let addr = pager.alloc(layout.node_bytes() as u64)?;
         let mut tree = Engine {
             pager,
             layout,
-            merge,
             root: ChildDesc::new(addr, true),
             height: 1,
             count: 0,
@@ -156,16 +149,14 @@ impl<L: Layout> Engine<L> {
     }
 
     /// Reopen a tree previously [`Engine::persist`]ed on `device`. The
-    /// config's shape (node size and fanout) must match the device's; the
-    /// merge operator is taken from the config (it is code, not data).
+    /// config's shape (node size and fanout) must match the device's.
     pub fn open(device: SharedDevice, cfg: L::Config) -> Result<Self, KvError> {
-        let (layout, shell) = L::from_config(cfg)?;
-        let mut pager = Pager::try_new(device, shell.cache_bytes, layout.superblock_bytes())?;
+        let (layout, cache_bytes) = L::from_config(cfg)?;
+        let mut pager = Pager::try_new(device, cache_bytes, layout.superblock_bytes())?;
         let meta = L::SUPERBLOCK.read(&mut pager, |r| layout.get_meta(r))?;
         Ok(Engine {
             pager,
             layout,
-            merge: shell.merge,
             root: meta.root,
             height: meta.height,
             count: meta.count,
@@ -223,12 +214,6 @@ impl<L: Layout> Engine<L> {
     /// Flush and empty the cache.
     pub fn drop_cache(&mut self) -> Result<(), KvError> {
         self.pager.drop_cache().map_err(KvError::from)
-    }
-
-    /// Upsert: merge `delta` into the key's value via the configured
-    /// [`MergeOperator`] — the blind-write fast path WODs exist for.
-    pub fn upsert(&mut self, key: &[u8], delta: &[u8]) -> Result<(), KvError> {
-        self.in_op(|t| t.enqueue(key, Operation::Upsert(delta.to_vec())))
     }
 
     // ------------------------------------------------------------------
@@ -359,7 +344,7 @@ impl<L: Layout> Engine<L> {
             Body::Leaf(chunks) => {
                 for (chunk, group) in chunks.iter_mut().zip(groups) {
                     if !group.is_empty() {
-                        let delta = apply_msgs_to_entries(chunk, &group, self.merge.as_ref());
+                        let delta = apply_msgs_to_entries(chunk, &group);
                         self.count = (self.count as i64 + delta) as u64;
                     }
                 }
@@ -629,7 +614,7 @@ impl<L: Layout> Engine<L> {
             match self.layout.part_for_key(&page, addr, seg, is_leaf, key)? {
                 PartView::Pairs(entries) => {
                     collected.sort_by_key(|m| m.seq);
-                    return Ok(replay(entries.get(key), &collected, self.merge.as_ref()));
+                    return Ok(replay(entries.get(key), &collected));
                 }
                 PartView::Kid {
                     addr: next,
@@ -728,7 +713,7 @@ impl<L: Layout> Engine<L> {
                         .range(start, end)
                         .map(|(k, v)| (k.to_vec(), v.to_vec()))
                         .collect();
-                    apply_msgs_to_entries(&mut window, &group, self.merge.as_ref());
+                    apply_msgs_to_entries(&mut window, &group);
                     out.extend(window);
                 }
                 PartView::Kid {
@@ -858,11 +843,10 @@ impl<L: Layout> Engine<L> {
         cfg: L::Config,
         pairs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     ) -> Result<Self, KvError> {
-        let (layout, shell) = L::from_config(cfg)?;
-        let fill = shell.bulk_fill;
-        let mut tree = Self::with_layout(device, layout, shell.cache_bytes, shell.merge)?;
+        let (layout, cache_bytes) = L::from_config(cfg)?;
+        let mut tree = Self::with_layout(device, layout, cache_bytes)?;
         let per_node = tree.layout.chunks_per_node();
-        let mut chunker = Chunker::new((tree.layout.chunk_bytes() as f64 * fill) as usize);
+        let mut chunker = Chunker::new((tree.layout.chunk_bytes() as f64 * L::BULK_FILL) as usize);
         let mut group: Vec<Entries> = Vec::new();
         let mut level: Siblings = Vec::new();
         let mut count = 0u64;
@@ -1137,15 +1121,14 @@ mod tests {
     use super::*;
     use crate::layout::{BeTreeConfig, OptConfig};
     use dam_kv::key_from_u64;
-    use dam_kv::msg::CounterMerge;
     use dam_storage::{FaultInjector, FaultMode, RamDisk, SimDuration};
     use std::collections::BTreeMap;
 
     /// The shapes each test builds, per layout.
     trait Case: Layout {
         /// The common shape: F = 4 with 1 KiB nodes, or with 512-byte
-        /// segments (4 KiB nodes); last-write-wins unless `counter`.
-        fn cfg(cache: u64, counter: bool) -> Self::Config;
+        /// segments (4 KiB nodes).
+        fn cfg(cache: u64) -> Self::Config;
         /// The fault regressions' shape and seeds (fault schedule, keys).
         fn faulty() -> (Self::Config, u64, u64);
         /// The common shape with another fanout, which `open` refuses.
@@ -1162,12 +1145,8 @@ mod tests {
     }
 
     impl Case for WholeNode {
-        fn cfg(cache: u64, counter: bool) -> BeTreeConfig {
-            let mut cfg = BeTreeConfig::new(1024, 4, cache);
-            if counter {
-                cfg.merge = Box::new(CounterMerge);
-            }
-            cfg
+        fn cfg(cache: u64) -> BeTreeConfig {
+            BeTreeConfig::new(1024, 4, cache)
         }
         fn faulty() -> (BeTreeConfig, u64, u64) {
             (BeTreeConfig::new(2048, 4, 1 << 16), 11, 0x9e37_79b9)
@@ -1189,12 +1168,8 @@ mod tests {
     }
 
     impl Case for Segmented {
-        fn cfg(cache: u64, counter: bool) -> OptConfig {
-            let mut cfg = OptConfig::new(4, 512, cache);
-            if counter {
-                cfg.merge = Box::new(CounterMerge);
-            }
-            cfg
+        fn cfg(cache: u64) -> OptConfig {
+            OptConfig::new(4, 512, cache)
         }
         fn faulty() -> (OptConfig, u64, u64) {
             (OptConfig::new(4, 1024, 1 << 16), 7, 0x1234_5678)
@@ -1236,8 +1211,6 @@ mod tests {
         overwrite_latest_wins,
         tombstones_delete,
         delete_everything,
-        upserts_merge,
-        upserts_spanning_flushes,
         range_sees_through_buffers,
         range_sees_buffered_deletes,
         drain_then_count_consistent,
@@ -1259,7 +1232,7 @@ mod tests {
     }
 
     fn tree<L: Case>() -> Engine<L> {
-        Engine::create(ram(), L::cfg(1 << 20, false)).unwrap()
+        Engine::create(ram(), L::cfg(1 << 20)).unwrap()
     }
 
     fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {
@@ -1486,35 +1459,6 @@ mod tests {
         }
     }
 
-    fn upserts_merge<L: Case>() {
-        let mut t = Engine::<L>::create(ram(), L::cfg(1 << 20, true)).unwrap();
-        let (k, _) = kv(5);
-        for _ in 0..50 {
-            t.upsert(&k, &3u64.to_le_bytes()).unwrap();
-        }
-        let got = t.get(&k).unwrap().unwrap();
-        assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), 150);
-    }
-
-    fn upserts_spanning_flushes<L: Case>() {
-        let mut t = Engine::<L>::create(ram(), L::cfg(1 << 20, true)).unwrap();
-        // Interleave hot-key upserts with bulk traffic that forces flushes.
-        let (hot, _) = kv(500);
-        for i in 0..1000 {
-            insert_all(&mut t, [i]);
-            if i % 3 == 0 {
-                t.upsert(&hot, &1u64.to_le_bytes()).unwrap();
-            }
-        }
-        let got = t.get(&hot).unwrap().unwrap();
-        let n = u64::from_le_bytes(got[..8].try_into().unwrap());
-        // The Put at i = 500 (seq order!) overwrites the 167 upserts queued
-        // before it; the 167 upserts with i in (500, 999] merge over its
-        // value bytes, which CounterMerge reads as a u64.
-        let base = u64::from_le_bytes(kv(500).1[..8].try_into().unwrap());
-        assert_eq!(n, base.wrapping_add(167));
-    }
-
     fn range_sees_through_buffers<L: Case>() {
         let mut t = tree::<L>();
         // Enough that some messages are still buffered high in the tree.
@@ -1558,7 +1502,7 @@ mod tests {
 
     fn bulk_load_matches_incremental<L: Case>() {
         let pairs: Vec<_> = (0..3000).map(kv).collect();
-        let mut t = Engine::<L>::bulk_load(ram(), L::cfg(1 << 20, false), pairs.clone()).unwrap();
+        let mut t = Engine::<L>::bulk_load(ram(), L::cfg(1 << 20), pairs.clone()).unwrap();
         t.check_invariants().unwrap();
         assert_eq!(t.len().unwrap(), 3000);
         for (k, v) in pairs.iter().step_by(113) {
@@ -1572,7 +1516,7 @@ mod tests {
     }
 
     fn bulk_load_rejects_unsorted<L: Case>() {
-        let cfg = L::cfg(1 << 20, false);
+        let cfg = L::cfg(1 << 20);
         assert!(matches!(
             Engine::<L>::bulk_load(ram(), cfg, vec![kv(2), kv(1)]),
             Err(KvError::Config(_))
@@ -1583,7 +1527,7 @@ mod tests {
         // A cold query reads one node (whole-node) or one segment
         // (Theorem 9) per level, and nothing else.
         let pairs: Vec<_> = (0..20_000).map(kv).collect();
-        let mut t = Engine::<L>::bulk_load(ram(), L::cfg(1 << 22, false), pairs).unwrap();
+        let mut t = Engine::<L>::bulk_load(ram(), L::cfg(1 << 22), pairs).unwrap();
         t.drop_cache().unwrap();
         t.get(&kv(12_345).0).unwrap();
         let cost = t.last_op_cost();
@@ -1632,7 +1576,7 @@ mod tests {
     fn persist_and_open_roundtrip<L: Case>() {
         let dev = ram();
         {
-            let mut t = Engine::<L>::create(dev.clone(), L::cfg(1 << 20, false)).unwrap();
+            let mut t = Engine::<L>::create(dev.clone(), L::cfg(1 << 20)).unwrap();
             insert_all(&mut t, 0..1200);
             for i in 0..100 {
                 t.delete(&kv(i * 2).0).unwrap();
@@ -1641,7 +1585,7 @@ mod tests {
             // the superblock carries the root's.
             t.persist().unwrap();
         }
-        let mut t = Engine::<L>::open(dev, L::cfg(1 << 20, false)).unwrap();
+        let mut t = Engine::<L>::open(dev, L::cfg(1 << 20)).unwrap();
         t.check_invariants().unwrap();
         assert_eq!(t.len().unwrap(), 1100);
         for i in 0..1200 {
@@ -1658,10 +1602,10 @@ mod tests {
     fn open_refuses_blank_and_mismatched_devices<L: Case>() {
         let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 24, SimDuration(1000))));
         assert!(matches!(
-            Engine::<L>::open(dev.clone(), L::cfg(1 << 16, false)),
+            Engine::<L>::open(dev.clone(), L::cfg(1 << 16)),
             Err(KvError::Corrupt(_))
         ));
-        let mut t = Engine::<L>::create(dev.clone(), L::cfg(1 << 16, false)).unwrap();
+        let mut t = Engine::<L>::create(dev.clone(), L::cfg(1 << 16)).unwrap();
         t.insert(b"k", b"v").unwrap();
         t.persist().unwrap();
         drop(t);
@@ -1669,15 +1613,15 @@ mod tests {
             Engine::<L>::open(dev.clone(), L::other_fanout()),
             Err(KvError::Config(_))
         ));
-        let mut t = Engine::<L>::open(dev, L::cfg(1 << 16, false)).unwrap();
+        let mut t = Engine::<L>::open(dev, L::cfg(1 << 16)).unwrap();
         assert_eq!(t.get(b"k").unwrap(), Some(b"v".to_vec()));
     }
 
     fn device_smaller_than_superblock_is_a_config_error<L: Case>() {
         let dev = || SharedDevice::new(Box::new(RamDisk::new(2048, SimDuration(1000))));
         for r in [
-            Engine::<L>::create(dev(), L::cfg(1 << 16, false)).map(drop),
-            Engine::<L>::open(dev(), L::cfg(1 << 16, false)).map(drop),
+            Engine::<L>::create(dev(), L::cfg(1 << 16)).map(drop),
+            Engine::<L>::open(dev(), L::cfg(1 << 16)).map(drop),
         ] {
             match r {
                 Err(KvError::Config(msg)) => assert!(msg.contains("2048"), "{msg}"),

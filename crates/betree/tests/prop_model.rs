@@ -6,7 +6,6 @@
 use dam_betree::{
     BeTree, BeTreeConfig, Engine, Layout, OptBeTree, OptConfig, Segmented, WholeNode,
 };
-use dam_kv::msg::CounterMerge;
 use dam_kv::{key_from_u64, Dictionary};
 use dam_stats::prop::*;
 use dam_storage::{RamDisk, SharedDevice, SimDuration};
@@ -190,81 +189,5 @@ props! {
             }
         }
         prop_assert_eq!(std_tree.len().unwrap(), opt_tree.len().unwrap());
-    }
-}
-
-// ----------------------------------------------------------------------
-// Upsert semantics under arbitrary flush schedules
-// ----------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum Upsert {
-    Add(u8, u8),
-    Put(u8, u64),
-    Delete(u8),
-    Get(u8),
-    Drain,
-}
-
-fn upsert_strategy() -> impl Gen<Value = Upsert> {
-    prop_oneof![
-        5 => (any::<u8>(), any::<u8>()).prop_map(|(k, d)| Upsert::Add(k % 64, d)),
-        2 => (any::<u8>(), any::<u64>()).prop_map(|(k, v)| Upsert::Put(k % 64, v)),
-        1 => any::<u8>().prop_map(|k| Upsert::Delete(k % 64)),
-        2 => any::<u8>().prop_map(|k| Upsert::Get(k % 64)),
-        1 => Just(Upsert::Drain),
-    ]
-}
-
-/// Drive a counter tree and an exact counter model (Put sets, Add
-/// increments from 0 when absent, Delete removes) through the same ops.
-fn counter_case<L: Layout>(mut tree: Engine<L>, ops: Vec<Upsert>) {
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    let read = |got: Option<Vec<u8>>| got.map(|v| u64::from_le_bytes(v.try_into().unwrap()));
-    for op in &ops {
-        match *op {
-            Upsert::Add(k, d) => {
-                tree.upsert(&key_from_u64(k as u64), &(d as u64).to_le_bytes())
-                    .unwrap();
-                let slot = model.entry(k as u64).or_insert(0);
-                *slot = slot.wrapping_add(d as u64);
-            }
-            Upsert::Put(k, v) => {
-                tree.insert(&key_from_u64(k as u64), &v.to_le_bytes())
-                    .unwrap();
-                model.insert(k as u64, v);
-            }
-            Upsert::Delete(k) => {
-                tree.delete(&key_from_u64(k as u64)).unwrap();
-                model.remove(&(k as u64));
-            }
-            Upsert::Get(k) => {
-                let got = read(tree.get(&key_from_u64(k as u64)).unwrap());
-                assert_eq!(got, model.get(&(k as u64)).copied(), "key {k}");
-            }
-            Upsert::Drain => tree.drain_all().unwrap(),
-        }
-    }
-    for (&k, &v) in &model {
-        let got = read(tree.get(&key_from_u64(k)).unwrap());
-        assert_eq!(got, Some(v), "final check key {k}");
-    }
-}
-
-props! {
-    cases = 32;
-
-    #[test]
-    fn whole_node_counter_upserts_match_model(ops in vec(upsert_strategy(), 1..200)) {
-        let mut cfg = BeTreeConfig::new(512, 3, 1 << 16);
-        cfg.merge = Box::new(CounterMerge);
-        counter_case(BeTree::create(ram(), cfg).unwrap(), ops);
-    }
-
-    #[test]
-    fn segmented_counter_upserts_match_model(ops in vec(upsert_strategy(), 1..200)) {
-        let mut cfg = OptConfig::new(3, 384, 1 << 16);
-        cfg.merge = Box::new(CounterMerge);
-        counter_case(OptBeTree::create(ram(), cfg).unwrap(), ops);
     }
 }

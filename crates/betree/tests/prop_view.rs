@@ -25,7 +25,6 @@ fn op() -> impl Gen<Value = Operation> {
     prop_oneof![
         vec(any::<u8>(), 0..8).prop_map(Operation::Put),
         Just(Operation::Delete),
-        vec(any::<u8>(), 0..8).prop_map(Operation::Upsert),
     ]
 }
 

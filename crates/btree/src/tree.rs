@@ -10,6 +10,8 @@ use dam_storage::SharedDevice;
 
 /// Bytes reserved at device offset 0 for the superblock.
 pub const SUPERBLOCK_BYTES: u64 = 4096;
+/// Fill fraction of a bulk-loaded node.
+const BULK_FILL: f64 = 0.9;
 const SUPERBLOCK: Superblock = Superblock {
     magic: 0x4441_4D42, // "DAMB"
     version: 1,
@@ -18,23 +20,20 @@ const SUPERBLOCK: Superblock = Superblock {
 };
 
 /// B-tree configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BTreeConfig {
     /// Node (and IO) size in bytes — the `B` the paper tunes.
     pub node_bytes: usize,
     /// Buffer-pool budget in bytes — the `M` of the DAM hierarchy.
     pub cache_bytes: u64,
-    /// Fill fraction bulk-loaded nodes target (0.5–1.0).
-    pub bulk_fill: f64,
 }
 
 impl BTreeConfig {
-    /// Config with the given node size and cache, 90% bulk fill.
+    /// Config with the given node size and cache.
     pub fn new(node_bytes: usize, cache_bytes: u64) -> Self {
         BTreeConfig {
             node_bytes,
             cache_bytes,
-            bulk_fill: 0.9,
         }
     }
 }
@@ -70,9 +69,6 @@ impl BTree {
                 "node_bytes {} too small to hold any entry",
                 cfg.node_bytes
             )));
-        }
-        if !(0.5..=1.0).contains(&cfg.bulk_fill) {
-            return Err(KvError::Config("bulk_fill must be in [0.5, 1.0]".into()));
         }
         let mut pager = Pager::try_new(device, cfg.cache_bytes, SUPERBLOCK_BYTES)?;
         let root = pager.alloc(cfg.node_bytes as u64)?;
@@ -586,14 +582,14 @@ impl BTree {
 
     /// Build a tree bottom-up from strictly ascending `(key, value)` pairs.
     /// Far faster than repeated inserts for experiment preloads, and
-    /// produces `bulk_fill`-full nodes.
+    /// produces nodes filled to `BULK_FILL` (90%).
     pub fn bulk_load(
         device: SharedDevice,
         cfg: BTreeConfig,
         pairs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     ) -> Result<Self, KvError> {
         let mut tree = BTree::create(device, cfg)?;
-        let target = (cfg.node_bytes as f64 * cfg.bulk_fill) as usize;
+        let target = (cfg.node_bytes as f64 * BULK_FILL) as usize;
 
         // Level 0: pack leaves.
         let mut leaf_refs: Vec<(Vec<u8>, NodeId)> = Vec::new(); // (first key, id)

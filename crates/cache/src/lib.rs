@@ -9,7 +9,7 @@
 //!   allocation),
 //! * [`Allocator`] — a bump-plus-free-list space allocator for node images,
 //! * [`Pager`] — the buffer pool itself: variable-size cached objects, LRU
-//!   eviction under a byte budget, dirty write-back, pinning, and the
+//!   eviction under a byte budget, dirty write-back, and the
 //!   simulated clock that advances as misses hit the device, and the cost
 //!   window each dictionary operation runs in,
 //! * [`Superblock`] — the one superblock envelope (frame, magic, version,

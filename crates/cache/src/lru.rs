@@ -124,17 +124,6 @@ impl LruList {
         }
     }
 
-    /// The entry just more recent than `id`, walking from LRU toward MRU.
-    /// Lets eviction skip pinned entries without disturbing order.
-    pub fn next_more_recent(&self, id: u32) -> Option<u32> {
-        let prev = self.nodes[id as usize].prev;
-        if prev == NIL {
-            None
-        } else {
-            Some(prev)
-        }
-    }
-
     /// Iterate slots from MRU to LRU (for diagnostics/tests).
     pub fn iter_mru(&self) -> impl Iterator<Item = u32> + '_ {
         let mut cur = self.head;
@@ -216,19 +205,6 @@ mod tests {
         l.remove(a);
         assert!(l.is_empty());
         assert_eq!(l.peek_lru(), None);
-    }
-
-    #[test]
-    fn next_more_recent_walks_toward_mru() {
-        let mut l = LruList::new();
-        let a = l.push_front();
-        let b = l.push_front();
-        let c = l.push_front();
-        let tail = l.peek_lru().unwrap();
-        assert_eq!(tail, a);
-        assert_eq!(l.next_more_recent(a), Some(b));
-        assert_eq!(l.next_more_recent(b), Some(c));
-        assert_eq!(l.next_more_recent(c), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The buffer pool: variable-size cached objects over a device, with LRU
-//! write-back eviction under a byte budget, pinning, and cost accounting.
+//! write-back eviction under a byte budget, and cost accounting.
 //!
 //! One [`Pager`] owns the simulated clock for its client: cache hits are
 //! free, misses and write-backs advance `now` by the device's realized IO
@@ -55,8 +55,6 @@ pub enum PagerError {
     Io(IoError),
     /// The device has no room for a new allocation.
     OutOfSpace,
-    /// Everything in the cache is pinned; nothing can be evicted.
-    OutOfCache,
     /// A cached object's size differs from the requested read size —
     /// a caller bug (stale offset or wrong node size).
     SizeMismatch {
@@ -80,7 +78,6 @@ impl std::fmt::Display for PagerError {
         match self {
             PagerError::Io(e) => write!(f, "io error: {e}"),
             PagerError::OutOfSpace => write!(f, "device out of space"),
-            PagerError::OutOfCache => write!(f, "cache exhausted (all pages pinned)"),
             PagerError::SizeMismatch {
                 offset,
                 cached,
@@ -226,7 +223,6 @@ struct PageEntry {
     dirty: bool,
     /// See the module docs: set by client writes and passed checks only.
     verified: bool,
-    pins: u32,
 }
 
 /// Byte-budgeted LRU write-back buffer pool (see module docs).
@@ -408,29 +404,15 @@ impl Pager {
         }
     }
 
-    /// Evict until `incoming` more bytes fit, skipping pinned entries.
-    fn make_room(&mut self, incoming: u64) -> Result<(), PagerError> {
-        while self.used + incoming > self.budget {
-            // Walk from LRU toward MRU until an unpinned entry is found.
-            let mut candidate = self.lru.peek_lru();
-            loop {
-                match candidate {
-                    None => return Err(PagerError::OutOfCache),
-                    Some(slot) => {
-                        let pinned = self.slots[slot as usize]
-                            .as_ref()
-                            .expect("lru slot must be live")
-                            .pins
-                            > 0;
-                        if pinned {
-                            candidate = self.lru.next_more_recent(slot);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-            let slot = candidate.expect("loop exits with Some");
+    /// Evict from the LRU end until the cache is back in budget. Only
+    /// objects within the budget are cached, so the most recent entry is
+    /// never evicted: once it is the last one left, the cache is in budget.
+    fn make_room(&mut self) -> Result<(), PagerError> {
+        while self.used > self.budget {
+            let slot = self
+                .lru
+                .peek_lru()
+                .expect("an over-budget cache is not empty");
             let entry = self.slots[slot as usize]
                 .take()
                 .expect("lru slot must be live");
@@ -488,6 +470,7 @@ impl Pager {
         verified: bool,
     ) -> Result<(), PagerError> {
         debug_assert!(!self.map.contains_key(&offset));
+        debug_assert!(data.len() as u64 <= self.budget);
         // Insert first, evict after: the cache must accept the object even
         // when making room fails (e.g. a writeback hits a device fault), so
         // a surfaced error never means a half-applied write. The budget may
@@ -501,23 +484,9 @@ impl Pager {
             gen,
             dirty,
             verified,
-            pins: 0,
         });
         self.map.insert(offset, slot);
-        if self.used > self.budget {
-            // Never evict the object just inserted.
-            self.slots[slot as usize]
-                .as_mut()
-                .expect("just inserted")
-                .pins += 1;
-            let room = self.make_room(0);
-            self.slots[slot as usize]
-                .as_mut()
-                .expect("just inserted")
-                .pins -= 1;
-            room?;
-        }
-        Ok(())
+        self.make_room()
     }
 
     /// Read `len` bytes at `offset` (a whole object, as written). Hits are
@@ -691,7 +660,7 @@ impl Pager {
             self.lru.touch(slot);
             // Replacing with a larger object can overflow the budget; evict
             // others to restore the invariant.
-            self.make_room(0)?;
+            self.make_room()?;
             return Ok(());
         }
         if data.len() as u64 > self.budget {
@@ -738,7 +707,7 @@ impl Pager {
         entry.verified = true;
         self.lru.touch(slot);
         self.discard_range_contained(offset, len);
-        self.make_room(0)
+        self.make_room()
     }
 
     /// Write an object straight to the device (charging the IO now) and
@@ -761,37 +730,13 @@ impl Pager {
             entry.dirty = false;
             entry.verified = true;
             self.lru.touch(slot);
-            self.make_room(0)?;
+            self.make_room()?;
             return Ok(());
         }
         if data.len() as u64 <= self.budget {
             self.insert_entry(offset, data, gen, false, true)?;
         }
         Ok(())
-    }
-
-    /// Pin a cached object (prevents eviction). Returns false if not cached.
-    pub fn pin(&mut self, offset: u64) -> bool {
-        if let Some(&slot) = self.map.get(&offset) {
-            self.slots[slot as usize]
-                .as_mut()
-                .expect("mapped slot must be live")
-                .pins += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Release a pin.
-    pub fn unpin(&mut self, offset: u64) {
-        if let Some(&slot) = self.map.get(&offset) {
-            let e = self.slots[slot as usize]
-                .as_mut()
-                .expect("mapped slot must be live");
-            assert!(e.pins > 0, "unpin without pin");
-            e.pins -= 1;
-        }
     }
 
     /// Write every dirty object to the device, keeping contents cached.
@@ -904,36 +849,19 @@ mod tests {
     }
 
     #[test]
-    fn pinned_pages_survive_pressure() {
+    fn an_admitted_object_evicts_every_other_before_itself() {
         let mut p = pager(250);
         let a = p.alloc(100).unwrap();
-        p.write(a, vec![1; 100]).unwrap();
-        assert!(p.pin(a));
         let b = p.alloc(100).unwrap();
-        let c = p.alloc(100).unwrap();
+        let c = p.alloc(200).unwrap();
+        p.write(a, vec![1; 100]).unwrap();
         p.write(b, vec![2; 100]).unwrap();
-        p.write(c, vec![3; 100]).unwrap(); // must evict b, not pinned a
+        p.write(c, vec![3; 200]).unwrap(); // evicts a, then b; never c
+        assert_eq!(p.counters().evictions, 2);
+        assert_eq!(p.used(), 200);
         let before = p.counters().misses;
-        p.read(a, 100).unwrap();
-        assert_eq!(
-            p.counters().misses,
-            before,
-            "pinned page must still be cached"
-        );
-        p.unpin(a);
-    }
-
-    #[test]
-    fn all_pinned_errors_out() {
-        let mut p = pager(200);
-        let a = p.alloc(100).unwrap();
-        let b = p.alloc(100).unwrap();
-        p.write(a, vec![1; 100]).unwrap();
-        p.write(b, vec![2; 100]).unwrap();
-        p.pin(a);
-        p.pin(b);
-        let c = p.alloc(100).unwrap();
-        assert_eq!(p.write(c, vec![3; 100]), Err(PagerError::OutOfCache));
+        assert_eq!(p.read(c, 200).unwrap(), vec![3; 200]);
+        assert_eq!(p.counters().misses, before);
     }
 
     #[test]

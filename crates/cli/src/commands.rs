@@ -525,7 +525,8 @@ pub fn check_metrics(args: &Args) -> Result<String, CliError> {
 /// clients over `S` hash shards on one PDAM device with slot budget `P`,
 /// `--ops` ops per client. Without `--clients` it sweeps k over
 /// {1, 2, 4, 8, 16} (Lemma 13's client axis). The grid fans across
-/// `--jobs` workers with byte-identical output.
+/// `--jobs` workers with byte-identical output. Under `DAM_METRICS` it
+/// writes the sweep's merged metrics to `BENCH_serve.metrics.json`.
 pub fn serve(args: &Args) -> Result<String, CliError> {
     let _jobs = jobs_override(args)?;
     let smoke = args.get_bool("smoke");
@@ -553,6 +554,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         .collect();
     let rows = experiments::serve_sweep_with(points, p, shards, preload, seed)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
+    dam_bench::metrics::export("serve");
     Ok(format!(
         "closed-loop serving: P={p} S={shards} preload={preload} ops/client={ops} seed={seed}\n{}",
         serve_sweep_text(&rows, p, shards)

@@ -23,7 +23,8 @@
 //!   `dam-serve` engine: `k` clients over hash shards on one PDAM device;
 //!   without `--clients` it sweeps k over {1, 2, 4, 8, 16} and prints the
 //!   `serve-sweep` table (measured ops/step next to Lemma 13's
-//!   `k / log_{PB/k} N`) at those flags,
+//!   `k / log_{PB/k} N`) at those flags (under `DAM_METRICS`, also the
+//!   `BENCH_serve.metrics.json` sidecar),
 //! * `damlab check [--ops N] [--seed S] [--structure <s>] [--mode <m>]
 //!   [--clients K]` — differential correctness harness: replay an
 //!   adversarial op trace in lockstep against all four dictionaries and a

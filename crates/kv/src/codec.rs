@@ -102,11 +102,6 @@ impl Writer {
         self.put_u32(u32::try_from(v.len()).expect("byte string longer than u32::MAX"));
         self.buf.extend_from_slice(v);
     }
-
-    /// Write raw bytes with no prefix (fixed-layout fields).
-    pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
 }
 
 /// Checked decoder over a byte slice.
@@ -887,7 +882,9 @@ mod tests {
         let mut w = Writer::new();
         w.put_bytes(b"");
         w.put_bytes(b"hello");
-        w.put_raw(&[1, 2, 3]);
+        for b in [1, 2, 3] {
+            w.put_u8(b);
+        }
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_bytes().unwrap(), b"");

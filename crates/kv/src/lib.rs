@@ -4,10 +4,9 @@
 //!   every on-"disk" node image in `dam-btree` / `dam-betree` goes through
 //!   it, so serialization bugs surface as typed errors, not silent
 //!   corruption.
-//! * [`msg`] — the Bε-tree message algebra: puts, tombstone deletes, and
-//!   upserts with a pluggable merge operator, ordered by sequence number
-//!   (§3: "modifications are encoded as messages … eventually applied to the
-//!   key-value pairs in the leaves").
+//! * [`msg`] — the Bε-tree message algebra: puts and tombstone deletes,
+//!   ordered by sequence number (§3: "modifications are encoded as messages
+//!   … eventually applied to the key-value pairs in the leaves").
 //! * [`dictionary`] — the common external-dictionary interface (insert,
 //!   delete, point query, range query) the paper's data structures
 //!   implement, plus per-operation cost reporting.
@@ -21,7 +20,7 @@ pub mod workload;
 
 pub use codec::{CodecError, Reader, Writer};
 pub use dictionary::{BatchOp, Dictionary, KvError, KvPair, OpCost};
-pub use msg::{CounterMerge, LastWriteWins, MergeOperator, Message, Operation};
+pub use msg::{Message, Operation};
 pub use workload::{KeyDistribution, WorkloadConfig, WorkloadGen};
 
 /// Encode an index as a fixed-width big-endian key so lexicographic order

@@ -1,10 +1,9 @@
 //! The Bε-tree message algebra (§3).
 //!
-//! Dictionary modifications are encoded as messages — an insertion, a
-//! tombstone for a deletion, or an upsert (a delta merged into the current
-//! value) — stamped with a global sequence number. Messages buffered high in
-//! the tree are *newer* than state below them; queries and flushes replay
-//! them in ascending sequence order over the leaf value.
+//! Dictionary modifications are encoded as messages — an insertion or a
+//! tombstone for a deletion — stamped with a global sequence number.
+//! Messages buffered high in the tree are *newer* than state below them;
+//! the newest message for a key decides its value.
 
 use crate::codec::{CodecError, Reader, Writer};
 
@@ -15,16 +14,13 @@ pub enum Operation {
     Put(Vec<u8>),
     /// Delete the key (tombstone).
     Delete,
-    /// Merge a delta into the current value via the tree's
-    /// [`MergeOperator`].
-    Upsert(Vec<u8>),
 }
 
 impl Operation {
     /// Payload size in bytes (for buffer accounting).
     pub fn payload_len(&self) -> usize {
         match self {
-            Operation::Put(v) | Operation::Upsert(v) => v.len(),
+            Operation::Put(v) => v.len(),
             Operation::Delete => 0,
         }
     }
@@ -63,10 +59,6 @@ impl Message {
                 w.put_bytes(v);
             }
             Operation::Delete => w.put_u8(1),
-            Operation::Upsert(v) => {
-                w.put_u8(2);
-                w.put_bytes(v);
-            }
         }
     }
 
@@ -83,8 +75,6 @@ pub enum OpRef<'a> {
     Put(&'a [u8]),
     /// Delete the key.
     Delete,
-    /// Merge a delta into the current value.
-    Upsert(&'a [u8]),
 }
 
 /// A message read in place from an encoded buffer.
@@ -107,7 +97,6 @@ impl<'a> MessageRef<'a> {
         let op = match r.get_u8()? {
             0 => OpRef::Put(r.get_bytes()?),
             1 => OpRef::Delete,
-            2 => OpRef::Upsert(r.get_bytes()?),
             _ => return Err(CodecError::Invalid("unknown message tag")),
         };
         Ok(MessageRef { seq, key, op })
@@ -116,7 +105,7 @@ impl<'a> MessageRef<'a> {
     /// [`Message::footprint`] of the message.
     pub fn footprint(&self) -> usize {
         let payload = match self.op {
-            OpRef::Put(v) | OpRef::Upsert(v) => v.len(),
+            OpRef::Put(v) => v.len(),
             OpRef::Delete => 0,
         };
         self.key.len() + payload + FOOTPRINT_OVERHEAD
@@ -130,7 +119,6 @@ impl<'a> MessageRef<'a> {
             op: match self.op {
                 OpRef::Put(v) => Operation::Put(v.to_vec()),
                 OpRef::Delete => Operation::Delete,
-                OpRef::Upsert(d) => Operation::Upsert(d.to_vec()),
             },
         }
     }
@@ -201,70 +189,20 @@ impl<'a> Iterator for MsgsIter<'a> {
     }
 }
 
-/// How upsert deltas combine with values.
-///
-/// `apply` receives the current value (if any) and the delta, and returns
-/// the new value (or `None` to delete). Must be associative in the sense
-/// that applying deltas one at a time in sequence order equals any legal
-/// regrouping — this is what lets the Bε-tree merge upserts lazily at any
-/// level.
-pub trait MergeOperator: Send + Sync {
-    /// Merge `delta` into `current`.
-    fn apply(&self, current: Option<&[u8]>, delta: &[u8]) -> Option<Vec<u8>>;
-}
-
-/// Upserts overwrite, like puts. The default when no semantic merge is
-/// configured.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LastWriteWins;
-
-impl MergeOperator for LastWriteWins {
-    fn apply(&self, _current: Option<&[u8]>, delta: &[u8]) -> Option<Vec<u8>> {
-        Some(delta.to_vec())
-    }
-}
-
-/// Values are little-endian `u64` counters; upsert deltas add to them.
-/// The classic write-optimized-dictionary example: increments that never
-/// read the old value.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CounterMerge;
-
-impl MergeOperator for CounterMerge {
-    fn apply(&self, current: Option<&[u8]>, delta: &[u8]) -> Option<Vec<u8>> {
-        let cur = current.map(le_u64).unwrap_or(0);
-        let d = le_u64(delta);
-        Some(cur.wrapping_add(d).to_le_bytes().to_vec())
-    }
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    let n = b.len().min(8);
-    a[..n].copy_from_slice(&b[..n]);
-    u64::from_le_bytes(a)
-}
-
-/// Replay `messages` (ascending seq, all for the same key) over a base
-/// value, producing the visible value.
-pub fn replay(
-    base: Option<&[u8]>,
-    messages: &[Message],
-    merge: &dyn MergeOperator,
-) -> Option<Vec<u8>> {
+/// The value `messages` (ascending seq, all for the same key) leave over a
+/// base value: the newest message decides it.
+pub fn replay(base: Option<&[u8]>, messages: &[Message]) -> Option<Vec<u8>> {
     debug_assert!(
         messages.windows(2).all(|w| w[0].seq <= w[1].seq),
         "messages out of order"
     );
-    let mut cur: Option<Vec<u8>> = base.map(|b| b.to_vec());
-    for m in messages {
-        cur = match &m.op {
+    match messages.last() {
+        None => base.map(<[u8]>::to_vec),
+        Some(m) => match &m.op {
             Operation::Put(v) => Some(v.clone()),
             Operation::Delete => None,
-            Operation::Upsert(d) => merge.apply(cur.as_deref(), d),
-        };
+        },
     }
-    cur
 }
 
 #[cfg(test)]
@@ -284,7 +222,7 @@ mod tests {
         let cases = vec![
             msg(1, Operation::Put(b"value".to_vec())),
             msg(2, Operation::Delete),
-            msg(3, Operation::Upsert(vec![9; 100])),
+            msg(3, Operation::Put(vec![9; 100])),
         ];
         for m in cases {
             let mut w = Writer::new();
@@ -305,7 +243,7 @@ mod tests {
                 op: Operation::Delete,
             },
             msg(1, Operation::Put(b"v1".to_vec())),
-            msg(7, Operation::Upsert(b"d".to_vec())),
+            msg(7, Operation::Delete),
             Message {
                 seq: 2,
                 key: b"z".to_vec(),
@@ -330,15 +268,19 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_tag() {
-        let mut w = Writer::new();
-        w.put_u64(1);
-        w.put_bytes(b"k");
-        w.put_u8(99);
-        let bytes = w.into_bytes();
-        assert_eq!(
-            Message::decode(&mut Reader::new(&bytes)),
-            Err(CodecError::Invalid("unknown message tag"))
-        );
+        // 0 (put) and 1 (delete) are the only tags.
+        for tag in [2, 99] {
+            let mut w = Writer::new();
+            w.put_u64(1);
+            w.put_bytes(b"k");
+            w.put_u8(tag);
+            w.put_bytes(b"v");
+            let bytes = w.into_bytes();
+            assert_eq!(
+                Message::decode(&mut Reader::new(&bytes)),
+                Err(CodecError::Invalid("unknown message tag"))
+            );
+        }
     }
 
     #[test]
@@ -347,13 +289,13 @@ mod tests {
             msg(1, Operation::Put(b"a".to_vec())),
             msg(2, Operation::Put(b"b".to_vec())),
         ];
-        assert_eq!(replay(None, &ms, &LastWriteWins), Some(b"b".to_vec()));
+        assert_eq!(replay(None, &ms), Some(b"b".to_vec()));
     }
 
     #[test]
     fn replay_tombstone_hides_base() {
         let ms = vec![msg(5, Operation::Delete)];
-        assert_eq!(replay(Some(b"old"), &ms, &LastWriteWins), None);
+        assert_eq!(replay(Some(b"old"), &ms), None);
     }
 
     #[test]
@@ -362,39 +304,7 @@ mod tests {
             msg(1, Operation::Delete),
             msg(2, Operation::Put(b"new".to_vec())),
         ];
-        assert_eq!(
-            replay(Some(b"old"), &ms, &LastWriteWins),
-            Some(b"new".to_vec())
-        );
-    }
-
-    #[test]
-    fn counter_merge_accumulates() {
-        let ms = vec![
-            msg(1, Operation::Upsert(3u64.to_le_bytes().to_vec())),
-            msg(2, Operation::Upsert(4u64.to_le_bytes().to_vec())),
-        ];
-        let base = 10u64.to_le_bytes();
-        let out = replay(Some(&base), &ms, &CounterMerge).unwrap();
-        assert_eq!(le_u64(&out), 17);
-    }
-
-    #[test]
-    fn counter_merge_from_empty() {
-        let ms = vec![msg(1, Operation::Upsert(7u64.to_le_bytes().to_vec()))];
-        let out = replay(None, &ms, &CounterMerge).unwrap();
-        assert_eq!(le_u64(&out), 7);
-    }
-
-    #[test]
-    fn upsert_after_delete_starts_fresh() {
-        let ms = vec![
-            msg(1, Operation::Delete),
-            msg(2, Operation::Upsert(5u64.to_le_bytes().to_vec())),
-        ];
-        let base = 100u64.to_le_bytes();
-        let out = replay(Some(&base), &ms, &CounterMerge).unwrap();
-        assert_eq!(le_u64(&out), 5);
+        assert_eq!(replay(Some(b"old"), &ms), Some(b"new".to_vec()));
     }
 
     #[test]
@@ -402,11 +312,5 @@ mod tests {
         let m = msg(1, Operation::Put(vec![0; 10]));
         assert_eq!(m.footprint(), 1 + 10 + 17);
         assert_eq!(msg(1, Operation::Delete).footprint(), 1 + 17);
-    }
-
-    #[test]
-    fn last_write_wins_ignores_current() {
-        assert_eq!(LastWriteWins.apply(Some(b"x"), b"y"), Some(b"y".to_vec()));
-        assert_eq!(LastWriteWins.apply(None, b"y"), Some(b"y".to_vec()));
     }
 }

@@ -70,13 +70,9 @@ props! {
         seq in any::<u64>(),
         key in vec(any::<u8>(), 0..64),
         payload in vec(any::<u8>(), 0..200),
-        tag in 0u8..3,
+        put in any::<bool>(),
     ) {
-        let op = match tag {
-            0 => Operation::Put(payload),
-            1 => Operation::Delete,
-            _ => Operation::Upsert(payload),
-        };
+        let op = if put { Operation::Put(payload) } else { Operation::Delete };
         let msg = Message { seq, key, op };
         let mut w = Writer::new();
         msg.encode(&mut w);

@@ -33,11 +33,6 @@ impl<D: Dictionary> ObservedDict<D> {
         }
     }
 
-    /// The wrapped dictionary.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
     /// Unwrap.
     pub fn into_inner(self) -> D {
         self.inner

@@ -7,8 +7,8 @@
 //! cost matches its affine/PDAM-predicted cost. This crate supplies that
 //! substrate:
 //!
-//! * [`Obs`] — a cloneable handle to a metrics registry: counters, gauges,
-//!   and log-bucketed latency histograms keyed on the simulated clock
+//! * [`Obs`] — a cloneable handle to a metrics registry: counters and
+//!   log-bucketed latency histograms keyed on the simulated clock
 //!   ([`dam_storage::SimTime`]), so identical runs produce byte-identical
 //!   snapshots. No wall-clock anywhere. Registries are *mergeable*
 //!   ([`Obs::merge_from`]): parallel sweep workers each record into a

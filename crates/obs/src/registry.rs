@@ -69,7 +69,6 @@ pub(crate) struct SpanAgg {
 
 pub(crate) struct ObsInner {
     pub(crate) counters: BTreeMap<String, u64>,
-    pub(crate) gauges: BTreeMap<String, f64>,
     pub(crate) hists: BTreeMap<String, LatencyHist>,
     stack: Vec<SpanFrame>,
     pub(crate) span_aggr: BTreeMap<String, SpanAgg>,
@@ -88,7 +87,6 @@ impl ObsInner {
     fn new() -> Self {
         ObsInner {
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
             stack: Vec::new(),
             span_aggr: BTreeMap::new(),
@@ -160,16 +158,6 @@ impl Obs {
             .or_insert(0) += by;
     }
 
-    /// Overwrite a counter with an externally maintained cumulative value
-    /// (fault/retry/pager counters keep their own totals).
-    pub fn set_counter(&self, name: &str, value: u64) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .counters
-            .insert(name.to_string(), value);
-    }
-
     /// Read a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner
@@ -179,15 +167,6 @@ impl Obs {
             .get(name)
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Set a gauge.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .gauges
-            .insert(name.to_string(), value);
     }
 
     /// Record a nanosecond duration into a named histogram.
@@ -442,7 +421,7 @@ impl Obs {
     ///   attribution tallies (`attributed`/`unattributed`/`device`/`roots`),
     ///   and the model-residual accumulator **add** (so ingested cumulative
     ///   counters like `pager.*` become sweep-wide totals);
-    /// * gauges and `last_root` take the source's value (last merge wins —
+    /// * `last_root` takes the source's value (last merge wins —
     ///   deterministic because merges happen in input order);
     /// * this registry's model parameters are kept (the source's are used
     ///   only if none are installed here).
@@ -460,9 +439,6 @@ impl Obs {
         let dst = &mut *guard;
         for (k, v) in &src.counters {
             *dst.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &src.gauges {
-            dst.gauges.insert(k.clone(), *v);
         }
         for (k, h) in &src.hists {
             dst.hists.entry(k.clone()).or_default().merge(h);
@@ -514,19 +490,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_hists() {
+    fn counters_and_hists() {
         let o = Obs::new();
         o.inc("a", 2);
         o.inc("a", 3);
-        o.set_counter("b", 7);
-        o.set_counter("b", 5);
-        o.set_gauge("g", 1.5);
         o.observe_ns("h", 100);
         o.observe_ns("h", 200);
         assert_eq!(o.counter("a"), 5);
-        assert_eq!(o.counter("b"), 5);
+        assert_eq!(o.counter("b"), 0);
         let snap = o.snapshot();
-        assert_eq!(snap.gauges.get("g"), Some(&1.5));
         assert_eq!(snap.hists.get("h").unwrap().count, 2);
     }
 
@@ -600,7 +572,6 @@ mod tests {
             let _root = o.span("op.get");
             o.record_io(false, 4096 + salt, 100 + salt);
             o.inc("c", salt);
-            o.set_gauge("g", salt as f64);
             {
                 let _l = o.span_at("level", (salt % 3) as u32);
                 o.record_io(true, 512, 7 * salt + 1);
@@ -624,8 +595,6 @@ mod tests {
         assert_eq!(left.device, right.device);
         assert_eq!(left.roots, right.roots);
         assert_eq!(left.root_count, right.root_count);
-        // Gauges take the latest merge's value = the latest recording's.
-        assert_eq!(left.gauges, right.gauges);
         assert_eq!(left.to_json(), right.to_json());
     }
 

@@ -56,8 +56,6 @@ pub struct SpanSummary {
 pub struct MetricsSnapshot {
     /// Monotonic counters (includes ingested pager/fault/retry values).
     pub counters: BTreeMap<String, u64>,
-    /// Point-in-time gauges.
-    pub gauges: BTreeMap<String, f64>,
     /// Histogram summaries.
     pub hists: BTreeMap<String, HistSummary>,
     /// Per-tree-level IO, from level spans.
@@ -74,7 +72,8 @@ pub struct MetricsSnapshot {
     pub roots: IoTally,
     /// Root spans closed.
     pub root_count: u64,
-    /// Derived metrics (cache hit rate, amplification, …).
+    /// Derived metrics (cache hit rate, amplification, serving ratios, …),
+    /// each a ratio of summed counters, so merged registries stay exact.
     pub derived: BTreeMap<String, f64>,
     /// Model-residual report, when a model is installed and IOs were seen.
     pub residual: Option<ResidualReport>,
@@ -131,6 +130,26 @@ pub(crate) fn build(inner: &ObsInner) -> MetricsSnapshot {
         }
     }
     derived.insert("io.time_s".to_string(), inner.device.time_ns as f64 * 1e-9);
+    // Serving ratios, from counters that add across merged runs.
+    for (name, num, den) in [
+        (
+            "serve.slot_utilization",
+            "serve.slots_used",
+            "serve.slot_capacity",
+        ),
+        (
+            "serve.coalesce_rate",
+            "serve.coalesced_blocks",
+            "serve.blocks_served",
+        ),
+        ("serve.ops_per_step", "serve.ops", "serve.steps"),
+    ] {
+        if let (Some(n), Some(d)) = (c(num), c(den)) {
+            if d > 0 {
+                derived.insert(name.to_string(), n as f64 / d as f64);
+            }
+        }
+    }
 
     let residual = inner
         .model
@@ -139,7 +158,6 @@ pub(crate) fn build(inner: &ObsInner) -> MetricsSnapshot {
 
     MetricsSnapshot {
         counters: inner.counters.clone(),
-        gauges: inner.gauges.clone(),
         hists,
         levels: inner.levels.clone(),
         spans,
@@ -208,17 +226,6 @@ impl MetricsSnapshot {
             }
             push_str(&mut o, k);
             o.push_str(&format!(":{v}"));
-        }
-        o.push_str("},");
-
-        o.push_str("\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            push_str(&mut o, k);
-            o.push(':');
-            o.push_str(&fmt_f64(*v));
         }
         o.push_str("},");
 
@@ -507,7 +514,6 @@ mod tests {
             let _l = o.span_at("t.level", 0);
             o.record_io(true, 512, 700);
         }
-        o.set_gauge("g.x", 0.25);
         o.snapshot()
     }
 

@@ -14,7 +14,7 @@ pub trait PagedDict {
     /// Run one operation inside the pager's cost window. The window closes
     /// on every return path, success or failure, and then the pager's
     /// cumulative counters are published to the attached registry as the
-    /// `pager.*` gauges.
+    /// `pager.*` counters.
     fn in_op<R>(&mut self, body: impl FnOnce(&mut Self) -> R) -> R
     where
         Self: Sized,

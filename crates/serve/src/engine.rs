@@ -50,6 +50,10 @@ use dam_storage::{PdamScheduler, SchedConfig, SchedStats, StepRecord};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 
+/// Simulated nanoseconds one PDAM step stands for in the `serve.latency`
+/// histogram (reporting only: the engine counts steps).
+const STEP_NS: u64 = 100_000;
+
 /// One entry of the commit log: what executed, for whom, with what answer,
 /// and how long it waited on IO.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,8 +85,6 @@ pub struct ServeConfig {
     pub p: usize,
     /// PDAM block size in bytes.
     pub block_bytes: u64,
-    /// Simulated nanoseconds one step represents (reporting only).
-    pub step_ns: u64,
     /// Workload seed ([`run_with_obs`]; ignored by [`run_ops`]).
     pub seed: u64,
     /// Per-shard buffer-pool budget in bytes.
@@ -109,7 +111,6 @@ impl Default for ServeConfig {
             shards: 1,
             p: 8,
             block_bytes: 512,
-            step_ns: 100_000,
             seed: 42,
             cache_bytes: 1 << 16,
             node_bytes: 1024,
@@ -192,18 +193,6 @@ pub fn preload_pairs(cfg: &ServeConfig) -> Vec<KvPair> {
             (key_from_u64(i).to_vec(), vec![b; cfg.value_bytes.max(1)])
         })
         .collect()
-}
-
-/// Jain's fairness index of per-client work, `(Σx)² / (k·Σx²)`: 1 when
-/// every client did the same amount, `1/k` when one client did it all.
-/// No work at all counts as fair (1).
-fn jain_index(per_client: &[u64]) -> f64 {
-    let sum: f64 = per_client.iter().map(|&x| x as f64).sum();
-    let squares: f64 = per_client.iter().map(|&x| (x as f64) * (x as f64)).sum();
-    if squares == 0.0 {
-        return 1.0;
-    }
-    sum * sum / (per_client.len() as f64 * squares)
 }
 
 /// Replay the commit log against the [`Oracle`] seeded with the run's
@@ -509,22 +498,11 @@ pub fn run_ops_with_obs(
         o.inc("serve.io_dispatches", stats.io_dispatches);
         o.inc("serve.batches", batches);
         o.inc("serve.batched_ops", batched_ops);
-        o.set_gauge("serve.slot_utilization", report.slot_utilization);
-        o.set_gauge("serve.coalesce_rate", report.coalesce_rate);
-        o.set_gauge(
-            "serve.throughput_ops_per_step",
-            report.throughput_ops_per_step,
-        );
-        let mut per_client = vec![0u64; cfg.clients];
+        o.inc("serve.slot_capacity", steps * cfg.p as u64);
+        o.inc("serve.blocks_served", stats.blocks_served);
         for c in &commits {
-            o.observe_ns("serve.latency", c.latency_steps * cfg.step_ns);
-            per_client[c.client] += 1;
+            o.observe_ns("serve.latency", c.latency_steps * STEP_NS);
         }
-        let min = per_client.iter().min().copied().unwrap_or(0);
-        let max = per_client.iter().max().copied().unwrap_or(0);
-        o.set_gauge("serve.client_ops_min", min as f64);
-        o.set_gauge("serve.client_ops_max", max as f64);
-        o.set_gauge("serve.client_jain_index", jain_index(&per_client));
     }
     Ok(ServeOutcome {
         report,
@@ -561,13 +539,43 @@ mod tests {
     }
 
     #[test]
-    fn jain_index_spans_one_over_k_to_one() {
-        assert_eq!(jain_index(&[7, 7, 7, 7]), 1.0);
-        assert_eq!(jain_index(&[0, 12, 0, 0]), 0.25);
-        assert_eq!(jain_index(&[5]), 1.0);
-        assert_eq!(jain_index(&[0, 0]), 1.0);
-        let mixed = jain_index(&[1, 2, 3]);
-        assert!(mixed > 1.0 / 3.0 && mixed < 1.0, "{mixed}");
+    fn merged_runs_derive_serving_ratios_from_summed_counters() {
+        let merged = Obs::new();
+        let mut reports = Vec::new();
+        for (structure, clients) in [(ServeStructure::BeTree, 1), (ServeStructure::Lsm, 4)] {
+            // A cache far smaller than the preload, so reads reach the device.
+            let cfg = ServeConfig {
+                preload_keys: 3_000,
+                cache_bytes: 1 << 12,
+                ..small_cfg(structure, clients, 2)
+            };
+            let own = Obs::new();
+            reports.push(run_with_obs(&cfg, Some(&own)).unwrap().report);
+            merged.merge_from(&own);
+        }
+        let sum = |f: fn(&ServeReport) -> u64| reports.iter().map(f).sum::<u64>() as f64;
+        let snap = merged.snapshot();
+        let schema = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../schemas/serve_metrics_schema.json"
+        ))
+        .unwrap();
+        dam_obs::validate_snapshot_json(&snap.to_json(), &schema).unwrap();
+        let derived = snap.derived;
+        let utilization = derived["serve.slot_utilization"];
+        assert_eq!(
+            utilization,
+            sum(|r| r.sched.slots_used) / sum(|r| r.steps * r.p as u64)
+        );
+        assert_ne!(utilization, reports[1].slot_utilization);
+        assert_eq!(
+            derived["serve.coalesce_rate"],
+            sum(|r| r.sched.coalesced_blocks) / sum(|r| r.sched.blocks_served)
+        );
+        assert_eq!(
+            derived["serve.ops_per_step"],
+            sum(|r| r.ops) / sum(|r| r.steps)
+        );
     }
 
     #[test]

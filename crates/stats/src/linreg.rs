@@ -110,42 +110,6 @@ pub fn fit_line(xs: &[f64], ys: &[f64]) -> Result<LinearFit, StatsError> {
     })
 }
 
-/// Fit a line through the origin: `y = b·x` (no intercept).
-///
-/// Used when the model dictates a zero setup cost, e.g. PDAM throughput past
-/// the saturation point.
-pub fn fit_line_through_origin(xs: &[f64], ys: &[f64]) -> Result<LinearFit, StatsError> {
-    check_xy(xs, ys, 1)?;
-    let sxx: f64 = xs.iter().map(|x| x * x).sum();
-    if sxx == 0.0 {
-        return Err(StatsError::DegenerateX);
-    }
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| x * y).sum();
-    let slope = sxy / sxx;
-    let predictions: Vec<f64> = xs.iter().map(|&x| slope * x).collect();
-    let r2 = r_squared(ys, &predictions)?;
-    let rms = rms_error(ys, &predictions)?;
-    let slope_se = if xs.len() > 1 {
-        let sse: f64 = ys
-            .iter()
-            .zip(&predictions)
-            .map(|(y, p)| (y - p) * (y - p))
-            .sum();
-        (sse / (xs.len() as f64 - 1.0) / sxx).sqrt()
-    } else {
-        0.0
-    };
-    Ok(LinearFit {
-        intercept: 0.0,
-        slope,
-        r2,
-        rms,
-        n: xs.len(),
-        slope_se,
-        intercept_se: 0.0,
-    })
-}
-
 /// Coefficient of determination `R² = 1 − SS_res / SS_tot`.
 ///
 /// When the observations have zero variance, returns 1.0 if the predictions
@@ -267,15 +231,6 @@ mod tests {
             fit_line(&[1.0, f64::NAN], &[1.0, 2.0]),
             Err(StatsError::NonFinite)
         );
-    }
-
-    #[test]
-    fn origin_fit_has_zero_intercept() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [2.1, 3.9, 6.0];
-        let fit = fit_line_through_origin(&xs, &ys).unwrap();
-        assert_eq!(fit.intercept, 0.0);
-        assert!((fit.slope - 2.0).abs() < 0.05);
     }
 
     #[test]

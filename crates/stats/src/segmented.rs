@@ -35,20 +35,6 @@ impl SegmentedFit {
             self.right.predict(x)
         }
     }
-
-    /// x coordinate where the two fitted lines intersect, if they do.
-    ///
-    /// For a flat-then-rising curve this is the natural continuous estimate
-    /// of the knee (the paper's non-integer `P` values such as 3.3 arise this
-    /// way).
-    pub fn intersection(&self) -> Option<f64> {
-        let dslope = self.right.slope - self.left.slope;
-        if dslope == 0.0 {
-            None
-        } else {
-            Some((self.left.intercept - self.right.intercept) / dslope)
-        }
-    }
 }
 
 /// Fit two independent lines with an optimal breakpoint.
@@ -125,20 +111,6 @@ impl FlatThenLinearFit {
             self.flat_level
         } else {
             self.rising.predict(x)
-        }
-    }
-
-    /// Saturated throughput in "work per unit y" terms.
-    ///
-    /// If y is the time for each of `x` threads to complete one unit of work,
-    /// the saturated region has `time ≈ slope · threads`, i.e. the device
-    /// completes `1/slope` units per unit time. The paper reports this as
-    /// `∝ PB` (device saturation bandwidth) in Table 1.
-    pub fn saturated_rate(&self) -> f64 {
-        if self.rising.slope > 0.0 {
-            1.0 / self.rising.slope
-        } else {
-            f64::INFINITY
         }
     }
 }
@@ -243,15 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn saturated_rate_is_inverse_slope() {
-        let xs: Vec<f64> = (1..=32).map(|i| i as f64).collect();
-        let ys = knee_curve(4.0, &xs);
-        let fit = fit_flat_then_linear(&xs, &ys).unwrap();
-        // time = 2.5 s per thread past the knee => rate 0.4 "units"/s.
-        assert!((fit.saturated_rate() - 0.4).abs() < 0.01);
-    }
-
-    #[test]
     fn unsorted_input_rejected() {
         let xs = [3.0, 1.0, 2.0, 4.0, 5.0];
         let ys = [1.0; 5];
@@ -267,64 +230,6 @@ mod tests {
             fit_segmented(&xs, &ys),
             Err(StatsError::TooFewPoints { got: 3, need: 4 })
         );
-    }
-
-    #[test]
-    fn intersection_of_crossing_lines() {
-        let left = LinearFit {
-            intercept: 10.0,
-            slope: 0.0,
-            r2: 1.0,
-            rms: 0.0,
-            n: 2,
-            slope_se: 0.0,
-            intercept_se: 0.0,
-        };
-        let right = LinearFit {
-            intercept: 0.0,
-            slope: 2.0,
-            r2: 1.0,
-            rms: 0.0,
-            n: 2,
-            slope_se: 0.0,
-            intercept_se: 0.0,
-        };
-        let seg = SegmentedFit {
-            left,
-            right,
-            break_x: 5.0,
-            r2: 1.0,
-        };
-        assert!((seg.intersection().unwrap() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_lines_never_intersect() {
-        let l = LinearFit {
-            intercept: 1.0,
-            slope: 2.0,
-            r2: 1.0,
-            rms: 0.0,
-            n: 2,
-            slope_se: 0.0,
-            intercept_se: 0.0,
-        };
-        let r = LinearFit {
-            intercept: 5.0,
-            slope: 2.0,
-            r2: 1.0,
-            rms: 0.0,
-            n: 2,
-            slope_se: 0.0,
-            intercept_se: 0.0,
-        };
-        let seg = SegmentedFit {
-            left: l,
-            right: r,
-            break_x: 0.0,
-            r2: 1.0,
-        };
-        assert!(seg.intersection().is_none());
     }
 
     #[test]
