@@ -7,9 +7,8 @@
 //! --json`; CI validates it against `schemas/metrics_schema.json`). Unset,
 //! all hooks are inert and the experiments run exactly as before.
 //!
-//! `DAM_METRICS_PROFILE` picks the model-residual pricing profile:
-//! `hdd` (default, the testbed Toshiba disk the experiments run on) or
-//! `ssd` (the Samsung 860 Pro).
+//! Model residuals are priced with the testbed Toshiba disk the
+//! experiments run on.
 //!
 //! ## Parallel sweeps
 //!
@@ -38,12 +37,9 @@ thread_local! {
     static POINT_OBS: RefCell<Vec<Obs>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The residual-pricing parameters selected by `DAM_METRICS_PROFILE`.
+/// The residual-pricing parameters: the testbed HDD's.
 fn model_params() -> ModelParams {
-    match std::env::var("DAM_METRICS_PROFILE").as_deref() {
-        Ok("ssd") => ModelParams::from_ssd(&profiles::samsung_860_pro()),
-        _ => ModelParams::from_hdd(&profiles::toshiba_dt01aca050()),
-    }
+    ModelParams::from_hdd(&profiles::toshiba_dt01aca050())
 }
 
 /// The process-wide registry, or `None` when `DAM_METRICS` is off.

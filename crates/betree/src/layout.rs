@@ -15,16 +15,14 @@
 //! * **what one read fetches** ([`Layout::read_for_query`]) — the whole
 //!   node, or one segment.
 
-use crate::node::{
-    encode_internal, encode_leaf, internal_size, leaf_size, BeNodeView, BufferEdit, NodeId,
-    LEAF_ENTRY_OVERHEAD, NODE_HEADER_BYTES,
-};
-use crate::segment::{encode_subleaf, subleaf_size, ChildDesc, SegView, SUBLEAF_HEADER_BYTES};
+use crate::node::{encode_internal, encode_leaf, internal_size, BeNodeView, BufferEdit, NodeId};
+use crate::segment::{ChildDesc, SegView, TAG_SUBLEAF};
 use dam_cache::{Page, Pager, Superblock, SuperblockIo};
 use dam_kv::codec::{
-    frame_into_slot, unframe, CodecError, PairsView, Reader, StrsView, Writer, FRAME_OVERHEAD,
+    frame_into_slot, pairs_size, unframe, CodecError, Pair, Reader, Run, Writer, FRAME_OVERHEAD,
+    LEAF_ENTRY_OVERHEAD, NODE_HEADER_BYTES,
 };
-use dam_kv::msg::{Message, MsgsView};
+use dam_kv::msg::{Message, MessageRef};
 use dam_kv::KvError;
 
 /// Sorted key-value pairs.
@@ -61,7 +59,7 @@ impl Node {
 #[derive(Debug, Clone, Copy)]
 pub enum PartView<'a> {
     /// A chunk's sorted pairs.
-    Pairs(PairsView<'a>),
+    Pairs(Run<'a, Pair<'a>>),
     /// A child: where it is and what is buffered for it. `pivots` are the
     /// child's routing keys when the layout keeps them in the parent.
     Kid {
@@ -70,9 +68,9 @@ pub enum PartView<'a> {
         /// Whether the child is a leaf (meaningful when `pivots` is set).
         is_leaf: bool,
         /// The child's routing keys, if the parent holds them.
-        pivots: Option<StrsView<'a>>,
+        pivots: Option<Run<'a, &'a [u8]>>,
         /// Messages buffered for the child's subtree.
-        msgs: MsgsView<'a>,
+        msgs: Run<'a, MessageRef<'a>>,
     },
 }
 
@@ -259,7 +257,7 @@ pub struct WholeNode {
 impl WholeNode {
     fn size(node: &Node) -> usize {
         match &node.body {
-            Body::Leaf(chunks) => chunks.iter().map(|c| leaf_size(c)).sum(),
+            Body::Leaf(chunks) => chunks.iter().map(|c| pairs_size(c)).sum(),
             Body::Internal(kids) => {
                 internal_size(&node.pivots, kids.iter().map(|k| k.msgs.as_slice()))
             }
@@ -471,7 +469,7 @@ impl Layout for WholeNode {
                     buffers,
                 } => {
                     let i = pivots.route(key);
-                    let msgs = buffers.get(i).ok_or_else(|| {
+                    let msgs = buffers.iter().nth(i).ok_or_else(|| {
                         corrupt(addr, CodecError::Invalid("missing message buffer"))
                     })?;
                     PartView::Kid {
@@ -687,7 +685,7 @@ impl Layout for Segmented {
     }
 
     fn entry_fits(&self, key: &[u8], payload: usize) -> Result<(), KvError> {
-        let entry = SUBLEAF_HEADER_BYTES + 8 + key.len() + payload;
+        let entry = NODE_HEADER_BYTES + LEAF_ENTRY_OVERHEAD + key.len() + payload;
         // Message footprint + framed-descriptor fixed overhead.
         let msg = 17 + key.len() + payload + 18 + FRAME_OVERHEAD;
         if entry.max(msg) > self.seg_bytes {
@@ -765,8 +763,8 @@ impl Layout for Segmented {
             let mut w = Writer::with_capacity(self.seg_bytes - FRAME_OVERHEAD);
             let size = match &node.body {
                 Body::Leaf(chunks) => {
-                    encode_subleaf(&mut w, &chunks[j]);
-                    subleaf_size(&chunks[j])
+                    w.put_pairs(TAG_SUBLEAF, &chunks[j]);
+                    pairs_size(&chunks[j])
                 }
                 Body::Internal(kids) => {
                     kids[j].encode_into(&mut w);
@@ -791,7 +789,7 @@ impl Layout for Segmented {
     fn fits(&self, node: &Node) -> bool {
         match &node.body {
             Body::Leaf(chunks) => {
-                chunks.len() <= self.cap && chunks.iter().all(|c| subleaf_size(c) <= self.seg_bytes)
+                chunks.len() <= self.cap && chunks.iter().all(|c| pairs_size(c) <= self.seg_bytes)
             }
             Body::Internal(kids) => kids.len() <= self.cap,
         }

@@ -6,34 +6,16 @@
 //! leaf is one sorted run of key-value pairs.
 
 use dam_kv::codec::{
-    frame_into_slot, frame_payload, splice_in_place, CodecError, PairsView, Reader, Splice,
-    StrsView, Writer, FRAME_OVERHEAD,
+    frame_into_slot, frame_payload, splice_in_place, CodecError, Pair, Reader, Record, Run, Splice,
+    Writer, FRAME_OVERHEAD, NODE_HEADER_BYTES, TAG_INTERNAL, TAG_LEAF,
 };
-use dam_kv::msg::{Message, MessageRef, MsgsView};
+use dam_kv::msg::{Message, MessageRef};
 
 /// Node location on the device.
 pub type NodeId = u64;
 
-const TAG_LEAF: u8 = 0;
-const TAG_INTERNAL: u8 = 1;
 /// Payload bytes in front of the first entry (or pivot): tag + count.
 const PAYLOAD_HEADER: usize = 1 + 4;
-
-/// Fixed serialization overhead per node: the checksummed frame header plus
-/// tag + count.
-pub const NODE_HEADER_BYTES: usize = FRAME_OVERHEAD + 1 + 4;
-/// Per-leaf-entry overhead (two length prefixes).
-pub const LEAF_ENTRY_OVERHEAD: usize = 8;
-
-/// Accounting size of a leaf holding `entries`: exactly its image length
-/// before padding.
-pub fn leaf_size(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
-    NODE_HEADER_BYTES
-        + entries
-            .iter()
-            .map(|(k, v)| LEAF_ENTRY_OVERHEAD + k.len() + v.len())
-            .sum::<usize>()
-}
 
 /// Accounting size of an internal node with `pivots` and one child per
 /// buffer: what split and flush decisions compare with `node_bytes`. It
@@ -54,15 +36,9 @@ pub fn internal_size<'a>(
 /// The checksummed image of a leaf holding `entries`, padded with zeros to
 /// exactly `node_bytes`.
 pub fn encode_leaf(entries: &[(Vec<u8>, Vec<u8>)], node_bytes: usize) -> Vec<u8> {
-    debug_assert!(leaf_size(entries) <= node_bytes, "leaf exceeds its slot");
     let mut w = Writer::with_capacity(node_bytes - FRAME_OVERHEAD);
-    w.put_u8(TAG_LEAF);
-    w.put_u32(entries.len() as u32);
-    for (k, v) in entries {
-        w.put_bytes(k);
-        w.put_bytes(v);
-    }
-    frame_into_slot(&w.into_bytes(), node_bytes)
+    w.put_pairs(TAG_LEAF, entries);
+    frame_into_slot(&w, node_bytes)
 }
 
 /// The checksummed image of an internal node with `pivots` and
@@ -99,15 +75,16 @@ pub fn encode_internal<'a>(
 #[derive(Debug, Clone, Copy)]
 pub enum BeNodeView<'a> {
     /// Sorted key-value pairs.
-    Leaf(PairsView<'a>),
+    Leaf(Run<'a, Pair<'a>>),
     /// Pivots, packed child ids, and one message buffer per child.
     Internal {
         /// Strictly ascending pivot keys.
-        pivots: StrsView<'a>,
+        pivots: Run<'a, &'a [u8]>,
         /// `pivots.len() + 1` little-endian child ids, 8 bytes each.
         children: &'a [u8],
-        /// `pivots.len() + 1` message buffers.
-        buffers: BuffersView<'a>,
+        /// `pivots.len() + 1` message buffers, each a `u32` count and that
+        /// many messages sorted by `(key, seq)`.
+        buffers: Run<'a, Run<'a, MessageRef<'a>>>,
     },
 }
 
@@ -119,15 +96,12 @@ impl<'a> BeNodeView<'a> {
     pub fn parse(image: &'a [u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(frame_payload(image)?);
         match r.get_u8()? {
-            TAG_LEAF => {
-                let n = r.get_u32()? as usize;
-                Ok(BeNodeView::Leaf(PairsView::read(&mut r, n)?))
-            }
+            TAG_LEAF => Ok(BeNodeView::Leaf(Run::read(&mut r)?)),
             TAG_INTERNAL => {
                 let n = r.get_u32()? as usize;
-                let pivots = StrsView::read(&mut r, n)?;
+                let pivots = Run::read_n(&mut r, n)?;
                 let children = r.get_raw((n + 1) * 8)?;
-                let buffers = BuffersView::read(&mut r, n + 1)?;
+                let buffers = Run::read_n(&mut r, n + 1)?;
                 Ok(BeNodeView::Internal {
                     pivots,
                     children,
@@ -143,83 +117,6 @@ impl<'a> BeNodeView<'a> {
         let b = &children[i * 8..i * 8 + 8];
         NodeId::from_le_bytes(b.try_into().expect("slice of 8"))
     }
-}
-
-/// An internal node's per-child message buffers (each a `u32` count and
-/// that many messages), checked once when read and then walked in place.
-#[derive(Debug, Clone, Copy)]
-pub struct BuffersView<'a> {
-    n: usize,
-    bytes: &'a [u8],
-}
-
-impl<'a> BuffersView<'a> {
-    fn read(r: &mut Reader<'a>, n: usize) -> Result<Self, CodecError> {
-        let mut probe = *r;
-        let before = r.remaining();
-        for _ in 0..n {
-            let m = r.get_u32()? as usize;
-            MsgsView::read(r, m)?;
-        }
-        let bytes = probe.get_raw(before - r.remaining())?;
-        Ok(BuffersView { n, bytes })
-    }
-
-    /// The buffers in child order.
-    pub fn iter(&self) -> impl Iterator<Item = MsgsView<'a>> {
-        let mut r = Reader::new(self.bytes);
-        // The view was checked when it was read, so no step can fail.
-        (0..self.n).map_while(move |_| {
-            let m = r.get_u32().ok()? as usize;
-            MsgsView::read(&mut r, m).ok()
-        })
-    }
-
-    /// Buffer `i`.
-    pub fn get(&self, i: usize) -> Option<MsgsView<'a>> {
-        self.iter().nth(i)
-    }
-
-    /// Where a message for `key` with sequence number `seq` goes in buffer
-    /// `child`, in `(key, seq)` order, as offsets into the buffers' bytes;
-    /// and the footprint of every buffered message.
-    fn locate(&self, child: usize, key: &[u8], seq: u64) -> Result<BufferSpot, CodecError> {
-        let mut r = Reader::new(self.bytes);
-        let pos = |r: &Reader<'_>| self.bytes.len() - r.remaining();
-        let mut spot = None;
-        let mut footprints = 0;
-        for i in 0..self.n {
-            let count_at = pos(&r);
-            let count = r.get_u32()?;
-            let mut at = None;
-            for _ in 0..count {
-                let start = pos(&r);
-                let m = MessageRef::read(&mut r)?;
-                footprints += m.footprint();
-                if i == child && at.is_none() && (m.key, m.seq) > (key, seq) {
-                    at = Some(start);
-                }
-            }
-            if i == child {
-                spot = Some((count_at, count, at.unwrap_or(pos(&r))));
-            }
-        }
-        let (count_at, count, at) = spot.ok_or(CodecError::Invalid("no buffer for the child"))?;
-        Ok(BufferSpot {
-            count_at,
-            count,
-            at,
-            footprints,
-        })
-    }
-}
-
-/// Result of [`BuffersView::locate`].
-struct BufferSpot {
-    count_at: usize,
-    count: u32,
-    at: usize,
-    footprints: usize,
 }
 
 /// One message added to an internal node image, located in place: the
@@ -255,32 +152,46 @@ impl BufferEdit {
             return Err(CodecError::Invalid("a leaf has no message buffers"));
         };
         let base = PAYLOAD_HEADER + pivots.encoded_len() + children.len();
-        let end = base + buffers.bytes.len();
+        let end = base + buffers.encoded_len();
         if frame_payload(image)?.len() < end {
             return Err(CodecError::Invalid("message buffers overrun the payload"));
         }
-        let spot = buffers.locate(pivots.route(&msg.key), &msg.key, msg.seq)?;
+        // The message goes into the buffer of the child that routes its
+        // key, before the first message that sorts after it.
+        let child = pivots.route(&msg.key);
+        let key = (msg.key.as_slice(), msg.seq);
+        let mut spot = None;
+        let mut count_at = base;
+        let mut footprints = 0;
+        for (i, buf) in buffers.iter().enumerate() {
+            footprints += buf.iter().map(|m| m.footprint()).sum::<usize>();
+            if i == child {
+                let (_, after) = buf.seek(|m| (m.key, m.seq) <= key);
+                let at = count_at + 4 + buf.encoded_len() - after.encoded_len();
+                spot = Some((count_at, buf.len(), at));
+            }
+            count_at += 4 + buf.encoded_len();
+        }
+        let (count_at, count, at) = spot.ok_or(CodecError::Invalid("no buffer for the child"))?;
         let mut w = Writer::with_capacity(msg.footprint());
         msg.encode(&mut w);
         Ok(BufferEdit {
             splice: Splice {
-                count_at: base + spot.count_at,
-                count: spot
-                    .count
-                    .checked_add(1)
-                    .ok_or(CodecError::Invalid("message count"))?,
-                lo: base + spot.at,
-                hi: base + spot.at,
+                count_at,
+                count: u32::try_from(count + 1)
+                    .map_err(|_| CodecError::Invalid("message count"))?,
+                lo: at,
+                hi: at,
                 end,
             },
             record: w.into_bytes(),
             serialized_size: NODE_HEADER_BYTES
                 + pivots.encoded_len()
                 + children.len()
-                + 4 * buffers.n
-                + spot.footprints
+                + 4 * buffers.len()
+                + footprints
                 + msg.footprint(),
-            children: buffers.n,
+            children: buffers.len(),
         })
     }
 
@@ -382,7 +293,7 @@ pub fn buffer_merge(a: Vec<Message>, b: Vec<Message>) -> Vec<Message> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dam_kv::codec::unframe;
+    use dam_kv::codec::{pairs_size, unframe};
     use dam_kv::msg::Operation;
 
     fn m(seq: u64, key: &[u8]) -> Message {
@@ -416,8 +327,8 @@ mod tests {
         assert_eq!(internal(&pivots, &buffers, size).len(), size);
         let entries = vec![(b"a".to_vec(), b"1".to_vec())];
         assert_eq!(
-            encode_leaf(&entries, leaf_size(&entries)).len(),
-            leaf_size(&entries)
+            encode_leaf(&entries, pairs_size(&entries)).len(),
+            pairs_size(&entries)
         );
         // A buffered Delete encodes in four bytes less than its footprint,
         // so the accounting size is then above the image length.

@@ -8,17 +8,14 @@
 //! Segment `j` of a leaf holds a sorted run of key-value pairs, a *subleaf*
 //! (TokuDB's "basement node").
 
-use dam_kv::codec::{
-    frame_payload, CodecError, PairsView, Reader, StrsView, Writer, FRAME_OVERHEAD,
-};
-use dam_kv::msg::{Message, MsgsView};
+use dam_kv::codec::{frame_payload, CodecError, Pair, Reader, Record, Run, Writer, FRAME_OVERHEAD};
+use dam_kv::msg::{Message, MessageRef};
 
 const TAG_EMPTY: u8 = 0;
-const TAG_SUBLEAF: u8 = 1;
+/// Tag of a subleaf segment: a pair run, encoded by
+/// [`Writer::put_pairs`] and sized by [`dam_kv::codec::pairs_size`].
+pub(crate) const TAG_SUBLEAF: u8 = 1;
 const TAG_DESC: u8 = 2;
-
-/// Serialized size of an empty subleaf segment (frame + tag + count).
-pub(crate) const SUBLEAF_HEADER_BYTES: usize = FRAME_OVERHEAD + 1 + 4;
 
 /// What a parent holds for one child: where it lives, the messages pending
 /// for its subtree and, in the segmented layout, how to route within it.
@@ -97,25 +94,6 @@ impl ChildDesc {
     }
 }
 
-/// Framed size of a subleaf segment holding `entries`.
-pub(crate) fn subleaf_size(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
-    SUBLEAF_HEADER_BYTES
-        + entries
-            .iter()
-            .map(|(k, v)| 8 + k.len() + v.len())
-            .sum::<usize>()
-}
-
-/// A subleaf segment payload.
-pub(crate) fn encode_subleaf(w: &mut Writer, entries: &[(Vec<u8>, Vec<u8>)]) {
-    w.put_u8(TAG_SUBLEAF);
-    w.put_u32(entries.len() as u32);
-    for (k, v) in entries {
-        w.put_bytes(k);
-        w.put_bytes(v);
-    }
-}
-
 /// A segment read in place: queries route and search inside the segment
 /// image and copy out only what they return. Reading checks the whole
 /// structure, so a malformed payload is a [`CodecError`] up front, never a
@@ -123,7 +101,7 @@ pub(crate) fn encode_subleaf(w: &mut Writer, entries: &[(Vec<u8>, Vec<u8>)]) {
 #[derive(Debug, Clone, Copy)]
 pub enum SegView<'a> {
     /// A subleaf's sorted pairs.
-    Subleaf(PairsView<'a>),
+    Subleaf(Run<'a, Pair<'a>>),
     /// A child descriptor.
     Desc(DescView<'a>),
 }
@@ -136,9 +114,9 @@ pub struct DescView<'a> {
     /// Whether the child is a leaf.
     pub is_leaf: bool,
     /// The child's routing keys.
-    pub boundaries: StrsView<'a>,
+    pub boundaries: Run<'a, &'a [u8]>,
     /// Messages pending for the child's subtree.
-    pub msgs: MsgsView<'a>,
+    pub msgs: Run<'a, MessageRef<'a>>,
 }
 
 impl DescView<'_> {
@@ -159,17 +137,12 @@ impl<'a> SegView<'a> {
     pub fn read(r: &mut Reader<'a>) -> Result<Option<Self>, CodecError> {
         match r.get_u8()? {
             TAG_EMPTY => Ok(None),
-            TAG_SUBLEAF => {
-                let n = r.get_u32()? as usize;
-                Ok(Some(SegView::Subleaf(PairsView::read(r, n)?)))
-            }
+            TAG_SUBLEAF => Ok(Some(SegView::Subleaf(Run::read(r)?))),
             TAG_DESC => {
                 let addr = r.get_u64()?;
                 let is_leaf = r.get_u8()? != 0;
-                let nb = r.get_u32()? as usize;
-                let boundaries = StrsView::read(r, nb)?;
-                let nm = r.get_u32()? as usize;
-                let msgs = MsgsView::read(r, nm)?;
+                let boundaries = Run::read(r)?;
+                let msgs = Run::read(r)?;
                 Ok(Some(SegView::Desc(DescView {
                     addr,
                     is_leaf,

@@ -24,9 +24,10 @@
 //! taken back out of the root's buffer.
 
 use crate::layout::{Body, Entries, Layout, Node, PartView, Segmented, WholeNode};
-use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge, NODE_HEADER_BYTES};
+use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge};
 use crate::segment::ChildDesc;
 use dam_cache::{Pager, PagerError};
+use dam_kv::codec::{pair_size, Record, NODE_HEADER_BYTES};
 use dam_kv::msg::{replay, Message, Operation};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
 use dam_obs::{Obs, PagedDict};
@@ -105,7 +106,7 @@ impl Chunker {
 
     /// Add a pair; returns the chunk it closed, if any.
     fn push(&mut self, k: Vec<u8>, v: Vec<u8>) -> Option<Entries> {
-        let sz = 8 + k.len() + v.len();
+        let sz = pair_size(&k, &v);
         let mut done = None;
         if !self.cur.is_empty() && self.bytes + sz > self.target {
             done = Some(std::mem::take(&mut self.cur));
@@ -622,7 +623,7 @@ impl<L: Layout> Engine<L> {
                     pivots,
                     msgs,
                 } => {
-                    collected.extend(msgs.for_key(key).map(|m| m.to_message()));
+                    collected.extend(msgs.for_key(key).map(|m| m.owned()));
                     (addr, is_leaf) = (next, leaf);
                     seg = pivots.map_or(0, |p| p.route(key));
                 }
@@ -725,7 +726,7 @@ impl<L: Layout> Engine<L> {
                     let own = msgs
                         .iter()
                         .filter(|m| in_range(m.key, start, end))
-                        .map(|m| m.to_message())
+                        .map(|m| m.owned())
                         .collect();
                     let kid_pivots: Vec<&[u8]> =
                         kid_pivots.map(|p| p.iter().collect()).unwrap_or_default();

@@ -11,7 +11,7 @@ use dam_betree::node::{buffer_insert, encode_internal, internal_size};
 use dam_betree::{BeNodeView, BeTreeConfig, BufferEdit, ChildDesc, Layout, OptConfig};
 use dam_betree::{Segmented, WholeNode};
 use dam_cache::Pager;
-use dam_kv::codec::{frame_into_slot, unframe};
+use dam_kv::codec::{frame_into_slot, unframe, Record};
 use dam_kv::msg::{Message, Operation};
 use dam_stats::prop::*;
 use dam_storage::{RamDisk, SharedDevice, SimDuration};
@@ -174,7 +174,7 @@ fn check_views<L: Layout>(layout: L, node: Node, probes: &[(Vec<u8>, Vec<u8>)]) 
                 prop_assert_eq!((addr, is_leaf), (kid.addr, kid.is_leaf));
                 prop_assert_eq!(pivots.map_or(0, |p| p.route(a)), kid.route(a));
                 let want: Vec<Message> = kid.msgs.iter().filter(|m| &m.key == a).cloned().collect();
-                let got: Vec<Message> = msgs.for_key(a).map(|m| m.to_message()).collect();
+                let got: Vec<Message> = msgs.for_key(a).map(|m| m.owned()).collect();
                 prop_assert_eq!(got, want);
             }
             _ => prop_assert!(false, "view and decoded node disagree on the kind"),

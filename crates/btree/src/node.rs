@@ -5,29 +5,18 @@
 //! exactly `B` bytes — the quantity the affine model prices.
 
 use dam_kv::codec::{
-    frame_into_slot, frame_payload, splice_in_place, unframe, CodecError, PairsView, Reader,
-    Splice, StrsView, Writer, FRAME_OVERHEAD,
+    frame_into_slot, frame_payload, pair_size, pairs_size, splice_in_place, unframe, CodecError,
+    Pair, Reader, Record, Run, Splice, Writer, FRAME_OVERHEAD, NODE_HEADER_BYTES, TAG_INTERNAL,
+    TAG_LEAF,
 };
 
 /// Location of a node on the device (a fixed-size slot offset).
 pub type NodeId = u64;
 
-const TAG_LEAF: u8 = 0;
-const TAG_INTERNAL: u8 = 1;
 /// Offset of the entry (or pivot) count in a node payload, after the tag.
 const COUNT_AT: usize = 1;
 /// Payload bytes in front of the first entry (or pivot): tag + count.
 const PAYLOAD_HEADER: usize = COUNT_AT + 4;
-
-/// Fixed serialization overhead per node: the checksummed frame header plus
-/// tag + count.
-pub const NODE_HEADER_BYTES: usize = FRAME_OVERHEAD + 1 + 4;
-/// Serialization overhead per leaf entry beyond key/value bytes
-/// (two u32 length prefixes).
-pub const LEAF_ENTRY_OVERHEAD: usize = 8;
-/// Serialization overhead per internal child beyond pivot bytes
-/// (child pointer + pivot length prefix, amortized).
-pub const INTERNAL_CHILD_OVERHEAD: usize = 12;
 
 /// A B-tree node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,13 +52,7 @@ impl Node {
     /// Serialized size in bytes (exact).
     pub fn serialized_size(&self) -> usize {
         match self {
-            Node::Leaf { entries } => {
-                NODE_HEADER_BYTES
-                    + entries
-                        .iter()
-                        .map(|(k, v)| LEAF_ENTRY_OVERHEAD + k.len() + v.len())
-                        .sum::<usize>()
-            }
+            Node::Leaf { entries } => pairs_size(entries),
             Node::Internal { pivots, children } => {
                 NODE_HEADER_BYTES
                     + pivots.iter().map(|p| 4 + p.len()).sum::<usize>()
@@ -92,14 +75,7 @@ impl Node {
         );
         let mut w = Writer::with_capacity(node_bytes - FRAME_OVERHEAD);
         match self {
-            Node::Leaf { entries } => {
-                w.put_u8(TAG_LEAF);
-                w.put_u32(entries.len() as u32);
-                for (k, v) in entries {
-                    w.put_bytes(k);
-                    w.put_bytes(v);
-                }
-            }
+            Node::Leaf { entries } => w.put_pairs(TAG_LEAF, entries),
             Node::Internal { pivots, children } => {
                 w.put_u8(TAG_INTERNAL);
                 w.put_u32(pivots.len() as u32);
@@ -141,11 +117,11 @@ impl Node {
 #[derive(Debug, Clone, Copy)]
 pub enum NodeView<'a> {
     /// Sorted key-value pairs.
-    Leaf(PairsView<'a>),
+    Leaf(Run<'a, Pair<'a>>),
     /// Pivots and the packed little-endian child ids.
     Internal {
         /// Strictly ascending pivot keys.
-        pivots: StrsView<'a>,
+        pivots: Run<'a, &'a [u8]>,
         /// `pivots.len() + 1` child ids, 8 bytes each.
         children: &'a [u8],
     },
@@ -159,13 +135,10 @@ impl<'a> NodeView<'a> {
     pub fn parse(image: &'a [u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(frame_payload(image)?);
         match r.get_u8()? {
-            TAG_LEAF => {
-                let n = r.get_u32()? as usize;
-                Ok(NodeView::Leaf(PairsView::read(&mut r, n)?))
-            }
+            TAG_LEAF => Ok(NodeView::Leaf(Run::read(&mut r)?)),
             TAG_INTERNAL => {
                 let n = r.get_u32()? as usize;
-                let pivots = StrsView::read(&mut r, n)?;
+                let pivots = Run::read_n(&mut r, n)?;
                 let children = r.get_raw((n + 1) * 8)?;
                 Ok(NodeView::Internal { pivots, children })
             }
@@ -218,7 +191,7 @@ impl LeafEdit {
     /// nothing.
     pub fn new(
         image: &[u8],
-        entries: PairsView<'_>,
+        entries: Run<'_, Pair<'_>>,
         key: &[u8],
         value: Option<&[u8]>,
     ) -> Result<Self, CodecError> {
@@ -230,9 +203,8 @@ impl LeafEdit {
         let n = entries.len();
         let (count, record) = match value {
             Some(value) => {
-                let mut w = Writer::with_capacity(LEAF_ENTRY_OVERHEAD + key.len() + value.len());
-                w.put_bytes(key);
-                w.put_bytes(value);
+                let mut w = Writer::with_capacity(pair_size(key, value));
+                w.put_pair(key, value);
                 (if found { n } else { n + 1 }, w.into_bytes())
             }
             None => (if found { n - 1 } else { n }, Vec::new()),
@@ -309,20 +281,11 @@ mod tests {
     fn serialized_size_is_exact() {
         for n in [0, 1, 5, 50] {
             let node = leaf(n);
-            let mut w = Writer::new();
-            // Re-encode without padding to compare.
-            match &node {
-                Node::Leaf { entries } => {
-                    w.put_u8(0);
-                    w.put_u32(entries.len() as u32);
-                    for (k, v) in entries {
-                        w.put_bytes(k);
-                        w.put_bytes(v);
-                    }
-                }
-                _ => unreachable!(),
-            }
-            assert_eq!(node.serialized_size(), FRAME_OVERHEAD + w.len());
+            // The unpadded frame is exactly the serialized size.
+            assert_eq!(
+                node.serialized_size(),
+                FRAME_OVERHEAD + unframe(&node.encode(4096)).unwrap().len()
+            );
         }
         let internal = Node::Internal {
             pivots: vec![vec![1; 16], vec![2; 16]],

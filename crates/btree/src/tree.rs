@@ -1,9 +1,9 @@
 //! The B-tree proper: descent, split, merge/borrow, range scans, bulk load,
 //! and per-operation cost accounting.
 
-use crate::node::{LeafEdit, Node, NodeId, NodeView, LEAF_ENTRY_OVERHEAD, NODE_HEADER_BYTES};
+use crate::node::{LeafEdit, Node, NodeId, NodeView};
 use dam_cache::{Page, Pager, Superblock, SuperblockIo};
-use dam_kv::codec::{unframe, CodecError, PairsView};
+use dam_kv::codec::{pair_size, unframe, CodecError, Pair, Run, NODE_HEADER_BYTES};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
 use dam_obs::{Obs, PagedDict};
 use dam_storage::SharedDevice;
@@ -194,7 +194,7 @@ impl BTree {
     }
 
     fn entry_fits(&self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-        let need = NODE_HEADER_BYTES + LEAF_ENTRY_OVERHEAD + key.len() + value.len();
+        let need = NODE_HEADER_BYTES + pair_size(key, value);
         if need > self.cfg.node_bytes {
             return Err(KvError::Config(format!(
                 "entry of {} bytes cannot fit in node_bytes {}",
@@ -215,14 +215,11 @@ impl BTree {
         entries: &mut Vec<(Vec<u8>, Vec<u8>)>,
     ) -> (Vec<u8>, Vec<(Vec<u8>, Vec<u8>)>) {
         debug_assert!(entries.len() >= 2, "cannot split a leaf with < 2 entries");
-        let total: usize = entries
-            .iter()
-            .map(|(k, v)| LEAF_ENTRY_OVERHEAD + k.len() + v.len())
-            .sum();
+        let total: usize = entries.iter().map(|(k, v)| pair_size(k, v)).sum();
         let mut acc = 0usize;
         let mut split = entries.len() - 1;
         for (i, (k, v)) in entries.iter().enumerate() {
-            acc += LEAF_ENTRY_OVERHEAD + k.len() + v.len();
+            acc += pair_size(k, v);
             if acc * 2 >= total && i + 1 < entries.len() {
                 split = i + 1;
                 break;
@@ -327,7 +324,7 @@ impl BTree {
     fn split_leaf(
         &mut self,
         id: NodeId,
-        entries: PairsView<'_>,
+        entries: Run<'_, Pair<'_>>,
         key: &[u8],
         value: &[u8],
     ) -> Result<(Vec<u8>, NodeId), KvError> {
@@ -456,14 +453,11 @@ impl BTree {
             (Node::Leaf { entries: le }, Node::Leaf { entries: re }) => {
                 let mut all: Vec<(Vec<u8>, Vec<u8>)> = std::mem::take(le);
                 all.extend(std::mem::take(re));
-                let total: usize = all
-                    .iter()
-                    .map(|(k, v)| LEAF_ENTRY_OVERHEAD + k.len() + v.len())
-                    .sum();
+                let total: usize = all.iter().map(|(k, v)| pair_size(k, v)).sum();
                 let mut acc = 0usize;
                 let mut split = all.len() / 2;
                 for (i, (k, v)) in all.iter().enumerate() {
-                    acc += LEAF_ENTRY_OVERHEAD + k.len() + v.len();
+                    acc += pair_size(k, v);
                     if acc * 2 >= total && i + 1 < all.len() {
                         split = i + 1;
                         break;
@@ -607,7 +601,7 @@ impl BTree {
             }
             last_key = Some(k.clone());
             tree.entry_fits(&k, &v)?;
-            let sz = LEAF_ENTRY_OVERHEAD + k.len() + v.len();
+            let sz = pair_size(&k, &v);
             if current_bytes + sz > target && !current.is_empty() {
                 let id = tree.alloc_node()?;
                 let first = current[0].0.clone();

@@ -89,7 +89,8 @@ impl Args {
         self.flags.get(name).map(String::as_str)
     }
 
-    /// True when a boolean flag (see [`BOOLEAN_FLAGS`]) was given.
+    /// True when a boolean flag (one that takes no value, such as `--smoke`)
+    /// was given.
     pub fn get_bool(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }

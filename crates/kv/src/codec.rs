@@ -2,9 +2,13 @@
 //!
 //! Little-endian fixed-width integers and length-prefixed byte strings, with
 //! fully checked decoding: a truncated or corrupt image produces a
-//! [`CodecError`], never a panic or garbage data. The format is deliberately
-//! boring — the interesting parts of the paper are in *when* bytes move, not
-//! how they are arranged.
+//! [`CodecError`], never a panic or garbage data. Node images are sorted
+//! runs of records, read and searched in place as a [`Run`]. The format is
+//! deliberately boring — the interesting parts of the paper are in *when*
+//! bytes move, not how they are arranged.
+
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut, Range};
 
 /// Decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,16 +71,6 @@ impl Writer {
         }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Finish and take the encoded buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -100,7 +94,55 @@ impl Writer {
     /// Write a byte string with a `u32` length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(u32::try_from(v.len()).expect("byte string longer than u32::MAX"));
+        self.put_raw(v);
+    }
+
+    /// Write `v` as it is, with no length prefix.
+    pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// Write a [`Pair`]: the pair encoder.
+    pub fn put_pair(&mut self, k: &[u8], v: &[u8]) {
+        self.put_bytes(k);
+        self.put_bytes(v);
+    }
+
+    /// Write `tag`, the `u32` count of `pairs`, and the pairs: a leaf's or
+    /// subleaf's payload, [`pairs_size`] bytes once framed.
+    pub fn put_pairs(&mut self, tag: u8, pairs: &[(Vec<u8>, Vec<u8>)]) {
+        self.put_u8(tag);
+        self.put_u32(u32::try_from(pairs.len()).expect("more than u32::MAX pairs"));
+        for (k, v) in pairs {
+            self.put_pair(k, v);
+        }
+    }
+
+    /// Write an [`Entry`]: `None` is a tombstone.
+    pub fn put_entry(&mut self, k: &[u8], v: Option<&[u8]>) {
+        self.put_bytes(k);
+        match v {
+            Some(v) => {
+                self.put_u8(1);
+                self.put_bytes(v);
+            }
+            None => self.put_u8(0),
+        }
+    }
+}
+
+/// The bytes written so far, for encoders that patch a header in place.
+impl Deref for Writer {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf
+    }
+}
+
+impl DerefMut for Writer {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
     }
 }
 
@@ -159,12 +201,6 @@ impl<'a> Reader<'a> {
     /// Read a `u32`-length-prefixed byte string, borrowing from the input.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.get_u32()? as usize;
-        if len > self.remaining() {
-            return Err(CodecError::UnexpectedEof {
-                needed: len,
-                remaining: self.remaining(),
-            });
-        }
         self.take(len)
     }
 
@@ -573,40 +609,127 @@ pub fn frame_payload(buf: &[u8]) -> Result<&[u8], CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Borrowed views
+// Record runs
 // ---------------------------------------------------------------------------
 
-/// `n` consecutive `u32`-length-prefixed byte strings, checked once when
-/// read and then walked in place (pivot lists, routing keys).
-#[derive(Debug, Clone, Copy)]
-pub struct StrsView<'a> {
-    n: usize,
-    bytes: &'a [u8],
+/// Tag of a node image that holds a pair run: a B-tree or Bε-tree leaf.
+pub const TAG_LEAF: u8 = 0;
+/// Tag of a node image that holds pivots and children.
+pub const TAG_INTERNAL: u8 = 1;
+/// Bytes a framed, tagged run spends beyond its records: the frame header,
+/// the tag and the `u32` record count. Every node image and subleaf segment
+/// starts with them.
+pub const NODE_HEADER_BYTES: usize = FRAME_OVERHEAD + 1 + 4;
+/// Bytes a pair spends beyond its key and value: two `u32` length prefixes.
+pub const LEAF_ENTRY_OVERHEAD: usize = 8;
+
+/// A key and its value, each a length-prefixed byte string: the records of
+/// leaves and subleaves.
+pub type Pair<'a> = (&'a [u8], &'a [u8]);
+
+/// A key, then a one-byte tag and the value (tag 1) or nothing (tag 0, a
+/// tombstone): the records of an SSTable block.
+pub type Entry<'a> = (&'a [u8], Option<&'a [u8]>);
+
+/// One kind of record, read in place from an encoded run.
+pub trait Record<'a>: Copy {
+    /// An owned copy of a record.
+    type Owned;
+
+    /// Read one record, checking it, and leave `r` just past it: the
+    /// kind's only parser.
+    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError>;
+
+    /// An owned copy.
+    fn owned(self) -> Self::Owned;
 }
 
-impl<'a> StrsView<'a> {
-    /// Take `n` strings from `r`, checking every length prefix, and leave
-    /// `r` just past them.
-    pub fn read(r: &mut Reader<'a>, n: usize) -> Result<Self, CodecError> {
-        let rest = r.buf;
+/// A byte string: a pivot or routing key.
+impl<'a> Record<'a> for &'a [u8] {
+    type Owned = Vec<u8>;
+
+    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        r.get_bytes()
+    }
+
+    fn owned(self) -> Vec<u8> {
+        self.to_vec()
+    }
+}
+
+impl<'a> Record<'a> for Pair<'a> {
+    type Owned = (Vec<u8>, Vec<u8>);
+
+    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        Ok((r.get_bytes()?, r.get_bytes()?))
+    }
+
+    fn owned(self) -> (Vec<u8>, Vec<u8>) {
+        (self.0.to_vec(), self.1.to_vec())
+    }
+}
+
+impl<'a> Record<'a> for Entry<'a> {
+    type Owned = (Vec<u8>, Option<Vec<u8>>);
+
+    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        let k = r.get_bytes()?;
+        let v = match r.get_u8()? {
+            0 => None,
+            1 => Some(r.get_bytes()?),
+            _ => return Err(CodecError::Invalid("unknown entry tag")),
+        };
+        Ok((k, v))
+    }
+
+    fn owned(self) -> (Vec<u8>, Option<Vec<u8>>) {
+        (self.0.to_vec(), self.1.map(<[u8]>::to_vec))
+    }
+}
+
+/// A run with its `u32` record count in front: one message buffer of a
+/// node.
+impl<'a, R: Record<'a>> Record<'a> for Run<'a, R> {
+    type Owned = Vec<R::Owned>;
+
+    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        let n = r.get_u32()? as usize;
+        Run::read_n(r, n)
+    }
+
+    fn owned(self) -> Vec<R::Owned> {
+        self.to_vec()
+    }
+}
+
+/// `n` consecutive records of one kind, checked once when read and then
+/// walked and searched in place. A run is sorted by its records' keys, so
+/// [`Run::seek`], the one ordered search, finds where a key goes.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a, R> {
+    n: usize,
+    bytes: &'a [u8],
+    kind: PhantomData<R>,
+}
+
+impl<'a, R: Record<'a>> Run<'a, R> {
+    /// Take `n` records from `r`, checking each, and leave `r` just past
+    /// them.
+    pub fn read_n(r: &mut Reader<'a>, n: usize) -> Result<Self, CodecError> {
         let start = r.pos;
         for _ in 0..n {
-            r.get_bytes()?;
+            R::read(r)?;
         }
-        Ok(StrsView {
+        Ok(Run {
             n,
-            bytes: &rest[start..r.pos],
+            bytes: &r.buf[start..r.pos],
+            kind: PhantomData,
         })
     }
 
-    /// Number of strings.
+    /// Number of records.
     pub fn len(&self) -> usize {
         self.n
-    }
-
-    /// Bytes the strings take encoded, length prefixes included.
-    pub fn encoded_len(&self) -> usize {
-        self.bytes.len()
     }
 
     /// True when there are none.
@@ -614,146 +737,119 @@ impl<'a> StrsView<'a> {
         self.n == 0
     }
 
-    /// The strings in order.
-    pub fn iter(&self) -> StrsIter<'a> {
-        StrsIter {
-            r: Reader::new(self.bytes),
-            left: self.n,
+    /// Bytes the records take encoded.
+    pub fn encoded_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The records in order.
+    pub fn iter(&self) -> impl Iterator<Item = R> + use<'a, R> {
+        let mut r = Reader::new(self.bytes);
+        // The run was checked when it was read, so no step can fail.
+        (0..self.n).map_while(move |_| R::read(&mut r).ok())
+    }
+
+    /// The first record and the run after it.
+    fn split_first(&self) -> Option<(R, Self)> {
+        if self.n == 0 {
+            return None;
+        }
+        let mut r = Reader::new(self.bytes);
+        // The run was checked when it was read, so this cannot fail.
+        let first = R::read(&mut r).ok()?;
+        Some((first, self.tail(r.pos, self.n - 1)))
+    }
+
+    /// The ordered search: how many leading records `before` holds for, and
+    /// the run from the first record it fails for. A linear scan; on a run
+    /// where `before` holds for a prefix only (a bound on sorted keys),
+    /// that is the prefix's length.
+    pub fn seek(&self, mut before: impl FnMut(&R) -> bool) -> (usize, Self) {
+        let mut r = Reader::new(self.bytes);
+        for i in 0..self.n {
+            let at = r.pos;
+            // The run was checked when it was read, so this cannot fail.
+            let Ok(record) = R::read(&mut r) else { break };
+            if !before(&record) {
+                return (i, self.tail(at, self.n - i));
+            }
+        }
+        (self.n, self.tail(self.bytes.len(), 0))
+    }
+
+    /// The `n` last records, which start at byte `at`.
+    fn tail(&self, at: usize, n: usize) -> Self {
+        Run {
+            n,
+            bytes: &self.bytes[at..],
+            kind: PhantomData,
         }
     }
 
+    /// Owned copies of the records.
+    pub fn to_vec(self) -> Vec<R::Owned> {
+        self.iter().map(R::owned).collect()
+    }
+}
+
+impl<'a> Run<'a, &'a [u8]> {
     /// How many strings are `<= key`, for strings in ascending order: the
     /// index of the child (or segment) a pivot list routes `key` to.
     pub fn route(&self, key: &[u8]) -> usize {
-        self.iter().take_while(|p| *p <= key).count()
-    }
-
-    /// Owned copies of the strings.
-    pub fn to_vec(self) -> Vec<Vec<u8>> {
-        self.iter().map(<[u8]>::to_vec).collect()
+        self.seek(|p| *p <= key).0
     }
 }
 
-/// Iterator over a [`StrsView`].
-#[derive(Debug, Clone)]
-pub struct StrsIter<'a> {
-    r: Reader<'a>,
-    left: usize,
-}
-
-impl<'a> Iterator for StrsIter<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        // The view was checked when it was read, so this cannot fail.
-        self.r.get_bytes().ok()
-    }
-}
-
-/// `n` consecutive `(key, value)` pairs of length-prefixed byte strings in
-/// ascending key order (leaf entries), checked once when read and then
-/// searched in place.
-#[derive(Debug, Clone, Copy)]
-pub struct PairsView<'a> {
-    strs: StrsView<'a>,
-}
-
-impl<'a> PairsView<'a> {
-    /// Take `n` pairs from `r`, checking every length prefix, and leave `r`
-    /// just past them.
-    pub fn read(r: &mut Reader<'a>, n: usize) -> Result<Self, CodecError> {
-        let strs = StrsView::read(
-            r,
-            n.checked_mul(2).ok_or(CodecError::Invalid("entry count"))?,
-        )?;
-        Ok(PairsView { strs })
-    }
-
-    /// The pairs in order.
-    pub fn iter(&self) -> PairsIter<'a> {
-        PairsIter(self.strs.iter())
-    }
-
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        self.strs.len() / 2
-    }
-
-    /// True when there are none.
-    pub fn is_empty(&self) -> bool {
-        self.strs.is_empty()
-    }
-
-    /// Bytes the pairs take encoded, length prefixes included.
-    pub fn encoded_len(&self) -> usize {
-        self.strs.encoded_len()
-    }
-
-    /// Where `key` sits among the encoded pairs: the byte range (from the
-    /// first pair's start) of the pair holding `key` and `true`, or the
-    /// empty range where such a pair would go and `false`.
-    pub fn locate(&self, key: &[u8]) -> (std::ops::Range<usize>, bool) {
-        let bytes = self.strs.bytes;
-        let mut r = Reader::new(bytes);
-        while !r.is_exhausted() {
-            let start = r.pos;
-            // The view was checked when it was read, so neither can fail.
-            let (Ok(k), Ok(_)) = (r.get_bytes(), r.get_bytes()) else {
-                break;
-            };
-            if k >= key {
-                return if k == key {
-                    (start..r.pos, true)
-                } else {
-                    (start..start, false)
-                };
-            }
-        }
-        (bytes.len()..bytes.len(), false)
-    }
-
+/// Runs of key-first records in ascending key order: pairs and entries.
+impl<'a, V: Copy> Run<'a, (&'a [u8], V)>
+where
+    (&'a [u8], V): Record<'a>,
+{
     /// The value stored under `key`.
-    pub fn get(&self, key: &[u8]) -> Option<&'a [u8]> {
-        self.iter()
-            .find(|(k, _)| *k >= key)
+    pub fn get(&self, key: &[u8]) -> Option<V> {
+        let (_, rest) = self.seek(|(k, _)| *k < key);
+        rest.iter()
+            .next()
             .filter(|(k, _)| *k == key)
             .map(|(_, v)| v)
     }
 
-    /// The pairs with `start <= key < end`.
+    /// The records with `start <= key < end`.
     pub fn range<'k>(
         &self,
         start: &'k [u8],
         end: &'k [u8],
-    ) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + 'k
+    ) -> impl Iterator<Item = (&'a [u8], V)> + 'k
     where
         'a: 'k,
+        V: 'k,
     {
-        self.iter()
-            .skip_while(move |(k, _)| *k < start)
-            .take_while(move |(k, _)| *k < end)
+        let (_, rest) = self.seek(|(k, _)| *k < start);
+        rest.iter().take_while(move |(k, _)| *k < end)
     }
 
-    /// Owned copies of the pairs.
-    pub fn to_vec(self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
+    /// Where `key` sits among the encoded records: the byte range (from the
+    /// first record's start) of the record holding `key` and `true`, or the
+    /// empty range where such a record would go and `false`.
+    pub fn locate(&self, key: &[u8]) -> (Range<usize>, bool) {
+        let (_, rest) = self.seek(|(k, _)| *k < key);
+        let at = self.encoded_len() - rest.encoded_len();
+        match rest.split_first() {
+            Some(((k, _), tail)) if k == key => (at..self.encoded_len() - tail.encoded_len(), true),
+            _ => (at..at, false),
+        }
     }
 }
 
-/// Iterator over a [`PairsView`].
-#[derive(Debug, Clone)]
-pub struct PairsIter<'a>(StrsIter<'a>);
+/// Encoded size of the pair `(k, v)`.
+pub fn pair_size(k: &[u8], v: &[u8]) -> usize {
+    LEAF_ENTRY_OVERHEAD + k.len() + v.len()
+}
 
-impl<'a> Iterator for PairsIter<'a> {
-    type Item = (&'a [u8], &'a [u8]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        Some((self.0.next()?, self.0.next()?))
-    }
+/// Framed size of a run of `pairs` behind a tag ([`Writer::put_pairs`]):
+/// exactly its image length before padding.
+pub fn pairs_size(pairs: &[(Vec<u8>, Vec<u8>)]) -> usize {
+    NODE_HEADER_BYTES + pairs.iter().map(|(k, v)| pair_size(k, v)).sum::<usize>()
 }
 
 #[cfg(test)]
@@ -1205,40 +1301,6 @@ mod tests {
             frame_payload(&framed),
             Err(CodecError::UnexpectedEof { .. })
         ));
-    }
-
-    #[test]
-    fn pairs_view_searches_in_place() {
-        let mut w = Writer::new();
-        for (k, v) in [(&b"a"[..], &b"1"[..]), (b"c", b"3"), (b"e", b"")] {
-            w.put_bytes(k);
-            w.put_bytes(v);
-        }
-        w.put_u8(0xAB); // what follows the pairs
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let pairs = PairsView::read(&mut r, 3).unwrap();
-        assert_eq!(r.get_u8().unwrap(), 0xAB);
-        assert_eq!(pairs.iter().count(), 3);
-        assert_eq!(pairs.get(b"c"), Some(&b"3"[..]));
-        assert_eq!(pairs.get(b"e"), Some(&b""[..]));
-        assert_eq!(pairs.get(b"b"), None);
-        assert_eq!(pairs.get(b"z"), None);
-        let keys: Vec<&[u8]> = pairs.range(b"b", b"e").map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![&b"c"[..]]);
-        let mut w = Writer::new();
-        for p in [&b"b"[..], b"d", b"f"] {
-            w.put_bytes(p);
-        }
-        let pivots = w.into_bytes();
-        let strs = StrsView::read(&mut Reader::new(&pivots), 3).unwrap();
-        let routes: Vec<usize> = [&b"a"[..], b"b", b"c", b"f", b"g"]
-            .iter()
-            .map(|k| strs.route(k))
-            .collect();
-        assert_eq!(routes, vec![0, 1, 1, 3, 3]);
-        // Asking for more pairs than are encoded fails cleanly.
-        assert!(PairsView::read(&mut Reader::new(&bytes), 4).is_err());
     }
 
     #[test]

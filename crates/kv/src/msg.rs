@@ -5,7 +5,7 @@
 //! Messages buffered high in the tree are *newer* than state below them;
 //! the newest message for a key decides its value.
 
-use crate::codec::{CodecError, Reader, Writer};
+use crate::codec::{CodecError, Reader, Record, Run, Writer};
 
 /// The modification a message carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +64,7 @@ impl Message {
 
     /// Deserialize from a [`Reader`].
     pub fn decode(r: &mut Reader<'_>) -> Result<Message, CodecError> {
-        MessageRef::read(r).map(|m| m.to_message())
+        MessageRef::read(r).map(MessageRef::owned)
     }
 }
 
@@ -88,10 +88,11 @@ pub struct MessageRef<'a> {
     pub op: OpRef<'a>,
 }
 
-impl<'a> MessageRef<'a> {
-    /// Read one message written by [`Message::encode`] — the format's only
-    /// parser.
-    pub fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+impl<'a> Record<'a> for MessageRef<'a> {
+    type Owned = Message;
+
+    /// Read one message written by [`Message::encode`].
+    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
         let seq = r.get_u64()?;
         let key = r.get_bytes()?;
         let op = match r.get_u8()? {
@@ -102,17 +103,7 @@ impl<'a> MessageRef<'a> {
         Ok(MessageRef { seq, key, op })
     }
 
-    /// [`Message::footprint`] of the message.
-    pub fn footprint(&self) -> usize {
-        let payload = match self.op {
-            OpRef::Put(v) => v.len(),
-            OpRef::Delete => 0,
-        };
-        self.key.len() + payload + FOOTPRINT_OVERHEAD
-    }
-
-    /// An owned copy.
-    pub fn to_message(self) -> Message {
+    fn owned(self) -> Message {
         Message {
             seq: self.seq,
             key: self.key.to_vec(),
@@ -124,68 +115,26 @@ impl<'a> MessageRef<'a> {
     }
 }
 
-/// `n` consecutive encoded messages sorted by `(key, seq)` (a message
-/// buffer), checked once when read and then walked in place.
-#[derive(Debug, Clone, Copy)]
-pub struct MsgsView<'a> {
-    n: usize,
-    bytes: &'a [u8],
+impl MessageRef<'_> {
+    /// [`Message::footprint`] of the message.
+    pub fn footprint(&self) -> usize {
+        let payload = match self.op {
+            OpRef::Put(v) => v.len(),
+            OpRef::Delete => 0,
+        };
+        self.key.len() + payload + FOOTPRINT_OVERHEAD
+    }
 }
 
-impl<'a> MsgsView<'a> {
-    /// Take `n` messages from `r`, checking each, and leave `r` just past
-    /// them.
-    pub fn read(r: &mut Reader<'a>, n: usize) -> Result<Self, CodecError> {
-        let before = r.remaining();
-        let mut probe = *r;
-        for _ in 0..n {
-            MessageRef::read(r)?;
-        }
-        let bytes = probe.get_raw(before - r.remaining())?;
-        Ok(MsgsView { n, bytes })
-    }
-
-    /// The messages in order.
-    pub fn iter(&self) -> MsgsIter<'a> {
-        MsgsIter {
-            r: Reader::new(self.bytes),
-            left: self.n,
-        }
-    }
-
+/// A message buffer: messages sorted by `(key, seq)`.
+impl<'a> Run<'a, MessageRef<'a>> {
     /// The messages for `key`, in ascending seq order.
     pub fn for_key<'k>(&self, key: &'k [u8]) -> impl Iterator<Item = MessageRef<'a>> + 'k
     where
         'a: 'k,
     {
-        self.iter()
-            .skip_while(move |m| m.key < key)
-            .take_while(move |m| m.key == key)
-    }
-
-    /// Owned copies of the messages.
-    pub fn to_vec(self) -> Vec<Message> {
-        self.iter().map(|m| m.to_message()).collect()
-    }
-}
-
-/// Iterator over a [`MsgsView`].
-#[derive(Debug, Clone)]
-pub struct MsgsIter<'a> {
-    r: Reader<'a>,
-    left: usize,
-}
-
-impl<'a> Iterator for MsgsIter<'a> {
-    type Item = MessageRef<'a>;
-
-    fn next(&mut self) -> Option<MessageRef<'a>> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        // The view was checked when it was read, so this cannot fail.
-        MessageRef::read(&mut self.r).ok()
+        let (_, rest) = self.seek(|m| m.key < key);
+        rest.iter().take_while(move |m| m.key == key)
     }
 }
 
@@ -232,38 +181,6 @@ mod tests {
             assert_eq!(Message::decode(&mut r).unwrap(), m);
             assert!(r.is_exhausted());
         }
-    }
-
-    #[test]
-    fn msgs_view_walks_in_place() {
-        let ms = vec![
-            Message {
-                seq: 4,
-                key: b"a".to_vec(),
-                op: Operation::Delete,
-            },
-            msg(1, Operation::Put(b"v1".to_vec())),
-            msg(7, Operation::Delete),
-            Message {
-                seq: 2,
-                key: b"z".to_vec(),
-                op: Operation::Put(Vec::new()),
-            },
-        ];
-        let mut w = Writer::new();
-        for m in &ms {
-            m.encode(&mut w);
-        }
-        w.put_u8(0xCD);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let view = MsgsView::read(&mut r, ms.len()).unwrap();
-        assert_eq!(r.get_u8().unwrap(), 0xCD);
-        assert_eq!(view.to_vec(), ms);
-        let seqs: Vec<u64> = view.for_key(b"k").map(|m| m.seq).collect();
-        assert_eq!(seqs, vec![1, 7]);
-        assert_eq!(view.for_key(b"b").count(), 0);
-        assert!(MsgsView::read(&mut Reader::new(&bytes), 6).is_err());
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! [`dam_cache::Pager::read_within`].
 
 use dam_cache::{Page, Pager};
-use dam_kv::codec::{frame_payload, seal_frame, unframe, CodecError, Reader, FRAME_OVERHEAD};
+use dam_kv::codec::{
+    frame_payload, seal_frame, unframe, CodecError, Entry, Reader, Record, Run, Writer,
+    FRAME_OVERHEAD,
+};
 use dam_kv::KvError;
 use std::ops::{Deref, Range};
 
@@ -51,14 +54,14 @@ const BLOCK_OVERHEAD: usize = FRAME_OVERHEAD + 4;
 /// Writes one SSTable's data image from ascending entries, each encoded
 /// once, straight into the image. A block's frame header and entry count
 /// are reserved when the block opens and patched, with one checksum pass,
-/// when it closes. This is the block format's only encoder; [`BlockView`]
+/// when it closes. This is the block format's only encoder; [`parse_block`]
 /// is its only parser.
 ///
 /// A block closes before the entry that would take its payload past
 /// `block_bytes`, so each holds at least one entry.
 pub(crate) struct TableWriter {
     block_bytes: usize,
-    image: Vec<u8>,
+    image: Writer,
     blocks: Vec<BlockMeta>,
     /// Entries in the open block; 0 when no block is open.
     block_entries: usize,
@@ -81,7 +84,7 @@ impl TableWriter {
         let blocks = 2 * bytes / block_bytes.saturating_sub(4).max(1) + 2;
         TableWriter {
             block_bytes,
-            image: Vec::with_capacity(bytes + blocks * BLOCK_OVERHEAD),
+            image: Writer::with_capacity(bytes + blocks * BLOCK_OVERHEAD),
             blocks: Vec::new(),
             block_entries: 0,
             block_used: 0,
@@ -117,19 +120,12 @@ impl TableWriter {
                 offset: u32::try_from(self.image.len()).expect("table image longer than u32::MAX"),
                 len: 0,
             });
-            self.image.extend_from_slice(&[0u8; BLOCK_OVERHEAD]);
+            self.image.put_raw(&[0u8; BLOCK_OVERHEAD]);
             self.block_used = 4;
         }
         let key_at = self.image.len() + 4;
-        put_bytes(&mut self.image, key);
+        self.image.put_entry(key, value);
         self.last_key = key_at..key_at + key.len();
-        match value {
-            Some(v) => {
-                self.image.push(1);
-                put_bytes(&mut self.image, v);
-            }
-            None => self.image.push(0),
-        }
         self.block_used += sz;
         self.block_entries += 1;
         self.bytes += sz;
@@ -154,14 +150,15 @@ impl TableWriter {
         self.close_block();
         let min_key = self.blocks[0].first_key.clone();
         let max_key = self.image[self.last_key.clone()].to_vec();
+        let mut image = self.image.into_bytes();
         // The cached image keeps no unused reservation.
-        self.image.shrink_to_fit();
-        let data_len = self.image.len() as u64;
+        image.shrink_to_fit();
+        let data_len = image.len() as u64;
         let base = pager.alloc(data_len)?;
         // One sequential *durable* write for the whole table — the LSM's
         // write pattern (LevelDB fsyncs each SSTable), and the reason large
         // SSTables amortize the setup cost.
-        if let Err(e) = pager.write_through(base, self.image) {
+        if let Err(e) = pager.write_through(base, image) {
             // Don't leak the extent on a failed write; the caller may
             // retry the whole build once the fault clears.
             pager.free(base, data_len);
@@ -187,7 +184,7 @@ impl TableWriter {
 /// A linear scan of the run heads picks each next key: compaction merges at
 /// most a few L0 runs and one run from the level below.
 fn merge_views<'a>(
-    runs: &[Vec<BlockView<'a>>],
+    runs: &[Vec<Run<'a, Entry<'a>>>],
     drop_tombstones: bool,
     mut emit: impl FnMut(&'a [u8], Option<&'a [u8]>) -> Result<(), KvError>,
 ) -> Result<(), KvError> {
@@ -195,9 +192,9 @@ fn merge_views<'a>(
         .iter()
         .map(|run| run.iter().flat_map(|block| block.iter()))
         .collect();
-    let mut heads: Vec<Option<EntryRef<'a>>> = iters.iter_mut().map(Iterator::next).collect();
+    let mut heads: Vec<Option<Entry<'a>>> = iters.iter_mut().map(Iterator::next).collect();
     loop {
-        let mut min: Option<(usize, EntryRef<'a>)> = None;
+        let mut min: Option<(usize, Entry<'a>)> = None;
         for (i, head) in heads.iter().enumerate() {
             if let Some(e) = *head {
                 if min.is_none_or(|(_, m)| e.0 < m.0) {
@@ -243,7 +240,7 @@ pub(crate) fn write_merged<B: Deref<Target = [u8]>>(
 ) -> Result<Vec<SsTable>, KvError> {
     let views = runs
         .iter()
-        .map(|run| run.iter().map(|b| BlockView::parse(b)).collect())
+        .map(|run| run.iter().map(|b| parse_block(b)).collect())
         .collect::<Result<Vec<Vec<_>>, _>>()?;
     let mut stamp = || {
         let s = *next_stamp;
@@ -281,72 +278,13 @@ pub(crate) fn write_merged<B: Deref<Target = [u8]>>(
     }
 }
 
-/// Append `v` with its `u32` length prefix.
-fn put_bytes(image: &mut Vec<u8>, v: &[u8]) {
-    let len = u32::try_from(v.len()).expect("byte string longer than u32::MAX");
-    image.extend_from_slice(&len.to_le_bytes());
-    image.extend_from_slice(v);
-}
-
-/// A block read in place: point reads and scans search inside the block
-/// image and copy out only what they return. Parsing checks the whole
-/// structure, so a malformed payload is a [`CodecError`] up front, never a
-/// panic or a partial answer. This is the block format's only parser.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockView<'a> {
-    n: usize,
-    entries: &'a [u8],
-}
-
-/// One entry as stored: the key, then the value or `None` for a tombstone.
-pub(crate) type EntryRef<'a> = (&'a [u8], Option<&'a [u8]>);
-
-fn read_entry<'a>(r: &mut Reader<'a>) -> Result<EntryRef<'a>, CodecError> {
-    let k = r.get_bytes()?;
-    let v = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_bytes()?),
-        _ => return Err(CodecError::Invalid("unknown entry tag")),
-    };
-    Ok((k, v))
-}
-
-impl<'a> BlockView<'a> {
-    /// View a framed block image. Checks the frame header and the payload
-    /// structure but not the frame checksum, which
-    /// [`SsTable::block_page`] checks once per arrival from the device.
-    pub(crate) fn parse(image: &'a [u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(frame_payload(image)?);
-        let n = r.get_u32()? as usize;
-        let mut probe = r;
-        let before = r.remaining();
-        for _ in 0..n {
-            read_entry(&mut r)?;
-        }
-        let entries = probe.get_raw(before - r.remaining())?;
-        Ok(BlockView { n, entries })
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = EntryRef<'a>> {
-        let mut r = Reader::new(self.entries);
-        // The view was checked when it was parsed, so no step can fail.
-        (0..self.n).map_while(move |_| read_entry(&mut r).ok())
-    }
-
-    /// `None` when `key` is absent, `Some(None)` for a tombstone.
-    fn get(&self, key: &[u8]) -> Option<Option<&'a [u8]>> {
-        self.iter()
-            .find(|(k, _)| *k >= key)
-            .filter(|(k, _)| *k == key)
-            .map(|(_, v)| v)
-    }
-
-    #[cfg(test)]
-    fn to_vec(self) -> Vec<RunEntry> {
-        self.iter()
-            .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
-            .collect()
-    }
+/// A framed block read in place: its `u32`-counted run of entries. Checks
+/// the frame header and the payload structure but not the frame checksum,
+/// which [`SsTable::block_page`] checks once per arrival from the device.
+/// This is the block format's only parser; point reads and scans search
+/// the run inside the block image and copy out only what they return.
+pub(crate) fn parse_block(image: &[u8]) -> Result<Run<'_, Entry<'_>>, CodecError> {
+    Run::read(&mut Reader::new(frame_payload(image)?))
 }
 
 impl SsTable {
@@ -412,7 +350,7 @@ impl SsTable {
             return Ok(None);
         }
         let page = self.block_page(pager, self.block_index_for(key))?;
-        let block = BlockView::parse(&page)?;
+        let block = parse_block(&page)?;
         Ok(block.get(key).map(|v| v.map(<[u8]>::to_vec)))
     }
 
@@ -429,7 +367,7 @@ impl SsTable {
         }
         let mut out = Vec::new();
         for page in self.scan_pages(pager, start, Some(end))? {
-            let block = BlockView::parse(&page)?;
+            let block = parse_block(&page)?;
             out.extend(
                 block
                     .iter()
@@ -470,7 +408,7 @@ impl SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dam_kv::codec::{frame, Writer};
+    use dam_kv::codec::frame;
     use dam_storage::{RamDisk, SharedDevice, SimDuration, SimTime};
     use std::collections::BTreeMap;
 
@@ -480,14 +418,7 @@ mod tests {
         let mut w = Writer::new();
         w.put_u32(u32::try_from(entries.len()).unwrap());
         for (k, v) in entries {
-            w.put_bytes(k);
-            match v {
-                Some(v) => {
-                    w.put_u8(1);
-                    w.put_bytes(v);
-                }
-                None => w.put_u8(0),
-            }
+            w.put_entry(k, v.as_deref());
         }
         w.into_bytes()
     }
@@ -511,7 +442,7 @@ mod tests {
     /// Block `i` decoded into owned entries.
     fn read_block(t: &SsTable, pager: &mut Pager, i: usize) -> Result<Vec<RunEntry>, KvError> {
         let page = t.block_page(pager, i)?;
-        Ok(BlockView::parse(&page)?.to_vec())
+        Ok(parse_block(&page)?.to_vec())
     }
 
     fn scan_all(t: &SsTable, pager: &mut Pager) -> Vec<RunEntry> {
@@ -839,52 +770,21 @@ mod tests {
     }
 
     mod block_view {
-        //! Property tests: a borrowed [`BlockView`] answers exactly what
-        //! the owned block decode answers, and a well-framed block around a
-        //! malformed payload is a `CodecError`, never a panic or data.
+        //! Property tests: a well-framed block around a malformed payload
+        //! is a `CodecError`, never a panic or data, and whatever parses is
+        //! what the block encoder writes. (`dam-kv`'s `prop_codec` checks
+        //! the entry run's reads and searches.)
 
         use super::*;
         use dam_stats::prop::*;
 
-        fn key() -> impl Gen<Value = Vec<u8>> {
-            vec(0u8..4, 0..4)
-        }
-
         fn block() -> impl Gen<Value = Vec<RunEntry>> {
-            btree_map(key(), option(vec(any::<u8>(), 0..12)), 0..40)
+            btree_map(vec(0u8..4, 0..4), option(vec(any::<u8>(), 0..12)), 0..40)
                 .prop_map(|m| m.into_iter().collect())
         }
 
         props! {
             cases = 256;
-
-            #[test]
-            fn view_equals_owned_decode(
-                entries in block(),
-                probes in vec((key(), key()), 1..20),
-            ) {
-                let img = frame(&encode_block(&entries));
-                let view = BlockView::parse(&img).unwrap();
-                prop_assert_eq!(view.to_vec(), entries.clone());
-                for (a, b) in &probes {
-                    let want = entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(a))
-                        .ok()
-                        .map(|i| entries[i].1.as_deref());
-                    prop_assert_eq!(view.get(a), want);
-                    let want: Vec<EntryRef<'_>> = entries
-                        .iter()
-                        .filter(|(k, _)| k >= a && k < b)
-                        .map(|(k, v)| (k.as_slice(), v.as_deref()))
-                        .collect();
-                    let got: Vec<EntryRef<'_>> = view
-                        .iter()
-                        .skip_while(|(k, _)| *k < a.as_slice())
-                        .take_while(|(k, _)| *k < b.as_slice())
-                        .collect();
-                    prop_assert_eq!(got, want);
-                }
-            }
 
             #[test]
             fn malformed_payload_in_a_valid_frame_is_an_error(
@@ -893,7 +793,7 @@ mod tests {
             ) {
                 let p = encode_block(&entries);
                 let truncated = frame(&p[..cut as usize % p.len()]);
-                prop_assert!(BlockView::parse(&truncated).is_err());
+                prop_assert!(parse_block(&truncated).is_err());
             }
 
             #[test]
@@ -903,7 +803,7 @@ mod tests {
             ) {
                 let mut p = count.to_le_bytes().to_vec();
                 p.extend(payload);
-                if let Ok(view) = BlockView::parse(&frame(&p)) {
+                if let Ok(view) = parse_block(&frame(&p)) {
                     // Whatever parses round-trips through the encoder.
                     let entries = view.to_vec();
                     prop_assert_eq!(entries.len(), count as usize);

@@ -2,7 +2,7 @@
 //! non-overlapping levels, with size-triggered compaction.
 
 use crate::memkey::MemKey;
-use crate::sstable::{write_merged, BlockMeta, BlockView, SsTable, TableWriter};
+use crate::sstable::{parse_block, write_merged, BlockMeta, SsTable, TableWriter};
 use dam_cache::{Page, Pager, Superblock, SuperblockIo};
 use dam_kv::codec::{CodecError, Reader, Writer};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
@@ -520,7 +520,7 @@ impl LsmTree {
         // the memtable overwrites everything.
         let mut merged: BTreeMap<&[u8], Option<&[u8]>> = BTreeMap::new();
         for page in runs.iter().rev().flatten() {
-            let block = BlockView::parse(page).map_err(|e| KvError::Corrupt(e.to_string()))?;
+            let block = parse_block(page).map_err(|e| KvError::Corrupt(e.to_string()))?;
             merged.extend(block.iter().filter(|(k, _)| in_range(k)));
         }
         let upper = end.map_or(Bound::Unbounded, |e| Bound::Excluded(MemKey::new(e)));

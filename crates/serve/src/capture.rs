@@ -7,10 +7,9 @@
 //! IOs against a `P`-slot device we split *data* from *timing*: the op
 //! executes against a [`CaptureDevice`] (data served at once by an inner
 //! device, every IO recorded as `(write, offset, len)`), and the recorded
-//! sequence becomes an [`IoChain`](dam_storage::IoChain) whose cost in PDAM
-//! steps the scheduler computes afterwards. Determinism is free: the tree's
-//! behaviour never depends on timing, only on bytes, so re-timing commutes
-//! with execution.
+//! sequence becomes an [`IoChain`] whose cost in PDAM steps the scheduler
+//! computes afterwards. Determinism is free: the tree's behaviour never
+//! depends on timing, only on bytes, so re-timing commutes with execution.
 
 use dam_storage::{BlockDevice, DeviceStats, IoChain, IoCompletion, IoError, SimTime};
 use std::sync::{Arc, Mutex, PoisonError};

@@ -85,7 +85,8 @@ pub struct ServeConfig {
     pub p: usize,
     /// PDAM block size in bytes.
     pub block_bytes: u64,
-    /// Workload seed ([`run_with_obs`]; ignored by [`run_ops`]).
+    /// Seed of the preloaded values ([`preload_pairs`], which [`run_ops`]
+    /// loads too) and of the ops [`run_with_obs`] generates.
     pub seed: u64,
     /// Per-shard buffer-pool budget in bytes.
     pub cache_bytes: u64,
