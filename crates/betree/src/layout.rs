@@ -80,8 +80,6 @@ pub struct Meta {
     pub root: ChildDesc,
     /// Height in node levels (a lone leaf = 1).
     pub height: u32,
-    /// Live keys at the leaves.
-    pub count: u64,
     /// Next message sequence number.
     pub next_seq: u64,
 }
@@ -98,15 +96,15 @@ pub trait Layout: Sized {
     const SUPERBLOCK: Superblock;
     /// Span opened per level a query visits.
     const LEVEL_SPAN: &'static str;
-    /// Span opened per buffer flush (and, in the whole-node layout, per
-    /// node a drain visits).
+    /// Span opened per buffer flush: a child's messages moving one level
+    /// down.
     const DRAIN_SPAN: &'static str;
     /// Whether a node's pivots and kind live in its parent's descriptor.
     /// Then the root's descriptor, which has no parent, lives in memory
     /// and in the superblock, and buffers messages there until it exceeds
-    /// its budget; a drain descends from descriptors without reading a
-    /// leaf. Otherwise every message goes straight into the root node, and
-    /// a drain reads each node to see its children.
+    /// its budget; a range walk descends from descriptors and reads only
+    /// the segments it needs. Otherwise every message goes straight into
+    /// the root node, and a range walk reads each node to see its children.
     const PIVOTS_IN_PARENT: bool;
     /// Whether `bulk_load` writes the first leaf into the empty root's
     /// slot, or into a fresh slot, freeing the empty root once the tree is
@@ -159,9 +157,8 @@ pub trait Layout: Sized {
     /// Whether the buffer in `desc` must be flushed into its node.
     fn over_budget(&self, desc: &ChildDesc) -> bool;
     /// The next child of internal `node` to relieve, at or after `from`
-    /// where the layout walks in key order; when `draining`, the next
-    /// child the layout flushes before descending.
-    fn pick(&self, node: &Node, from: usize, draining: bool) -> Option<usize>;
+    /// where the layout walks in key order.
+    fn pick(&self, node: &Node, from: usize) -> Option<usize>;
     /// The bytes child `i` of internal `node` takes in it, for grouping a
     /// split.
     fn kid_bytes(&self, node: &Node, i: usize) -> usize;
@@ -201,7 +198,7 @@ pub trait Layout: Sized {
     >;
 
     /// Encode tree metadata into the superblock.
-    fn put_meta(&self, w: &mut Writer, root: &ChildDesc, height: u32, count: u64, next_seq: u64);
+    fn put_meta(&self, w: &mut Writer, root: &ChildDesc, height: u32, next_seq: u64);
     /// Decode tree metadata, checking that the stored shape is this one.
     fn get_meta(&self, r: &mut Reader<'_>) -> Result<Meta, KvError>;
 }
@@ -273,7 +270,7 @@ impl Layout for WholeNode {
     type Config = BeTreeConfig;
     const SUPERBLOCK: Superblock = Superblock {
         magic: 0x4441_4D45, // "DAME"
-        version: 1,
+        version: 2,
         label: "Be-tree superblock",
         io: SuperblockIo::Slot,
     };
@@ -413,15 +410,11 @@ impl Layout for WholeNode {
 
     /// While the node is over `B` with messages to move, the child with
     /// the most buffered bytes (§3: "typically v is chosen to be the child
-    /// with the most pending messages"); when draining, every buffered
-    /// child in key order.
-    fn pick(&self, node: &Node, from: usize, draining: bool) -> Option<usize> {
+    /// with the most pending messages").
+    fn pick(&self, node: &Node, _from: usize) -> Option<usize> {
         let Body::Internal(kids) = &node.body else {
             return None;
         };
-        if draining {
-            return (from..kids.len()).find(|&i| !kids[i].msgs.is_empty());
-        }
         if self.fits(node) || kids.len() > self.max_fanout {
             return None;
         }
@@ -522,18 +515,16 @@ impl Layout for WholeNode {
         ))
     }
 
-    fn put_meta(&self, w: &mut Writer, root: &ChildDesc, height: u32, count: u64, next_seq: u64) {
+    fn put_meta(&self, w: &mut Writer, root: &ChildDesc, height: u32, next_seq: u64) {
         w.put_u64(root.addr);
         w.put_u32(height);
-        w.put_u64(count);
         w.put_u64(next_seq);
         w.put_u64(self.node_bytes as u64);
         w.put_u32(self.max_fanout as u32);
     }
 
     fn get_meta(&self, r: &mut Reader<'_>) -> Result<Meta, KvError> {
-        let (root, height, count, next_seq) =
-            (r.get_u64()?, r.get_u32()?, r.get_u64()?, r.get_u64()?);
+        let (root, height, next_seq) = (r.get_u64()?, r.get_u32()?, r.get_u64()?);
         let node_bytes = r.get_u64()?;
         let stored_fanout = r.get_u32()? as usize;
         if node_bytes != self.node_bytes as u64 || stored_fanout != self.max_fanout {
@@ -546,7 +537,6 @@ impl Layout for WholeNode {
         Ok(Meta {
             root: ChildDesc::new(root, height == 1),
             height,
-            count,
             next_seq,
         })
     }
@@ -635,7 +625,7 @@ impl Layout for Segmented {
     type Config = OptConfig;
     const SUPERBLOCK: Superblock = Superblock {
         magic: 0x4441_4D4F, // "DAMO"
-        version: 1,
+        version: 2,
         label: "optimized Be-tree superblock",
         io: SuperblockIo::Slot,
     };
@@ -799,15 +789,11 @@ impl Layout for Segmented {
         desc.size() > self.seg_bytes
     }
 
-    /// The next child whose descriptor outgrew its segment; a segmented
-    /// drain flushes nothing before descending.
-    fn pick(&self, node: &Node, from: usize, draining: bool) -> Option<usize> {
+    /// The next child whose descriptor outgrew its segment.
+    fn pick(&self, node: &Node, from: usize) -> Option<usize> {
         let Body::Internal(kids) = &node.body else {
             return None;
         };
-        if draining {
-            return None;
-        }
         (from..kids.len()).find(|&i| self.over_budget(&kids[i]))
     }
 
@@ -890,11 +876,10 @@ impl Layout for Segmented {
         Ok((std::iter::empty(), std::iter::once(part)))
     }
 
-    fn put_meta(&self, w: &mut Writer, root: &ChildDesc, height: u32, count: u64, next_seq: u64) {
+    fn put_meta(&self, w: &mut Writer, root: &ChildDesc, height: u32, next_seq: u64) {
         w.put_u32(self.fanout as u32);
         w.put_u64(self.seg_bytes as u64);
         w.put_u32(height);
-        w.put_u64(count);
         w.put_u64(next_seq);
         // The root descriptor reuses the segment encoding.
         root.encode_into(w);
@@ -909,13 +894,12 @@ impl Layout for Segmented {
                 self.fanout, self.seg_bytes
             )));
         }
-        let (height, count, next_seq) = (r.get_u32()?, r.get_u64()?, r.get_u64()?);
+        let (height, next_seq) = (r.get_u32()?, r.get_u64()?);
         let root = ChildDesc::decode_from(r)
             .map_err(|_| KvError::Corrupt("missing root descriptor".into()))?;
         Ok(Meta {
             root,
             height,
-            count,
             next_seq,
         })
     }

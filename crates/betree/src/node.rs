@@ -214,17 +214,15 @@ impl BufferEdit {
     }
 }
 
-/// Apply `(key, seq)`-sorted messages over sorted entries in one merge pass;
-/// returns the change in live-key count. Used by flushes into leaves and
-/// by range queries over a leaf window.
-pub fn apply_msgs_to_entries(entries: &mut Vec<(Vec<u8>, Vec<u8>)>, msgs: &[Message]) -> i64 {
+/// Apply `(key, seq)`-sorted messages over sorted entries in one merge pass.
+/// Used by flushes into leaves and by range queries over a leaf window.
+pub fn apply_msgs_to_entries(entries: &mut Vec<(Vec<u8>, Vec<u8>)>, msgs: &[Message]) {
     use dam_kv::msg::replay;
     if msgs.is_empty() {
-        return 0;
+        return;
     }
     let old = std::mem::take(entries);
     let mut out = Vec::with_capacity(old.len() + msgs.len());
-    let mut delta = 0i64;
     let mut ei = old.into_iter().peekable();
     let mut mi = 0usize;
     while mi < msgs.len() {
@@ -242,24 +240,12 @@ pub fn apply_msgs_to_entries(entries: &mut Vec<(Vec<u8>, Vec<u8>)>, msgs: &[Mess
         } else {
             None
         };
-        let had = base.is_some();
-        match replay(base.as_deref(), group) {
-            Some(v) => {
-                if !had {
-                    delta += 1;
-                }
-                out.push((key.clone(), v));
-            }
-            None => {
-                if had {
-                    delta -= 1;
-                }
-            }
+        if let Some(v) = replay(base.as_deref(), group) {
+            out.push((key.clone(), v));
         }
     }
     out.extend(ei);
     *entries = out;
-    delta
 }
 
 /// Insert a message into a `(key, seq)`-sorted buffer, keeping order.
@@ -382,8 +368,7 @@ mod tests {
     fn apply_messages_merge_pass() {
         let mut entries = vec![(b"b".to_vec(), b"old".to_vec())];
         let msgs = vec![m(1, b"a"), del(2, b"b"), m(3, b"c")];
-        let delta = apply_msgs_to_entries(&mut entries, &msgs);
-        assert_eq!(delta, 1); // +a, -b, +c
+        apply_msgs_to_entries(&mut entries, &msgs);
         let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
         assert_eq!(keys, [b"a", b"c"]);
     }

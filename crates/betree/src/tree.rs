@@ -11,17 +11,18 @@
 //!
 //! # Fault contract
 //!
-//! A flush either aborts cleanly, leaving the subtree, its descriptor and
-//! the live-key count exactly as they were, or it *commits*: its writes
-//! landed in the cache (a write lands even when the device surfaces a
-//! fault) and any error is reported after the fact. Writes are ordered so
-//! that this holds: a split allocates every new slot before it writes
-//! anything, writes the new siblings, and rewrites its own node last.
-//! After a committed failure nothing more is flushed; a buffer the node
-//! can no longer hold moves up into the buffer above it, up to the root's
-//! buffer in memory, so no acknowledged message is ever dropped. An
-//! operation whose flush aborts cleanly is refused, and its message is
-//! taken back out of the root's buffer.
+//! A flush either aborts cleanly, leaving the subtree and its descriptor
+//! exactly as they were, or it *commits*: its writes landed in the cache
+//! (a write lands even when the device surfaces a fault) and any error is
+//! reported after the fact. Writes are ordered so that this holds: a split
+//! allocates every new slot before it writes anything, writes the new
+//! siblings, and rewrites its own node last. After a committed failure
+//! nothing more is flushed; a buffer the node can no longer hold moves up
+//! into the buffer above it, up to the root's buffer in memory, so no
+//! acknowledged message is ever dropped. An operation whose flush aborts
+//! cleanly is refused, and its message is taken back out of the root's
+//! buffer. Reads (`get`, `range`, `len`) flush nothing: they merge the
+//! messages buffered on their paths over the leaves.
 
 use crate::layout::{Body, Entries, Layout, Node, PartView, Segmented, WholeNode};
 use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge};
@@ -52,8 +53,6 @@ pub struct Engine<L: Layout> {
     /// and written to the superblock).
     root: ChildDesc,
     height: u32,
-    /// Live keys at the leaves (pending messages not yet counted).
-    count: u64,
     next_seq: u64,
     obs: Option<Obs>,
 }
@@ -83,8 +82,9 @@ fn adopt(node: &mut Node, at: usize, siblings: Siblings) {
     }
 }
 
-fn in_range(key: &[u8], start: &[u8], end: &[u8]) -> bool {
-    key >= start && key < end
+/// Whether `start <= key < end`, with no upper bound when `end` is `None`.
+fn in_range(key: &[u8], start: &[u8], end: Option<&[u8]>) -> bool {
+    key >= start && end.is_none_or(|e| key < e)
 }
 
 /// Cuts a sorted stream of pairs into leaf chunks of at most `target`
@@ -137,7 +137,6 @@ impl<L: Layout> Engine<L> {
             layout,
             root: ChildDesc::new(addr, true),
             height: 1,
-            count: 0,
             next_seq: 1,
             obs: None,
         };
@@ -160,7 +159,6 @@ impl<L: Layout> Engine<L> {
             layout,
             root: meta.root,
             height: meta.height,
-            count: meta.count,
             next_seq: meta.next_seq,
             obs: None,
         })
@@ -199,9 +197,9 @@ impl<L: Layout> Engine<L> {
         }
         self.flush()?;
         let (layout, root) = (&self.layout, &self.root);
-        let (height, count, next_seq) = (self.height, self.count, self.next_seq);
+        let (height, next_seq) = (self.height, self.next_seq);
         L::SUPERBLOCK.write(&mut self.pager, |w| {
-            layout.put_meta(w, root, height, count, next_seq)
+            layout.put_meta(w, root, height, next_seq)
         })
     }
 
@@ -298,10 +296,10 @@ impl<L: Layout> Engine<L> {
     /// siblings are pushed onto `out` for the caller to adopt.
     ///
     /// On an error with `*committed` still false, nothing beneath `desc`
-    /// changed: `desc` and the live-key count are restored exactly. With
-    /// `*committed` set, the subtree was rewritten: `desc` and `out`
-    /// describe what the cache holds, `desc.msgs` holds whatever could not
-    /// be delivered, and the error is reported after the fact.
+    /// changed: `desc` is restored exactly. With `*committed` set, the
+    /// subtree was rewritten: `desc` and `out` describe what the cache
+    /// holds, `desc.msgs` holds whatever could not be delivered, and the
+    /// error is reported after the fact.
     fn deliver(
         &mut self,
         desc: &mut ChildDesc,
@@ -312,11 +310,9 @@ impl<L: Layout> Engine<L> {
             return Ok(());
         }
         let backup = desc.clone();
-        let count_before = self.count;
         let result = self.deliver_inner(desc, out, committed);
         if result.is_err() && !*committed {
             *desc = backup;
-            self.count = count_before;
         }
         result
     }
@@ -344,10 +340,7 @@ impl<L: Layout> Engine<L> {
         match &mut node.body {
             Body::Leaf(chunks) => {
                 for (chunk, group) in chunks.iter_mut().zip(groups) {
-                    if !group.is_empty() {
-                        let delta = apply_msgs_to_entries(chunk, &group);
-                        self.count = (self.count as i64 + delta) as u64;
-                    }
+                    apply_msgs_to_entries(chunk, &group);
                 }
             }
             Body::Internal(kids) => {
@@ -361,22 +354,20 @@ impl<L: Layout> Engine<L> {
         self.finish(desc, node, Vec::new(), out, committed)
     }
 
-    /// Flush the children of `node` that its layout picks — over budget,
-    /// or, when `draining`, the ones the layout flushes before descending —
-    /// adopting their splits. After a committed failure the remaining
-    /// picks are not flushed: their buffers move to `spilled`, for the
-    /// buffer above this node. A clean failure before anything committed
-    /// returns at once.
+    /// Flush the children of `node` whose buffers are over budget, as its
+    /// layout picks them, adopting their splits. After a committed failure
+    /// the remaining picks are not flushed: their buffers move to
+    /// `spilled`, for the buffer above this node. A clean failure before
+    /// anything committed returns at once.
     fn relieve(
         &mut self,
         node: &mut Node,
         spilled: &mut Vec<Message>,
         committed: &mut bool,
-        draining: bool,
     ) -> Result<(), KvError> {
         let mut deferred = None;
         let mut from = 0;
-        while let Some(i) = self.layout.pick(node, from, draining && deferred.is_none()) {
+        while let Some(i) = self.layout.pick(node, from) {
             let Body::Internal(kids) = &mut node.body else {
                 unreachable!("only internal nodes have children to pick")
             };
@@ -421,7 +412,7 @@ impl<L: Layout> Engine<L> {
         out: &mut Siblings,
         committed: &mut bool,
     ) -> Result<(), KvError> {
-        let relieved = self.relieve(&mut node, &mut spilled, committed, false);
+        let relieved = self.relieve(&mut node, &mut spilled, committed);
         if relieved.is_err() && !*committed {
             return relieved;
         }
@@ -631,6 +622,30 @@ impl<L: Layout> Engine<L> {
         }
     }
 
+    /// The live pairs with `start <= key < end`, or with no upper bound
+    /// when `end` is `None`: one walk down every overlapping path, merging
+    /// the messages buffered on it over the leaves.
+    fn range_inner(&mut self, start: &[u8], end: Option<&[u8]>) -> Result<Entries, KvError> {
+        let root = self.root.clone();
+        let pending = root
+            .msgs
+            .into_iter()
+            .filter(|m| in_range(&m.key, start, end))
+            .collect();
+        let pivots: Vec<&[u8]> = root.boundaries.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        self.range_rec(
+            root.addr,
+            root.is_leaf,
+            &pivots,
+            pending,
+            start,
+            end,
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
     /// Range scan of the node at `addr`: `held` are its pivots when the
     /// layout keeps them in the parent, and `pending` the messages buffered
     /// above it, restricted to the query and `(key, seq)`-sorted. A
@@ -644,7 +659,7 @@ impl<L: Layout> Engine<L> {
         held: &[&[u8]],
         pending: Vec<Message>,
         start: &[u8],
-        end: &[u8],
+        end: Option<&[u8]>,
         out: &mut Vec<(Vec<u8>, Vec<u8>)>,
     ) -> Result<(), KvError> {
         let _lvl = self.obs.as_ref().map(|o| o.descend(L::LEVEL_SPAN));
@@ -666,7 +681,7 @@ impl<L: Layout> Engine<L> {
         self.range_parts(addr, is_leaf, pivots, parts, pending, start, end, out)
     }
 
-    /// The parts of the node at `addr` that overlap `[start, end)`, routed
+    /// The parts of the node at `addr` that overlap the query, routed
     /// by `pivots`: taken from `parts` in key order, or, when it runs dry,
     /// read one segment at a time.
     #[allow(clippy::too_many_arguments)]
@@ -678,7 +693,7 @@ impl<L: Layout> Engine<L> {
         mut parts: impl Iterator<Item = PartView<'p>>,
         pending: Vec<Message>,
         start: &[u8],
-        end: &[u8],
+        end: Option<&[u8]>,
         out: &mut Vec<(Vec<u8>, Vec<u8>)>,
     ) -> Result<(), KvError> {
         let mut pending = pending.into_iter().peekable();
@@ -689,7 +704,7 @@ impl<L: Layout> Engine<L> {
             while let Some(m) = pending.next_if(|m| hi.is_none_or(|h| m.key.as_slice() < h)) {
                 group.push(m);
             }
-            let overlaps = lo.is_none_or(|l| l < end) && hi.is_none_or(|h| h > start);
+            let overlaps = lo.zip(end).is_none_or(|(l, e)| l < e) && hi.is_none_or(|h| h > start);
             lo = hi;
             let next = parts.next();
             if !overlaps {
@@ -707,11 +722,13 @@ impl<L: Layout> Engine<L> {
             };
             match part {
                 PartView::Pairs(entries) => {
-                    // Every pending message lies in [start, end), so the
-                    // window alone is a virtual view of the chunk
+                    // Every pending message lies in the query's range, so
+                    // the window alone is a virtual view of the chunk
                     // restricted to the query.
-                    let mut window: Vec<(Vec<u8>, Vec<u8>)> = entries
-                        .range(start, end)
+                    let (_, from) = entries.seek(|(k, _)| *k < start);
+                    let mut window: Vec<(Vec<u8>, Vec<u8>)> = from
+                        .iter()
+                        .take_while(|(k, _)| end.is_none_or(|e| *k < e))
                         .map(|(k, v)| (k.to_vec(), v.to_vec()))
                         .collect();
                     apply_msgs_to_entries(&mut window, &group);
@@ -739,102 +756,6 @@ impl<L: Layout> Engine<L> {
     }
 
     // ------------------------------------------------------------------
-    // Drain (exact counting / checkpointing)
-    // ------------------------------------------------------------------
-
-    /// Push every buffered message down to the leaves.
-    pub fn drain_all(&mut self) -> Result<(), KvError> {
-        let mut root = self.take_root();
-        let mut siblings = Vec::new();
-        let result = self.drain(&mut root, &mut siblings);
-        self.root = root;
-        // As in a write, committed splits must be adopted even when the
-        // drain surfaced an error partway down.
-        let grow = self.grow_root(siblings);
-        result.and(grow)
-    }
-
-    /// Drain `desc`'s buffer and its whole subtree. Splits produced along
-    /// the way are pushed onto `out`; whether the drain succeeds or not,
-    /// they are committed nodes the caller must adopt.
-    fn drain(&mut self, desc: &mut ChildDesc, out: &mut Siblings) -> Result<(), KvError> {
-        let mut siblings = Vec::new();
-        if let Err(e) = self.flush_child(desc, &mut siblings, &mut false) {
-            out.extend(siblings);
-            return Err(e);
-        }
-        if !(L::PIVOTS_IN_PARENT && desc.is_leaf) {
-            if let Err(e) = self.drain_node(desc, out) {
-                out.extend(siblings);
-                return Err(e);
-            }
-        }
-        // Siblings the flush split off are drained too, so on success `out`
-        // carries only drained subtrees. After a failure the rest are
-        // handed up undrained: they are committed nodes all the same.
-        let mut result = Ok(());
-        for (sep, mut sib) in siblings {
-            let mut more = Vec::new();
-            if result.is_ok() {
-                result = self.drain(&mut sib, &mut more);
-            }
-            out.push((sep, sib));
-            out.extend(more);
-        }
-        result
-    }
-
-    /// Read `desc`'s node and drain every child's subtree, then write the
-    /// node back. The whole-node layout first flushes every buffered child
-    /// while it holds the node, as it cannot see a child's kind without
-    /// reading it.
-    fn drain_node(&mut self, desc: &mut ChildDesc, out: &mut Siblings) -> Result<(), KvError> {
-        let _visit = if L::PIVOTS_IN_PARENT {
-            None
-        } else {
-            self.obs.as_ref().map(|o| o.descend(L::DRAIN_SPAN))
-        };
-        let page = self.layout.fetch(&mut self.pager, desc)?;
-        let mut node = self.layout.decode(&page, desc)?;
-        drop(page);
-        if node.is_leaf() {
-            return Ok(());
-        }
-        let mut committed = false;
-        let mut spilled = Vec::new();
-        let mut result = self.relieve(&mut node, &mut spilled, &mut committed, true);
-        if result.is_err() && !committed {
-            return result;
-        }
-        if result.is_ok() {
-            // Splits from child i shift every later child right, so walk by
-            // live index.
-            let mut i = 0usize;
-            loop {
-                let Body::Internal(kids) = &mut node.body else {
-                    unreachable!()
-                };
-                let Some(kid) = kids.get_mut(i) else { break };
-                let mut kid_out = Vec::new();
-                let kid_result = self.drain(kid, &mut kid_out);
-                let k = kid_out.len();
-                adopt(&mut node, i, kid_out);
-                if let Err(e) = kid_result {
-                    // The child may have rewritten itself: write this node
-                    // so the descriptors it stores stay in step.
-                    result = Err(e);
-                    break;
-                }
-                // New siblings are already drained subtrees.
-                i += 1 + k;
-            }
-            committed = true;
-        }
-        self.finish(desc, node, spilled, out, &mut committed)
-            .and(result)
-    }
-
-    // ------------------------------------------------------------------
     // Bulk load
     // ------------------------------------------------------------------
 
@@ -850,7 +771,6 @@ impl<L: Layout> Engine<L> {
         let mut chunker = Chunker::new((tree.layout.chunk_bytes() as f64 * L::BULK_FILL) as usize);
         let mut group: Vec<Entries> = Vec::new();
         let mut level: Siblings = Vec::new();
-        let mut count = 0u64;
         let mut last: Option<Vec<u8>> = None;
         for (k, v) in pairs {
             if last.as_ref().is_some_and(|prev| *prev >= k) {
@@ -860,7 +780,6 @@ impl<L: Layout> Engine<L> {
             }
             last = Some(k.clone());
             tree.layout.entry_fits(&k, v.len())?;
-            count += 1;
             if let Some(chunk) = chunker.push(k, v) {
                 group.push(chunk);
                 if group.len() == per_node {
@@ -906,7 +825,6 @@ impl<L: Layout> Engine<L> {
         }
         tree.root = root;
         tree.height = height;
-        tree.count = count;
         tree.flush()?;
         Ok(tree)
     }
@@ -934,17 +852,10 @@ impl<L: Layout> Engine<L> {
     // Invariants (test support)
     // ------------------------------------------------------------------
 
-    /// Verify structural invariants; returns the leaf-entry count.
-    pub fn check_invariants(&mut self) -> Result<u64, KvError> {
+    /// Verify structural invariants.
+    pub fn check_invariants(&mut self) -> Result<(), KvError> {
         let root = self.root.clone();
-        let n = self.check(&root, self.height, None, None, true)?;
-        if n != self.count {
-            return Err(KvError::Corrupt(format!(
-                "count mismatch: walked {n}, tracked {}",
-                self.count
-            )));
-        }
-        Ok(n)
+        self.check(&root, self.height, None, None, true)
     }
 
     fn check(
@@ -954,7 +865,7 @@ impl<L: Layout> Engine<L> {
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
         is_root: bool,
-    ) -> Result<u64, KvError> {
+    ) -> Result<(), KvError> {
         let id = desc.addr;
         let bad = |what: &str| Err(KvError::Corrupt(format!("node {id}: {what}")));
         self.layout.check_desc(desc, is_root)?;
@@ -991,7 +902,6 @@ impl<L: Layout> Engine<L> {
                 },
             )
         };
-        let mut total = 0u64;
         match &node.body {
             Body::Leaf(chunks) => {
                 if level != 1 {
@@ -1008,7 +918,6 @@ impl<L: Layout> Engine<L> {
                     }) {
                         return bad("leaf key out of range");
                     }
-                    total += chunk.len() as u64;
                 }
             }
             Body::Internal(kids) => {
@@ -1020,11 +929,11 @@ impl<L: Layout> Engine<L> {
                 }
                 for (j, kid) in kids.iter().enumerate() {
                     let (clo, chi) = bounds(j);
-                    total += self.check(kid, level - 1, clo, chi, false)?;
+                    self.check(kid, level - 1, clo, chi, false)?;
                 }
             }
         }
-        Ok(total)
+        Ok(())
     }
 }
 
@@ -1069,26 +978,11 @@ impl<L: Layout> Dictionary for Engine<L> {
 
     fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
         self.in_op(|t| {
-            let mut out = Vec::new();
             if start < end {
-                let root = t.root.clone();
-                let pending = root
-                    .msgs
-                    .into_iter()
-                    .filter(|m| in_range(&m.key, start, end))
-                    .collect();
-                let pivots: Vec<&[u8]> = root.boundaries.iter().map(Vec::as_slice).collect();
-                t.range_rec(
-                    root.addr,
-                    root.is_leaf,
-                    &pivots,
-                    pending,
-                    start,
-                    end,
-                    &mut out,
-                )?;
+                t.range_inner(start, Some(end))
+            } else {
+                Ok(Vec::new())
             }
-            Ok(out)
         })
     }
 
@@ -1102,12 +996,10 @@ impl<L: Layout> Dictionary for Engine<L> {
         self.in_op(Self::persist)
     }
 
-    /// Exact live-key count; drains all buffered messages first (O(N) IO).
+    /// Exact live-key count via a full unbounded merged walk (O(N) IO,
+    /// all of it reads).
     fn len(&mut self) -> Result<u64, KvError> {
-        self.in_op(|t| {
-            t.drain_all()?;
-            Ok(t.count)
-        })
+        self.in_op(|t| Ok(t.range_inner(&[], None)?.len() as u64))
     }
 
     fn buffered_bytes(&self) -> usize {
@@ -1214,7 +1106,7 @@ mod tests {
         delete_everything,
         range_sees_through_buffers,
         range_sees_buffered_deletes,
-        drain_then_count_consistent,
+        len_is_a_read,
         bulk_load_matches_incremental,
         bulk_load_rejects_unsorted,
         query_reads_one_unit_per_level,
@@ -1474,7 +1366,6 @@ mod tests {
     fn range_sees_buffered_deletes<L: Case>() {
         let mut t = tree::<L>();
         insert_all(&mut t, 0..500);
-        t.drain_all().unwrap();
         // Freshly buffered tombstones, not yet at the leaves.
         for i in 200..210 {
             t.delete(&kv(i).0).unwrap();
@@ -1487,18 +1378,47 @@ mod tests {
         assert_eq!(keys, vec![195, 196, 197, 198, 199, 210, 211, 212, 213, 214]);
     }
 
-    fn drain_then_count_consistent<L: Case>() {
+    fn len_is_a_read<L: Case>() {
+        // `len` merges the buffered messages over the leaves as `range`
+        // does: an overwrite counts once, a delete of an absent key not at
+        // all, and keys at or past the range scan's `[0xFF; 17]` sentinel
+        // count too. It writes nothing and leaves the buffers as they were.
         let mut t = tree::<L>();
-        insert_all(&mut t, 0..700);
-        for i in 0..100 {
-            t.delete(&kv(i).0).unwrap();
+        let mut oracle = BTreeMap::new();
+        let mut put = |t: &mut Engine<L>, k: Vec<u8>, v: Vec<u8>| {
+            t.insert(&k, &v).unwrap();
+            oracle.insert(k, v);
+        };
+        for i in 0..700 {
+            let (k, v) = kv(i);
+            put(&mut t, k, v);
         }
-        t.drain_all().unwrap();
-        assert_eq!(t.count, 600, "after a drain every key lives at a leaf");
+        for i in (0..700).step_by(5) {
+            put(&mut t, kv(i).0, b"again".to_vec());
+        }
+        for high in [vec![0xFF; 17], vec![0xFF; 18], vec![0xFF; 40]] {
+            put(&mut t, high, b"high".to_vec());
+        }
+        for i in (0..700).step_by(7).chain(1_000..1_010) {
+            let k = kv(i).0;
+            t.delete(&k).unwrap();
+            oracle.remove(&k);
+        }
+        t.delete(&[0xFF; 30]).unwrap();
+        t.flush().unwrap();
+        let buffered = t.buffered_bytes();
+        let written = t.pager().counters().bytes_written;
+        assert_eq!(t.len().unwrap(), oracle.len() as u64);
+        assert_eq!(t.last_op_cost().bytes_written, 0);
+        assert_eq!(t.buffered_bytes(), buffered);
+        t.flush().unwrap();
+        assert_eq!(
+            t.pager().counters().bytes_written,
+            written,
+            "len dirtied a node"
+        );
+        assert_eq!(t.len().unwrap(), oracle.len() as u64);
         t.check_invariants().unwrap();
-        // Idempotent.
-        assert_eq!(t.len().unwrap(), 600);
-        assert_eq!(t.len().unwrap(), 600);
     }
 
     fn bulk_load_matches_incremental<L: Case>() {
@@ -1639,16 +1559,16 @@ mod tests {
         ));
     }
 
-    /// Regression (dam-check): `len` drains buffered messages, so its IO
-    /// must be attributed to `last_op_cost` — and a failed operation must
-    /// report zero cost rather than the previous operation's numbers.
+    /// Regression (dam-check): `len` reads every node, so its IO must be
+    /// attributed to `last_op_cost` — and a failed operation must report
+    /// zero cost rather than the previous operation's numbers.
     fn len_and_failed_ops_follow_cost_contract<L: Case>() {
         let mut t = tree::<L>();
         insert_all(&mut t, 0..800);
-        // Cold cache: the drain inside `len` must hit the device.
+        // Cold cache: the walk inside `len` must hit the device.
         t.drop_cache().unwrap();
         assert_eq!(t.len().unwrap(), 800);
-        assert!(t.last_op_cost().ios > 0, "len's drain should be attributed");
+        assert!(t.last_op_cost().ios > 0, "len's reads should be attributed");
         let err = t.insert(b"big", &vec![0u8; 5000]);
         assert!(matches!(err, Err(KvError::Config(_))));
         assert_eq!(t.last_op_cost(), OpCost::default(), "failed op is free");

@@ -208,8 +208,10 @@ impl BTree {
     // Insert
     // ------------------------------------------------------------------
 
-    /// Split an overflowing leaf's entries at the byte-balanced midpoint;
-    /// returns (promoted pivot, right entries).
+    /// Split a leaf's entries at the byte-balanced midpoint: the right part
+    /// starts after the first entry that brings the left to half the bytes,
+    /// and holds at least the last entry. Returns (promoted pivot, right
+    /// entries). Leaf splits and borrows both cut here.
     #[allow(clippy::type_complexity)]
     fn split_leaf_entries(
         entries: &mut Vec<(Vec<u8>, Vec<u8>)>,
@@ -453,18 +455,7 @@ impl BTree {
             (Node::Leaf { entries: le }, Node::Leaf { entries: re }) => {
                 let mut all: Vec<(Vec<u8>, Vec<u8>)> = std::mem::take(le);
                 all.extend(std::mem::take(re));
-                let total: usize = all.iter().map(|(k, v)| pair_size(k, v)).sum();
-                let mut acc = 0usize;
-                let mut split = all.len() / 2;
-                for (i, (k, v)) in all.iter().enumerate() {
-                    acc += pair_size(k, v);
-                    if acc * 2 >= total && i + 1 < all.len() {
-                        split = i + 1;
-                        break;
-                    }
-                }
-                let re_new = all.split_off(split);
-                let sep = re_new[0].0.clone();
+                let (sep, re_new) = Self::split_leaf_entries(&mut all);
                 *le = all;
                 *re = re_new;
                 sep
@@ -1312,5 +1303,31 @@ mod tests {
         let err = t.insert(b"big", &vec![0u8; 4096]);
         assert!(matches!(err, Err(KvError::Config(_))));
         assert_eq!(t.last_op_cost(), OpCost::default(), "failed op is free");
+    }
+
+    /// A borrow cuts where a split does. With leaves `[a, b]` (underfull)
+    /// and `[BIG]`, where BIG fills a node alone, the merge does not fit
+    /// and the byte midpoint falls on BIG itself; cutting at `len / 2`
+    /// instead of before the last entry would put `b` and BIG into one
+    /// sibling, which overflows the node.
+    #[test]
+    fn borrow_keeps_an_oversized_last_entry_alone() {
+        let mut t = tree(512);
+        let key = |i: u64| key_from_u64(i).to_vec();
+        t.insert(&key(1), b"a").unwrap();
+        t.insert(&key(2), b"b").unwrap();
+        for i in 3..7 {
+            t.insert(&key(i), &[i as u8; 40]).unwrap();
+        }
+        let big = vec![0xB1; 512 - NODE_HEADER_BYTES - pair_size(&key(100), &[])];
+        t.insert(&key(100), &big).unwrap();
+        assert_eq!(t.height(), 2);
+        for i in (3..7).rev() {
+            t.delete(&key(i)).unwrap();
+        }
+        assert_eq!(t.get(&key(1)).unwrap(), Some(b"a".to_vec()));
+        assert_eq!(t.get(&key(2)).unwrap(), Some(b"b".to_vec()));
+        assert_eq!(t.get(&key(100)).unwrap(), Some(big));
+        assert_eq!(t.check_invariants().unwrap(), 3);
     }
 }

@@ -511,15 +511,9 @@ impl Fixture {
                 ),
             ));
         }
-        let n = match self.call(None, &"final len", |d| d.len())? {
-            Ok(n) => n,
-            // The Bε-trees' `len` drains every buffer, which a full device
-            // may have no room for.
-            Err(KvError::Storage(_)) if self.mode == (Mode::Persistent { full: true }) => {
-                want.len() as u64
-            }
-            Err(e) => return Err(self.fail(None, format!("final len failed: {e}"))),
-        };
+        let n = self
+            .call(None, &"final len", |d| d.len())?
+            .map_err(|e| self.fail(None, format!("final len failed: {e}")))?;
         if n != want.len() as u64 {
             return Err(self.fail(
                 None,

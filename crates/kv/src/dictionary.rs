@@ -147,7 +147,10 @@ pub trait Dictionary {
     /// cost window of its own, and wrappers forward the batch as one op.
     fn apply_batch(&mut self, batch: &[BatchOp]) -> Result<(), KvError>;
 
-    /// Number of live keys (may require IO on some implementations).
+    /// Number of live keys. A read: it may issue IO (a walk over every
+    /// node, and the write-backs its cache misses evict), but it changes no
+    /// state a later operation can observe, and buffered writes stay
+    /// buffered.
     fn len(&mut self) -> Result<u64, KvError>;
 
     /// True when no live keys exist.

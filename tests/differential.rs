@@ -173,7 +173,8 @@ fn optbetree_full_device_drain_keeps_split_siblings() {
     // Regression (found by the persistent mode, seed 8): a drain whose
     // root flush split the root, and which then failed on a full device
     // while draining the first new sibling, dropped the siblings after it;
-    // eight acknowledged keys vanished.
+    // eight acknowledged keys vanished. The final audit also checks `len`
+    // on the full device.
     let trace = generate_trace(8, 3_000);
     if let Err(f) = replay(
         Mode::Persistent { full: true },

@@ -154,13 +154,13 @@ fn on_disk_images_are_pinned() {
         ),
         (
             ServeStructure::BeTree,
-            0x4b56_2726_34ee_a5b0,
-            (54, 403, 110_592, 913_408),
+            0xc370_8681_b46f_378c,
+            (0, 201, 0, 499_712),
         ),
         (
             ServeStructure::OptBeTree,
-            0x24e5_9115_6322_d530,
-            (1_247, 387, 2_882_560, 2_994_176),
+            0x80e2_8c07_16cf_c8f2,
+            (1_364, 154, 1_633_280, 1_085_440),
         ),
         (
             ServeStructure::Lsm,
@@ -239,6 +239,34 @@ fn superblocks_with_impossible_allocator_state_are_corrupt() {
                 Err(e) => panic!("{name} {what}: wrong error {e}"),
                 Ok(_) => panic!("{name} {what}: opened"),
             }
+        }
+    }
+}
+
+/// The Bε superblocks are at version 2, which stores no live-key count: an
+/// image still at version 1 opens as `Corrupt` instead of being read with
+/// its fields shifted.
+#[test]
+fn betree_superblocks_of_version_1_are_corrupt() {
+    use dam_serve::{ServeStructure, ShardConfig};
+    use refined_dam::kv::codec::{frame, unframe};
+    let cfg = ShardConfig::default();
+    for structure in [ServeStructure::BeTree, ServeStructure::OptBeTree] {
+        let name = structure.name();
+        let dev = SharedDevice::new(Box::new(RamDisk::new(16 << 20, SimDuration(500))));
+        let mut dict = structure.create(dev.clone(), &cfg, None).unwrap();
+        dict.insert(b"k", b"v").unwrap();
+        dict.sync().unwrap();
+        drop(dict);
+        // The payload opens with the magic (4 bytes) and the version.
+        let mut payload = unframe(&device_image(&dev)).unwrap().to_vec();
+        assert_eq!(payload[4], 2, "{name}: version");
+        payload[4] = 1;
+        dev.write(0, &frame(&payload), SimTime::ZERO).unwrap();
+        match structure.open(dev, &cfg) {
+            Err(KvError::Corrupt(e)) => assert!(e.contains("version"), "{name}: {e}"),
+            Err(e) => panic!("{name}: wrong error {e}"),
+            Ok(_) => panic!("{name}: opened"),
         }
     }
 }

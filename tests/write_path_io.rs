@@ -121,24 +121,24 @@ fn betree_write_path_io_is_pinned() {
     assert_eq!(
         tree.pager().counters(),
         PagerCounters {
-            hits: 10_936,
-            misses: 1_743,
-            evictions: 1_842,
-            writebacks: 1_749,
-            ios: 3_492,
-            bytes_read: 3_569_664,
-            bytes_written: 3_581_952,
-            io_time_ns: 3_492_000,
+            hits: 10_869,
+            misses: 1_719,
+            evictions: 1_812,
+            writebacks: 1_639,
+            ios: 3_358,
+            bytes_read: 3_520_512,
+            bytes_written: 3_356_672,
+            io_time_ns: 3_358_000,
         }
     );
     assert_eq!(
         dev.stats(),
         DeviceStats {
-            reads: 1_743,
-            writes: 1_749,
-            bytes_read: 3_569_664,
-            bytes_written: 3_581_952,
-            service_ns: 3_492_000,
+            reads: 1_719,
+            writes: 1_639,
+            bytes_read: 3_520_512,
+            bytes_written: 3_356_672,
+            service_ns: 3_358_000,
         }
     );
     assert_eq!(
