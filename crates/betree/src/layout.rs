@@ -369,12 +369,8 @@ impl Layout for WholeNode {
     /// The common write: an internal node absorbs one message with no
     /// flush or split, so it is spliced into the cached image.
     fn absorb(&self, page: &Page, addr: u64, msg: &Message) -> Result<Option<BufferEdit>, KvError> {
-        let view = BeNodeView::parse(page).map_err(|e| corrupt(addr, e))?;
-        if let BeNodeView::Leaf(_) = view {
-            return Ok(None);
-        }
-        let edit = BufferEdit::new(page, view, msg).map_err(|e| corrupt(addr, e))?;
-        Ok(edit.fits(self.node_bytes, self.max_fanout).then_some(edit))
+        let edit = BufferEdit::new(page, msg).map_err(|e| corrupt(addr, e))?;
+        Ok(edit.filter(|e| e.fits(self.node_bytes, self.max_fanout)))
     }
 
     fn write(&self, pager: &mut Pager, desc: &mut ChildDesc, node: &Node) -> Result<(), KvError> {
@@ -440,7 +436,10 @@ impl Layout for WholeNode {
     fn read_for_query(&self, pager: &mut Pager, addr: u64, _seg: usize) -> Result<Page, KvError> {
         let page = pager.read(addr, self.node_bytes)?;
         pager
-            .check_once(&page, |b| unframe(b).map(drop))
+            .check_once(&page, |b| {
+                unframe(b)?;
+                BeNodeView::parse(b).map(drop)
+            })
             .map_err(|e| corrupt(addr, e))?;
         Ok(page)
     }
@@ -454,7 +453,7 @@ impl Layout for WholeNode {
         key: &[u8],
     ) -> Result<PartView<'p>, KvError> {
         Ok(
-            match BeNodeView::parse(page).map_err(|e| corrupt(addr, e))? {
+            match BeNodeView::reparse(page).map_err(|e| corrupt(addr, e))? {
                 BeNodeView::Leaf(entries) => PartView::Pairs(entries),
                 BeNodeView::Internal {
                     pivots,
@@ -462,7 +461,7 @@ impl Layout for WholeNode {
                     buffers,
                 } => {
                     let i = pivots.route(key);
-                    let msgs = buffers.iter().nth(i).ok_or_else(|| {
+                    let msgs = buffers.nth(i).ok_or_else(|| {
                         corrupt(addr, CodecError::Invalid("missing message buffer"))
                     })?;
                     PartView::Kid {
@@ -490,7 +489,7 @@ impl Layout for WholeNode {
         ),
         KvError,
     > {
-        let (leaf, pivots, kids) = match BeNodeView::parse(page).map_err(|e| corrupt(addr, e))? {
+        let (leaf, pivots, kids) = match BeNodeView::reparse(page).map_err(|e| corrupt(addr, e))? {
             BeNodeView::Leaf(entries) => (Some(PartView::Pairs(entries)), None, None),
             BeNodeView::Internal {
                 pivots,
@@ -821,7 +820,10 @@ impl Layout for Segmented {
             self.seg_bytes,
         )?;
         pager
-            .check_once(&page, |b| unframe(b).map(drop))
+            .check_once(&page, |b| {
+                unframe(b)?;
+                SegView::parse(b).map(drop)
+            })
             .map_err(|e| Self::seg_corrupt(addr, seg, e))?;
         Ok(page)
     }
@@ -834,7 +836,7 @@ impl Layout for Segmented {
         expect_leaf: bool,
         _key: &[u8],
     ) -> Result<PartView<'p>, KvError> {
-        Ok(match SegView::parse(page) {
+        Ok(match SegView::reparse(page) {
             Ok(Some(SegView::Subleaf(entries))) if expect_leaf => PartView::Pairs(entries),
             Ok(Some(SegView::Desc(d))) if !expect_leaf => PartView::Kid {
                 addr: d.addr,

@@ -6,10 +6,10 @@
 //! leaf is one sorted run of key-value pairs.
 
 use dam_kv::codec::{
-    frame_into_slot, frame_payload, splice_in_place, CodecError, Pair, Reader, Record, Run, Splice,
-    Writer, FRAME_OVERHEAD, NODE_HEADER_BYTES, TAG_INTERNAL, TAG_LEAF,
+    frame_into_slot, frame_payload, splice_in_place, Check, CodecError, Op, Pair, Reader, Run,
+    Splice, Writer, FRAME_OVERHEAD, NODE_HEADER_BYTES, TAG_INTERNAL, TAG_LEAF,
 };
-use dam_kv::msg::{Message, MessageRef};
+use dam_kv::msg::{Message, MessageRef, Operation};
 
 /// Node location on the device.
 pub type NodeId = u64;
@@ -52,18 +52,17 @@ pub fn encode_internal<'a>(
     let mut w = Writer::with_capacity(node_bytes - FRAME_OVERHEAD);
     w.put_u8(TAG_INTERNAL);
     w.put_u32(pivots.len() as u32);
-    for p in pivots {
-        w.put_bytes(p);
-    }
+    w.put_run(pivots.iter(), |p| p.len(), |w, p| w.put_raw(p));
     for (c, _) in children.clone() {
         w.put_u64(c);
     }
-    for (_, buf) in children {
-        w.put_u32(buf.len() as u32);
-        for m in buf {
-            m.encode(&mut w);
-        }
-    }
+    // Each buffer is a record of the run of buffers: a run of messages
+    // with no count in front.
+    w.put_run(
+        children.map(|(_, buf)| buf),
+        |buf| buf.iter().map(|m| 4 + m.encoded_len()).sum(),
+        |w, buf| w.put_run(buf.iter(), |m| m.encoded_len(), |w, m| m.encode(w)),
+    );
     frame_into_slot(&w.into_bytes(), node_bytes)
 }
 
@@ -82,8 +81,8 @@ pub enum BeNodeView<'a> {
         pivots: Run<'a, &'a [u8]>,
         /// `pivots.len() + 1` little-endian child ids, 8 bytes each.
         children: &'a [u8],
-        /// `pivots.len() + 1` message buffers, each a `u32` count and that
-        /// many messages sorted by `(key, seq)`.
+        /// `pivots.len() + 1` message buffers, each a run of messages
+        /// sorted by `(key, seq)`.
         buffers: Run<'a, Run<'a, MessageRef<'a>>>,
     },
 }
@@ -94,19 +93,33 @@ impl<'a> BeNodeView<'a> {
     /// when the image arrives from the device (see
     /// `dam_cache::Pager::check_once`).
     pub fn parse(image: &'a [u8]) -> Result<Self, CodecError> {
+        Ok(Self::read(image, Check::Full)?.0)
+    }
+
+    /// View a node image that [`BeNodeView::parse`] accepted before (a
+    /// verified pager entry, whose check ran it), checking only its frame
+    /// header and the extent of each run: O(1), with no pass over the
+    /// records.
+    pub fn reparse(image: &'a [u8]) -> Result<Self, CodecError> {
+        Ok(Self::read(image, Check::Extent)?.0)
+    }
+
+    /// The view, and the buffered messages' summed [`Message::footprint`]
+    /// that a [`Check::Full`] read adds up as it checks them (0 otherwise).
+    fn read(image: &'a [u8], check: Check) -> Result<(Self, usize), CodecError> {
         let mut r = Reader::new(frame_payload(image)?);
         match r.get_u8()? {
-            TAG_LEAF => Ok(BeNodeView::Leaf(Run::read(&mut r)?)),
+            TAG_LEAF => Ok((BeNodeView::Leaf(Run::read_counted(&mut r, check)?), 0)),
             TAG_INTERNAL => {
-                let n = r.get_u32()? as usize;
-                let pivots = Run::read_n(&mut r, n)?;
-                let children = r.get_raw((n + 1) * 8)?;
-                let buffers = Run::read_n(&mut r, n + 1)?;
-                Ok(BeNodeView::Internal {
+                let pivots = Run::read_counted(&mut r, check)?;
+                let children = r.get_raw((pivots.len() + 1) * 8)?;
+                let (buffers, buffered) = Run::read_buffers(&mut r, pivots.len() + 1, check)?;
+                let view = BeNodeView::Internal {
                     pivots,
                     children,
                     buffers,
-                })
+                };
+                Ok((view, buffered))
             }
             _ => Err(CodecError::Invalid("unknown benode tag")),
         }
@@ -139,60 +152,46 @@ pub struct BufferEdit {
 }
 
 impl BufferEdit {
-    /// Locate `msg`'s place in the internal node `image`, whose view `view`
-    /// was parsed from it: in the buffer of the child that routes its key,
-    /// in `(key, seq)` order.
-    pub fn new(image: &[u8], view: BeNodeView<'_>, msg: &Message) -> Result<Self, CodecError> {
+    /// Locate `msg`'s place in the node `image`: in the buffer of the child
+    /// that routes its key, in `(key, seq)` order; `None` for a leaf, which
+    /// has no buffers. The image is checked in full, in the one pass that
+    /// also adds up the buffered footprint the fit test needs; the buffer
+    /// is then reached through the directory of buffers and searched in
+    /// place, and no other buffer is walked.
+    pub fn new(image: &[u8], msg: &Message) -> Result<Option<Self>, CodecError> {
+        let (view, buffered) = BeNodeView::read(image, Check::Full)?;
         let BeNodeView::Internal {
             pivots,
             children,
             buffers,
         } = view
         else {
-            return Err(CodecError::Invalid("a leaf has no message buffers"));
+            return Ok(None);
         };
-        let base = PAYLOAD_HEADER + pivots.encoded_len() + children.len();
-        let end = base + buffers.encoded_len();
-        if frame_payload(image)?.len() < end {
-            return Err(CodecError::Invalid("message buffers overrun the payload"));
-        }
         // The message goes into the buffer of the child that routes its
         // key, before the first message that sorts after it.
         let child = pivots.route(&msg.key);
+        let buf = buffers
+            .nth(child)
+            .ok_or(CodecError::Invalid("no buffer for the child"))?;
         let key = (msg.key.as_slice(), msg.seq);
-        let mut spot = None;
-        let mut count_at = base;
-        let mut footprints = 0;
-        for (i, buf) in buffers.iter().enumerate() {
-            footprints += buf.iter().map(|m| m.footprint()).sum::<usize>();
-            if i == child {
-                let (_, after) = buf.seek(|m| (m.key, m.seq) <= key);
-                let at = count_at + 4 + buf.encoded_len() - after.encoded_len();
-                spot = Some((count_at, buf.len(), at));
-            }
-            count_at += 4 + buf.encoded_len();
-        }
-        let (count_at, count, at) = spot.ok_or(CodecError::Invalid("no buffer for the child"))?;
-        let mut w = Writer::with_capacity(msg.footprint());
+        let (at, _) = buf.seek(|m| (m.key, m.seq) <= key);
+        let base = PAYLOAD_HEADER + pivots.encoded_len() + children.len();
+        let mut w = Writer::with_capacity(msg.encoded_len());
         msg.encode(&mut w);
-        Ok(BufferEdit {
-            splice: Splice {
-                count_at,
-                count: u32::try_from(count + 1)
-                    .map_err(|_| CodecError::Invalid("message count"))?,
-                lo: at,
-                hi: at,
-                end,
-            },
+        Ok(Some(BufferEdit {
+            splice: buf
+                .splice(base + buffers.offset(child), at, Op::Insert)
+                .inside(&buffers, base, child),
             record: w.into_bytes(),
             serialized_size: NODE_HEADER_BYTES
                 + pivots.encoded_len()
                 + children.len()
                 + 4 * buffers.len()
-                + footprints
+                + buffered
                 + msg.footprint(),
             children: buffers.len(),
-        })
+        }))
     }
 
     /// [`internal_size`] of the edited node.
@@ -215,37 +214,60 @@ impl BufferEdit {
 }
 
 /// Apply `(key, seq)`-sorted messages over sorted entries in one merge pass.
-/// Used by flushes into leaves and by range queries over a leaf window.
+/// Used by flushes into leaves.
 pub fn apply_msgs_to_entries(entries: &mut Vec<(Vec<u8>, Vec<u8>)>, msgs: &[Message]) {
-    use dam_kv::msg::replay;
     if msgs.is_empty() {
         return;
     }
     let old = std::mem::take(entries);
     let mut out = Vec::with_capacity(old.len() + msgs.len());
-    let mut ei = old.into_iter().peekable();
-    let mut mi = 0usize;
-    while mi < msgs.len() {
-        let key = &msgs[mi].key;
-        while ei.peek().is_some_and(|(k, _)| k < key) {
-            out.push(ei.next().expect("peeked"));
+    merge_msgs(
+        old.into_iter(),
+        |(k, _)| k,
+        msgs,
+        |m| {
+            out.push(match m {
+                Merged::Entry(e) => e,
+                Merged::Put(k, v) => (k.to_vec(), v.to_vec()),
+            })
+        },
+    );
+    *entries = out;
+}
+
+/// One pair of [`merge_msgs`]'s output.
+pub(crate) enum Merged<'m, E> {
+    /// An entry no message touched.
+    Entry(E),
+    /// A key whose newest message puts this value.
+    Put(&'m [u8], &'m [u8]),
+}
+
+/// Merge `(key, seq)`-sorted `msgs` over `entries`, sorted by `key`, in
+/// one pass, handing `emit` what they leave in key order: each key's newest
+/// message decides it. Range walks merge borrowed pairs with it, so they
+/// copy nothing; flushes, owned entries, so they move them.
+pub(crate) fn merge_msgs<'m, E>(
+    entries: impl Iterator<Item = E>,
+    key: impl Fn(&E) -> &[u8],
+    msgs: &'m [Message],
+    mut emit: impl FnMut(Merged<'m, E>),
+) {
+    let mut entries = entries.peekable();
+    for group in msgs.chunk_by(|a, b| a.key == b.key) {
+        let k = group[0].key.as_slice();
+        while let Some(e) = entries.next_if(|e| key(e) < k) {
+            emit(Merged::Entry(e));
         }
-        let start = mi;
-        while mi < msgs.len() && &msgs[mi].key == key {
-            mi += 1;
-        }
-        let group = &msgs[start..mi];
-        let base = if ei.peek().is_some_and(|(k, _)| k == key) {
-            Some(ei.next().expect("peeked").1)
-        } else {
-            None
-        };
-        if let Some(v) = replay(base.as_deref(), group) {
-            out.push((key.clone(), v));
+        // The entry the messages replace, if the key has one.
+        entries.next_if(|e| key(e) == k);
+        let newest = group.last().expect("a group holds a message");
+        debug_assert!(group.windows(2).all(|w| w[0].seq <= w[1].seq));
+        if let Operation::Put(v) = &newest.op {
+            emit(Merged::Put(k, v));
         }
     }
-    out.extend(ei);
-    *entries = out;
+    entries.for_each(|e| emit(Merged::Entry(e)));
 }
 
 /// Insert a message into a `(key, seq)`-sorted buffer, keeping order.
@@ -280,7 +302,6 @@ pub fn buffer_merge(a: Vec<Message>, b: Vec<Message>) -> Vec<Message> {
 mod tests {
     use super::*;
     use dam_kv::codec::{pairs_size, unframe};
-    use dam_kv::msg::Operation;
 
     fn m(seq: u64, key: &[u8]) -> Message {
         Message {
@@ -349,7 +370,7 @@ mod tests {
         ];
         let mut img = internal(&pivots, &buffers, node_bytes);
         for msg in msgs {
-            let edit = BufferEdit::new(&img, BeNodeView::parse(&img).unwrap(), &msg).unwrap();
+            let edit = BufferEdit::new(&img, &msg).unwrap().unwrap();
             buffer_insert(&mut buffers[usize::from(msg.key.as_slice() >= b"m")], msg);
             let size = internal_size(&pivots, buffers.iter().map(Vec::as_slice));
             assert_eq!(edit.serialized_size(), size);
@@ -360,8 +381,7 @@ mod tests {
             assert_eq!(img, internal(&pivots, &buffers, node_bytes));
         }
         let leaf = encode_leaf(&[], node_bytes);
-        let view = BeNodeView::parse(&leaf).unwrap();
-        assert!(BufferEdit::new(&leaf, view, &m(1, b"a")).is_err());
+        assert!(BufferEdit::new(&leaf, &m(1, b"a")).unwrap().is_none());
     }
 
     #[test]

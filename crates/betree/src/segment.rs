@@ -8,7 +8,7 @@
 //! Segment `j` of a leaf holds a sorted run of key-value pairs, a *subleaf*
 //! (TokuDB's "basement node").
 
-use dam_kv::codec::{frame_payload, CodecError, Pair, Reader, Record, Run, Writer, FRAME_OVERHEAD};
+use dam_kv::codec::{frame_payload, Check, CodecError, Pair, Reader, Run, Writer, FRAME_OVERHEAD};
 use dam_kv::msg::{Message, MessageRef};
 
 const TAG_EMPTY: u8 = 0;
@@ -76,18 +76,14 @@ impl ChildDesc {
         w.put_u64(self.addr);
         w.put_u8(self.is_leaf as u8);
         w.put_u32(self.boundaries.len() as u32);
-        for b in &self.boundaries {
-            w.put_bytes(b);
-        }
+        w.put_run(self.boundaries.iter(), |b| b.len(), |w, b| w.put_raw(b));
         w.put_u32(self.msgs.len() as u32);
-        for m in &self.msgs {
-            m.encode(w);
-        }
+        w.put_run(self.msgs.iter(), |m| m.encoded_len(), |w, m| m.encode(w));
     }
 
     /// Read a descriptor segment payload, leaving `r` just past it.
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match SegView::read(r)? {
+        match SegView::read(r, Check::Full)? {
             Some(SegView::Desc(d)) => Ok(d.to_desc()),
             _ => Err(CodecError::Invalid("expected a descriptor segment")),
         }
@@ -132,17 +128,17 @@ impl DescView<'_> {
 }
 
 impl<'a> SegView<'a> {
-    /// Read one segment (`None` for an empty one), leaving `r` just past
-    /// it.
-    pub fn read(r: &mut Reader<'a>) -> Result<Option<Self>, CodecError> {
+    /// Read one segment (`None` for an empty one), checked as `check` says,
+    /// leaving `r` just past it.
+    pub fn read(r: &mut Reader<'a>, check: Check) -> Result<Option<Self>, CodecError> {
         match r.get_u8()? {
             TAG_EMPTY => Ok(None),
-            TAG_SUBLEAF => Ok(Some(SegView::Subleaf(Run::read(r)?))),
+            TAG_SUBLEAF => Ok(Some(SegView::Subleaf(Run::read_counted(r, check)?))),
             TAG_DESC => {
                 let addr = r.get_u64()?;
                 let is_leaf = r.get_u8()? != 0;
-                let boundaries = Run::read(r)?;
-                let msgs = Run::read(r)?;
+                let boundaries = Run::read_counted(r, check)?;
+                let msgs = Run::read_counted(r, check)?;
                 Ok(Some(SegView::Desc(DescView {
                     addr,
                     is_leaf,
@@ -157,6 +153,13 @@ impl<'a> SegView<'a> {
     /// View a framed segment image whose checksum the caller has checked
     /// (see `dam_cache::Pager::check_once`).
     pub fn parse(image: &'a [u8]) -> Result<Option<Self>, CodecError> {
-        Self::read(&mut Reader::new(frame_payload(image)?))
+        Self::read(&mut Reader::new(frame_payload(image)?), Check::Full)
+    }
+
+    /// View a framed segment image that [`SegView::parse`] accepted before
+    /// (a verified pager entry, whose check ran it): O(1), with no pass
+    /// over the records.
+    pub fn reparse(image: &'a [u8]) -> Result<Option<Self>, CodecError> {
+        Self::read(&mut Reader::new(frame_payload(image)?), Check::Extent)
     }
 }

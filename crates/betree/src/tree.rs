@@ -25,7 +25,7 @@
 //! messages buffered on their paths over the leaves.
 
 use crate::layout::{Body, Entries, Layout, Node, PartView, Segmented, WholeNode};
-use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge};
+use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge, merge_msgs, Merged};
 use crate::segment::ChildDesc;
 use dam_cache::{Pager, PagerError};
 use dam_kv::codec::{pair_size, Record, NODE_HEADER_BYTES};
@@ -622,10 +622,16 @@ impl<L: Layout> Engine<L> {
         }
     }
 
-    /// The live pairs with `start <= key < end`, or with no upper bound
-    /// when `end` is `None`: one walk down every overlapping path, merging
-    /// the messages buffered on it over the leaves.
-    fn range_inner(&mut self, start: &[u8], end: Option<&[u8]>) -> Result<Entries, KvError> {
+    /// Hand `sink` the live pairs with `start <= key < end`, or with no
+    /// upper bound when `end` is `None`, in key order and borrowed from the
+    /// pages: one walk down every overlapping path, merging the messages
+    /// buffered on it over the leaves.
+    fn range_inner(
+        &mut self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        sink: &mut impl FnMut(&[u8], &[u8]),
+    ) -> Result<(), KvError> {
         let root = self.root.clone();
         let pending = root
             .msgs
@@ -633,17 +639,7 @@ impl<L: Layout> Engine<L> {
             .filter(|m| in_range(&m.key, start, end))
             .collect();
         let pivots: Vec<&[u8]> = root.boundaries.iter().map(Vec::as_slice).collect();
-        let mut out = Vec::new();
-        self.range_rec(
-            root.addr,
-            root.is_leaf,
-            &pivots,
-            pending,
-            start,
-            end,
-            &mut out,
-        )?;
-        Ok(out)
+        self.range_rec(root.addr, root.is_leaf, &pivots, pending, start, end, sink)
     }
 
     /// Range scan of the node at `addr`: `held` are its pivots when the
@@ -660,7 +656,7 @@ impl<L: Layout> Engine<L> {
         pending: Vec<Message>,
         start: &[u8],
         end: Option<&[u8]>,
-        out: &mut Vec<(Vec<u8>, Vec<u8>)>,
+        sink: &mut impl FnMut(&[u8], &[u8]),
     ) -> Result<(), KvError> {
         let _lvl = self.obs.as_ref().map(|o| o.descend(L::LEVEL_SPAN));
         if L::PIVOTS_IN_PARENT {
@@ -673,12 +669,12 @@ impl<L: Layout> Engine<L> {
                 pending,
                 start,
                 end,
-                out,
+                sink,
             );
         }
         let page = self.layout.read_for_query(&mut self.pager, addr, 0)?;
         let (pivots, parts) = self.layout.parts(&page, addr, 0, is_leaf)?;
-        self.range_parts(addr, is_leaf, pivots, parts, pending, start, end, out)
+        self.range_parts(addr, is_leaf, pivots, parts, pending, start, end, sink)
     }
 
     /// The parts of the node at `addr` that overlap the query, routed
@@ -694,7 +690,7 @@ impl<L: Layout> Engine<L> {
         pending: Vec<Message>,
         start: &[u8],
         end: Option<&[u8]>,
-        out: &mut Vec<(Vec<u8>, Vec<u8>)>,
+        sink: &mut impl FnMut(&[u8], &[u8]),
     ) -> Result<(), KvError> {
         let mut pending = pending.into_iter().peekable();
         let mut lo: Option<&[u8]> = None;
@@ -726,13 +722,19 @@ impl<L: Layout> Engine<L> {
                     // the window alone is a virtual view of the chunk
                     // restricted to the query.
                     let (_, from) = entries.seek(|(k, _)| *k < start);
-                    let mut window: Vec<(Vec<u8>, Vec<u8>)> = from
-                        .iter()
-                        .take_while(|(k, _)| end.is_none_or(|e| *k < e))
-                        .map(|(k, v)| (k.to_vec(), v.to_vec()))
-                        .collect();
-                    apply_msgs_to_entries(&mut window, &group);
-                    out.extend(window);
+                    let window = from.iter().take_while(|(k, _)| end.is_none_or(|e| *k < e));
+                    if group.is_empty() {
+                        window.for_each(|(k, v)| sink(k, v));
+                    } else {
+                        merge_msgs(
+                            window,
+                            |(k, _)| k,
+                            &group,
+                            |m| match m {
+                                Merged::Entry((k, v)) | Merged::Put(k, v) => sink(k, v),
+                            },
+                        );
+                    }
                 }
                 PartView::Kid {
                     addr: kid,
@@ -748,7 +750,7 @@ impl<L: Layout> Engine<L> {
                     let kid_pivots: Vec<&[u8]> =
                         kid_pivots.map(|p| p.iter().collect()).unwrap_or_default();
                     let msgs = buffer_merge(group, own);
-                    self.range_rec(kid, leaf, &kid_pivots, msgs, start, end, out)?;
+                    self.range_rec(kid, leaf, &kid_pivots, msgs, start, end, sink)?;
                 }
             }
         }
@@ -978,11 +980,13 @@ impl<L: Layout> Dictionary for Engine<L> {
 
     fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
         self.in_op(|t| {
+            let mut out = Vec::new();
             if start < end {
-                t.range_inner(start, Some(end))
-            } else {
-                Ok(Vec::new())
+                t.range_inner(start, Some(end), &mut |k, v| {
+                    out.push((k.to_vec(), v.to_vec()))
+                })?;
             }
+            Ok(out)
         })
     }
 
@@ -997,9 +1001,13 @@ impl<L: Layout> Dictionary for Engine<L> {
     }
 
     /// Exact live-key count via a full unbounded merged walk (O(N) IO,
-    /// all of it reads).
+    /// all of it reads) that counts the pairs it passes and copies none.
     fn len(&mut self) -> Result<u64, KvError> {
-        self.in_op(|t| Ok(t.range_inner(&[], None)?.len() as u64))
+        self.in_op(|t| {
+            let mut n = 0;
+            t.range_inner(&[], None, &mut |_, _| n += 1)?;
+            Ok(n)
+        })
     }
 
     fn buffered_bytes(&self) -> usize {

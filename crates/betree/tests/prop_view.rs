@@ -8,7 +8,7 @@
 
 use dam_betree::layout::{Body, Node, PartView};
 use dam_betree::node::{buffer_insert, encode_internal, internal_size};
-use dam_betree::{BeNodeView, BeTreeConfig, BufferEdit, ChildDesc, Layout, OptConfig};
+use dam_betree::{BeTreeConfig, BufferEdit, ChildDesc, Layout, OptConfig};
 use dam_betree::{Segmented, WholeNode};
 use dam_cache::Pager;
 use dam_kv::codec::{frame_into_slot, unframe, Record};
@@ -267,7 +267,7 @@ props! {
         let fanout_ok = kids.len() <= max_fanout;
         for (key, seq, op) in msgs {
             let msg = Message { seq: seq as u64, key, op };
-            let edit = BufferEdit::new(&img, BeNodeView::parse(&img).unwrap(), &msg).unwrap();
+            let edit = BufferEdit::new(&img, &msg).unwrap().unwrap();
             buffer_insert(&mut kids[route(&pivots, &msg.key)].msgs, msg);
             prop_assert_eq!(edit.serialized_size(), size(&kids));
             let fits = size(&kids) <= node_bytes;
@@ -286,18 +286,15 @@ props! {
         cut in any::<u64>(),
         probe in key(),
     ) {
-        // The splice entry point checks that the buffers it was handed lie
-        // inside the image it edits, and refuses a leaf.
+        // The splice entry point checks the image it edits in full, and
+        // has nothing to edit in a leaf.
         let (mut pager, desc) = written(&whole(), &node);
         let img = whole().fetch(&mut pager, &desc).unwrap().to_vec();
-        let view = BeNodeView::parse(&img).unwrap();
         let msg = Message { seq: 1 << 20, key: probe, op: Operation::Delete };
         let payload = unframe(&img).unwrap();
         let truncated = dam_kv::codec::frame(&payload[..cut as usize % payload.len()]);
-        prop_assert!(BufferEdit::new(&truncated, view, &msg).is_err());
-        prop_assert!(BufferEdit::new(&img[..4], view, &msg).is_err());
-        if node.is_leaf() {
-            prop_assert!(BufferEdit::new(&img, view, &msg).is_err());
-        }
+        prop_assert!(BufferEdit::new(&truncated, &msg).is_err());
+        prop_assert!(BufferEdit::new(&img[..4], &msg).is_err());
+        prop_assert_eq!(BufferEdit::new(&img, &msg).unwrap().is_none(), node.is_leaf());
     }
 }

@@ -5,9 +5,9 @@
 //! exactly `B` bytes — the quantity the affine model prices.
 
 use dam_kv::codec::{
-    frame_into_slot, frame_payload, pair_size, pairs_size, splice_in_place, unframe, CodecError,
-    Pair, Reader, Record, Run, Splice, Writer, FRAME_OVERHEAD, NODE_HEADER_BYTES, TAG_INTERNAL,
-    TAG_LEAF,
+    frame_into_slot, frame_payload, pair_size, pairs_size, splice_in_place, unframe, Check,
+    CodecError, Op, Pair, Reader, Run, Splice, Writer, FRAME_OVERHEAD, NODE_HEADER_BYTES,
+    TAG_INTERNAL, TAG_LEAF,
 };
 
 /// Location of a node on the device (a fixed-size slot offset).
@@ -79,9 +79,7 @@ impl Node {
             Node::Internal { pivots, children } => {
                 w.put_u8(TAG_INTERNAL);
                 w.put_u32(pivots.len() as u32);
-                for p in pivots {
-                    w.put_bytes(p);
-                }
+                w.put_run(pivots.iter(), |p| p.len(), |w, p| w.put_raw(p));
                 for &c in children {
                     w.put_u64(c);
                 }
@@ -133,13 +131,24 @@ impl<'a> NodeView<'a> {
     /// when the image arrives from the device (see
     /// `dam_cache::Pager::check_once`).
     pub fn parse(image: &'a [u8]) -> Result<Self, CodecError> {
+        Self::read(image, Check::Full)
+    }
+
+    /// View a node image that [`NodeView::parse`] accepted before (a
+    /// verified pager entry, whose check ran it), checking only its frame
+    /// header and the extent of each run: O(1), with no pass over the
+    /// records.
+    pub fn reparse(image: &'a [u8]) -> Result<Self, CodecError> {
+        Self::read(image, Check::Extent)
+    }
+
+    fn read(image: &'a [u8], check: Check) -> Result<Self, CodecError> {
         let mut r = Reader::new(frame_payload(image)?);
         match r.get_u8()? {
-            TAG_LEAF => Ok(NodeView::Leaf(Run::read(&mut r)?)),
+            TAG_LEAF => Ok(NodeView::Leaf(Run::read_counted(&mut r, check)?)),
             TAG_INTERNAL => {
-                let n = r.get_u32()? as usize;
-                let pivots = Run::read_n(&mut r, n)?;
-                let children = r.get_raw((n + 1) * 8)?;
+                let pivots = Run::read_counted(&mut r, check)?;
+                let children = r.get_raw((pivots.len() + 1) * 8)?;
                 Ok(NodeView::Internal { pivots, children })
             }
             _ => Err(CodecError::Invalid("unknown node tag")),
@@ -178,10 +187,12 @@ impl<'a> NodeView<'a> {
 /// so callers take the same fit decisions.
 #[derive(Debug)]
 pub struct LeafEdit {
-    splice: Splice,
+    /// The edit; none when it removes an absent key.
+    splice: Option<Splice>,
     /// The new entry, encoded; empty for a removal.
     record: Vec<u8>,
     found: bool,
+    serialized_size: usize,
 }
 
 impl LeafEdit {
@@ -199,24 +210,27 @@ impl LeafEdit {
         if frame_payload(image)?.len() < end {
             return Err(CodecError::Invalid("leaf entries overrun the payload"));
         }
-        let (at, found) = entries.locate(key);
-        let n = entries.len();
-        let (count, record) = match value {
-            Some(value) => {
+        let (i, found) = entries.locate(key);
+        let (op, record) = match (value, found) {
+            (Some(value), _) => {
                 let mut w = Writer::with_capacity(pair_size(key, value));
                 w.put_pair(key, value);
-                (if found { n } else { n + 1 }, w.into_bytes())
+                (if found { Op::Replace } else { Op::Insert }, w.into_bytes())
             }
-            None => (if found { n - 1 } else { n }, Vec::new()),
+            (None, true) => (Op::Remove, Vec::new()),
+            (None, false) => {
+                return Ok(LeafEdit {
+                    splice: None,
+                    record: Vec::new(),
+                    found,
+                    serialized_size: FRAME_OVERHEAD + end,
+                })
+            }
         };
+        let splice = entries.splice(PAYLOAD_HEADER, i, op).counted(COUNT_AT);
         Ok(LeafEdit {
-            splice: Splice {
-                count_at: COUNT_AT,
-                count: u32::try_from(count).map_err(|_| CodecError::Invalid("entry count"))?,
-                lo: PAYLOAD_HEADER + at.start,
-                hi: PAYLOAD_HEADER + at.end,
-                end,
-            },
+            serialized_size: FRAME_OVERHEAD + splice.edited_len(record.len()),
+            splice: Some(splice),
             record,
             found,
         })
@@ -229,14 +243,16 @@ impl LeafEdit {
 
     /// [`Node::serialized_size`] of the edited leaf.
     pub fn serialized_size(&self) -> usize {
-        FRAME_OVERHEAD + self.splice.edited_len(self.record.len())
+        self.serialized_size
     }
 
     /// Edit `image`, the leaf image the edit was located in (or a copy of
     /// it), in place. Panics if the edited leaf does not fit the image
     /// (check [`LeafEdit::serialized_size`] first).
     pub fn apply(&self, image: &mut [u8]) {
-        splice_in_place(image, &self.splice, &self.record);
+        if let Some(splice) = &self.splice {
+            splice_in_place(image, splice, &self.record);
+        }
     }
 }
 

@@ -42,9 +42,9 @@ fn corrupt_node(id: NodeId, e: CodecError) -> KvError {
     KvError::Corrupt(format!("node {id}: {e}"))
 }
 
-/// View a page read by [`BTree::read_page`].
+/// View a page read by [`BTree::read_page`], whose check parsed it.
 fn parse_node(id: NodeId, page: &Page) -> Result<NodeView<'_>, KvError> {
-    NodeView::parse(page).map_err(|e| corrupt_node(id, e))
+    NodeView::reparse(page).map_err(|e| corrupt_node(id, e))
 }
 
 /// An on-disk B-tree (see crate docs).
@@ -156,19 +156,25 @@ impl BTree {
         self.pager.drop_cache().map_err(KvError::from)
     }
 
-    /// Node `id`'s image, its frame checksum checked once: when the bytes
-    /// come off the device, not on every cache hit.
+    /// Node `id`'s image, its frame checksum and structure checked once:
+    /// when the bytes come off the device, not on every cache hit.
     fn read_page(&mut self, id: NodeId) -> Result<Page, KvError> {
         let page = self.pager.read(id, self.cfg.node_bytes)?;
         self.pager
-            .check_once(&page, |b| unframe(b).map(drop))
+            .check_once(&page, |b| {
+                unframe(b)?;
+                NodeView::parse(b).map(drop)
+            })
             .map_err(|e| corrupt_node(id, e))?;
         Ok(page)
     }
 
+    /// Node `id` decoded into owned entries, its structure checked again
+    /// (the decode copies every record anyway).
     fn read_node(&mut self, id: NodeId) -> Result<Node, KvError> {
         let page = self.read_page(id)?;
-        Ok(parse_node(id, &page)?.to_node())
+        let node = NodeView::parse(&page).map_err(|e| corrupt_node(id, e))?;
+        Ok(node.to_node())
     }
 
     fn write_node(&mut self, id: NodeId, node: &Node) -> Result<(), KvError> {

@@ -1,14 +1,35 @@
 //! Compact binary codec for on-disk node images.
 //!
-//! Little-endian fixed-width integers and length-prefixed byte strings, with
-//! fully checked decoding: a truncated or corrupt image produces a
-//! [`CodecError`], never a panic or garbage data. Node images are sorted
-//! runs of records, read and searched in place as a [`Run`]. The format is
-//! deliberately boring — the interesting parts of the paper are in *when*
-//! bytes move, not how they are arranged.
+//! Little-endian fixed-width integers, with fully checked decoding: a
+//! truncated or corrupt image produces a [`CodecError`], never a panic or
+//! garbage data. Node images are sorted runs of records, read and searched
+//! in place as a [`Run`]. The format is deliberately boring — the
+//! interesting parts of the paper are in *when* bytes move, not how they
+//! are arranged.
+//!
+//! A run of `n` records is a directory of `n` little-endian `u32` record
+//! ends, then the records back to back. An end is measured from the first
+//! record's start, and the directory lists them from the last record to
+//! the first, so its first entry is the records' total length: a run knows
+//! its length from its count, and its count from its length (the bytes
+//! past the total are `4n`). A run in a node header carries its `u32`
+//! count in front; a run that is itself a record of an outer run (a
+//! Bε-tree message buffer) carries none, since the outer directory gives
+//! its length.
+//! Within a record, every variable-length field but the last carries a
+//! `u32` length, and the last runs to the record's end, which its
+//! directory entry gives: a record spends one `u32` per variable-length
+//! field.
+//!
+//! Reading a run checks it in one pass over the directory and each
+//! record's fixed header: ends that decrease, an end past the run, a count
+//! too large for its directory, a key length past its record or an unknown
+//! tag are errors. No record's position depends on the one before it, so
+//! [`Run::seek`] is a binary search, and [`splice_in_place`] edits one
+//! record by moving the bytes after it and patching the ends that follow.
 
 use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut, Range};
+use std::ops::{Deref, DerefMut};
 
 /// Decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,31 +123,87 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
-    /// Write a [`Pair`]: the pair encoder.
+    /// Write a [`Pair`] record, [`pair_size`] bytes with its directory
+    /// entry: the pair encoder.
     pub fn put_pair(&mut self, k: &[u8], v: &[u8]) {
         self.put_bytes(k);
-        self.put_bytes(v);
+        self.put_raw(v);
     }
 
-    /// Write `tag`, the `u32` count of `pairs`, and the pairs: a leaf's or
+    /// Write `tag`, the `u32` count of `pairs`, and their run: a leaf's or
     /// subleaf's payload, [`pairs_size`] bytes once framed.
     pub fn put_pairs(&mut self, tag: u8, pairs: &[(Vec<u8>, Vec<u8>)]) {
         self.put_u8(tag);
         self.put_u32(u32::try_from(pairs.len()).expect("more than u32::MAX pairs"));
-        for (k, v) in pairs {
-            self.put_pair(k, v);
-        }
+        self.put_run(
+            pairs.iter(),
+            |(k, v)| pair_size(k, v) - END_BYTES,
+            |w, (k, v)| w.put_pair(k, v),
+        );
     }
 
-    /// Write an [`Entry`]: `None` is a tombstone.
+    /// Write an [`Entry`] record: `None` is a tombstone.
     pub fn put_entry(&mut self, k: &[u8], v: Option<&[u8]>) {
-        self.put_bytes(k);
         match v {
             Some(v) => {
                 self.put_u8(1);
-                self.put_bytes(v);
+                self.put_pair(k, v);
             }
-            None => self.put_u8(0),
+            None => {
+                self.put_u8(0);
+                self.put_raw(k);
+            }
+        }
+    }
+
+    /// Write a run of `records`: its directory, from `len` (a record's
+    /// encoded length), then each record by `put`. A count in front, if the
+    /// run has one, is the caller's.
+    ///
+    /// Panics if the records take more than `u32::MAX` bytes.
+    pub fn put_run<T>(
+        &mut self,
+        records: impl Iterator<Item = T> + Clone,
+        len: impl Fn(&T) -> usize,
+        mut put: impl FnMut(&mut Self, T),
+    ) {
+        let at = self.buf.len();
+        let n = records.clone().count();
+        self.buf.resize(at + END_BYTES * n, 0);
+        let mut end = 0;
+        for (i, record) in records.clone().enumerate() {
+            end += len(&record);
+            let slot = at + END_BYTES * (n - 1 - i);
+            let end = u32::try_from(end).expect("run longer than u32::MAX bytes");
+            self.buf[slot..slot + END_BYTES].copy_from_slice(&end.to_le_bytes());
+        }
+        for record in records {
+            put(self, record);
+        }
+        debug_assert_eq!(
+            self.buf.len(),
+            at + END_BYTES * n + end,
+            "records disagree with their lengths"
+        );
+    }
+
+    /// Put the directory of a run in front of its records, which are the
+    /// bytes from `at` on, given their `ends` in record order: for an
+    /// encoder that streams records before it knows how many there are.
+    pub fn insert_directory(&mut self, at: usize, ends: &[u32]) {
+        debug_assert_eq!(
+            ends.last().map_or(0, |&e| e as usize),
+            self.buf.len() - at,
+            "ends disagree with the records"
+        );
+        let len = self.buf.len();
+        self.buf.resize(len + END_BYTES * ends.len(), 0);
+        self.buf.copy_within(at..len, at + END_BYTES * ends.len());
+        for (slot, end) in self.buf[at..]
+            .chunks_exact_mut(END_BYTES)
+            .zip(ends.iter().rev())
+        {
+            slot.copy_from_slice(&end.to_le_bytes());
         }
     }
 }
@@ -218,8 +295,10 @@ impl<'a> Reader<'a> {
 /// + format version.
 pub const FRAME_OVERHEAD: usize = 4 + 4 + 1;
 
-/// Current frame format version.
-pub const FRAME_VERSION: u8 = 1;
+/// Current frame format version: 2, record runs behind an end-offset
+/// directory (see the module docs). A frame of any other version is
+/// [`CodecError::Invalid`].
+pub const FRAME_VERSION: u8 = 2;
 
 const CRC_TABLE: [u32; 256] = build_crc_table();
 
@@ -471,55 +550,126 @@ pub fn frame_into_slot(payload: &[u8], slot_bytes: usize) -> Vec<u8> {
     buf
 }
 
-/// One record's edit of an encoded payload whose records end at `end`:
-/// bytes `lo..hi` give way to the new record, and the `u32` record count at
-/// `count_at` becomes `count`. `lo == hi` inserts; an empty record removes.
+/// What a [`Splice`] does to its record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// A new record goes before record `index` (last, when `index` is the
+    /// record count).
+    Insert,
+    /// Record `index` gives way to the new record.
+    Replace,
+    /// Record `index` goes.
+    Remove,
+}
+
+/// One record's edit of a run inside an encoded payload, located by
+/// [`Run::splice`]: the bytes of record `index` (none, for an insert) give
+/// way to the new record, the run's directory gains or loses that record's
+/// entry, and the ends of the records after it move by the change in
+/// length. The run's count, when it has one in front ([`Splice::counted`]),
+/// and the outer directory's ends, when the run is a record of an outer
+/// run ([`Splice::inside`]), follow. Bytes after the payload's `end` are
+/// dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Splice {
-    /// Offset of the little-endian `u32` count, before `lo`.
-    pub count_at: usize,
-    /// The count after the edit.
-    pub count: u32,
-    /// Start of the replaced bytes.
-    pub lo: usize,
-    /// End of the replaced bytes.
-    pub hi: usize,
-    /// End of the payload's records: the bytes the edit keeps run to here.
-    pub end: usize,
+    /// Payload offset of the run's directory.
+    at: usize,
+    /// Records in the run before the edit.
+    n: usize,
+    /// The record edited, or the one a new record goes before.
+    index: usize,
+    op: Op,
+    /// Payload offsets of the bytes the new record replaces.
+    lo: usize,
+    hi: usize,
+    /// Payload offset of the run's `u32` count, if it has one.
+    count_at: Option<usize>,
+    /// The outer directory entries that end at or after this run: the
+    /// payload offset of the first and how many.
+    outer: Option<(usize, usize)>,
+    /// End of the bytes the edit keeps.
+    end: usize,
 }
 
 impl Splice {
+    /// The run's `u32` record count sits at payload offset `count_at`,
+    /// before its directory.
+    pub fn counted(self, count_at: usize) -> Self {
+        Splice {
+            count_at: Some(count_at),
+            ..self
+        }
+    }
+
+    /// The run is record `index` of `outer`, a run read whole from payload
+    /// offset `outer_at` that ends the kept bytes: the ends of that record
+    /// and the ones after it move by the run's change in length.
+    pub fn inside<'a, R: Record<'a>>(
+        self,
+        outer: &Run<'a, R>,
+        outer_at: usize,
+        index: usize,
+    ) -> Self {
+        Splice {
+            outer: Some((outer_at, outer.len() - index)),
+            end: outer_at + outer.encoded_len(),
+            ..self
+        }
+    }
+
     /// Payload length after the edit, with a `record_len`-byte record.
     pub fn edited_len(&self, record_len: usize) -> usize {
-        self.end - (self.hi - self.lo) + record_len
+        let (ins, rem) = self.entries();
+        self.end + END_BYTES * ins + record_len - (self.hi - self.lo) - END_BYTES * rem
+    }
+
+    /// Directory entries the edit adds and removes: one or none each.
+    fn entries(&self) -> (usize, usize) {
+        (
+            usize::from(self.op == Op::Insert),
+            usize::from(self.op == Op::Remove),
+        )
     }
 }
 
 /// Apply `edit`, with the new `record`, to the framed `image` in place:
-/// move the payload's tail `hi..end` to just after the record, write the
-/// record, zero the bytes a shrinking edit vacates, patch the count and
+/// move the bytes after the edited directory entry and after the edited
+/// record, write the record (and, for an insert, its entry), patch the ends
+/// and counts that follow, zero the bytes a shrinking edit vacates and
 /// reseal the frame with one checksum pass. The image then holds the bytes
 /// [`frame_into_slot`] writes for the edited payload at `image.len()`,
 /// padding aside: bytes past both the old and the new frame are left as
 /// they were (reads ignore padding).
 ///
-/// Panics if the edit is out of order (`count_at + 4 <= lo <= hi <= end`
-/// must hold), `end` lies past the image's framed payload, or the edited
-/// frame exceeds the image, as [`frame_into_slot`] does: callers locate the
-/// edit in a parsed payload and size the result first.
+/// Panics if the edit is out of order (the count and the outer directory
+/// before the run's directory, the directory before the record, the record
+/// before `end`, `end` within the frame), or the edited frame exceeds the
+/// image, as [`frame_into_slot`] does: callers locate the edit in a parsed
+/// payload and size the result first.
 pub fn splice_in_place(image: &mut [u8], edit: &Splice, record: &[u8]) {
     let Splice {
-        count_at,
-        count,
+        at,
+        n,
+        index,
+        op,
         lo,
         hi,
+        count_at,
+        outer,
         end,
     } = *edit;
     let framed_len = image.get(4..8).map_or(0, |b| {
         u32::from_le_bytes(b.try_into().expect("slice of 4")) as usize
     });
+    let (ins, rem) = edit.entries();
     assert!(
-        count_at + 4 <= lo && lo <= hi && hi <= end && end <= framed_len,
+        count_at.is_none_or(|c| c + 4 <= at)
+            && outer.is_none_or(|(o, k)| o + END_BYTES * k <= at)
+            && index + usize::from(op != Op::Insert) <= n
+            && at + END_BYTES * n <= lo
+            && lo <= hi
+            && hi <= end
+            && end <= framed_len,
         "splice {edit:?} out of order for a frame of {framed_len} payload bytes"
     );
     assert!(
@@ -535,13 +685,58 @@ pub fn splice_in_place(image: &mut [u8], edit: &Splice, record: &[u8]) {
         image.len()
     );
     let body = &mut image[FRAME_OVERHEAD..];
-    body.copy_within(hi..end, lo + record.len());
-    body[lo..lo + record.len()].copy_from_slice(record);
+    // The entries of the records from the edited one on lead the directory
+    // and stay put; the edited entry goes in or out at `entry`.
+    let kept = n - index - rem;
+    let entry = at + END_BYTES * kept;
+    // The rest of the directory and the records before the edited one move
+    // by the entry, everything after the edited record by the entry and
+    // the record's change in length. Whichever moves right moves first.
+    let before = entry + END_BYTES * rem..lo;
+    let rec_at = lo + END_BYTES * ins - END_BYTES * rem;
+    let after_to = rec_at + record.len();
+    if after_to > hi {
+        body.copy_within(hi..end, after_to);
+        body.copy_within(before, entry + END_BYTES * ins);
+    } else {
+        body.copy_within(before, entry + END_BYTES * ins);
+        body.copy_within(hi..end, after_to);
+    }
+    body[rec_at..after_to].copy_from_slice(record);
+    let grown = record.len() as i64 - (hi - lo) as i64;
+    if ins == 1 {
+        let start = lo - (at + END_BYTES * n);
+        put_end(body, entry, start + record.len());
+    }
+    add_to_ends(body, at, kept, grown);
+    if let Some((o, k)) = outer {
+        add_to_ends(body, o, k, after_to as i64 - hi as i64);
+    }
+    if let Some(c) = count_at {
+        add_to_ends(body, c, 1, ins as i64 - rem as i64);
+    }
     if len < framed_len {
         body[len..framed_len].fill(0);
     }
-    body[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
     seal_frame(&mut image[..FRAME_OVERHEAD + len]);
+}
+
+/// Write `end` as the little-endian `u32` at `at`.
+fn put_end(body: &mut [u8], at: usize, end: usize) {
+    let end = u32::try_from(end).expect("record end past u32::MAX");
+    body[at..at + END_BYTES].copy_from_slice(&end.to_le_bytes());
+}
+
+/// Add `by` to the `k` little-endian `u32`s from `at`.
+fn add_to_ends(body: &mut [u8], at: usize, k: usize, by: i64) {
+    if by == 0 {
+        return;
+    }
+    for slot in body[at..at + END_BYTES * k].chunks_exact_mut(END_BYTES) {
+        let v = i64::from(u32::from_le_bytes((&*slot).try_into().expect("slice of 4")));
+        let v = u32::try_from(v + by).expect("directory entry out of range");
+        slot.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Write the frame of `payload` into the empty `buf`.
@@ -620,15 +815,19 @@ pub const TAG_INTERNAL: u8 = 1;
 /// the tag and the `u32` record count. Every node image and subleaf segment
 /// starts with them.
 pub const NODE_HEADER_BYTES: usize = FRAME_OVERHEAD + 1 + 4;
-/// Bytes a pair spends beyond its key and value: two `u32` length prefixes.
+/// Bytes a pair spends beyond its key and value: its directory entry and
+/// its key's `u32` length.
 pub const LEAF_ENTRY_OVERHEAD: usize = 8;
+/// Bytes a record spends in its run's directory: its `u32` end.
+const END_BYTES: usize = 4;
 
-/// A key and its value, each a length-prefixed byte string: the records of
-/// leaves and subleaves.
+/// A key and its value: the key's `u32` length, the key, then the value,
+/// which runs to the record's end. The records of leaves and subleaves.
 pub type Pair<'a> = (&'a [u8], &'a [u8]);
 
-/// A key, then a one-byte tag and the value (tag 1) or nothing (tag 0, a
-/// tombstone): the records of an SSTable block.
+/// A one-byte tag, then, for tag 1, a key and value laid out as a [`Pair`],
+/// or, for tag 0 (a tombstone), the key alone: the records of an SSTable
+/// block.
 pub type Entry<'a> = (&'a [u8], Option<&'a [u8]>);
 
 /// One kind of record, read in place from an encoded run.
@@ -636,20 +835,27 @@ pub trait Record<'a>: Copy {
     /// An owned copy of a record.
     type Owned;
 
-    /// Read one record, checking it, and leave `r` just past it: the
-    /// kind's only parser.
-    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError>;
+    /// Read the record that spans exactly `bytes`, checking it: the kind's
+    /// only parser.
+    fn read(bytes: &'a [u8]) -> Result<Self, CodecError>;
+
+    /// Read a record [`Record::read`] has accepted. Only a run of runs
+    /// reads differently: it does not check the nested run again.
+    fn reread(bytes: &'a [u8]) -> Self {
+        Self::read(bytes).expect("a record is checked when its run is read")
+    }
 
     /// An owned copy.
     fn owned(self) -> Self::Owned;
 }
 
-/// A byte string: a pivot or routing key.
+/// A byte string, the whole record: a pivot or routing key.
 impl<'a> Record<'a> for &'a [u8] {
     type Owned = Vec<u8>;
 
-    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
-        r.get_bytes()
+    #[inline]
+    fn read(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        Ok(bytes)
     }
 
     fn owned(self) -> Vec<u8> {
@@ -660,8 +866,9 @@ impl<'a> Record<'a> for &'a [u8] {
 impl<'a> Record<'a> for Pair<'a> {
     type Owned = (Vec<u8>, Vec<u8>);
 
-    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
-        Ok((r.get_bytes()?, r.get_bytes()?))
+    #[inline]
+    fn read(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        split_key(bytes)
     }
 
     fn owned(self) -> (Vec<u8>, Vec<u8>) {
@@ -672,14 +879,14 @@ impl<'a> Record<'a> for Pair<'a> {
 impl<'a> Record<'a> for Entry<'a> {
     type Owned = (Vec<u8>, Option<Vec<u8>>);
 
-    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
-        let k = r.get_bytes()?;
-        let v = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_bytes()?),
-            _ => return Err(CodecError::Invalid("unknown entry tag")),
-        };
-        Ok((k, v))
+    #[inline]
+    fn read(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        match bytes.split_first() {
+            Some((0, key)) => Ok((key, None)),
+            Some((1, pair)) => split_key(pair).map(|(k, v)| (k, Some(v))),
+            Some(_) => Err(CodecError::Invalid("unknown entry tag")),
+            None => Err(CodecError::Invalid("record shorter than its header")),
+        }
     }
 
     fn owned(self) -> (Vec<u8>, Option<Vec<u8>>) {
@@ -687,14 +894,30 @@ impl<'a> Record<'a> for Entry<'a> {
     }
 }
 
-/// A run with its `u32` record count in front: one message buffer of a
-/// node.
+/// A key behind its `u32` length, and the bytes after it: the front of a
+/// [`Pair`] record, which the records with a key and a value share.
+#[inline]
+pub(crate) fn split_key(bytes: &[u8]) -> Result<(&[u8], &[u8]), CodecError> {
+    let (len, rest) = bytes
+        .split_first_chunk()
+        .ok_or(CodecError::Invalid("record shorter than its header"))?;
+    rest.split_at_checked(u32::from_le_bytes(*len) as usize)
+        .ok_or(CodecError::Invalid("key length past its record"))
+}
+
+/// A run with no count in front, its length given by the outer run's
+/// directory: one message buffer of a node.
 impl<'a, R: Record<'a>> Record<'a> for Run<'a, R> {
     type Owned = Vec<R::Owned>;
 
-    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
-        let n = r.get_u32()? as usize;
-        Run::read_n(r, n)
+    fn read(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        Run::read_spanning(bytes, |_| ())
+    }
+
+    fn reread(bytes: &'a [u8]) -> Self {
+        let n = Self::count_of(bytes).expect("a record is checked when its run is read");
+        let (dir, records) = bytes.split_at(END_BYTES * n);
+        Run::new(dir, records, 0)
     }
 
     fn owned(self) -> Vec<R::Owned> {
@@ -702,93 +925,266 @@ impl<'a, R: Record<'a>> Record<'a> for Run<'a, R> {
     }
 }
 
-/// `n` consecutive records of one kind, checked once when read and then
-/// walked and searched in place. A run is sorted by its records' keys, so
-/// [`Run::seek`], the one ordered search, finds where a key goes.
+/// What reading a run checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Check {
+    /// Every record, in one pass over the directory and the records' fixed
+    /// headers: for bytes from a device or of unknown origin.
+    Full,
+    /// The run's extent only, in O(1): for bytes a [`Check::Full`] read
+    /// accepted before (a verified pager entry; see
+    /// `dam_cache::Pager::check_once`). A record of bytes no check
+    /// accepted may panic when it is read.
+    Extent,
+}
+
+/// The little-endian `u32` at `at`.
+#[inline]
+fn end_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + END_BYTES].try_into().expect("slice of 4")) as usize
+}
+
+/// Consecutive records of one kind behind their directory, checked once
+/// when read and then walked and searched in place. A run is sorted by its
+/// records' keys, so [`Run::seek`], the one ordered search, finds where a
+/// key goes.
 #[derive(Debug, Clone, Copy)]
 pub struct Run<'a, R> {
-    n: usize,
-    bytes: &'a [u8],
+    /// The directory entries of this run's records, last record first.
+    dir: &'a [u8],
+    /// The records of the run this one was read as; the ends index them.
+    records: &'a [u8],
+    /// Where this run's first record starts in `records`.
+    start: usize,
     kind: PhantomData<R>,
 }
 
 impl<'a, R: Record<'a>> Run<'a, R> {
+    fn new(dir: &'a [u8], records: &'a [u8], start: usize) -> Self {
+        Run {
+            dir,
+            records,
+            start,
+            kind: PhantomData,
+        }
+    }
+
+    /// The directory and the records of a run of `n` records at the front
+    /// of `bytes`: the extent the first directory entry gives, checked to
+    /// lie inside `bytes`.
+    fn extent(bytes: &'a [u8], n: usize) -> Result<(&'a [u8], &'a [u8]), CodecError> {
+        if n > bytes.len() / END_BYTES {
+            return Err(CodecError::Invalid(
+                "record count too large for its directory",
+            ));
+        }
+        let (dir, rest) = bytes.split_at(END_BYTES * n);
+        let total = if n == 0 { 0 } else { end_at(dir, 0) };
+        let records = rest.get(..total).ok_or(CodecError::UnexpectedEof {
+            needed: total,
+            remaining: rest.len(),
+        })?;
+        Ok((dir, records))
+    }
+
+    /// Check a run of `n` records at the front of `bytes`, reading each
+    /// with `read`: one pass over the directory and the records.
+    fn check(
+        bytes: &'a [u8],
+        n: usize,
+        mut read: impl FnMut(&'a [u8]) -> Result<R, CodecError>,
+    ) -> Result<Self, CodecError> {
+        let (dir, records) = Self::extent(bytes, n)?;
+        let mut start = 0;
+        for at in (0..n).rev() {
+            let end = end_at(dir, END_BYTES * at);
+            if end < start {
+                return Err(CodecError::Invalid("record ends decrease"));
+            }
+            let record = records
+                .get(start..end)
+                .ok_or(CodecError::Invalid("record end past its run"))?;
+            read(record)?;
+            start = end;
+        }
+        Ok(Run::new(dir, records, 0))
+    }
+
     /// Take `n` records from `r`, checking each, and leave `r` just past
     /// them.
     pub fn read_n(r: &mut Reader<'a>, n: usize) -> Result<Self, CodecError> {
-        let start = r.pos;
-        for _ in 0..n {
-            R::read(r)?;
+        Self::read_n_by(r, n, R::read)
+    }
+
+    /// [`Run::read_n`], reading each record with `read`.
+    pub(crate) fn read_n_by(
+        r: &mut Reader<'a>,
+        n: usize,
+        read: impl FnMut(&'a [u8]) -> Result<R, CodecError>,
+    ) -> Result<Self, CodecError> {
+        let run = Self::check(&r.buf[r.pos..], n, read)?;
+        r.pos += run.encoded_len();
+        Ok(run)
+    }
+
+    /// Take a run with its `u32` count in front from `r`, checked as
+    /// `check` says, and leave `r` just past it.
+    pub fn read_counted(r: &mut Reader<'a>, check: Check) -> Result<Self, CodecError> {
+        let n = r.get_u32()? as usize;
+        match check {
+            Check::Full => Self::read_n(r, n),
+            Check::Extent => Self::reread_n(r, n),
         }
-        Ok(Run {
-            n,
-            bytes: &r.buf[start..r.pos],
-            kind: PhantomData,
+    }
+
+    /// Take `n` records that [`Run::read_n`] accepted before from `r`,
+    /// and leave `r` just past them, checking only the run's extent.
+    pub(crate) fn reread_n(r: &mut Reader<'a>, n: usize) -> Result<Self, CodecError> {
+        let (dir, records) = Self::extent(&r.buf[r.pos..], n)?;
+        r.pos += dir.len() + records.len();
+        Ok(Run::new(dir, records, 0))
+    }
+
+    /// Check the run that spans exactly `bytes`, whose count follows from
+    /// its length, and hand each record to `each`.
+    pub(crate) fn read_spanning(
+        bytes: &'a [u8],
+        mut each: impl FnMut(R),
+    ) -> Result<Self, CodecError> {
+        let n = Self::count_of(bytes)?;
+        Self::check(bytes, n, |record| {
+            let record = R::read(record)?;
+            each(record);
+            Ok(record)
         })
+    }
+
+    /// The record count of a run that spans exactly `bytes`: the bytes past
+    /// the records' total, the first entry, are its directory.
+    fn count_of(bytes: &[u8]) -> Result<usize, CodecError> {
+        if bytes.is_empty() {
+            return Ok(0);
+        }
+        let Some(total) = bytes.get(..END_BYTES).map(|_| end_at(bytes, 0)) else {
+            return Err(CodecError::UnexpectedEof {
+                needed: END_BYTES,
+                remaining: bytes.len(),
+            });
+        };
+        match bytes.len().checked_sub(total) {
+            Some(dir) if dir >= END_BYTES && dir % END_BYTES == 0 => Ok(dir / END_BYTES),
+            _ => Err(CodecError::Invalid(
+                "run length disagrees with its directory",
+            )),
+        }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.n
+        self.dir.len() / END_BYTES
     }
 
     /// True when there are none.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.dir.is_empty()
     }
 
-    /// Bytes the records take encoded.
+    /// Where record `i` ends in `records`.
+    fn end(&self, i: usize) -> usize {
+        end_at(self.dir, END_BYTES * (self.len() - 1 - i))
+    }
+
+    /// Where record `i` starts in `records`; the records' end for `i ==
+    /// len`.
+    fn start(&self, i: usize) -> usize {
+        if i == 0 {
+            self.start
+        } else {
+            self.end(i - 1)
+        }
+    }
+
+    /// Record `i`, which the run holds.
+    fn record(&self, i: usize) -> R {
+        R::reread(&self.records[self.start(i)..self.end(i)])
+    }
+
+    /// Bytes the records and their directory entries take encoded.
     pub fn encoded_len(&self) -> usize {
-        self.bytes.len()
+        self.dir.len() + self.start(self.len()) - self.start
+    }
+
+    /// Record `i`, if there is one.
+    pub fn nth(&self, i: usize) -> Option<R> {
+        (i < self.len()).then(|| self.record(i))
+    }
+
+    /// Where record `i` starts, in bytes from the start of a run read
+    /// whole; the run's length for `i == len`.
+    pub fn offset(&self, i: usize) -> usize {
+        self.dir.len() + self.start(i)
     }
 
     /// The records in order.
     pub fn iter(&self) -> impl Iterator<Item = R> + use<'a, R> {
-        let mut r = Reader::new(self.bytes);
-        // The run was checked when it was read, so no step can fail.
-        (0..self.n).map_while(move |_| R::read(&mut r).ok())
+        let run = *self;
+        let mut start = run.start;
+        (0..run.len()).map(move |i| {
+            let end = run.end(i);
+            let record = R::reread(&run.records[start..end]);
+            start = end;
+            record
+        })
     }
 
-    /// The first record and the run after it.
-    fn split_first(&self) -> Option<(R, Self)> {
-        if self.n == 0 {
-            return None;
-        }
-        let mut r = Reader::new(self.bytes);
-        // The run was checked when it was read, so this cannot fail.
-        let first = R::read(&mut r).ok()?;
-        Some((first, self.tail(r.pos, self.n - 1)))
-    }
-
-    /// The ordered search: how many leading records `before` holds for, and
-    /// the run from the first record it fails for. A linear scan; on a run
-    /// where `before` holds for a prefix only (a bound on sorted keys),
-    /// that is the prefix's length.
+    /// The ordered search: how many leading records `before` holds for,
+    /// and the run from the first record it fails for. A binary search,
+    /// which calls `before` at most ⌈log₂(n + 1)⌉ times: `before` must hold
+    /// for a prefix of the records only (a bound on sorted keys), and on
+    /// any other run the answer is some index of it.
     pub fn seek(&self, mut before: impl FnMut(&R) -> bool) -> (usize, Self) {
-        let mut r = Reader::new(self.bytes);
-        for i in 0..self.n {
-            let at = r.pos;
-            // The run was checked when it was read, so this cannot fail.
-            let Ok(record) = R::read(&mut r) else { break };
-            if !before(&record) {
-                return (i, self.tail(at, self.n - i));
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(&self.record(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        (self.n, self.tail(self.bytes.len(), 0))
-    }
-
-    /// The `n` last records, which start at byte `at`.
-    fn tail(&self, at: usize, n: usize) -> Self {
-        Run {
-            n,
-            bytes: &self.bytes[at..],
-            kind: PhantomData,
-        }
+        let tail = Run::new(
+            &self.dir[..END_BYTES * (self.len() - lo)],
+            self.records,
+            self.start(lo),
+        );
+        (lo, tail)
     }
 
     /// Owned copies of the records.
     pub fn to_vec(self) -> Vec<R::Owned> {
         self.iter().map(R::owned).collect()
+    }
+
+    /// The edit `op` of record `index` of this run, read whole from payload
+    /// offset `at` and ending the kept bytes: see [`splice_in_place`].
+    pub fn splice(&self, at: usize, index: usize, op: Op) -> Splice {
+        let records = at + self.dir.len();
+        let lo = records + self.start(index);
+        let hi = match op {
+            Op::Insert => lo,
+            Op::Replace | Op::Remove => records + self.end(index),
+        };
+        Splice {
+            at,
+            n: self.len(),
+            index,
+            op,
+            lo,
+            hi,
+            count_at: None,
+            outer: None,
+            end: at + self.encoded_len(),
+        }
     }
 }
 
@@ -808,10 +1204,7 @@ where
     /// The value stored under `key`.
     pub fn get(&self, key: &[u8]) -> Option<V> {
         let (_, rest) = self.seek(|(k, _)| *k < key);
-        rest.iter()
-            .next()
-            .filter(|(k, _)| *k == key)
-            .map(|(_, v)| v)
+        rest.nth(0).filter(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// The records with `start <= key < end`.
@@ -828,20 +1221,16 @@ where
         rest.iter().take_while(move |(k, _)| *k < end)
     }
 
-    /// Where `key` sits among the encoded records: the byte range (from the
-    /// first record's start) of the record holding `key` and `true`, or the
-    /// empty range where such a record would go and `false`.
-    pub fn locate(&self, key: &[u8]) -> (Range<usize>, bool) {
-        let (_, rest) = self.seek(|(k, _)| *k < key);
-        let at = self.encoded_len() - rest.encoded_len();
-        match rest.split_first() {
-            Some(((k, _), tail)) if k == key => (at..self.encoded_len() - tail.encoded_len(), true),
-            _ => (at..at, false),
-        }
+    /// Where `key` sits among the records: the index of the record holding
+    /// it and `true`, or the index a record holding it would take and
+    /// `false`.
+    pub fn locate(&self, key: &[u8]) -> (usize, bool) {
+        let (i, rest) = self.seek(|(k, _)| *k < key);
+        (i, rest.nth(0).is_some_and(|(k, _)| k == key))
     }
 }
 
-/// Encoded size of the pair `(k, v)`.
+/// Encoded size of the pair `(k, v)`, its directory entry included.
 pub fn pair_size(k: &[u8], v: &[u8]) -> usize {
     LEAF_ENTRY_OVERHEAD + k.len() + v.len()
 }
@@ -855,108 +1244,217 @@ pub fn pairs_size(pairs: &[(Vec<u8>, Vec<u8>)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{Message, MessageRef, Operation};
+
+    /// `[tag][count][run of strs]`: a counted run of byte strings.
+    fn counted(strs: &[&[u8]]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(9);
+        w.put_u32(strs.len() as u32);
+        w.put_run(strs.iter(), |s| s.len(), |w, s| w.put_raw(s));
+        w.into_bytes()
+    }
+
+    /// `[tag][run of runs of strs]`: buffers inside an outer run.
+    fn nested(runs: &[Vec<&[u8]>]) -> Vec<u8> {
+        let len = |run: &&Vec<&[u8]>| run.iter().map(|s| END_BYTES + s.len()).sum::<usize>();
+        let mut w = Writer::new();
+        w.put_u8(9);
+        w.put_run(runs.iter(), len, |w, run| {
+            w.put_run(run.iter(), |s| s.len(), |w, s| w.put_raw(s))
+        });
+        w.into_bytes()
+    }
+
+    /// An edit: the index, the op, the new record and the strings after it.
+    type Edit = (usize, Op, &'static [u8], Vec<&'static [u8]>);
+
+    /// Every edit of `strs` at every index: the insert before it, a
+    /// replacement by a shorter, an equal and a longer string, and the
+    /// removal; with the strings after the edit.
+    fn edits(strs: &[&'static [u8]]) -> Vec<Edit> {
+        let mut out = Vec::new();
+        for i in 0..=strs.len() {
+            let mut with = strs.to_vec();
+            with.insert(i, b"new");
+            out.push((i, Op::Insert, &b"new"[..], with));
+            if i == strs.len() {
+                continue;
+            }
+            for record in [&b""[..], b"=", b"longer record"] {
+                let mut with = strs.to_vec();
+                with[i] = record;
+                out.push((i, Op::Replace, record, with));
+            }
+            let mut without = strs.to_vec();
+            without.remove(i);
+            out.push((i, Op::Remove, &b""[..], without));
+        }
+        out
+    }
 
     #[test]
     fn splice_in_place_frames_the_edited_payload() {
-        // [tag][count = 3][a][b][c]: replace, grow, insert before, insert
-        // after, remove the middle record and shrink one.
-        let payload = [9, 3, 0, 0, 0, b'a', b'b', b'c'];
-        let splice = |lo, hi, count| Splice {
-            count_at: 1,
-            count,
-            lo,
-            hi,
-            end: payload.len(),
-        };
-        let cases: [(Splice, &[u8], &[u8]); 6] = [
-            (splice(6, 7, 3), b"X", &[9, 3, 0, 0, 0, b'a', b'X', b'c']),
-            (
-                splice(6, 7, 3),
-                b"XY",
-                &[9, 3, 0, 0, 0, b'a', b'X', b'Y', b'c'],
-            ),
-            (
-                splice(5, 5, 4),
-                b"Z",
-                &[9, 4, 0, 0, 0, b'Z', b'a', b'b', b'c'],
-            ),
-            (
-                splice(8, 8, 4),
-                b"Z",
-                &[9, 4, 0, 0, 0, b'a', b'b', b'c', b'Z'],
-            ),
-            (splice(6, 7, 2), b"", &[9, 2, 0, 0, 0, b'a', b'c']),
-            (splice(5, 7, 3), b"Q", &[9, 3, 0, 0, 0, b'Q', b'c']),
-        ];
-        for (edit, record, edited) in cases {
-            assert_eq!(edit.edited_len(record.len()), edited.len());
-            let mut image = frame_into_slot(&payload, 64);
-            splice_in_place(&mut image, &edit, record);
-            assert_eq!(image, frame_into_slot(edited, 64), "{edit:?}");
+        // A counted run of 0 to 3 strings, one of them empty.
+        let all: [&'static [u8]; 3] = [b"ab", b"", b"cde"];
+        for n in 0..=all.len() {
+            let strs = &all[..n];
+            let payload = counted(strs);
+            let mut r = Reader::new(&payload[5..]);
+            let run = Run::<&[u8]>::read_n(&mut r, n).unwrap();
+            for (i, op, record, want) in edits(strs) {
+                let edit = run.splice(5, i, op).counted(1);
+                let edited = counted(&want);
+                assert_eq!(edit.edited_len(record.len()), edited.len());
+                let mut image = frame_into_slot(&payload, 96);
+                splice_in_place(&mut image, &edit, record);
+                assert_eq!(image, frame_into_slot(&edited, 96), "{edit:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn splice_in_place_moves_the_outer_ends() {
+        // An edit of each of three nested runs, the empty one included.
+        let runs: [Vec<&'static [u8]>; 3] = [vec![b"a", b"bc"], vec![], vec![b"d"]];
+        let payload = nested(&runs);
+        let mut r = Reader::new(&payload[1..]);
+        let outer = Run::<Run<&[u8]>>::read_n(&mut r, runs.len()).unwrap();
+        for (c, strs) in runs.iter().enumerate() {
+            let run = outer.nth(c).unwrap();
+            for (i, op, record, want) in edits(strs) {
+                let edit = run.splice(1 + outer.offset(c), i, op).inside(&outer, 1, c);
+                let mut edited = runs.clone();
+                edited[c] = want;
+                let edited = nested(&edited);
+                assert_eq!(edit.edited_len(record.len()), edited.len());
+                let mut image = frame_into_slot(&payload, 96);
+                splice_in_place(&mut image, &edit, record);
+                assert_eq!(image, frame_into_slot(&edited, 96), "{c}: {edit:?}");
+            }
         }
     }
 
     #[test]
     fn splice_in_place_drops_bytes_past_the_records_and_keeps_padding() {
-        // The frame holds two stray bytes after the records' end; the edit
+        // The frame holds two stray bytes after the run's end; the edit
         // drops them (zeroing what it vacates) and leaves the padding past
         // the old frame as it found it.
-        let mut image = frame_into_slot(&[9, 1, 0, 0, 0, b'a', 0xEE, 0xEE], 32);
+        let mut payload = counted(&[b"a"]);
+        let end = payload.len();
+        payload.extend([0xEE, 0xEE]);
+        let run = Run::<&[u8]>::read_n(&mut Reader::new(&payload[5..]), 1).unwrap();
+        let mut image = frame_into_slot(&payload, 32);
         image[30] = 0x77;
-        let edit = Splice {
-            count_at: 1,
-            count: 1,
-            lo: 5,
-            hi: 6,
-            end: 6,
-        };
+        let edit = run.splice(5, 0, Op::Replace).counted(1);
+        assert_eq!(edit.edited_len(1), end);
         splice_in_place(&mut image, &edit, b"b");
-        let mut want = frame_into_slot(&[9, 1, 0, 0, 0, b'b'], 32);
+        let mut want = frame_into_slot(&counted(&[b"b"]), 32);
         want[30] = 0x77;
         assert_eq!(image, want);
-        assert_eq!(unframe(&image).unwrap(), &[9, 1, 0, 0, 0, b'b']);
+        assert_eq!(unframe(&image).unwrap(), counted(&[b"b"]));
     }
 
     #[test]
     #[should_panic(expected = "exceeds slot")]
     fn splice_in_place_rejects_a_result_too_big_for_the_slot() {
-        let edit = Splice {
-            count_at: 0,
-            count: 2,
-            lo: 4,
-            hi: 4,
-            end: 4,
-        };
-        let mut image = frame_into_slot(&[1, 0, 0, 0], FRAME_OVERHEAD + 5);
+        let payload = counted(&[]);
+        let run = Run::<&[u8]>::read_n(&mut Reader::new(&payload[5..]), 0).unwrap();
+        let edit = run.splice(5, 0, Op::Insert).counted(1);
+        let mut image = frame_into_slot(&payload, FRAME_OVERHEAD + payload.len() + 5);
         splice_in_place(&mut image, &edit, b"xy");
     }
 
     #[test]
     #[should_panic(expected = "out of order")]
-    fn splice_in_place_rejects_a_count_inside_the_replaced_bytes() {
-        let edit = Splice {
-            count_at: 2,
-            count: 2,
-            lo: 4,
-            hi: 4,
-            end: 6,
-        };
-        let mut image = frame_into_slot(&[1, 0, 0, 0, 0, 0], 64);
+    fn splice_in_place_rejects_a_count_inside_the_run() {
+        let payload = counted(&[b"a"]);
+        let run = Run::<&[u8]>::read_n(&mut Reader::new(&payload[5..]), 1).unwrap();
+        let edit = run.splice(5, 0, Op::Insert).counted(3);
+        let mut image = frame_into_slot(&payload, 64);
         splice_in_place(&mut image, &edit, b"xy");
     }
 
     #[test]
     #[should_panic(expected = "out of order")]
     fn splice_in_place_rejects_an_end_past_the_frame() {
-        let edit = Splice {
-            count_at: 0,
-            count: 2,
-            lo: 4,
-            hi: 4,
-            end: 9,
-        };
-        let mut image = frame_into_slot(&[1, 0, 0, 0, 0, 0], 64);
+        let payload = counted(&[b"a"]);
+        let run = Run::<&[u8]>::read_n(&mut Reader::new(&payload[5..]), 1).unwrap();
+        // Located as if the run began two bytes later.
+        let edit = run.splice(7, 0, Op::Insert).counted(1);
+        let mut image = frame_into_slot(&payload, 64);
         splice_in_place(&mut image, &edit, b"xy");
+    }
+
+    /// Seek on a run of 4,096 records whose keys are their indices, for
+    /// probes at both ends, the middle and around it: it lands on the
+    /// probe and reads at most ⌈log₂(n + 1)⌉ + 1 records to get there.
+    fn check_seek_cost<'a, R: Record<'a>>(bytes: &'a [u8], key: impl Fn(&R) -> u64) {
+        let n = 4096;
+        let run = Run::<R>::read_n(&mut Reader::new(bytes), n).unwrap();
+        let bound = (usize::BITS - n.leading_zeros()) as usize + 1;
+        for probe in [0, 1, 17, n / 2 - 1, n / 2, n / 2 + 1, n - 1, n] {
+            let mut calls = 0;
+            let (i, rest) = run.seek(|r| {
+                calls += 1;
+                key(r) < probe as u64
+            });
+            assert_eq!((i, rest.len()), (probe, n - probe));
+            assert!(calls <= bound, "{calls} reads for probe {probe}");
+        }
+    }
+
+    #[test]
+    fn seek_reads_logarithmically_many_records_of_every_kind() {
+        let n = 4096u64;
+        let key = |i: u64| i.to_be_bytes();
+        let word = |k: &[u8]| u64::from_be_bytes(k[..8].try_into().unwrap());
+        let mut w = Writer::new();
+        w.put_run(0..n, |_| 8, |w, i| w.put_raw(&key(i)));
+        check_seek_cost::<&[u8]>(&w, |s| word(s));
+        let mut w = Writer::new();
+        w.put_run(0..n, |_| 4 + 8 + 3, |w, i| w.put_pair(&key(i), b"val"));
+        check_seek_cost::<Pair>(&w, |(k, _)| word(k));
+        let entry = |i: u64| (key(i), i.is_multiple_of(2).then_some(&b"val"[..]));
+        let mut w = Writer::new();
+        w.put_run(
+            0..n,
+            |&i| 1 + 8 + entry(i).1.map_or(0, |v| 4 + v.len()),
+            |w, i| w.put_entry(&entry(i).0, entry(i).1),
+        );
+        check_seek_cost::<Entry>(&w, |(k, _)| word(k));
+        let msg = |i: u64| Message {
+            seq: i,
+            key: key(i).to_vec(),
+            op: if i.is_multiple_of(3) {
+                Operation::Delete
+            } else {
+                Operation::Put(vec![7; 5])
+            },
+        };
+        let mut w = Writer::new();
+        w.put_run((0..n).map(msg), Message::encoded_len, |w, m| m.encode(w));
+        check_seek_cost::<MessageRef>(&w, |m| word(m.key));
+        // A run of 4,096 buffers, each holding its index's message.
+        let mut w = Writer::new();
+        w.put_run(
+            (0..n).map(msg),
+            |m| END_BYTES + m.encoded_len(),
+            |w, m| w.put_run(std::iter::once(&m), |m| m.encoded_len(), |w, m| m.encode(w)),
+        );
+        check_seek_cost::<Run<MessageRef>>(&w, |b| word(b.nth(0).unwrap().key));
+    }
+
+    #[test]
+    fn frames_of_the_old_version_are_invalid() {
+        // A frame sealed at version 1, the length-prefixed record format:
+        // its checksum holds, so only the version tells it apart.
+        let mut old = frame(&counted(&[b"a"]));
+        old[8] = 1;
+        let crc = crc32(&old[4..]);
+        old[..4].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(unframe(&old), Err(CodecError::Invalid(_))));
+        assert!(matches!(frame_payload(&old), Err(CodecError::Invalid(_))));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! Messages buffered high in the tree are *newer* than state below them;
 //! the newest message for a key decides its value.
 
-use crate::codec::{CodecError, Reader, Record, Run, Writer};
+#[cfg(doc)]
+use crate::codec::Pair;
+use crate::codec::{split_key, Check, CodecError, Reader, Record, Run, Writer};
 
 /// The modification a message carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,34 +39,49 @@ pub struct Message {
     pub op: Operation,
 }
 
-/// Fixed part of a message's [`Message::footprint`]: seq + tag + two length
-/// prefixes. A `Delete` encodes no payload prefix, so its footprint is four
-/// bytes more than its encoding.
+/// Fixed part of a message's [`Message::footprint`]: seq + tag + the key's
+/// length + the message's directory entry in its buffer. A `Delete` encodes
+/// no key length, so its footprint is four bytes more than its encoding and
+/// directory entry.
 const FOOTPRINT_OVERHEAD: usize = 8 + 1 + 4 + 4;
 
 impl Message {
     /// Approximate in-buffer footprint: key + payload + fixed overhead
-    /// (seq + tag + length prefixes).
+    /// (seq + tag + key length + directory entry).
     pub fn footprint(&self) -> usize {
         self.key.len() + self.op.payload_len() + FOOTPRINT_OVERHEAD
     }
 
-    /// Serialize into a [`Writer`].
+    /// Serialize into a [`Writer`]: the sequence number, a tag (0 put, 1
+    /// delete), then the key and payload laid out as a [`Pair`] for a put,
+    /// or the key alone for a delete. [`Message::encoded_len`] bytes.
     pub fn encode(&self, w: &mut Writer) {
         w.put_u64(self.seq);
-        w.put_bytes(&self.key);
         match &self.op {
             Operation::Put(v) => {
                 w.put_u8(0);
-                w.put_bytes(v);
+                w.put_pair(&self.key, v);
             }
-            Operation::Delete => w.put_u8(1),
+            Operation::Delete => {
+                w.put_u8(1);
+                w.put_raw(&self.key);
+            }
         }
     }
 
-    /// Deserialize from a [`Reader`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Message, CodecError> {
-        MessageRef::read(r).map(MessageRef::owned)
+    /// Bytes [`Message::encode`] writes.
+    pub fn encoded_len(&self) -> usize {
+        8 + 1
+            + self.key.len()
+            + match &self.op {
+                Operation::Put(v) => 4 + v.len(),
+                Operation::Delete => 0,
+            }
+    }
+
+    /// Deserialize the message that spans exactly `bytes`.
+    pub fn decode(bytes: &[u8]) -> Result<Message, CodecError> {
+        MessageRef::read(bytes).map(MessageRef::owned)
     }
 }
 
@@ -92,12 +109,14 @@ impl<'a> Record<'a> for MessageRef<'a> {
     type Owned = Message;
 
     /// Read one message written by [`Message::encode`].
-    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
-        let seq = r.get_u64()?;
-        let key = r.get_bytes()?;
-        let op = match r.get_u8()? {
-            0 => OpRef::Put(r.get_bytes()?),
-            1 => OpRef::Delete,
+    #[inline]
+    fn read(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let short = CodecError::Invalid("record shorter than its header");
+        let (seq, rest) = bytes.split_first_chunk().ok_or(short.clone())?;
+        let seq = u64::from_le_bytes(*seq);
+        let (key, op) = match rest.split_first().ok_or(short)? {
+            (0, pair) => split_key(pair).map(|(k, v)| (k, OpRef::Put(v)))?,
+            (1, key) => (key, OpRef::Delete),
             _ => return Err(CodecError::Invalid("unknown message tag")),
         };
         Ok(MessageRef { seq, key, op })
@@ -135,6 +154,28 @@ impl<'a> Run<'a, MessageRef<'a>> {
     {
         let (_, rest) = self.seek(|m| m.key < key);
         rest.iter().take_while(move |m| m.key == key)
+    }
+}
+
+/// A node's message buffers, one per child: a run of buffers.
+impl<'a> Run<'a, Run<'a, MessageRef<'a>>> {
+    /// Take `n` buffers from `r`, checked as `check` says, and the summed
+    /// [`MessageRef::footprint`] of their messages, which a
+    /// [`Check::Full`] read adds up in its single check of every message
+    /// (and [`Check::Extent`], which reads none, leaves at 0).
+    pub fn read_buffers(
+        r: &mut Reader<'a>,
+        n: usize,
+        check: Check,
+    ) -> Result<(Self, usize), CodecError> {
+        if check == Check::Extent {
+            return Ok((Run::reread_n(r, n)?, 0));
+        }
+        let mut footprint = 0;
+        let buffers = Run::read_n_by(r, n, |buffer| {
+            Run::read_spanning(buffer, |m: MessageRef<'_>| footprint += m.footprint())
+        })?;
+        Ok((buffers, footprint))
     }
 }
 
@@ -177,9 +218,8 @@ mod tests {
             let mut w = Writer::new();
             m.encode(&mut w);
             let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(Message::decode(&mut r).unwrap(), m);
-            assert!(r.is_exhausted());
+            assert_eq!(bytes.len(), m.encoded_len());
+            assert_eq!(Message::decode(&bytes).unwrap(), m);
         }
     }
 
@@ -189,12 +229,10 @@ mod tests {
         for tag in [2, 99] {
             let mut w = Writer::new();
             w.put_u64(1);
-            w.put_bytes(b"k");
             w.put_u8(tag);
-            w.put_bytes(b"v");
-            let bytes = w.into_bytes();
+            w.put_pair(b"k", b"v");
             assert_eq!(
-                Message::decode(&mut Reader::new(&bytes)),
+                Message::decode(&w.into_bytes()),
                 Err(CodecError::Invalid("unknown message tag"))
             );
         }

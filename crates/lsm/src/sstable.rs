@@ -8,7 +8,7 @@
 
 use dam_cache::{Page, Pager};
 use dam_kv::codec::{
-    frame_payload, seal_frame, unframe, CodecError, Entry, Reader, Record, Run, Writer,
+    frame_payload, seal_frame, unframe, Check, CodecError, Entry, Reader, Run, Writer,
     FRAME_OVERHEAD,
 };
 use dam_kv::KvError;
@@ -53,9 +53,10 @@ const BLOCK_OVERHEAD: usize = FRAME_OVERHEAD + 4;
 
 /// Writes one SSTable's data image from ascending entries, each encoded
 /// once, straight into the image. A block's frame header and entry count
-/// are reserved when the block opens and patched, with one checksum pass,
-/// when it closes. This is the block format's only encoder; [`parse_block`]
-/// is its only parser.
+/// are reserved when the block opens; when it closes, its directory goes
+/// in front of its entries, the count is patched and the frame sealed with
+/// one checksum pass. This is the block format's only encoder;
+/// [`parse_block`] is its only parser.
 ///
 /// A block closes before the entry that would take its payload past
 /// `block_bytes`, so each holds at least one entry.
@@ -63,8 +64,9 @@ pub(crate) struct TableWriter {
     block_bytes: usize,
     image: Writer,
     blocks: Vec<BlockMeta>,
-    /// Entries in the open block; 0 when no block is open.
-    block_entries: usize,
+    /// The open block's entry ends, from its first entry's start; empty
+    /// when no block is open.
+    ends: Vec<u32>,
     /// Payload bytes of the open block, its count included.
     block_used: usize,
     /// [`SsTable::entry_bytes`] summed over the table.
@@ -86,7 +88,7 @@ impl TableWriter {
             block_bytes,
             image: Writer::with_capacity(bytes + blocks * BLOCK_OVERHEAD),
             blocks: Vec::new(),
-            block_entries: 0,
+            ends: Vec::new(),
             block_used: 0,
             bytes: 0,
             entries: 0,
@@ -111,10 +113,10 @@ impl TableWriter {
             "entries not ascending"
         );
         let sz = SsTable::entry_bytes(key, value);
-        if self.block_entries > 0 && self.block_used + sz > self.block_bytes {
+        if !self.ends.is_empty() && self.block_used + sz > self.block_bytes {
             self.close_block();
         }
-        if self.block_entries == 0 {
+        if self.ends.is_empty() {
             self.blocks.push(BlockMeta {
                 first_key: key.to_vec(),
                 offset: u32::try_from(self.image.len()).expect("table image longer than u32::MAX"),
@@ -123,24 +125,33 @@ impl TableWriter {
             self.image.put_raw(&[0u8; BLOCK_OVERHEAD]);
             self.block_used = 4;
         }
-        let key_at = self.image.len() + 4;
+        let key_at = self.image.len() + 1 + value.map_or(0, |_| 4);
         self.image.put_entry(key, value);
         self.last_key = key_at..key_at + key.len();
+        let records_at =
+            self.blocks.last().expect("a block is open").offset as usize + BLOCK_OVERHEAD;
+        let end = u32::try_from(self.image.len() - records_at).expect("block longer than u32::MAX");
+        self.ends.push(end);
         self.block_used += sz;
-        self.block_entries += 1;
         self.bytes += sz;
         self.entries += 1;
     }
 
-    /// Patch the open block's count and frame.
+    /// Put the open block's directory in front of its entries, and patch
+    /// its count and frame.
     fn close_block(&mut self) {
         let meta = self.blocks.last_mut().expect("a block is open");
+        self.image
+            .insert_directory(meta.offset as usize + BLOCK_OVERHEAD, &self.ends);
+        // The last key written is in this block, behind the directory now.
+        let dir = 4 * self.ends.len();
+        self.last_key = self.last_key.start + dir..self.last_key.end + dir;
         let framed = &mut self.image[meta.offset as usize..];
-        let count = u32::try_from(self.block_entries).expect("block of more than u32::MAX entries");
+        let count = u32::try_from(self.ends.len()).expect("block of more than u32::MAX entries");
         framed[FRAME_OVERHEAD..BLOCK_OVERHEAD].copy_from_slice(&count.to_le_bytes());
         seal_frame(framed);
         meta.len = u32::try_from(framed.len()).expect("block longer than u32::MAX");
-        self.block_entries = 0;
+        self.ends.clear();
     }
 
     /// Close the last block, allocate one extent, and write the whole data
@@ -278,13 +289,24 @@ pub(crate) fn write_merged<B: Deref<Target = [u8]>>(
     }
 }
 
-/// A framed block read in place: its `u32`-counted run of entries. Checks
-/// the frame header and the payload structure but not the frame checksum,
-/// which [`SsTable::block_page`] checks once per arrival from the device.
-/// This is the block format's only parser; point reads and scans search
-/// the run inside the block image and copy out only what they return.
+/// A framed block read in place: its run of entries, with its `u32` count
+/// in front. Checks the frame header and the payload structure but not the
+/// frame checksum, which [`SsTable::block_page`] checks once per arrival
+/// from the device, with this. This is the block format's only parser;
+/// point reads and scans search the run inside the block image and copy
+/// out only what they return.
 pub(crate) fn parse_block(image: &[u8]) -> Result<Run<'_, Entry<'_>>, CodecError> {
-    Run::read(&mut Reader::new(frame_payload(image)?))
+    read_block(image, Check::Full)
+}
+
+/// [`parse_block`] of a block it accepted before (a page from
+/// [`SsTable::block_page`]): O(1), with no pass over the entries.
+pub(crate) fn reparse_block(image: &[u8]) -> Result<Run<'_, Entry<'_>>, CodecError> {
+    read_block(image, Check::Extent)
+}
+
+fn read_block(image: &[u8], check: Check) -> Result<Run<'_, Entry<'_>>, CodecError> {
+    Run::read_counted(&mut Reader::new(frame_payload(image)?), check)
 }
 
 impl SsTable {
@@ -329,7 +351,8 @@ impl SsTable {
     }
 
     /// Block `i`'s image (one sub-range IO / cache hit), its frame checksum
-    /// checked once: when the bytes come off the device, not on every hit.
+    /// and structure checked once: when the bytes come off the device, not
+    /// on every hit.
     pub(crate) fn block_page(&self, pager: &mut Pager, i: usize) -> Result<Page, KvError> {
         let b = &self.blocks[i];
         let page = pager.read_within(
@@ -338,7 +361,10 @@ impl SsTable {
             b.offset as usize,
             b.len as usize,
         )?;
-        pager.check_once(&page, |img| unframe(img).map(drop))?;
+        pager.check_once(&page, |img| {
+            unframe(img)?;
+            parse_block(img).map(drop)
+        })?;
         Ok(page)
     }
 
@@ -350,7 +376,7 @@ impl SsTable {
             return Ok(None);
         }
         let page = self.block_page(pager, self.block_index_for(key))?;
-        let block = parse_block(&page)?;
+        let block = reparse_block(&page)?;
         Ok(block.get(key).map(|v| v.map(<[u8]>::to_vec)))
     }
 
@@ -367,11 +393,10 @@ impl SsTable {
         }
         let mut out = Vec::new();
         for page in self.scan_pages(pager, start, Some(end))? {
-            let block = parse_block(&page)?;
+            let block = reparse_block(&page)?;
             out.extend(
                 block
-                    .iter()
-                    .filter(|(k, _)| *k >= start && *k < end)
+                    .range(start, end)
                     .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec))),
             );
         }
@@ -417,9 +442,11 @@ mod tests {
     fn encode_block(entries: &[RunEntry]) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u32(u32::try_from(entries.len()).unwrap());
-        for (k, v) in entries {
-            w.put_entry(k, v.as_deref());
-        }
+        w.put_run(
+            entries.iter(),
+            |(k, v)| SsTable::entry_bytes(k, v.as_deref()) - 4,
+            |w, (k, v)| w.put_entry(k, v.as_deref()),
+        );
         w.into_bytes()
     }
 

@@ -2,7 +2,7 @@
 //! non-overlapping levels, with size-triggered compaction.
 
 use crate::memkey::MemKey;
-use crate::sstable::{parse_block, write_merged, BlockMeta, SsTable, TableWriter};
+use crate::sstable::{reparse_block, write_merged, BlockMeta, SsTable, TableWriter};
 use dam_cache::{Page, Pager, Superblock, SuperblockIo};
 use dam_kv::codec::{CodecError, Reader, Writer};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
@@ -487,21 +487,23 @@ impl LsmTree {
         Ok(None)
     }
 
-    /// Merged live view of `start ≤ key < end`; `end = None` means
-    /// unbounded above. The unbounded form is what `len` and
-    /// `check_invariants` use — scanning to a finite sentinel like
-    /// `[0xFF; 64]` would silently miss keys that sort above it.
+    /// Hand `sink` the merged live view of `start ≤ key < end`, in key
+    /// order and borrowed from the pages; `end = None` means unbounded
+    /// above. The unbounded form is what `len` and `check_invariants` use
+    /// — scanning to a finite sentinel like `[0xFF; 64]` would silently
+    /// miss keys that sort above it.
     fn range_inner(
         &mut self,
         start: &[u8],
         end: Option<&[u8]>,
-    ) -> Result<Vec<dam_kv::KvPair>, KvError> {
+        sink: &mut impl FnMut(&[u8], &[u8]),
+    ) -> Result<(), KvError> {
         if end.is_some_and(|e| e <= start) {
-            return Ok(Vec::new());
+            return Ok(());
         }
         // Fetch every block the scan touches, newest run first (the read
         // order the IO accounting sees), then merge in place: only the
-        // answer is copied out of the pages.
+        // answer is copied out of the pages, by the sink.
         let mut runs: Vec<Vec<Page>> = Vec::new();
         for t in self.l0.iter().rev() {
             if t.overlaps_open(start, end) {
@@ -515,21 +517,36 @@ impl LsmTree {
             }
             runs.push(run);
         }
-        let in_range = |k: &[u8]| k >= start && end.is_none_or(|e| k < e);
         // Lowest precedence first; newer entries overwrite older ones, and
-        // the memtable overwrites everything.
+        // the memtable overwrites everything. Each block is searched for
+        // `start` and walked only to `end`.
         let mut merged: BTreeMap<&[u8], Option<&[u8]>> = BTreeMap::new();
         for page in runs.iter().rev().flatten() {
-            let block = parse_block(page).map_err(|e| KvError::Corrupt(e.to_string()))?;
-            merged.extend(block.iter().filter(|(k, _)| in_range(k)));
+            let block = reparse_block(page).map_err(|e| KvError::Corrupt(e.to_string()))?;
+            let (_, from) = block.seek(|(k, _)| *k < start);
+            merged.extend(from.iter().take_while(|(k, _)| end.is_none_or(|e| *k < e)));
         }
         let upper = end.map_or(Bound::Unbounded, |e| Bound::Excluded(MemKey::new(e)));
         let mem = self.mem.range((Bound::Included(MemKey::new(start)), upper));
         merged.extend(mem.map(|(k, v)| (k.as_slice(), v.as_deref())));
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, v)| Some((k.to_vec(), v?.to_vec())))
-            .collect())
+        for (k, v) in merged {
+            if let Some(v) = v {
+                sink(k, v);
+            }
+        }
+        Ok(())
+    }
+
+    /// The live pairs with `start <= key < end` (`end = None`: unbounded),
+    /// copied out.
+    fn collect_range(
+        &mut self,
+        start: &[u8],
+        end: Option<&[u8]>,
+    ) -> Result<Vec<dam_kv::KvPair>, KvError> {
+        let mut out = Vec::new();
+        self.range_inner(start, end, &mut |k, v| out.push((k.to_vec(), v.to_vec())))?;
+        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -552,7 +569,7 @@ impl LsmTree {
         }
         // Count live keys by a full unbounded merge (also validates every
         // block decodes).
-        let all = self.range_inner(&[], None)?;
+        let all = self.collect_range(&[], None)?;
         for w in all.windows(2) {
             if w[0].0 >= w[1].0 {
                 return Err(KvError::Corrupt("merged output unsorted".into()));
@@ -596,7 +613,7 @@ impl Dictionary for LsmTree {
     fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
         self.in_op(|t| {
             if start < end {
-                t.range_inner(start, Some(end))
+                t.collect_range(start, Some(end))
             } else {
                 Ok(Vec::new())
             }
@@ -614,9 +631,14 @@ impl Dictionary for LsmTree {
         self.in_op(Self::persist)
     }
 
-    /// Exact live-key count via a full unbounded merge scan (O(N) IO).
+    /// Exact live-key count via a full unbounded merge scan (O(N) IO) that
+    /// counts the pairs it passes and copies none.
     fn len(&mut self) -> Result<u64, KvError> {
-        self.in_op(|t| Ok(t.range_inner(&[], None)?.len() as u64))
+        self.in_op(|t| {
+            let mut n = 0;
+            t.range_inner(&[], None, &mut |_, _| n += 1)?;
+            Ok(n)
+        })
     }
 
     fn buffered_bytes(&self) -> usize {

@@ -149,22 +149,22 @@ fn on_disk_images_are_pinned() {
     let expected = [
         (
             ServeStructure::BTree,
-            0xb0d2_46d5_a895_0e19,
+            0x7ee1_e317_07e9_1689,
             (0, 501, 0, 645_120),
         ),
         (
             ServeStructure::BeTree,
-            0xc370_8681_b46f_378c,
+            0x748d_f930_2799_9fea,
             (0, 201, 0, 499_712),
         ),
         (
             ServeStructure::OptBeTree,
-            0x80e2_8c07_16cf_c8f2,
+            0xae6e_1512_b55c_091a,
             (1_364, 154, 1_633_280, 1_085_440),
         ),
         (
             ServeStructure::Lsm,
-            0x0117_0945_d7d4_7bdb,
+            0xac4d_c2d2_2d14_4b1b,
             (0, 170, 0, 452_304),
         ),
     ];
@@ -265,6 +265,43 @@ fn betree_superblocks_of_version_1_are_corrupt() {
         dev.write(0, &frame(&payload), SimTime::ZERO).unwrap();
         match structure.open(dev, &cfg) {
             Err(KvError::Corrupt(e)) => assert!(e.contains("version"), "{name}: {e}"),
+            Err(e) => panic!("{name}: wrong error {e}"),
+            Ok(_) => panic!("{name}: opened"),
+        }
+    }
+}
+
+/// Frame version 2 replaced the records' length prefixes with an
+/// end-offset directory per run, so a device written at frame version 1
+/// opens as `Corrupt`, for every structure, instead of being read in the
+/// wrong layout: here, its superblock sealed again at version 1 with a
+/// checksum that holds.
+#[test]
+fn frames_of_version_1_are_corrupt() {
+    use dam_serve::{ServeStructure, ShardConfig};
+    use refined_dam::kv::codec::{crc32, unframe, CodecError, FRAME_OVERHEAD, FRAME_VERSION};
+    assert_eq!(FRAME_VERSION, 2);
+    let cfg = ShardConfig::default();
+    for structure in ServeStructure::ALL {
+        let name = structure.name();
+        let dev = SharedDevice::new(Box::new(RamDisk::new(16 << 20, SimDuration(500))));
+        let mut dict = structure.create(dev.clone(), &cfg, None).unwrap();
+        dict.insert(b"k", b"v").unwrap();
+        dict.sync().unwrap();
+        drop(dict);
+        let img = device_image(&dev);
+        let framed = FRAME_OVERHEAD + unframe(&img).unwrap().len();
+        let mut old = img[..framed].to_vec();
+        old[8] = 1;
+        let crc = crc32(&old[4..]);
+        old[..4].copy_from_slice(&crc.to_le_bytes());
+        assert!(
+            matches!(unframe(&old), Err(CodecError::Invalid(_))),
+            "{name}"
+        );
+        dev.write(0, &old, SimTime::ZERO).unwrap();
+        match structure.open(dev, &cfg) {
+            Err(KvError::Corrupt(e)) => assert!(e.contains("frame version"), "{name}: {e}"),
             Err(e) => panic!("{name}: wrong error {e}"),
             Ok(_) => panic!("{name}: opened"),
         }
