@@ -9,7 +9,7 @@ use dam_kv::codec::{
     frame_into_slot, frame_payload, splice_in_place, Check, CodecError, Op, Pair, Reader, Run,
     Splice, Writer, FRAME_OVERHEAD, NODE_HEADER_BYTES, TAG_INTERNAL, TAG_LEAF,
 };
-use dam_kv::msg::{Message, MessageRef, Operation};
+use dam_kv::msg::{Message, MessageRef, OpRef, Operation};
 
 /// Node location on the device.
 pub type NodeId = u64;
@@ -243,31 +243,72 @@ pub(crate) enum Merged<'m, E> {
     Put(&'m [u8], &'m [u8]),
 }
 
+/// A buffered message, owned or read in place from a node image.
+pub(crate) trait Buffered {
+    /// The message, borrowed.
+    fn view(&self) -> MessageRef<'_>;
+}
+
+impl Buffered for Message {
+    fn view(&self) -> MessageRef<'_> {
+        MessageRef {
+            seq: self.seq,
+            key: &self.key,
+            op: match &self.op {
+                Operation::Put(v) => OpRef::Put(v),
+                Operation::Delete => OpRef::Delete,
+            },
+        }
+    }
+}
+
+impl Buffered for MessageRef<'_> {
+    fn view(&self) -> MessageRef<'_> {
+        *self
+    }
+}
+
 /// Merge `(key, seq)`-sorted `msgs` over `entries`, sorted by `key`, in
 /// one pass, handing `emit` what they leave in key order: each key's newest
-/// message decides it. Range walks merge borrowed pairs with it, so they
-/// copy nothing; flushes, owned entries, so they move them.
-pub(crate) fn merge_msgs<'m, E>(
+/// message decides it. Range walks merge borrowed pairs and messages with
+/// it, so they copy nothing; flushes, owned entries, so they move them.
+pub(crate) fn merge_msgs<'m, E, M: Buffered>(
     entries: impl Iterator<Item = E>,
     key: impl Fn(&E) -> &[u8],
-    msgs: &'m [Message],
+    msgs: &'m [M],
     mut emit: impl FnMut(Merged<'m, E>),
 ) {
     let mut entries = entries.peekable();
-    for group in msgs.chunk_by(|a, b| a.key == b.key) {
-        let k = group[0].key.as_slice();
+    for group in msgs.chunk_by(|a, b| a.view().key == b.view().key) {
+        let k = group[0].view().key;
         while let Some(e) = entries.next_if(|e| key(e) < k) {
             emit(Merged::Entry(e));
         }
         // The entry the messages replace, if the key has one.
         entries.next_if(|e| key(e) == k);
-        let newest = group.last().expect("a group holds a message");
-        debug_assert!(group.windows(2).all(|w| w[0].seq <= w[1].seq));
-        if let Operation::Put(v) = &newest.op {
+        let newest = group.last().expect("a group holds a message").view();
+        debug_assert!(group.windows(2).all(|w| w[0].view().seq <= w[1].view().seq));
+        if let OpRef::Put(v) = newest.op {
             emit(Merged::Put(k, v));
         }
     }
     entries.for_each(|e| emit(Merged::Entry(e)));
+}
+
+/// `a` and `b`, both `(key, seq)`-sorted, merged into `out`.
+pub(crate) fn merge_refs<'p>(
+    a: &[MessageRef<'p>],
+    b: impl Iterator<Item = MessageRef<'p>>,
+    out: &mut Vec<MessageRef<'p>>,
+) {
+    let mut a = a.iter().copied().peekable();
+    for m in b {
+        while let Some(x) = a.next_if(|x| (x.key, x.seq) <= (m.key, m.seq)) {
+            out.push(x);
+        }
+        out.push(m);
+    }
+    out.extend(a);
 }
 
 /// Insert a message into a `(key, seq)`-sorted buffer, keeping order.

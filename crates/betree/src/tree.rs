@@ -25,12 +25,14 @@
 //! messages buffered on their paths over the leaves.
 
 use crate::layout::{Body, Entries, Layout, Node, PartView, Segmented, WholeNode};
-use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge, merge_msgs, Merged};
+use crate::node::{
+    apply_msgs_to_entries, buffer_insert, buffer_merge, merge_msgs, merge_refs, Buffered, Merged,
+};
 use crate::segment::ChildDesc;
 use dam_cache::{Pager, PagerError};
 use dam_kv::codec::{pair_size, Record, NODE_HEADER_BYTES};
-use dam_kv::msg::{replay, Message, Operation};
-use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
+use dam_kv::msg::{replay, Message, MessageRef, Operation};
+use dam_kv::{BatchOp, Dictionary, KvError, OpCost, Pairs};
 use dam_obs::{Obs, PagedDict};
 use dam_storage::SharedDevice;
 
@@ -80,11 +82,6 @@ fn adopt(node: &mut Node, at: usize, siblings: Siblings) {
         node.pivots.insert(at + off, sep);
         kids.insert(at + 1 + off, desc);
     }
-}
-
-/// Whether `start <= key < end`, with no upper bound when `end` is `None`.
-fn in_range(key: &[u8], start: &[u8], end: Option<&[u8]>) -> bool {
-    key >= start && end.is_none_or(|e| key < e)
 }
 
 /// Cuts a sorted stream of pairs into leaf chunks of at most `target`
@@ -625,136 +622,35 @@ impl<L: Layout> Engine<L> {
     /// Hand `sink` the live pairs with `start <= key < end`, or with no
     /// upper bound when `end` is `None`, in key order and borrowed from the
     /// pages: one walk down every overlapping path, merging the messages
-    /// buffered on it over the leaves.
+    /// buffered on it over the leaves. The root's buffer is read in place,
+    /// like every buffer below it: only its messages in the range are
+    /// taken.
     fn range_inner(
         &mut self,
         start: &[u8],
         end: Option<&[u8]>,
         sink: &mut impl FnMut(&[u8], &[u8]),
     ) -> Result<(), KvError> {
-        let root = self.root.clone();
-        let pending = root
-            .msgs
-            .into_iter()
-            .filter(|m| in_range(&m.key, start, end))
+        let Engine {
+            pager,
+            layout,
+            root,
+            obs,
+            ..
+        } = self;
+        let from = root.msgs.partition_point(|m| m.key.as_slice() < start);
+        let pending: Vec<MessageRef<'_>> = root.msgs[from..]
+            .iter()
+            .map(Buffered::view)
+            .take_while(|m| end.is_none_or(|e| m.key < e))
             .collect();
         let pivots: Vec<&[u8]> = root.boundaries.iter().map(Vec::as_slice).collect();
-        self.range_rec(root.addr, root.is_leaf, &pivots, pending, start, end, sink)
-    }
-
-    /// Range scan of the node at `addr`: `held` are its pivots when the
-    /// layout keeps them in the parent, and `pending` the messages buffered
-    /// above it, restricted to the query and `(key, seq)`-sorted. A
-    /// whole-node layout reads the node once here; a segmented one reads
-    /// each overlapping segment in [`Self::range_parts`].
-    #[allow(clippy::too_many_arguments)]
-    fn range_rec(
-        &mut self,
-        addr: u64,
-        is_leaf: bool,
-        held: &[&[u8]],
-        pending: Vec<Message>,
-        start: &[u8],
-        end: Option<&[u8]>,
-        sink: &mut impl FnMut(&[u8], &[u8]),
-    ) -> Result<(), KvError> {
-        let _lvl = self.obs.as_ref().map(|o| o.descend(L::LEVEL_SPAN));
-        if L::PIVOTS_IN_PARENT {
-            let no_parts = std::iter::empty();
-            return self.range_parts(
-                addr,
-                is_leaf,
-                held.iter().copied(),
-                no_parts,
-                pending,
-                start,
-                end,
-                sink,
-            );
-        }
-        let page = self.layout.read_for_query(&mut self.pager, addr, 0)?;
-        let (pivots, parts) = self.layout.parts(&page, addr, 0, is_leaf)?;
-        self.range_parts(addr, is_leaf, pivots, parts, pending, start, end, sink)
-    }
-
-    /// The parts of the node at `addr` that overlap the query, routed
-    /// by `pivots`: taken from `parts` in key order, or, when it runs dry,
-    /// read one segment at a time.
-    #[allow(clippy::too_many_arguments)]
-    fn range_parts<'p>(
-        &mut self,
-        addr: u64,
-        is_leaf: bool,
-        pivots: impl Iterator<Item = &'p [u8]>,
-        mut parts: impl Iterator<Item = PartView<'p>>,
-        pending: Vec<Message>,
-        start: &[u8],
-        end: Option<&[u8]>,
-        sink: &mut impl FnMut(&[u8], &[u8]),
-    ) -> Result<(), KvError> {
-        let mut pending = pending.into_iter().peekable();
-        let mut lo: Option<&[u8]> = None;
-        for (j, hi) in pivots.map(Some).chain(std::iter::once(None)).enumerate() {
-            // The pending messages routed to part j.
-            let mut group = Vec::new();
-            while let Some(m) = pending.next_if(|m| hi.is_none_or(|h| m.key.as_slice() < h)) {
-                group.push(m);
-            }
-            let overlaps = lo.zip(end).is_none_or(|(l, e)| l < e) && hi.is_none_or(|h| h > start);
-            lo = hi;
-            let next = parts.next();
-            if !overlaps {
-                debug_assert!(group.is_empty());
-                continue;
-            }
-            let seg_page;
-            let part = match next {
-                Some(part) => part,
-                None => {
-                    seg_page = self.layout.read_for_query(&mut self.pager, addr, j)?;
-                    self.layout
-                        .part_for_key(&seg_page, addr, j, is_leaf, start)?
-                }
-            };
-            match part {
-                PartView::Pairs(entries) => {
-                    // Every pending message lies in the query's range, so
-                    // the window alone is a virtual view of the chunk
-                    // restricted to the query.
-                    let (_, from) = entries.seek(|(k, _)| *k < start);
-                    let window = from.iter().take_while(|(k, _)| end.is_none_or(|e| *k < e));
-                    if group.is_empty() {
-                        window.for_each(|(k, v)| sink(k, v));
-                    } else {
-                        merge_msgs(
-                            window,
-                            |(k, _)| k,
-                            &group,
-                            |m| match m {
-                                Merged::Entry((k, v)) | Merged::Put(k, v) => sink(k, v),
-                            },
-                        );
-                    }
-                }
-                PartView::Kid {
-                    addr: kid,
-                    is_leaf: leaf,
-                    pivots: kid_pivots,
-                    msgs,
-                } => {
-                    let own = msgs
-                        .iter()
-                        .filter(|m| in_range(m.key, start, end))
-                        .map(|m| m.owned())
-                        .collect();
-                    let kid_pivots: Vec<&[u8]> =
-                        kid_pivots.map(|p| p.iter().collect()).unwrap_or_default();
-                    let msgs = buffer_merge(group, own);
-                    self.range_rec(kid, leaf, &kid_pivots, msgs, start, end, sink)?;
-                }
-            }
-        }
-        Ok(())
+        let mut walk = Walk {
+            pager,
+            layout,
+            obs: obs.as_ref(),
+        };
+        walk.range_rec(root.addr, root.is_leaf, &pivots, &pending, start, end, sink)
     }
 
     // ------------------------------------------------------------------
@@ -946,6 +842,138 @@ impl Engine<Segmented> {
     }
 }
 
+/// What a range walk reads through: the engine's pager, layout and
+/// observer, borrowed apart from its root descriptor, whose buffer the walk
+/// reads in place.
+struct Walk<'t, L> {
+    pager: &'t mut Pager,
+    layout: &'t L,
+    obs: Option<&'t Obs>,
+}
+
+impl<L: Layout> Walk<'_, L> {
+    /// Range scan of the node at `addr`: `held` are its pivots when the
+    /// layout keeps them in the parent, and `pending` the messages buffered
+    /// above it, restricted to the query and `(key, seq)`-sorted. A
+    /// whole-node layout reads the node once here; a segmented one reads
+    /// each overlapping segment in [`Self::range_parts`].
+    #[allow(clippy::too_many_arguments)]
+    fn range_rec(
+        &mut self,
+        addr: u64,
+        is_leaf: bool,
+        held: &[&[u8]],
+        pending: &[MessageRef<'_>],
+        start: &[u8],
+        end: Option<&[u8]>,
+        sink: &mut impl FnMut(&[u8], &[u8]),
+    ) -> Result<(), KvError> {
+        let _lvl = self.obs.map(|o| o.descend(L::LEVEL_SPAN));
+        if L::PIVOTS_IN_PARENT {
+            let no_parts = std::iter::empty();
+            return self.range_parts(
+                addr,
+                is_leaf,
+                held.iter().copied(),
+                no_parts,
+                pending,
+                start,
+                end,
+                sink,
+            );
+        }
+        let page = self.layout.read_for_query(self.pager, addr, 0)?;
+        let (pivots, parts) = self.layout.parts(&page, addr, 0, is_leaf)?;
+        self.range_parts(addr, is_leaf, pivots, parts, pending, start, end, sink)
+    }
+
+    /// The parts of the node at `addr` that overlap the query, routed
+    /// by `pivots`: taken from `parts` in key order, or, when it runs dry,
+    /// read one segment at a time. A child's buffer is searched for the
+    /// query's messages and merged with `pending` as views.
+    #[allow(clippy::too_many_arguments)]
+    fn range_parts<'p>(
+        &mut self,
+        addr: u64,
+        is_leaf: bool,
+        pivots: impl Iterator<Item = &'p [u8]>,
+        mut parts: impl Iterator<Item = PartView<'p>>,
+        pending: &[MessageRef<'_>],
+        start: &[u8],
+        end: Option<&[u8]>,
+        sink: &mut impl FnMut(&[u8], &[u8]),
+    ) -> Result<(), KvError> {
+        let mut pending = pending;
+        let mut lo: Option<&[u8]> = None;
+        for (j, hi) in pivots.map(Some).chain(std::iter::once(None)).enumerate() {
+            // The pending messages routed to part j.
+            let (group, rest) =
+                pending.split_at(pending.partition_point(|m| hi.is_none_or(|h| m.key < h)));
+            pending = rest;
+            let overlaps = lo.zip(end).is_none_or(|(l, e)| l < e) && hi.is_none_or(|h| h > start);
+            lo = hi;
+            let next = parts.next();
+            if !overlaps {
+                debug_assert!(group.is_empty());
+                continue;
+            }
+            let seg_page;
+            let part = match next {
+                Some(part) => part,
+                None => {
+                    seg_page = self.layout.read_for_query(self.pager, addr, j)?;
+                    self.layout
+                        .part_for_key(&seg_page, addr, j, is_leaf, start)?
+                }
+            };
+            match part {
+                PartView::Pairs(entries) => {
+                    // Every pending message lies in the query's range, so
+                    // the window alone is a virtual view of the chunk
+                    // restricted to the query.
+                    let (_, from) = entries.seek(|(k, _)| *k < start);
+                    let window = from.iter().take_while(|(k, _)| end.is_none_or(|e| *k < e));
+                    if group.is_empty() {
+                        window.for_each(|(k, v)| sink(k, v));
+                    } else {
+                        merge_msgs(
+                            window,
+                            |(k, _)| k,
+                            group,
+                            |m| match m {
+                                Merged::Entry((k, v)) | Merged::Put(k, v) => sink(k, v),
+                            },
+                        );
+                    }
+                }
+                PartView::Kid {
+                    addr: kid,
+                    is_leaf: leaf,
+                    pivots: kid_pivots,
+                    msgs,
+                } => {
+                    // The child's own messages in the query's range.
+                    let (_, own) = msgs.seek(|m| m.key < start);
+                    let (n, _) = own.seek(|m| end.is_none_or(|e| m.key < e));
+                    let merged;
+                    let msgs = if n == 0 {
+                        group
+                    } else {
+                        let mut out = Vec::with_capacity(group.len() + n);
+                        merge_refs(group, own.iter().take(n), &mut out);
+                        merged = out;
+                        &merged
+                    };
+                    let kid_pivots: Vec<&[u8]> =
+                        kid_pivots.map(|p| p.iter().collect()).unwrap_or_default();
+                    self.range_rec(kid, leaf, &kid_pivots, msgs, start, end, sink)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 impl<L: Layout> PagedDict for Engine<L> {
     fn pager_and_obs(&mut self) -> (&mut Pager, Option<&Obs>) {
         (&mut self.pager, self.obs.as_ref())
@@ -978,13 +1006,11 @@ impl<L: Layout> Dictionary for Engine<L> {
         self.in_op(|t| t.get_inner(key))
     }
 
-    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
+    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Pairs, KvError> {
         self.in_op(|t| {
-            let mut out = Vec::new();
+            let mut out = Pairs::new();
             if start < end {
-                t.range_inner(start, Some(end), &mut |k, v| {
-                    out.push((k.to_vec(), v.to_vec()))
-                })?;
+                t.range_inner(start, Some(end), &mut |k, v| out.push(k, v))?;
             }
             Ok(out)
         })

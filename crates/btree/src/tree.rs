@@ -4,7 +4,7 @@
 use crate::node::{LeafEdit, Node, NodeId, NodeView};
 use dam_cache::{Page, Pager, Superblock, SuperblockIo};
 use dam_kv::codec::{pair_size, unframe, CodecError, Pair, Run, NODE_HEADER_BYTES};
-use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
+use dam_kv::{BatchOp, Dictionary, KvError, OpCost, Pairs};
 use dam_obs::{Obs, PagedDict};
 use dam_storage::SharedDevice;
 
@@ -536,17 +536,13 @@ impl BTree {
         id: NodeId,
         start: &[u8],
         end: &[u8],
-        out: &mut Vec<(Vec<u8>, Vec<u8>)>,
+        out: &mut Pairs,
     ) -> Result<(), KvError> {
         let _lvl = self.obs.as_ref().map(|o| o.descend("btree.level"));
         let page = self.read_page(id)?;
         match parse_node(id, &page)? {
             NodeView::Leaf(entries) => {
-                out.extend(
-                    entries
-                        .range(start, end)
-                        .map(|(k, v)| (k.to_vec(), v.to_vec())),
-                );
+                entries.range(start, end).for_each(|(k, v)| out.push(k, v));
                 Ok(())
             }
             NodeView::Internal { pivots, children } => {
@@ -904,9 +900,9 @@ impl Dictionary for BTree {
         self.in_op(|t| t.get_rec(t.root, key))
     }
 
-    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
+    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Pairs, KvError> {
         self.in_op(|t| {
-            let mut out = Vec::new();
+            let mut out = Pairs::new();
             if start < end {
                 t.range_rec(t.root, start, end, &mut out)?;
             }
@@ -1083,7 +1079,7 @@ mod tests {
         assert_eq!(out.len(), 10);
         for (j, (k, v)) in out.iter().enumerate() {
             let (ek, ev) = kv(50 + j as u64);
-            assert_eq!((k, v), (&ek, &ev));
+            assert_eq!((k, v), (&ek[..], &ev[..]));
         }
     }
 
@@ -1096,7 +1092,7 @@ mod tests {
         }
         let out = t.range(&[], &[0xFF; 17]).unwrap();
         assert_eq!(out.len(), 100);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(out.iter().zip(out.iter().skip(1)).all(|(a, b)| a.0 < b.0));
     }
 
     #[test]

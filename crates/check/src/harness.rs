@@ -10,7 +10,7 @@
 
 use crate::trace::{generate_trace, render_test};
 use crate::Op;
-use dam_kv::{Dictionary, KvError, KvPair, OpCost};
+use dam_kv::{Dictionary, KvError, OpCost, Pairs};
 use dam_obs::{Obs, ObservedDevice};
 use dam_serve::{run_ops, Oracle, ServeAnswer, ServeConfig, ShardConfig};
 use dam_stats::prop::ddmin;
@@ -161,23 +161,21 @@ fn apply_op(dict: &mut dyn Dictionary, op: &Op) -> Result<ServeAnswer, KvError> 
     })
 }
 
-fn describe_pairs(p: &[KvPair]) -> String {
+fn describe_pairs(p: &Pairs) -> String {
     if p.len() > 6 {
-        format!("{} pairs, first {:?}", p.len(), &p[..3])
+        let first: Vec<_> = p.iter().take(3).collect();
+        format!("{} pairs, first {first:?}", p.len())
     } else {
         format!("{p:?}")
     }
 }
 
 /// Pinpoint the first difference between two pair lists.
-fn diff_pairs(want: &[KvPair], got: &[KvPair]) -> String {
+fn diff_pairs(want: &Pairs, got: &Pairs) -> String {
     let n = want.len().min(got.len());
-    for i in 0..n {
-        if want[i] != got[i] {
-            return format!(
-                "first difference at index {i}: oracle {:?}, tree {:?}",
-                want[i], got[i]
-            );
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        if w != g {
+            return format!("first difference at index {i}: oracle {w:?}, tree {g:?}");
         }
     }
     format!(
@@ -499,7 +497,7 @@ impl Fixture {
             .map_err(|e| self.fail(None, format!("final dump failed: {e}")))?;
         let mut want = self.oracle.dump();
         if dump.is_empty() && !self.synced && matches!(self.mode, Mode::Crash { .. }) {
-            want.clear();
+            want = Pairs::new();
         }
         if dump != want {
             return Err(self.fail(

@@ -2,7 +2,10 @@
 //! and range queries, with per-operation cost reporting so experiments can
 //! attribute simulated time and IO to individual operations.
 
-/// An owned key-value pair, as returned by range queries.
+use crate::pairs::Pairs;
+
+/// An owned key-value pair. A range query answers with [`Pairs`], which
+/// compares equal to a `Vec<KvPair>` of the same pairs.
 pub type KvPair = (Vec<u8>, Vec<u8>);
 
 /// Errors surfaced by dictionary implementations.
@@ -105,13 +108,15 @@ pub trait Dictionary {
     /// Point query.
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError>;
 
-    /// Range query: all pairs with `start ≤ key < end`, in key order.
+    /// Range query: all pairs with `start ≤ key < end`, in key order,
+    /// copied into one packed answer (see [`Pairs`]): an implementation
+    /// hands it the pairs it walks past, with no allocation per pair.
     ///
     /// The interval is half-open. Degenerate intervals — `start == end` or
-    /// `start > end` — MUST return an empty vector (never an error, never a
+    /// `start > end` — MUST return an empty answer (never an error, never a
     /// wrapped-around scan). Every implementation guards this before
     /// touching storage; the differential harness (`dam-check`) pins it.
-    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<KvPair>, KvError>;
+    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Pairs, KvError>;
 
     /// Cost of the most recently completed operation.
     ///
@@ -190,7 +195,7 @@ impl<T: Dictionary + ?Sized> Dictionary for &mut T {
         (**self).get(key)
     }
 
-    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<KvPair>, KvError> {
+    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Pairs, KvError> {
         (**self).range(start, end)
     }
 

@@ -10,17 +10,20 @@
 //! * [`dictionary`] — the common external-dictionary interface (insert,
 //!   delete, point query, range query) the paper's data structures
 //!   implement, plus per-operation cost reporting.
+//! * [`pairs`] — [`Pairs`], the packed answer of a range query.
 //! * [`workload`] — deterministic, seeded key-index and value streams
 //!   (uniform, zipfian) for the §7 benchmark protocol.
 
 pub mod codec;
 pub mod dictionary;
 pub mod msg;
+pub mod pairs;
 pub mod workload;
 
 pub use codec::{CodecError, Reader, Writer};
 pub use dictionary::{BatchOp, Dictionary, KvError, KvPair, OpCost};
 pub use msg::{Message, Operation};
+pub use pairs::Pairs;
 pub use workload::{KeyDistribution, WorkloadConfig, WorkloadGen};
 
 /// Encode an index as a fixed-width big-endian key so lexicographic order

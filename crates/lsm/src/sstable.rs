@@ -187,23 +187,26 @@ impl TableWriter {
     }
 }
 
-/// K-way merge of sorted runs, given newest first, into `emit` in ascending
-/// key order. On equal keys the earlier (newer) run wins; tombstones are
-/// dropped when `drop_tombstones`. A run whose keys do not strictly ascend
-/// is [`KvError::Corrupt`]: the merge relies on the order it is given.
+/// K-way merge of sorted sources into `emit` in ascending key order:
+/// `newest`, then `runs`, newest first. On equal keys the newer source
+/// wins; tombstones are dropped when `drop_tombstones`. A source whose keys
+/// do not strictly ascend is [`KvError::Corrupt`]: the merge relies on the
+/// order it is given. Nothing is copied: `emit` gets the entries as the
+/// sources lend them.
 ///
-/// A linear scan of the run heads picks each next key: compaction merges at
-/// most a few L0 runs and one run from the level below.
-fn merge_views<'a>(
-    runs: &[Vec<Run<'a, Entry<'a>>>],
+/// A linear scan of the source heads picks each next key: compaction merges
+/// at most a few L0 runs and one run from the level below, and a range walk
+/// the memtable (as `newest`) and one source per run.
+pub(crate) fn merge_views<'a, I: Iterator<Item = Entry<'a>>>(
+    newest: impl Iterator<Item = Entry<'a>>,
+    runs: impl IntoIterator<Item = I>,
     drop_tombstones: bool,
     mut emit: impl FnMut(&'a [u8], Option<&'a [u8]>) -> Result<(), KvError>,
 ) -> Result<(), KvError> {
-    let mut iters: Vec<_> = runs
-        .iter()
-        .map(|run| run.iter().flat_map(|block| block.iter()))
+    let mut sources: Vec<Source<_, I>> = std::iter::once(Source::Newest(newest))
+        .chain(runs.into_iter().map(Source::Run))
         .collect();
-    let mut heads: Vec<Option<Entry<'a>>> = iters.iter_mut().map(Iterator::next).collect();
+    let mut heads: Vec<Option<Entry<'a>>> = sources.iter_mut().map(Iterator::next).collect();
     loop {
         let mut min: Option<(usize, Entry<'a>)> = None;
         for (i, head) in heads.iter().enumerate() {
@@ -216,11 +219,11 @@ fn merge_views<'a>(
         let Some((winner, (key, value))) = min else {
             return Ok(());
         };
-        // Runs before the winner hold only larger keys; the winner and every
-        // later run holding `key` move past it.
-        for (head, iter) in heads.iter_mut().zip(&mut iters).skip(winner) {
+        // Sources before the winner hold only larger keys; the winner and
+        // every later source holding `key` move past it.
+        for (head, source) in heads.iter_mut().zip(&mut sources).skip(winner) {
             if head.is_some_and(|(k, _)| k == key) {
-                *head = iter.next();
+                *head = source.next();
                 if head.is_some_and(|(k, _)| k <= key) {
                     return Err(KvError::Corrupt(
                         "sstable run keys do not strictly ascend".into(),
@@ -230,6 +233,27 @@ fn merge_views<'a>(
         }
         if !(drop_tombstones && value.is_none()) {
             emit(key, value)?;
+        }
+    }
+}
+
+/// One source of [`merge_views`].
+enum Source<N, R> {
+    Newest(N),
+    Run(R),
+}
+
+impl<'a, N, R> Iterator for Source<N, R>
+where
+    N: Iterator<Item = Entry<'a>>,
+    R: Iterator<Item = Entry<'a>>,
+{
+    type Item = Entry<'a>;
+
+    fn next(&mut self) -> Option<Entry<'a>> {
+        match self {
+            Source::Newest(n) => n.next(),
+            Source::Run(r) => r.next(),
         }
     }
 }
@@ -260,7 +284,10 @@ pub(crate) fn write_merged<B: Deref<Target = [u8]>>(
     };
     let mut out: Vec<SsTable> = Vec::new();
     let mut table: Option<TableWriter> = None;
-    let merged = merge_views(&views, drop_tombstones, |k, v| {
+    let sources = views
+        .iter()
+        .map(|run: &Vec<Run<'_, Entry<'_>>>| run.iter().flat_map(|block| block.iter()));
+    let merged = merge_views(std::iter::empty(), sources, drop_tombstones, |k, v| {
         let sz = SsTable::entry_bytes(k, v);
         if table
             .as_ref()
@@ -391,8 +418,9 @@ impl SsTable {
         if end <= start {
             return Ok(Vec::new());
         }
-        let mut out = Vec::new();
-        for page in self.scan_pages(pager, start, Some(end))? {
+        let (mut out, mut pages) = (Vec::new(), Vec::new());
+        self.scan_pages(pager, start, Some(end), &mut pages)?;
+        for page in pages {
             let block = reparse_block(&page)?;
             out.extend(
                 block
@@ -403,19 +431,19 @@ impl SsTable {
         Ok(out)
     }
 
-    /// The blocks that can hold keys in `[start, end)` (`end = None`:
-    /// unbounded above), in key order: one sub-range IO or cache hit each,
-    /// frames checked once. Their entries still include keys outside the
-    /// range.
+    /// Append to `pages` the blocks that can hold keys in `[start, end)`
+    /// (`end = None`: unbounded above), in key order: one sub-range IO or
+    /// cache hit each, frames checked once. Their entries still include
+    /// keys outside the range.
     pub(crate) fn scan_pages(
         &self,
         pager: &mut Pager,
         start: &[u8],
         end: Option<&[u8]>,
-    ) -> Result<Vec<Page>, KvError> {
-        let mut pages = Vec::new();
+        pages: &mut Vec<Page>,
+    ) -> Result<(), KvError> {
         if self.blocks.is_empty() {
-            return Ok(pages);
+            return Ok(());
         }
         let first = self.block_index_for(start);
         for i in first..self.blocks.len() {
@@ -426,7 +454,7 @@ impl SsTable {
             }
             pages.push(self.block_page(pager, i)?);
         }
-        Ok(pages)
+        Ok(())
     }
 }
 

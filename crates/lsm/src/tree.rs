@@ -2,10 +2,10 @@
 //! non-overlapping levels, with size-triggered compaction.
 
 use crate::memkey::MemKey;
-use crate::sstable::{reparse_block, write_merged, BlockMeta, SsTable, TableWriter};
+use crate::sstable::{merge_views, reparse_block, write_merged, BlockMeta, SsTable, TableWriter};
 use dam_cache::{Page, Pager, Superblock, SuperblockIo};
-use dam_kv::codec::{CodecError, Reader, Writer};
-use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
+use dam_kv::codec::{CodecError, Entry, Reader, Writer};
+use dam_kv::{BatchOp, Dictionary, KvError, OpCost, Pairs};
 use dam_obs::{Obs, PagedDict};
 use dam_storage::SharedDevice;
 use std::collections::BTreeMap;
@@ -368,11 +368,13 @@ impl LsmTree {
             // by key already).
             let mut runs: Vec<Vec<Page>> = Vec::new();
             for t in self.l0.iter().rev() {
-                runs.push(t.scan_pages(&mut self.pager, &[], None)?);
+                let mut run = Vec::new();
+                t.scan_pages(&mut self.pager, &[], None, &mut run)?;
+                runs.push(run);
             }
             let mut l1_run = Vec::new();
             for t in &overlapping {
-                l1_run.extend(t.scan_pages(&mut self.pager, &[], None)?);
+                t.scan_pages(&mut self.pager, &[], None, &mut l1_run)?;
             }
             runs.push(l1_run);
             self.merge_into_tables(&runs, self.is_bottom(0))
@@ -422,10 +424,10 @@ impl LsmTree {
                 .into_iter()
                 .partition(|t| t.overlaps(&victim.min_key, &victim.max_key));
             let built = (|| {
-                let victim_run = victim.scan_pages(&mut self.pager, &[], None)?;
-                let mut low_run = Vec::new();
+                let (mut victim_run, mut low_run) = (Vec::new(), Vec::new());
+                victim.scan_pages(&mut self.pager, &[], None, &mut victim_run)?;
                 for t in &overlapping {
-                    low_run.extend(t.scan_pages(&mut self.pager, &[], None)?);
+                    t.scan_pages(&mut self.pager, &[], None, &mut low_run)?;
                 }
                 self.merge_into_tables(&[victim_run, low_run], self.is_bottom(idx + 1))
             })();
@@ -504,49 +506,46 @@ impl LsmTree {
         // Fetch every block the scan touches, newest run first (the read
         // order the IO accounting sees), then merge in place: only the
         // answer is copied out of the pages, by the sink.
-        let mut runs: Vec<Vec<Page>> = Vec::new();
-        for t in self.l0.iter().rev() {
-            if t.overlaps_open(start, end) {
-                runs.push(t.scan_pages(&mut self.pager, start, end)?);
-            }
+        let mut pages: Vec<Page> = Vec::with_capacity(self.l0.len() + self.levels.len());
+        // Where each run's pages end in `pages`.
+        let mut run_ends = Vec::with_capacity(self.l0.len() + self.levels.len());
+        for t in self.l0.iter().rev().filter(|t| t.overlaps_open(start, end)) {
+            t.scan_pages(&mut self.pager, start, end, &mut pages)?;
+            run_ends.push(pages.len());
         }
         for level in &self.levels {
-            let mut run = Vec::new();
             for t in level.iter().filter(|t| t.overlaps_open(start, end)) {
-                run.extend(t.scan_pages(&mut self.pager, start, end)?);
+                t.scan_pages(&mut self.pager, start, end, &mut pages)?;
             }
-            runs.push(run);
+            run_ends.push(pages.len());
         }
-        // Lowest precedence first; newer entries overwrite older ones, and
-        // the memtable overwrites everything. Each block is searched for
-        // `start` and walked only to `end`.
-        let mut merged: BTreeMap<&[u8], Option<&[u8]>> = BTreeMap::new();
-        for page in runs.iter().rev().flatten() {
-            let block = reparse_block(page).map_err(|e| KvError::Corrupt(e.to_string()))?;
-            let (_, from) = block.seek(|(k, _)| *k < start);
-            merged.extend(from.iter().take_while(|(k, _)| end.is_none_or(|e| *k < e)));
-        }
+        let blocks = pages
+            .iter()
+            .map(|page| reparse_block(page))
+            .collect::<Result<Vec<_>, _>>()?;
+        // One source per run, each block searched for `start` and every
+        // source walked only to `end`, below the memtable.
+        let below_end = |(k, _): &Entry<'_>| end.is_none_or(|e| *k < e);
+        let runs = run_ends.iter().scan(0, |from, &to| {
+            let run = &blocks[*from..to];
+            *from = to;
+            Some(
+                run.iter()
+                    .flat_map(|block| block.seek(|(k, _)| *k < start).1.iter())
+                    .take_while(below_end),
+            )
+        });
         let upper = end.map_or(Bound::Unbounded, |e| Bound::Excluded(MemKey::new(e)));
-        let mem = self.mem.range((Bound::Included(MemKey::new(start)), upper));
-        merged.extend(mem.map(|(k, v)| (k.as_slice(), v.as_deref())));
-        for (k, v) in merged {
+        let mem = self
+            .mem
+            .range((Bound::Included(MemKey::new(start)), upper))
+            .map(|(k, v)| (k.as_slice(), v.as_deref()));
+        merge_views(mem, runs, true, |k, v| {
             if let Some(v) = v {
                 sink(k, v);
             }
-        }
-        Ok(())
-    }
-
-    /// The live pairs with `start <= key < end` (`end = None`: unbounded),
-    /// copied out.
-    fn collect_range(
-        &mut self,
-        start: &[u8],
-        end: Option<&[u8]>,
-    ) -> Result<Vec<dam_kv::KvPair>, KvError> {
-        let mut out = Vec::new();
-        self.range_inner(start, end, &mut |k, v| out.push((k.to_vec(), v.to_vec())))?;
-        Ok(out)
+            Ok(())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -568,14 +567,18 @@ impl LsmTree {
             }
         }
         // Count live keys by a full unbounded merge (also validates every
-        // block decodes).
-        let all = self.collect_range(&[], None)?;
-        for w in all.windows(2) {
-            if w[0].0 >= w[1].0 {
-                return Err(KvError::Corrupt("merged output unsorted".into()));
-            }
+        // block decodes), checking their order as they pass.
+        let (mut n, mut sorted, mut prev) = (0u64, true, Vec::new());
+        self.range_inner(&[], None, &mut |k, _| {
+            sorted &= n == 0 || prev.as_slice() < k;
+            prev.clear();
+            prev.extend_from_slice(k);
+            n += 1;
+        })?;
+        if !sorted {
+            return Err(KvError::Corrupt("merged output unsorted".into()));
         }
-        Ok(all.len() as u64)
+        Ok(n)
     }
 }
 
@@ -610,13 +613,11 @@ impl Dictionary for LsmTree {
         self.in_op(|t| t.get_inner(key))
     }
 
-    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
+    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Pairs, KvError> {
         self.in_op(|t| {
-            if start < end {
-                t.collect_range(start, Some(end))
-            } else {
-                Ok(Vec::new())
-            }
+            let mut out = Pairs::new();
+            t.range_inner(start, Some(end), &mut |k, v| out.push(k, v))?;
+            Ok(out)
         })
     }
 

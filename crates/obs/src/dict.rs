@@ -14,7 +14,7 @@
 //! per direction — the flash-evaluation literature's first-class metric.
 
 use crate::registry::Obs;
-use dam_kv::{BatchOp, Dictionary, KvError, KvPair, OpCost};
+use dam_kv::{BatchOp, Dictionary, KvError, OpCost, Pairs};
 
 /// A [`Dictionary`] wrapper that instruments every operation.
 pub struct ObservedDict<D: Dictionary> {
@@ -89,7 +89,7 @@ impl<D: Dictionary> Dictionary for ObservedDict<D> {
         r
     }
 
-    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<KvPair>, KvError> {
+    fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Pairs, KvError> {
         let r = {
             let _span = self.obs.span(&format!("{}.range", self.name));
             self.inner.range(start, end)
@@ -167,11 +167,11 @@ mod tests {
         fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
             Ok(self.map.get(key).cloned())
         }
-        fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<KvPair>, KvError> {
+        fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Pairs, KvError> {
             Ok(self
                 .map
                 .range(start.to_vec()..end.to_vec())
-                .map(|(k, v)| (k.clone(), v.clone()))
+                .map(|(k, v)| (k.as_slice(), v.as_slice()))
                 .collect())
         }
         fn apply_batch(&mut self, batch: &[BatchOp]) -> Result<(), KvError> {

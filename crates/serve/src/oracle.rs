@@ -6,7 +6,7 @@
 //! op must answer. The engine's commit log ([`crate::oracle_divergence`])
 //! and every `dam-check` mode are compared against that one model.
 
-use dam_kv::KvPair;
+use dam_kv::{KvPair, Pairs};
 use std::collections::BTreeMap;
 
 /// One dictionary operation. Keys and values are stored inline, so a trace
@@ -52,7 +52,7 @@ pub enum ServeAnswer {
     /// Point-query result.
     Val(Option<Vec<u8>>),
     /// Range-query result.
-    Pairs(Vec<KvPair>),
+    Pairs(Pairs),
     /// `Len` result.
     Count(u64),
 }
@@ -89,10 +89,10 @@ impl Oracle {
             ServeOp::Range { start, end } if start < end => ServeAnswer::Pairs(
                 self.map
                     .range(start.clone()..end.clone())
-                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .map(|(k, v)| (k.as_slice(), v.as_slice()))
                     .collect(),
             ),
-            ServeOp::Range { .. } => ServeAnswer::Pairs(Vec::new()),
+            ServeOp::Range { .. } => ServeAnswer::Pairs(Pairs::new()),
             ServeOp::SyncAll => ServeAnswer::Unit,
             ServeOp::Len => ServeAnswer::Count(self.map.len() as u64),
         }
@@ -104,10 +104,10 @@ impl Oracle {
     }
 
     /// Every pair in key order.
-    pub fn dump(&self) -> Vec<KvPair> {
+    pub fn dump(&self) -> Pairs {
         self.map
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.as_slice(), v.as_slice()))
             .collect()
     }
 
@@ -149,8 +149,14 @@ mod tests {
             ServeAnswer::Val(Some(b"2".to_vec()))
         );
         assert_eq!(o.get(b""), Some(vec![]));
-        assert_eq!(o.apply(&range(b"a", b"a")), ServeAnswer::Pairs(vec![]));
-        assert_eq!(o.apply(&range(b"b", b"a")), ServeAnswer::Pairs(vec![]));
+        assert_eq!(
+            o.apply(&range(b"a", b"a")),
+            ServeAnswer::Pairs(Pairs::new())
+        );
+        assert_eq!(
+            o.apply(&range(b"b", b"a")),
+            ServeAnswer::Pairs(Pairs::new())
+        );
         assert_eq!(o.apply(&range(b"", b"b")), ServeAnswer::Pairs(o.dump()));
         let ub = o.exclusive_upper_bound();
         assert!(ub.as_slice() > b"a".as_slice());

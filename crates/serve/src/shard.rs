@@ -10,7 +10,7 @@
 use crate::capture::{CaptureDevice, CaptureHandle};
 use dam_betree::{BeTree, BeTreeConfig, OptBeTree, OptConfig};
 use dam_btree::{BTree, BTreeConfig};
-use dam_kv::{BatchOp, Dictionary, KvError, KvPair};
+use dam_kv::{BatchOp, Dictionary, KvError, Pairs};
 use dam_lsm::{LsmConfig, LsmTree};
 use dam_obs::Obs;
 use dam_stats::rng::{splitmix64, GOLDEN};
@@ -250,13 +250,23 @@ impl ShardSet {
         Ok(self.on_shard(shard, |d| d.apply_batch(batch))?.1)
     }
 
-    /// Range query: fan out to every shard, merge the sorted results.
-    pub fn range(&mut self, start: &[u8], end: &[u8]) -> Result<(Vec<KvPair>, IoChain), KvError> {
+    /// Range query: fan out to every shard, merge the sorted answers into
+    /// one.
+    pub fn range(&mut self, start: &[u8], end: &[u8]) -> Result<(Pairs, IoChain), KvError> {
         let (parts, chain) = self.fan_out(|d| d.range(start, end))?;
-        let mut pairs: Vec<KvPair> = parts.into_iter().flatten().collect();
         // Keys are unique across shards (hash routing is a partition), so
-        // a sort of the concatenation is a correct k-way merge.
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        // each next pair is the least head of the shards' answers.
+        let mut heads: Vec<_> = parts.iter().map(|p| p.iter().peekable()).collect();
+        let mut pairs = Pairs::new();
+        while let Some((_, s)) = heads
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(s, h)| h.peek().map(|&(k, _)| (k, s)))
+            .min()
+        {
+            let (k, v) = heads[s].next().expect("peeked");
+            pairs.push(k, v);
+        }
         Ok((pairs, chain))
     }
 
